@@ -10,7 +10,7 @@
 //     processes rotate solo in growing bursts: each live k-set has
 //     exactly t+1 freezable entries, so quantiles >= t+2 never settle.
 // The (quantile, scenario) grid shards across the persistent
-// ExperimentRunner pool (--threads / --shard).
+// ExperimentRunner pool (--threads / --cells).
 #include <benchmark/benchmark.h>
 
 #include <iostream>

@@ -68,7 +68,7 @@ void print_series_speedup(core::ExperimentRunner& runner,
 
   // Like-for-like legacy run: generate the same schedule and rescan
   // every prefix of the full series (both timed walls cover schedule
-  // generation plus all `phases` cuts, regardless of --shard).
+  // generation plus all `phases` cuts, regardless of --cells).
   core::WallTimer rescan_timer;
   sched::Figure1Generator gen(3, 0, 1, 2);
   const std::int64_t total =

@@ -5,7 +5,7 @@
 // with and without crashes, plus the per-iteration register-operation
 // cost model |Pi_n^k| * n + n + 1 + |Pi_n^k|. Every series' rows are
 // independent simulator runs, so they shard across the persistent
-// ExperimentRunner pool (--threads / --shard); the microbenchmarks
+// ExperimentRunner pool (--threads / --cells); the microbenchmarks
 // time raw simulator throughput while the detector runs.
 //
 // EXP-F2d sweeps system membership at detector-infeasible sizes: for

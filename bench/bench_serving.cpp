@@ -3,7 +3,7 @@
 // batched, and every batch is decided by one enforced-schedule
 // MultiShotAgreement pass; all aggregate stats (latency percentiles,
 // admission counts, decisions) are virtual-tick facts, bit-identical
-// at any --threads and across --shard=K/N unions. Open-loop mode
+// at any --threads and across --cells=LO..HI unions. Open-loop mode
 // (--qps=N): wall-clock pacing at a target QPS for --duration seconds;
 // every fact it prints or records is a timing key.
 //

@@ -2,7 +2,7 @@
 // dispatch, subset ranking, schedule generation and analysis, and the
 // threaded register implementation. A schedule-analysis sweep section
 // (generator family × length grid) runs through the persistent
-// ExperimentRunner pool (--threads / --shard / --json).
+// ExperimentRunner pool (--threads / --cells / --json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

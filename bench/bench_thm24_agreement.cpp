@@ -5,7 +5,7 @@
 // patterns under the friendly family, a latency-vs-timeliness-bound
 // series, and a spec × family × seed SweepGrid aggregated into the
 // success-rate matrix. Everything runs through one persistent
-// core::ExperimentRunner (--threads / --repeat / --shard / --json).
+// core::ExperimentRunner (--threads / --repeat / --cells / --json).
 // Microbenchmarks time whole engine runs.
 #include <benchmark/benchmark.h>
 

@@ -12,7 +12,7 @@
 // Plus the direct evidence: the k-subset starver (a schedule of
 // S^{k+1}_{n,n}) defeats the Figure 2 detector's k-anti-Omega property.
 // Each series' rows are independent runs sharded across the persistent
-// ExperimentRunner pool (--threads / --shard).
+// ExperimentRunner pool (--threads / --cells).
 #include <benchmark/benchmark.h>
 
 #include <iostream>

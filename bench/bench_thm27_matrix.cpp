@@ -9,7 +9,7 @@
 // The (i, j) cells of every matrix run through one persistent
 // core::ExperimentRunner; `--threads=N` shards them across the
 // work-stealing pool with bit-identical cell results at any N,
-// `--shard=K/N` slices the cell space across processes, and `--json`
+// `--cells=LO..HI[/SPAN]` slices the cell space across processes, and `--json`
 // records the per-matrix trajectory (cells/wall/throughput plus
 // per-cell rows) in BENCH_thm27_matrix.json. Each cell's reported
 // witness_bound is measured on the executed schedule by the

@@ -12,7 +12,7 @@
 //                                           batched RankedPairScan, on
 //                                           a witness-enforced and an
 //                                           i-subset-starver schedule
-// `--threads=N` / `--shard=K/N` (stripped before the positional args)
+// `--threads=N` / `--cells=LO..HI` (stripped before the positional args)
 // shard the empirical matrix cells — and the scan's P-rank chunks —
 // across the ExperimentRunner's persistent pool.
 #include <cstdlib>

@@ -22,7 +22,8 @@ SAME_KEYS = [
 ]
 SUM_KEYS = ["batch_requests", "decided_ok"]
 ROW_KEYS = {"index", "success", "detector_ok", "distinct", "steps",
-            "witness_bound"}
+            "witness_bound", "schedule_hash", "allocs_per_op",
+            "bytes_per_op"}
 
 
 def fail(message):

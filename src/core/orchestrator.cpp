@@ -1,7 +1,6 @@
 #include "src/core/orchestrator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -43,12 +42,6 @@ std::string stderr_excerpt(const std::string& err,
   return text;
 }
 
-/// "attempt 2/3: exit 1" — every failure report names its attempt.
-std::string attempt_tag(int attempt, int total) {
-  return "attempt " + std::to_string(attempt) + "/" +
-         std::to_string(total) + ": ";
-}
-
 }  // namespace
 
 std::chrono::milliseconds backoff_delay(const BackoffOptions& options,
@@ -76,154 +69,6 @@ std::chrono::milliseconds backoff_delay(const BackoffOptions& options,
   return std::chrono::milliseconds{
       static_cast<std::int64_t>(jittered)};
 }
-
-bool OrchestrationResult::ok() const {
-  if (!merge_error.empty()) return false;
-  if (shards.empty()) return false;
-  for (const ShardRun& shard : shards) {
-    if (!shard.ok) return false;
-  }
-  return true;
-}
-
-std::string OrchestrationResult::summary() const {
-  std::ostringstream os;
-  for (const ShardRun& shard : shards) {
-    os << "shard " << shard.shard << "/" << shards.size() << ": ";
-    if (shard.ok) {
-      os << "ok (" << shard.attempts << " attempt"
-         << (shard.attempts == 1 ? "" : "s") << ", "
-         << shard.last.wall_seconds << " s)\n";
-    } else {
-      os << "FAILED after " << shard.attempts << " attempt"
-         << (shard.attempts == 1 ? "" : "s") << ": " << shard.error
-         << "\n  last stderr: "
-         << stderr_excerpt(shard.last.err) << "\n";
-    }
-  }
-  if (!merge_error.empty()) {
-    os << "merge: FAILED: " << merge_error << "\n";
-  }
-  return os.str();
-}
-
-OrchestrationResult orchestrate(const OrchestratorOptions& options) {
-  SETLIB_EXPECTS(!options.bench.empty());
-  SETLIB_EXPECTS(options.shards >= 1);
-  SETLIB_EXPECTS(options.workers >= 0);
-  SETLIB_EXPECTS(options.retries >= 0);
-  SETLIB_EXPECTS(!options.shard_dir.empty());
-
-  std::filesystem::create_directories(options.shard_dir);
-
-  runtime::LocalExecTransport local;
-  runtime::Transport* transport =
-      options.transport ? options.transport : &local;
-
-  const int n = options.shards;
-  OrchestrationResult result;
-  result.shards.resize(static_cast<std::size_t>(n));
-  std::vector<JsonValue> docs(static_cast<std::size_t>(n));
-
-  int workers = options.workers;
-  if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    workers = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  workers = std::min(workers, n);
-
-  // Each worker thread claims shard indices off the shared counter and
-  // drives one child at a time: launch, wait, verify, retry.
-  std::atomic<int> next{0};
-  auto run_shards = [&] {
-    for (;;) {
-      const int k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= n) return;
-      ShardRun& run = result.shards[static_cast<std::size_t>(k)];
-      run.shard = k;
-      run.json_path = options.shard_dir + "/shard_" +
-                      std::to_string(k) + ".json";
-
-      runtime::TransportCommand command;
-      command.argv.reserve(options.bench_args.size() + 3);
-      command.argv.push_back(options.bench);
-      command.argv.insert(command.argv.end(),
-                          options.bench_args.begin(),
-                          options.bench_args.end());
-      command.argv.push_back("--shard=" + std::to_string(k) + "/" +
-                             std::to_string(n));
-      command.argv.push_back("--json=" + run.json_path);
-      command.timeout = options.timeout;
-
-      const int total_attempts = options.retries + 1;
-      for (int attempt = 0; attempt <= options.retries; ++attempt) {
-        if (attempt > 0) {
-          std::this_thread::sleep_for(backoff_delay(
-              options.backoff, static_cast<std::uint64_t>(k), attempt));
-        }
-        ++run.attempts;
-        // A stale or truncated document from a previous attempt (or
-        // run) must never be mistaken for this attempt's output.
-        std::error_code ignored;
-        std::filesystem::remove(run.json_path, ignored);
-
-        run.last = transport->run(command);
-        if (!run.last.ok()) {
-          run.error = attempt_tag(attempt + 1, total_attempts) +
-                      run.last.describe();
-          continue;
-        }
-        std::string text;
-        if (!read_file(run.json_path, text)) {
-          run.error = attempt_tag(attempt + 1, total_attempts) +
-                      "worker exited 0 but wrote no " + run.json_path;
-          continue;
-        }
-        try {
-          docs[static_cast<std::size_t>(k)] = JsonValue::parse(text);
-        } catch (const JsonParseError& e) {
-          run.error = attempt_tag(attempt + 1, total_attempts) +
-                      "worker wrote unparsable JSON: " + e.what();
-          continue;
-        }
-        run.ok = true;
-        run.error.clear();
-        break;
-      }
-    }
-  };
-
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) threads.emplace_back(run_shards);
-  }
-
-  bool all_ok = true;
-  for (const ShardRun& run : result.shards) all_ok &= run.ok;
-  if (all_ok) {
-    try {
-      result.merged = merge_shard_docs(docs);
-    } catch (const MergeError& e) {
-      result.merge_error = e.what();
-    }
-  }
-
-  return result;
-}
-
-void remove_shard_documents(const OrchestratorOptions& options,
-                            const OrchestrationResult& result) {
-  for (const ShardRun& run : result.shards) {
-    std::error_code ignored;
-    std::filesystem::remove(run.json_path, ignored);
-  }
-  std::error_code ignored;
-  std::filesystem::remove(options.shard_dir, ignored);  // if now empty
-}
-
-// ---------------------------------------------------------------------
-// The elastic work-queue orchestrator.
 
 bool ElasticResult::ok() const {
   return merge_error.empty() && queue.abort_reason.empty() &&
@@ -324,14 +169,8 @@ ElasticResult orchestrate_elastic(
       command.argv.insert(command.argv.end(),
                           options.bench_args.begin(),
                           options.bench_args.end());
-      // The issue's worker flag: bare LO..HI rides on the default
-      // span; a non-default span travels explicitly.
-      std::string cells = "--cells=" + std::to_string(lease->lo) +
-                          ".." + std::to_string(lease->hi);
-      if (options.span != ShardSpec::kLeaseSpan) {
-        cells += "/" + std::to_string(options.span);
-      }
-      command.argv.push_back(cells);
+      command.argv.push_back("--cells=" +
+                             lease->shard(options.span).to_string());
       command.argv.push_back("--json=" + run.json_path);
       // A local child cannot outlive its lease.
       command.timeout = options.lease_timeout;

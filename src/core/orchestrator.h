@@ -1,30 +1,24 @@
-// The multi-process orchestrators: launch workers of one bench binary
-// and merge their JSON documents into the document the unsharded run
+// The multi-process orchestrator: launches workers of one bench binary
+// and merges their JSON documents into the document the unsharded run
 // would have written.
 //
-// Two schedulers share the seam:
+// orchestrate_elastic() runs the lease-based work queue
+// (core::WorkQueue): the virtual cell space is carved into many small
+// ranges, workers lease ranges with deadlines (--cells=LO..HI),
+// expired or straggling leases are split and re-leased, so a dead or
+// slow worker's work redistributes across the survivors. A static
+// N-way partition is the special case of N leases K..K+1/N that never
+// re-lease.
 //
-//   - orchestrate(): the static partition — N --shard=K/N workers,
-//     bounded per-shard retries (with deterministic exponential
-//     backoff), a shard that keeps failing is reported with its
-//     captured stderr, never silently dropped.
-//   - orchestrate_elastic(): the lease-based work queue
-//     (core::WorkQueue) — the virtual cell space is carved into many
-//     small ranges, workers lease ranges with deadlines
-//     (--cells=LO..HI), expired or straggling leases are split and
-//     re-leased, so a dead or slow worker's work redistributes across
-//     the survivors.
-//
-// Neither touches runtime::Subprocess directly: every worker launch
+// It never touches runtime::Subprocess directly: every worker launch
 // goes through runtime::Transport, so an ssh-style remote transport is
 // a drop-in (see docs/ORCHESTRATION.md).
 //
 // The contract tested in CI: for a deterministic bench,
-//   orchestrate(bench, N).merged          ==  unsharded --json document
-//   orchestrate_elastic(bench, ...).merged ==  unsharded --json document
-// bit-identical modulo timing keys (is_timing_key) — for the elastic
-// path, regardless of which workers died, which ranges were
-// resharded, or in what order leases completed.
+//   orchestrate_elastic(bench, ...).merged == unsharded --json document
+// bit-identical modulo timing keys (is_timing_key), regardless of
+// which workers died, which ranges were resharded, or in what order
+// leases completed.
 #ifndef SETLIB_CORE_ORCHESTRATOR_H
 #define SETLIB_CORE_ORCHESTRATOR_H
 
@@ -41,12 +35,12 @@
 
 namespace setlib::core {
 
-/// Bounded exponential backoff between retry attempts, with
-/// deterministic seeded jitter: attempt a (1-based) sleeps
-/// jitter * min(cap, base * 2^(a-1)), jitter in [0.5, 1.0] drawn by
-/// splitmix64 from (seed, stream, attempt) — so a given (seed, shard,
-/// attempt) always backs off the same amount, and concurrent retries
-/// of different shards de-synchronize instead of stampeding.
+/// Bounded exponential backoff between a worker's consecutive lease
+/// failures, with deterministic seeded jitter: attempt a (1-based)
+/// sleeps jitter * min(cap, base * 2^(a-1)), jitter in [0.5, 1.0]
+/// drawn by splitmix64 from (seed, stream, attempt) — so a given
+/// (seed, worker, attempt) always backs off the same amount, and
+/// concurrent failing workers de-synchronize instead of stampeding.
 struct BackoffOptions {
   std::chrono::milliseconds base{200};
   std::chrono::milliseconds cap{5'000};
@@ -54,74 +48,17 @@ struct BackoffOptions {
 };
 
 /// The delay before retry `attempt` (1-based; attempt 0 = first try,
-/// never delayed) of retry stream `stream` (the shard index or worker
-/// id). Pure function of its arguments — exported so tests can pin it.
+/// never delayed) of retry stream `stream` (the worker id). Pure
+/// function of its arguments — exported so tests can pin it.
 std::chrono::milliseconds backoff_delay(const BackoffOptions& options,
                                         std::uint64_t stream,
                                         int attempt);
-
-struct OrchestratorOptions {
-  std::string bench;                    // worker binary path
-  std::vector<std::string> bench_args;  // forwarded to every worker
-  int shards = 3;                       // N in --shard=K/N
-  int workers = 0;   // concurrent children; 0 = min(shards, hardware)
-  int retries = 1;   // extra attempts per shard after the first
-  /// Per-attempt wall budget; zero disables the timeout.
-  std::chrono::milliseconds timeout{300'000};
-  std::string shard_dir = "orchestrator_shards";  // shard JSONs land here
-  /// Keep the per-shard JSONs after a successful merge was persisted
-  /// (cleanup is the caller's remove_shard_documents call — never
-  /// orchestrate()'s, so the shard documents survive until the merged
-  /// document is safely on disk).
-  bool keep_shards = false;
-  /// Worker launch seam; null = a process-local LocalExecTransport.
-  runtime::Transport* transport = nullptr;
-  BackoffOptions backoff;
-};
-
-/// Outcome of one shard (all its attempts).
-struct ShardRun {
-  int shard = 0;
-  int attempts = 0;
-  bool ok = false;
-  std::string json_path;
-  std::string error;  // why the shard ultimately failed ("" when ok)
-  runtime::SubprocessResult last;  // last attempt's process outcome
-};
-
-struct OrchestrationResult {
-  std::vector<ShardRun> shards;   // indexed by shard number
-  std::string merge_error;        // non-empty when merging failed
-  JsonValue merged;               // valid iff ok()
-
-  bool ok() const;
-  /// Human report: one line per shard, plus the stderr of failures.
-  std::string summary() const;
-};
-
-/// Runs the N shard workers (at most `workers` concurrently), retries
-/// failed/timed-out/unparsable shards up to `retries` extra times,
-/// and merges the shard documents. Never throws on worker failure —
-/// inspect ok()/summary(); throws ContractViolation only on misuse
-/// (no bench, shards < 1).
-OrchestrationResult orchestrate(const OrchestratorOptions& options);
-
-/// Removes the per-shard JSON documents (and the shard directory, if
-/// it is empty afterwards). Call only once the merged document has
-/// been persisted — the shard files are the run's only output until
-/// then.
-void remove_shard_documents(const OrchestratorOptions& options,
-                            const OrchestrationResult& result);
-
-// ---------------------------------------------------------------------
-// The elastic work-queue orchestrator.
 
 struct ElasticOrchestratorOptions {
   std::string bench;                    // worker binary path
   std::vector<std::string> bench_args;  // forwarded to every worker
   int workers = 3;                      // concurrent worker loops
-  /// Width of the virtual cell space; leave at the default so workers
-  /// get the bare --cells=LO..HI form.
+  /// Width of the virtual cell space (workers get --cells=LO..HI/SPAN).
   std::size_t span = ShardSpec::kLeaseSpan;
   /// Initial lease-range count; 0 = auto (max(8, 8 * workers)).
   std::size_t ranges = 0;
@@ -171,7 +108,7 @@ struct ElasticResult {
 };
 
 /// Runs the elastic schedule: `workers` concurrent loops lease ranges
-/// off a WorkQueue, run `bench --cells=LO..HI --json=...` through the
+/// off a WorkQueue, run `bench --cells=LO..HI/SPAN --json=...` through the
 /// transport, and complete or fail the lease; expired and straggling
 /// leases are split and re-leased. Never throws on worker failure —
 /// inspect ok()/summary(); throws ContractViolation only on misuse.

@@ -14,21 +14,52 @@
 namespace setlib::core {
 
 std::string ShardSpec::to_string() const {
-  if (leased) {
-    return std::to_string(lo) + ".." + std::to_string(hi) + "/" +
-           std::to_string(span);
-  }
-  return std::to_string(k) + "/" + std::to_string(n);
+  return std::to_string(lo) + ".." + std::to_string(hi) + "/" +
+         std::to_string(span);
 }
 
 std::pair<std::size_t, std::size_t> ShardSpec::range(
     std::size_t total) const {
-  if (leased) {
-    SETLIB_EXPECTS(span >= 1 && lo <= hi && hi <= span);
-    return {total * lo / span, total * hi / span};
+  SETLIB_EXPECTS(valid());
+  return {total * lo / span, total * hi / span};
+}
+
+namespace {
+
+/// Strict digits-only parse of one LO/HI/SPAN number. strtol would
+/// accept signs and whitespace, letting a malformed field slip past the
+/// merge's gap/overlap detection; the 9-digit cap keeps total * hi in
+/// ShardSpec::range far from overflow.
+bool parse_digits(std::string_view text, std::size_t* out) {
+  if (text.empty() || text.size() > 9) return false;
+  std::size_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<std::size_t>(c - '0');
   }
-  SETLIB_EXPECTS(n >= 1 && k < n);
-  return {total * k / n, total * (k + 1) / n};
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+std::optional<ShardSpec> ShardSpec::parse(std::string_view text) {
+  const std::size_t dots = text.find("..");
+  if (dots == std::string_view::npos) return std::nullopt;
+  const std::size_t slash = text.find('/', dots + 2);
+  ShardSpec spec;
+  spec.span = kLeaseSpan;
+  const std::string_view hi = slash == std::string_view::npos
+                                  ? text.substr(dots + 2)
+                                  : text.substr(dots + 2, slash - dots - 2);
+  if (!parse_digits(text.substr(0, dots), &spec.lo) ||
+      !parse_digits(hi, &spec.hi) ||
+      (slash != std::string_view::npos &&
+       !parse_digits(text.substr(slash + 1), &spec.span)) ||
+      !spec.valid()) {
+    return std::nullopt;
+  }
+  return spec;
 }
 
 void ReportSink::begin_section(const std::string&, std::size_t,
@@ -459,20 +490,6 @@ bool is_section_frame_key(const std::string& key) {
          key == "runs_per_sec" || key == "same_keys" || key == "rows";
 }
 
-/// Strict digits-only parse for the "k/n" halves of a shard field —
-/// std::stoul would accept trailing garbage, signs, and whitespace,
-/// defeating the duplicate/missing-shard detection.
-bool parse_shard_index(const std::string& text, std::size_t* out) {
-  if (text.empty() || text.size() > 9) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
 std::size_t require_count(const JsonValue& section,
                           const std::string& name,
                           const std::string& key) {
@@ -701,116 +718,57 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
   return out;
 }
 
-/// Parses the "LO..HI/SPAN" shard field of a lease document.
-bool parse_lease_field(const std::string& text, std::size_t* lo,
-                       std::size_t* hi, std::size_t* span) {
-  const std::size_t dots = text.find("..");
-  if (dots == std::string::npos) return false;
-  const std::size_t slash = text.find('/', dots + 2);
-  if (slash == std::string::npos) return false;
-  return parse_shard_index(text.substr(0, dots), lo) &&
-         parse_shard_index(text.substr(dots + 2, slash - dots - 2),
-                           hi) &&
-         parse_shard_index(text.substr(slash + 1), span);
-}
-
 JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   if (docs.empty()) {
     throw MergeError("merge_shard_docs: no shard documents given");
   }
-  const std::size_t n = docs.size();
-  std::vector<const JsonValue*> by_k;
-  // Static shards carry "K/N"; lease documents (the elastic work
-  // queue's workers) carry "LO..HI/SPAN". A merge is one mode or the
-  // other — the first document decides, stragglers of the other kind
-  // fail their parse below.
-  if (docs[0].at("shard").as_string().find("..") != std::string::npos) {
-    // Lease mode: any document count is legal, in any completion
-    // order and with any split history, as long as the ranges tile
-    // the virtual span exactly once — a gap means a lost lease, an
-    // overlap a double-counted one, and both must fail loudly.
-    struct LeasePart {
-      const JsonValue* doc;
-      std::size_t lo, hi, span;
-    };
-    std::vector<LeasePart> parts;
-    parts.reserve(n);
-    std::size_t span = 0;
-    for (const JsonValue& doc : docs) {
-      const std::string& shard = doc.at("shard").as_string();
-      LeasePart part{&doc, 0, 0, 0};
-      if (!parse_lease_field(shard, &part.lo, &part.hi, &part.span)) {
-        throw MergeError("malformed lease shard field \"" + shard +
-                         "\"");
-      }
-      if (part.span < 1 || part.lo >= part.hi ||
-          part.hi > part.span) {
-        throw MergeError("lease shard \"" + shard +
-                         "\" violates 0 <= LO < HI <= SPAN");
-      }
-      if (span == 0) {
-        span = part.span;
-      } else if (part.span != span) {
-        throw MergeError("lease documents disagree on the span: " +
-                         std::to_string(span) + " vs " +
-                         std::to_string(part.span));
-      }
-      parts.push_back(part);
+  // Any document count is legal, in any completion order and with any
+  // split history, as long as the ranges tile the virtual span exactly
+  // once — a gap means a lost range, an overlap a double-counted one,
+  // and both must fail loudly.
+  std::vector<std::pair<ShardSpec, const JsonValue*>> ranges;
+  ranges.reserve(docs.size());
+  for (const JsonValue& doc : docs) {
+    const std::string& field = doc.at("shard").as_string();
+    const std::optional<ShardSpec> spec = ShardSpec::parse(field);
+    if (!spec) {
+      throw MergeError("shard field \"" + field +
+                       "\" is not LO..HI/SPAN with 0 <= LO < HI <= SPAN");
     }
-    std::sort(parts.begin(), parts.end(),
-              [](const LeasePart& a, const LeasePart& b) {
-                return a.lo < b.lo;
-              });
-    std::size_t expect = 0;
-    for (const LeasePart& part : parts) {
-      if (part.lo > expect) {
-        throw MergeError("lease documents leave a gap: virtual cells " +
-                         std::to_string(expect) + ".." +
-                         std::to_string(part.lo) + " are uncovered");
-      }
-      if (part.lo < expect) {
-        throw MergeError("lease documents overlap at virtual cell " +
-                         std::to_string(part.lo));
-      }
-      expect = part.hi;
-      by_k.push_back(part.doc);
+    if (!ranges.empty() && spec->span != ranges[0].first.span) {
+      throw MergeError("shard documents disagree on the span: " +
+                       std::to_string(ranges[0].first.span) + " vs " +
+                       std::to_string(spec->span));
     }
-    if (expect != span) {
-      throw MergeError("lease documents leave a gap: virtual cells " +
+    ranges.emplace_back(*spec, &doc);
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const auto& a, const auto& b) {
+              return a.first.lo < b.first.lo;
+            });
+  const std::size_t span = ranges[0].first.span;
+  std::size_t expect = 0;
+  for (const auto& [spec, doc] : ranges) {
+    if (spec.lo > expect) {
+      throw MergeError("shard documents leave a gap: virtual cells " +
                        std::to_string(expect) + ".." +
-                       std::to_string(span) + " are uncovered");
+                       std::to_string(spec.lo) + " are uncovered");
     }
-  } else {
-    by_k.assign(n, nullptr);
-    for (const JsonValue& doc : docs) {
-      const std::string& shard = doc.at("shard").as_string();
-      const std::size_t slash = shard.find('/');
-      std::size_t k = 0;
-      std::size_t shard_n = 0;
-      if (slash == std::string::npos ||
-          !parse_shard_index(shard.substr(0, slash), &k) ||
-          !parse_shard_index(shard.substr(slash + 1), &shard_n)) {
-        throw MergeError("malformed shard field \"" + shard + "\"");
-      }
-      if (shard_n != n) {
-        throw MergeError("document claims shard " + shard + " but " +
-                         std::to_string(n) + " documents were given");
-      }
-      if (k >= n) {
-        throw MergeError("shard index out of range in \"" + shard +
-                         "\"");
-      }
-      if (by_k[k] != nullptr) {
-        throw MergeError("duplicate shard " + shard);
-      }
-      by_k[k] = &doc;
+    if (spec.lo < expect) {
+      throw MergeError("shard documents overlap at virtual cell " +
+                       std::to_string(spec.lo));
     }
-    // n documents, n distinct indices < n: every slot is filled.
+    expect = spec.hi;
+  }
+  if (expect != span) {
+    throw MergeError("shard documents leave a gap: virtual cells " +
+                     std::to_string(expect) + ".." +
+                     std::to_string(span) + " are uncovered");
   }
 
-  const JsonValue& first = *by_k[0];
+  const JsonValue& first = *ranges[0].second;
   for (const char* key : {"bench", "threads", "repeat"}) {
-    for (const JsonValue* doc : by_k) {
+    for (const auto& [spec, doc] : ranges) {
       if (!(doc->at(key) == first.at(key))) {
         throw MergeError(std::string("shard documents disagree on \"") +
                          key + "\"");
@@ -819,7 +777,7 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   }
 
   const std::size_t section_count = first.at("sections").items().size();
-  for (const JsonValue* doc : by_k) {
+  for (const auto& [spec, doc] : ranges) {
     if (doc->at("sections").items().size() != section_count) {
       throw MergeError("shard documents have different section counts");
     }
@@ -829,15 +787,15 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   merged.set("bench", first.at("bench"));
   merged.set("threads", first.at("threads"));
   merged.set("repeat", first.at("repeat"));
-  merged.set("shard", JsonValue::of("0/1"));
+  merged.set("shard", JsonValue::of(ShardSpec{}.to_string()));
 
   std::vector<JsonValue> sections;
   std::size_t total_cells = 0;
   double total_wall = 0.0;
   for (std::size_t s = 0; s < section_count; ++s) {
     std::vector<const JsonValue*> parts;
-    parts.reserve(n);
-    for (const JsonValue* doc : by_k) {
+    parts.reserve(ranges.size());
+    for (const auto& [spec, doc] : ranges) {
       parts.push_back(&doc->at("sections").items()[s]);
     }
     JsonValue section = merge_section(parts);

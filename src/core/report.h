@@ -17,15 +17,17 @@
 //     unions can be diffed cell-for-cell against unsharded runs.
 //
 // Because cells stream in cell order within a shard, and shards are
-// contiguous slices of the flat index space, concatenating the sink
-// output of shards 0..n-1 reproduces the unsharded output exactly
-// (modulo wall-clock fields).
+// contiguous ranges of the flat index space, concatenating the sink
+// output of a tiling's ranges in order reproduces the unsharded output
+// exactly (modulo wall-clock fields).
 #ifndef SETLIB_CORE_REPORT_H
 #define SETLIB_CORE_REPORT_H
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,40 +38,37 @@
 
 namespace setlib::core {
 
-/// A half-open shard {k, n} over a flat cell index space: shard k of n
-/// covers [total*k/n, total*(k+1)/n). Shards are contiguous and in
-/// index order, so the union of shards 0..n-1 is bit-identical to the
-/// unsharded run.
-///
-/// Lease mode (`--cells=LO..HI[/SPAN]`, the elastic work queue's
-/// worker flag) generalizes the fraction: instead of the k-th of n
-/// equal slices, the shard covers the [lo, hi) sub-range of a
-/// span-wide virtual cell space, i.e. [total*lo/span, total*hi/span)
-/// of every real space of size total. `--shard=K/N` is exactly
-/// lease {lo=K, hi=K+1, span=N}; the separate encoding exists so a
-/// work queue can carve, split, and re-lease ranges of the virtual
-/// space without knowing any section's cell count — ranges that tile
-/// [0, span) tile every section, whatever its size (floor arithmetic
-/// maps shared boundaries to shared boundaries).
+/// A half-open range [lo, hi) of a span-wide virtual cell space: the
+/// one partition of every sweep (`--cells=LO..HI[/SPAN]`, the elastic
+/// work queue's worker flag). The range covers [total*lo/span,
+/// total*hi/span) of every real cell space of size total, so a work
+/// queue can carve, split, and re-lease ranges without knowing any
+/// section's cell count — ranges that tile [0, span) tile every
+/// section, whatever its size (floor arithmetic maps shared boundaries
+/// to shared boundaries), and the union of a tiling's runs is
+/// bit-identical to the unsharded run. N equal slices are the N ranges
+/// K..K+1/N. The default {0, 1, 1} is the whole, unsharded space.
 struct ShardSpec {
-  /// Default virtual-space width for lease mode; wide enough that
+  /// Default span of a bare `--cells=LO..HI`; wide enough that
   /// splitting halves stays meaningful far past any real worker count.
   static constexpr std::size_t kLeaseSpan = std::size_t{1} << 20;
 
-  std::size_t k = 0;  // shard index
-  std::size_t n = 1;  // shard count
-  // Lease mode (used instead of k/n when `leased` is set).
-  bool leased = false;
   std::size_t lo = 0;
-  std::size_t hi = 0;
-  std::size_t span = kLeaseSpan;
+  std::size_t hi = 1;
+  std::size_t span = 1;
 
-  bool whole() const noexcept {
-    return leased ? (lo == 0 && hi == span) : n == 1;
-  }
-  std::string to_string() const;  // "k/n" or "lo..hi/span"
+  /// The one shape rule: 0 <= LO < HI <= SPAN (a range is never empty).
+  bool valid() const noexcept { return lo < hi && hi <= span; }
+  bool whole() const noexcept { return lo == 0 && hi == span; }
+  std::string to_string() const;  // "lo..hi/span"
   /// This shard's slice of [0, total), as {begin, end}.
   std::pair<std::size_t, std::size_t> range(std::size_t total) const;
+
+  /// The one parser of "LO..HI[/SPAN]" (SPAN defaults to kLeaseSpan),
+  /// shared by the --cells= flag and the merge's "shard" field: plain
+  /// digits only (at most 9 per number — no signs, spaces, or
+  /// exponents), and the result must be valid(). nullopt otherwise.
+  static std::optional<ShardSpec> parse(std::string_view text);
 };
 
 /// Facts about one executed sweep section (one runner.run call).
@@ -273,14 +272,13 @@ class JsonSink : public ReportSink {
 
 // ---------------------------------------------------------------------
 // Shard-document merging: the recombination rule behind the
-// multi-process orchestrator. Given the N parsed --shard=K/N --json
-// documents of one bench — or any set of --cells=LO..HI lease
-// documents whose ranges tile the virtual span exactly once (any
-// count, any split history, any completion order) — merge_shard_docs
-// produces the document the unsharded run would have written,
-// bit-identical modulo timing keys:
+// multi-process orchestrator. Given any set of --cells=LO..HI/SPAN
+// --json documents of one bench whose ranges tile the virtual span
+// exactly once (any count, any split history, any completion order),
+// merge_shard_docs produces the document the unsharded run would have
+// written, bit-identical modulo timing keys:
 //
-//   - grid sections: the per-cell "rows" arrays concatenate in shard
+//   - grid sections: the per-cell "rows" arrays concatenate in range
 //     order (global indices must stay strictly increasing), and every
 //     derived fact (successes, detector_ok, steps percentiles,
 //     witness_bound_p90) is recomputed from the union rows with the
@@ -291,9 +289,9 @@ class JsonSink : public ReportSink {
 //     sums and runs_per_sec is recomputed, every other timing fact is
 //     dropped — they are excluded from determinism diffs by rule.
 //
-// Inconsistent inputs (missing/duplicate shards, diverging configs,
-// mismatched section sequences) throw MergeError rather than
-// producing a silently incomplete document.
+// Inconsistent inputs (gaps, overlaps, diverging configs, mismatched
+// section sequences) throw MergeError rather than producing a
+// silently incomplete document.
 
 class MergeError : public std::runtime_error {
  public:
@@ -304,8 +302,9 @@ class MergeError : public std::runtime_error {
 /// True for wall-clock-derived keys, which no determinism diff may
 /// compare: "runs_per_sec", any key containing "wall", "seconds", or
 /// "speedup", and "orchestration" (the elastic orchestrator's
-/// lease/straggler report — pure scheduling facts). Mirrored by
-/// scripts/check_shard_union.py.
+/// lease/straggler report — pure scheduling facts). The one copy of
+/// the rule: merges and `sweep_orchestrator --diff` both go through
+/// strip_timing_keys.
 bool is_timing_key(const std::string& key);
 
 /// Deep-copies `value` with every is_timing_key object member removed.
@@ -315,8 +314,8 @@ JsonValue strip_timing_keys(const JsonValue& value);
 /// two documents compare bytewise regardless of emission order.
 std::string canonical_json(const JsonValue& value);
 
-/// Merges the N shard documents of one bench run (any input order)
-/// into the unsharded document. Throws MergeError on inconsistency.
+/// Merges the range documents of one bench run (any input order) into
+/// the unsharded document. Throws MergeError on inconsistency.
 JsonValue merge_shard_docs(const std::vector<JsonValue>& docs);
 
 }  // namespace setlib::core

@@ -8,11 +8,12 @@
 // order) or a generic indexed loop; map() is the typed convenience for
 // loops that collect results.
 //
-// Sharding: RunnerOptions::shard = {k, n} restricts every cell space
-// to its k-th contiguous n-th — cell configs are pure functions of the
-// global index, so the union of the n shard runs is bit-identical to
-// the unsharded run (modulo wall-clock fields). `--shard=K/N` on any
-// bench falls out of this.
+// Sharding: RunnerOptions::shard = {lo, hi, span} restricts every cell
+// space to its [lo, hi) range of a span-wide virtual space — cell
+// configs are pure functions of the global index, so the union of the
+// runs of a tiling is bit-identical to the unsharded run (modulo
+// wall-clock fields). `--cells=LO..HI[/SPAN]` on any bench falls out
+// of this.
 //
 // Batching: RunnerOptions::grain chunks the work-stealing index pops;
 // 0 picks an automatic grain (1 for the usual milliseconds-heavy
@@ -39,7 +40,7 @@ struct RunnerOptions {
   std::string name;       // experiment name (JSON default path stem)
   int threads = 1;        // pool width; 0 = hardware concurrency
   int repeat = 1;         // repeat factor benches feed into grids
-  ShardSpec shard;        // {k, n} slice of every cell space
+  ShardSpec shard;        // [lo, hi) range of every cell space
   std::size_t grain = 0;  // indices per steal chunk; 0 = auto
   bool json = false;
   std::string json_path;  // defaults to BENCH_<name>.json

@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "src/util/assert.h"
 
@@ -83,54 +84,16 @@ bool consume_double_flag(const std::string& arg,
 
 namespace {
 
-bool consume_shard_flag(const std::string& arg, ShardSpec* out) {
-  const std::string prefix = "--shard=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  const std::string value = arg.substr(prefix.size());
-  const std::size_t slash = value.find('/');
-  if (slash == std::string::npos) {
-    throw ContractViolation(prefix + ": expected K/N, got '" + value +
-                            "'");
-  }
-  const long k = parse_long_value(value.substr(0, slash), prefix);
-  const long n = parse_long_value(value.substr(slash + 1), prefix);
-  if (n < 1 || k < 0 || k >= n) {
-    throw ContractViolation(prefix + ": shard '" + value +
-                            "' violates 0 <= K < N");
-  }
-  out->k = static_cast<std::size_t>(k);
-  out->n = static_cast<std::size_t>(n);
-  return true;
-}
-
 bool consume_cells_flag(const std::string& arg, ShardSpec* out) {
   const std::string prefix = "--cells=";
   if (arg.rfind(prefix, 0) != 0) return false;
   const std::string value = arg.substr(prefix.size());
-  const std::size_t dots = value.find("..");
-  if (dots == std::string::npos) {
-    throw ContractViolation(prefix + ": expected LO..HI[/SPAN], got '" +
-                            value + "'");
+  const std::optional<ShardSpec> spec = ShardSpec::parse(value);
+  if (!spec) {
+    throw ContractViolation(prefix + ": expected LO..HI[/SPAN] with "
+                            "0 <= LO < HI <= SPAN, got '" + value + "'");
   }
-  const std::size_t slash = value.find('/', dots + 2);
-  const long lo = parse_long_value(value.substr(0, dots), prefix);
-  const long hi = parse_long_value(
-      slash == std::string::npos
-          ? value.substr(dots + 2)
-          : value.substr(dots + 2, slash - dots - 2),
-      prefix);
-  long span = static_cast<long>(ShardSpec::kLeaseSpan);
-  if (slash != std::string::npos) {
-    span = parse_long_value(value.substr(slash + 1), prefix);
-  }
-  if (span < 1 || lo < 0 || lo > hi || hi > span) {
-    throw ContractViolation(prefix + ": lease '" + value +
-                            "' violates 0 <= LO <= HI <= SPAN");
-  }
-  out->leased = true;
-  out->lo = static_cast<std::size_t>(lo);
-  out->hi = static_cast<std::size_t>(hi);
-  out->span = static_cast<std::size_t>(span);
+  *out = *spec;
   return true;
 }
 
@@ -145,8 +108,6 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
   // default (single source of truth for the naming scheme).
 
   int kept = 1;  // argv[0] always stays
-  bool shard_given = false;
-  bool cells_given = false;
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];
     if (consume_int_flag(arg, "--threads=", &options.threads)) {
@@ -163,14 +124,7 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
       options.grain = static_cast<std::size_t>(grain);
       continue;
     }
-    if (consume_shard_flag(arg, &options.shard)) {
-      shard_given = true;
-      continue;
-    }
-    if (consume_cells_flag(arg, &options.shard)) {
-      cells_given = true;
-      continue;
-    }
+    if (consume_cells_flag(arg, &options.shard)) continue;
     if (arg == "--json") {
       options.json = true;
       continue;
@@ -182,11 +136,6 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
       continue;
     }
     argv[kept++] = argv[i];
-  }
-  if (shard_given && cells_given) {
-    throw ContractViolation(
-        "--shard= and --cells= are mutually exclusive: a worker is "
-        "either a static shard or a leased range, not both");
   }
   *argc = kept;
   return options;

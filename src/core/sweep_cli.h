@@ -5,15 +5,12 @@
 // Every bench accepts, before its Google Benchmark arguments:
 //   --threads=N    sweep parallelism (0 = hardware concurrency)
 //   --repeat=N     repeat factor for grid sweeps (seeds per cell point)
-//   --shard=K/N    run the K-th of N contiguous slices of every cell
-//                  space; the union of all N shards is bit-identical
-//                  to the unsharded run (modulo wall-clock fields)
 //   --cells=LO..HI[/SPAN]
-//                  lease form of --shard (the elastic orchestrator's
-//                  worker flag): run the [LO, HI) slice of a SPAN-wide
-//                  virtual cell space (default ShardSpec::kLeaseSpan);
-//                  documents of leases tiling [0, SPAN) merge to the
-//                  unsharded document. Mutually exclusive with --shard.
+//                  run the [LO, HI) slice of a SPAN-wide virtual cell
+//                  space (default ShardSpec::kLeaseSpan; LO < HI); the
+//                  documents of ranges tiling [0, SPAN) merge to the
+//                  unsharded document (modulo wall-clock fields).
+//                  `--cells=K..K+1/N` is the K-th of N equal slices.
 //   --grain=N      indices per work-stealing pop (0 = auto)
 //   --json[=path]  write BENCH_<name>.json (sections, throughput,
 //                  per-cell latency percentiles and rows)

@@ -1,5 +1,4 @@
-// Lease-based cell scheduling: the elastic replacement for static
-// --shard=K/N slicing.
+// Lease-based cell scheduling over the ShardSpec virtual span.
 //
 // The global cell space is virtual here: WorkQueue carves the
 // half-open interval [0, span) — span = ShardSpec::kLeaseSpan unless

@@ -1,12 +1,13 @@
-// core::orchestrate and core::orchestrate_elastic: the multi-process
-// drivers. Fake "bench" shell scripts stand in for the real binaries
-// so the tests can exercise the failure paths cheaply: a healthy
-// fleet merges, a child killed mid-run is retried (static) or its
-// lease resharded (elastic), a permanently failing worker is reported
-// with its stderr — never silently dropped — and a hung child is
-// timed out. The elastic chaos tests SIGKILL random workers and
-// assert the merged document stays bit-identical to the unsharded
-// reference anyway.
+// core::orchestrate_elastic: the multi-process driver. Fake "bench"
+// shell scripts stand in for the real binaries so the tests can
+// exercise the failure paths cheaply: a healthy fleet merges, a child
+// killed mid-run has its lease resharded, a straggler is superseded,
+// a worker that writes no document or garbage, a hung child, and a
+// permanently failing worker are all reported (with the worker's
+// stderr) — never silently dropped — and the kept lease documents are
+// a complete record of the run. The chaos tests SIGKILL random
+// workers and assert the merged document stays bit-identical to the
+// unsharded reference anyway.
 #include "src/core/orchestrator.h"
 
 #include <gtest/gtest.h>
@@ -50,46 +51,7 @@ class OrchestratorTest : public ::testing::Test {
     return path.string();
   }
 
-  /// Script prologue: extracts --shard=K/N and --json=PATH (the
-  /// orchestrator appends them after the forwarded args) into
-  /// $shard, $k, $out.
-  std::string parse_args() const {
-    return R"(for a in "$@"; do
-  case "$a" in
-    --shard=*) shard=${a#--shard=} ;;
-    --json=*) out=${a#--json=} ;;
-  esac
-done
-k=${shard%/*}
-)";
-  }
-
-  /// Script epilogue: writes a minimal valid shard document with
-  /// k+1 cells in its one hand-fed section.
-  std::string write_doc() const {
-    return R"(cells=$((k+1))
-cat > "$out" <<EOF
-{"bench": "fake", "threads": 1, "repeat": 1, "shard": "$shard",
- "sections": [{"name": "s", "cells": $cells, "wall_seconds": 0.5,
-               "runs_per_sec": 0}],
- "total_cells": $cells, "total_wall_seconds": 0.5, "runs_per_sec": 0}
-EOF
-)";
-  }
-
-  OrchestratorOptions base_options(const std::string& bench) const {
-    OrchestratorOptions options;
-    options.bench = bench;
-    options.shards = 3;
-    options.workers = 2;
-    options.retries = 0;
-    options.timeout = std::chrono::seconds(60);
-    options.shard_dir = (dir_ / "shards").string();
-    options.backoff.base = std::chrono::milliseconds(1);
-    return options;
-  }
-
-  /// Script prologue for elastic workers: extracts --cells=LO..HI and
+  /// Script prologue: extracts --cells=LO..HI/SPAN and
   /// --json=PATH into $lease, $lo, $hi, $out.
   std::string parse_cells() const {
     return R"(for a in "$@"; do
@@ -100,6 +62,7 @@ EOF
 done
 lo=${lease%%..*}
 hi=${lease##*..}
+hi=${hi%/*}
 )";
   }
 
@@ -114,7 +77,7 @@ rlo=$((T*lo/SPAN))
 rhi=$((T*hi/SPAN))
 cells=$((rhi-rlo))
 cat > "$out" <<EOF
-{"bench": "fake", "threads": 1, "repeat": 1, "shard": "$lease/$SPAN",
+{"bench": "fake", "threads": 1, "repeat": 1, "shard": "$lease",
  "sections": [{"name": "s", "cells": $cells, "wall_seconds": 0.5,
                "runs_per_sec": 0}],
  "total_cells": $cells, "total_wall_seconds": 0.5, "runs_per_sec": 0}
@@ -140,7 +103,7 @@ EOF
     runtime::LocalExecTransport local;
     runtime::TransportCommand command;
     const std::string path = (dir_ / "reference.json").string();
-    command.argv = {bench, "--cells=0..1048576", "--json=" + path};
+    command.argv = {bench, "--cells=0..1048576/1048576", "--json=" + path};
     const runtime::SubprocessResult result = local.run(command);
     EXPECT_TRUE(result.ok()) << result.describe();
     std::ifstream file(path);
@@ -158,104 +121,6 @@ EOF
 
   std::filesystem::path dir_;
 };
-
-TEST_F(OrchestratorTest, HealthyFleetMergesAndShardsOutliveTheMerge) {
-  const std::string bench =
-      write_script("happy.sh", parse_args() + write_doc());
-  OrchestratorOptions options = base_options(bench);
-  options.bench_args = {"--ignored-extra-arg"};
-  const OrchestrationResult result = orchestrate(options);
-  ASSERT_TRUE(result.ok()) << result.summary();
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_EQ(shard.attempts, 1);
-    EXPECT_TRUE(shard.ok);
-  }
-  // cells 1 + 2 + 3 across the shards.
-  EXPECT_EQ(result.merged.at("total_cells").as_int(), 6);
-  EXPECT_EQ(result.merged.at("shard").as_string(), "0/1");
-  // orchestrate() never deletes the shard documents — they are the
-  // run's only output until the caller persists the merged doc.
-  // Cleanup is the explicit remove_shard_documents step.
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_TRUE(std::filesystem::exists(shard.json_path));
-  }
-  remove_shard_documents(options, result);
-  EXPECT_FALSE(std::filesystem::exists(options.shard_dir));
-}
-
-TEST_F(OrchestratorTest, KilledChildIsRetriedNotDropped) {
-  // First attempt of every shard dies on SIGKILL; the retry succeeds.
-  const std::string bench = write_script(
-      "flaky.sh",
-      parse_args() + "marker=\"" + dir_.string() +
-          "/died_$k\"\n"
-          "if [ ! -e \"$marker\" ]; then : > \"$marker\"; kill -9 $$; fi\n" +
-          write_doc());
-  OrchestratorOptions options = base_options(bench);
-  options.retries = 1;
-  const OrchestrationResult result = orchestrate(options);
-  ASSERT_TRUE(result.ok()) << result.summary();
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_EQ(shard.attempts, 2);  // the crash is recorded, then retried
-    EXPECT_TRUE(shard.ok);
-  }
-  EXPECT_EQ(result.merged.at("total_cells").as_int(), 6);
-}
-
-TEST_F(OrchestratorTest, PermanentFailureIsReportedWithStderr) {
-  const std::string bench =
-      write_script("broken.sh", "echo boom >&2\nexit 3\n");
-  OrchestratorOptions options = base_options(bench);
-  options.retries = 1;
-  const OrchestrationResult result = orchestrate(options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.merged.is_null());  // no silently incomplete merge
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_FALSE(shard.ok);
-    EXPECT_EQ(shard.attempts, 2);
-    // The failure report names the losing attempt.
-    EXPECT_EQ(shard.error, "attempt 2/2: exit 3");
-    EXPECT_NE(shard.last.err.find("boom"), std::string::npos);
-  }
-  const std::string summary = result.summary();
-  EXPECT_NE(summary.find("FAILED"), std::string::npos);
-  EXPECT_NE(summary.find("boom"), std::string::npos);
-}
-
-TEST_F(OrchestratorTest, SilentWorkerWithoutDocumentIsAFailure) {
-  const std::string bench = write_script("silent.sh", "exit 0\n");
-  const OrchestrationResult result = orchestrate(base_options(bench));
-  EXPECT_FALSE(result.ok());
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_FALSE(shard.ok);
-    EXPECT_NE(shard.error.find("wrote no"), std::string::npos);
-  }
-}
-
-TEST_F(OrchestratorTest, UnparsableDocumentIsAFailure) {
-  const std::string bench = write_script(
-      "garbage.sh", parse_args() + "echo 'not json' > \"$out\"\n");
-  const OrchestrationResult result = orchestrate(base_options(bench));
-  EXPECT_FALSE(result.ok());
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_NE(shard.error.find("unparsable"), std::string::npos);
-  }
-}
-
-TEST_F(OrchestratorTest, HungChildIsTimedOut) {
-  const std::string bench = write_script("hang.sh", "sleep 60\n");
-  OrchestratorOptions options = base_options(bench);
-  options.timeout = std::chrono::milliseconds(300);
-  const auto start = std::chrono::steady_clock::now();
-  const OrchestrationResult result = orchestrate(options);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_FALSE(result.ok());
-  EXPECT_LT(elapsed, std::chrono::seconds(30));
-  for (const ShardRun& shard : result.shards) {
-    EXPECT_TRUE(shard.last.timed_out);
-    EXPECT_NE(shard.error.find("timed out"), std::string::npos);
-  }
-}
 
 TEST_F(OrchestratorTest, BackoffDelayIsDeterministicAndBounded) {
   BackoffOptions options;
@@ -287,22 +152,6 @@ TEST_F(OrchestratorTest, BackoffDelayIsDeterministicAndBounded) {
   EXPECT_EQ(backoff_delay(off, 1, 5).count(), 0);
 }
 
-TEST_F(OrchestratorTest, KeepShardsPreservesTheShardDocuments) {
-  const std::string bench =
-      write_script("happy.sh", parse_args() + write_doc());
-  OrchestratorOptions options = base_options(bench);
-  options.keep_shards = true;
-  const OrchestrationResult result = orchestrate(options);
-  ASSERT_TRUE(result.ok()) << result.summary();
-  for (int k = 0; k < options.shards; ++k) {
-    EXPECT_TRUE(std::filesystem::exists(
-        options.shard_dir + "/shard_" + std::to_string(k) + ".json"));
-  }
-}
-
-// ---------------------------------------------------------------------
-// The elastic work-queue orchestrator.
-
 TEST_F(OrchestratorTest, ElasticHealthyFleetMergesBitIdentical) {
   const std::string bench =
       write_script("happy.sh", parse_cells() + write_lease_doc());
@@ -313,7 +162,7 @@ TEST_F(OrchestratorTest, ElasticHealthyFleetMergesBitIdentical) {
   EXPECT_EQ(result.queue.leases_completed, 4u);
   EXPECT_EQ(result.queue.leases_failed, 0u);
   EXPECT_EQ(result.merged.at("total_cells").as_int(), 32);
-  EXPECT_EQ(result.merged.at("shard").as_string(), "0/1");
+  EXPECT_EQ(result.merged.at("shard").as_string(), "0..1/1");
   // The scheduler's accounting rides in the merged document, under a
   // timing key.
   const JsonValue& orch = result.merged.at("orchestration");
@@ -410,6 +259,99 @@ TEST_F(OrchestratorTest, ElasticFailureBudgetAbortsThePoisonedRun) {
   const std::string summary = result.summary();
   EXPECT_NE(summary.find("ABORTED"), std::string::npos);
   EXPECT_NE(summary.find("doomed"), std::string::npos);
+}
+
+// The failure paths: every one fails its lease with a named error,
+// spends the failure budget, and leaves no merged document behind.
+
+TEST_F(OrchestratorTest, SilentWorkerWithoutDocumentIsAFailure) {
+  const std::string bench = write_script("silent.sh", "exit 0\n");
+  ElasticOrchestratorOptions options = elastic_options(bench);
+  options.failure_budget = 2;
+  const ElasticResult result = orchestrate_elastic(options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.merged.is_null());
+  ASSERT_FALSE(result.leases.empty());
+  for (const LeaseRun& run : result.leases) {
+    EXPECT_FALSE(run.ok);
+    EXPECT_NE(run.error.find("wrote no"), std::string::npos) << run.error;
+  }
+}
+
+TEST_F(OrchestratorTest, UnparsableDocumentIsAFailure) {
+  const std::string bench = write_script(
+      "garbage.sh", parse_cells() + "echo 'not json' > \"$out\"\n");
+  ElasticOrchestratorOptions options = elastic_options(bench);
+  options.failure_budget = 2;
+  const ElasticResult result = orchestrate_elastic(options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.merged.is_null());
+  ASSERT_FALSE(result.leases.empty());
+  for (const LeaseRun& run : result.leases) {
+    EXPECT_FALSE(run.ok);
+    EXPECT_NE(run.error.find("unparsable"), std::string::npos)
+        << run.error;
+  }
+}
+
+TEST_F(OrchestratorTest, HungChildIsTimedOut) {
+  // The lease deadline doubles as the child's transport timeout: a
+  // hung child is killed when its lease expires.
+  const std::string bench = write_script("hang.sh", "sleep 60\n");
+  ElasticOrchestratorOptions options = elastic_options(bench);
+  options.lease_timeout = std::chrono::milliseconds(300);
+  options.failure_budget = 2;
+  const auto start = std::chrono::steady_clock::now();
+  const ElasticResult result = orchestrate_elastic(options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(result.ok());
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+  ASSERT_FALSE(result.leases.empty());
+  for (const LeaseRun& run : result.leases) {
+    EXPECT_TRUE(run.last.timed_out);
+    EXPECT_NE(run.error.find("timed out"), std::string::npos)
+        << run.error;
+  }
+}
+
+TEST_F(OrchestratorTest, PermanentFailureIsReportedWithStderr) {
+  const std::string bench =
+      write_script("broken.sh", "echo boom >&2\nexit 3\n");
+  ElasticOrchestratorOptions options = elastic_options(bench);
+  options.failure_budget = 2;
+  const ElasticResult result = orchestrate_elastic(options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.merged.is_null());  // no silently incomplete merge
+  ASSERT_FALSE(result.leases.empty());
+  for (const LeaseRun& run : result.leases) {
+    EXPECT_FALSE(run.ok);
+    EXPECT_EQ(run.error, "exit 3");
+    EXPECT_NE(run.last.err.find("boom"), std::string::npos);
+  }
+  const std::string summary = result.summary();
+  EXPECT_NE(summary.find("FAILED"), std::string::npos);
+  EXPECT_NE(summary.find("boom"), std::string::npos);
+}
+
+TEST_F(OrchestratorTest, KeepShardsPreservesTheShardDocuments) {
+  // The kept lease documents are a complete record: merged again on
+  // their own, they reproduce the orchestrated document.
+  const std::string bench =
+      write_script("happy.sh", parse_cells() + write_lease_doc());
+  ElasticOrchestratorOptions options = elastic_options(bench);
+  options.keep_shards = true;
+  const ElasticResult result = orchestrate_elastic(options);
+  ASSERT_TRUE(result.ok()) << result.summary();
+  std::vector<JsonValue> kept;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options.shard_dir)) {
+    std::ifstream file(entry.path());
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    kept.push_back(JsonValue::parse(buffer.str()));
+  }
+  EXPECT_EQ(kept.size(), result.queue.leases_completed);
+  expect_merge_matches(merge_shard_docs(kept), result.merged);
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ TEST(ShardSpecTest, RangesPartitionTheIndexSpace) {
       std::size_t covered = 0;
       std::size_t previous_end = 0;
       for (std::size_t k = 0; k < n; ++k) {
-        const auto [begin, end] = ShardSpec{k, n}.range(total);
+        const auto [begin, end] = ShardSpec{k, k + 1, n}.range(total);
         EXPECT_EQ(begin, previous_end);  // contiguous, in order
         EXPECT_LE(begin, end);
         covered += end - begin;
@@ -74,7 +74,7 @@ TEST(RunnerShardTest, ShardUnionEqualsUnshardedRunCellForCell) {
   std::vector<RunReport> union_reports;
   const std::size_t shards = 4;
   for (std::size_t k = 0; k < shards; ++k) {
-    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, shards});
+    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, k + 1, shards});
     CollectSink part;
     shard_runner.run(grid, "part", {&part});
     union_cells.insert(union_cells.end(), part.cells().begin(),
@@ -124,7 +124,7 @@ TEST(RunnerShardTest, RandomizedFamiliesBitIdenticalAcrossThreadsAndShards) {
 
   std::vector<RunReport> union_reports;
   for (std::size_t k = 0; k < 3; ++k) {
-    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, 3});
+    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, k + 1, 3});
     CollectSink part;
     shard_runner.run(grid, "part", {&part});
     union_reports.insert(union_reports.end(), part.reports().begin(),
@@ -171,7 +171,7 @@ TEST(RunnerShardTest, ReactiveFamiliesBitIdenticalAcrossThreadsAndShards) {
 
   std::vector<RunReport> union_reports;
   for (std::size_t k = 0; k < 3; ++k) {
-    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, 3});
+    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, k + 1, 3});
     CollectSink part;
     shard_runner.run(grid, "part", {&part});
     union_reports.insert(union_reports.end(), part.reports().begin(),
@@ -209,7 +209,7 @@ TEST(RunnerShardTest, ShardedMapSlicesConcatenateToUnshardedMap) {
 
   std::vector<std::size_t> joined;
   for (std::size_t k = 0; k < 3; ++k) {
-    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, 3});
+    ExperimentRunner shard_runner = make_runner(2, ShardSpec{k, k + 1, 3});
     const auto part = shard_runner.map<std::size_t>(
         n, [](std::size_t i) { return i * i + 1; });
     joined.insert(joined.end(), part.begin(), part.end());
@@ -219,7 +219,7 @@ TEST(RunnerShardTest, ShardedMapSlicesConcatenateToUnshardedMap) {
 
 TEST(RunnerShardTest, EmptyShardIsLegal) {
   // More shards than cells: the tail shards are empty slices.
-  ExperimentRunner runner = make_runner(2, ShardSpec{6, 8});
+  ExperimentRunner runner = make_runner(2, ShardSpec{6, 7, 8});
   SweepGrid grid;
   grid.add_spec({1, 1, 3});  // one cell
   CollectSink part;
@@ -341,7 +341,7 @@ TEST(JsonSinkTest, GridSectionsRecordRowsAndPercentiles) {
 
   const std::string doc = json.render();
   EXPECT_NE(doc.find("\"bench\": \"runner_test\""), std::string::npos);
-  EXPECT_NE(doc.find("\"shard\": \"0/1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"shard\": \"0..1/1\""), std::string::npos);
   EXPECT_NE(doc.find("\"name\": \"grid_section\""), std::string::npos);
   EXPECT_NE(doc.find("\"rows\": [{\"index\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"steps_p50\""), std::string::npos);
@@ -411,12 +411,7 @@ TEST(JsonSinkTest, ReactiveLeaseDocsMergeToTheUnshardedDocument) {
     return JsonValue::parse(json.render());
   };
   const auto lease = [](std::size_t lo, std::size_t hi) {
-    ShardSpec shard;
-    shard.leased = true;
-    shard.lo = lo;
-    shard.hi = hi;
-    shard.span = ShardSpec::kLeaseSpan;
-    return shard;
+    return ShardSpec{lo, hi, ShardSpec::kLeaseSpan};
   };
 
   const JsonValue full = doc(ShardSpec{});
@@ -434,7 +429,7 @@ TEST(JsonSinkTest, ShardRowsCarryGlobalIndices) {
   RunnerOptions options;
   options.name = "shard_rows";
   options.threads = 1;
-  options.shard = {1, 2};  // second half
+  options.shard = {1, 2, 2};  // second half
   ExperimentRunner runner(options);
   JsonSink json = runner.json_sink();
 

@@ -77,7 +77,7 @@ TEST(ServiceHarnessTest, ShardMergeReproducesTheUnshardedDocument) {
   for (std::size_t k = 0; k < 3; ++k) {
     RunnerOptions options;
     options.threads = 2;
-    options.shard = {k, 3};
+    options.shard = {k, k + 1, 3};
     auto [report, doc] = serve(config, options);
     shard_docs.push_back(std::move(doc));
     shard_decisions.insert(shard_decisions.end(),

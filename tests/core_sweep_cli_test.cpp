@@ -1,12 +1,14 @@
-// The shared bench CLI: strict integer parsing. Overflowing values
-// must be rejected (strtol saturates with errno=ERANGE, which used to
-// pass silently as LONG_MAX), long->int narrowing must not wrap, and
-// malformed values fail with a message naming the flag.
+// The shared bench CLI: strict integer parsing and the --cells= range.
+// Overflowing values must be rejected (strtol saturates with
+// errno=ERANGE, which used to pass silently as LONG_MAX), long->int
+// narrowing must not wrap, and malformed values fail with a message
+// naming the flag.
 #include "src/core/sweep_cli.h"
 
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,12 +28,13 @@ RunnerOptions parse(std::vector<std::string> args) {
 
 TEST(SweepCliTest, ParsesAndStripsTheSharedFlags) {
   const RunnerOptions options =
-      parse({"--threads=4", "--repeat=3", "--shard=1/3", "--grain=16",
+      parse({"--threads=4", "--repeat=3", "--cells=1..2/3", "--grain=16",
              "--json=out.json"});
   EXPECT_EQ(options.threads, 4);
   EXPECT_EQ(options.repeat, 3);
-  EXPECT_EQ(options.shard.k, 1u);
-  EXPECT_EQ(options.shard.n, 3u);
+  EXPECT_EQ(options.shard.lo, 1u);
+  EXPECT_EQ(options.shard.hi, 2u);
+  EXPECT_EQ(options.shard.span, 3u);
   EXPECT_EQ(options.grain, 16u);
   EXPECT_TRUE(options.json);
   EXPECT_EQ(options.json_path, "out.json");
@@ -75,18 +78,21 @@ TEST(SweepCliTest, TrailingGarbageAndEmptyValuesAreRejected) {
 }
 
 TEST(SweepCliTest, ShardFlagValidatesItsShape) {
-  EXPECT_THROW(parse({"--shard=3/3"}), ContractViolation);
-  EXPECT_THROW(parse({"--shard=-1/3"}), ContractViolation);
-  EXPECT_THROW(parse({"--shard=1"}), ContractViolation);
-  EXPECT_THROW(parse({"--shard=1/"}), ContractViolation);
-  EXPECT_THROW(parse({"--shard=99999999999999999999/3"}),
+  // The K-th of N equal slices is the unit range K..K+1/N.
+  const auto [begin, end] = parse({"--cells=1..2/3"}).shard.range(9);
+  EXPECT_EQ(begin, 3u);
+  EXPECT_EQ(end, 6u);
+  EXPECT_THROW(parse({"--cells=3..4/3"}), ContractViolation);
+  EXPECT_THROW(parse({"--cells=-1..0/3"}), ContractViolation);
+  EXPECT_THROW(parse({"--cells=1/3"}), ContractViolation);
+  EXPECT_THROW(parse({"--cells=1..2/"}), ContractViolation);
+  EXPECT_THROW(parse({"--cells=99999999999999999999..1/3"}),
                ContractViolation);
 }
 
 TEST(SweepCliTest, CellsFlagParsesLeases) {
   // Bare LO..HI rides on the default virtual span.
   RunnerOptions options = parse({"--cells=1024..4096"});
-  EXPECT_TRUE(options.shard.leased);
   EXPECT_EQ(options.shard.lo, 1024u);
   EXPECT_EQ(options.shard.hi, 4096u);
   EXPECT_EQ(options.shard.span, ShardSpec::kLeaseSpan);
@@ -94,7 +100,6 @@ TEST(SweepCliTest, CellsFlagParsesLeases) {
   EXPECT_FALSE(options.shard.whole());
   // An explicit span travels after the slash.
   options = parse({"--cells=2..6/8"});
-  EXPECT_TRUE(options.shard.leased);
   EXPECT_EQ(options.shard.lo, 2u);
   EXPECT_EQ(options.shard.hi, 6u);
   EXPECT_EQ(options.shard.span, 8u);
@@ -116,13 +121,31 @@ TEST(SweepCliTest, CellsFlagValidatesItsShape) {
   EXPECT_THROW(parse({"--cells=0..4x"}), ContractViolation);
   EXPECT_THROW(parse({"--cells=..4"}), ContractViolation);
   EXPECT_THROW(parse({"--cells=0../8"}), ContractViolation);
+  // An empty range runs nothing and would not merge: rejected up front.
+  EXPECT_THROW(parse({"--cells=3..3/8"}), ContractViolation);
+  EXPECT_THROW(parse({"--cells=5..5"}), ContractViolation);
 }
 
-TEST(SweepCliTest, ShardAndCellsAreMutuallyExclusive) {
-  EXPECT_THROW(parse({"--shard=0/2", "--cells=0..8/8"}),
-               ContractViolation);
-  EXPECT_THROW(parse({"--cells=0..8/8", "--shard=0/2"}),
-               ContractViolation);
+TEST(SweepCliTest, CliAndMergeShareOneRangeRule) {
+  // The flag accepts exactly what ShardSpec::parse (the merge's parser
+  // of a document's "shard" field) accepts, and a document's field
+  // parses back to the range the flag asked for.
+  for (const char* text :
+       {"0..1/1", "3..4/8", "0..8/8", "1024..4096", "3..3/8", "5..4",
+        "0..9/8", "+1..2/3", " 1..2/3", "1..2/3x", "1e0..2/3"}) {
+    const std::optional<ShardSpec> spec = ShardSpec::parse(text);
+    std::optional<ShardSpec> flag;
+    try {
+      flag = parse({std::string("--cells=") + text}).shard;
+    } catch (const ContractViolation&) {
+    }
+    ASSERT_EQ(flag.has_value(), spec.has_value()) << text;
+    if (!spec) continue;
+    const std::optional<ShardSpec> field =
+        ShardSpec::parse(flag->to_string());
+    ASSERT_TRUE(field.has_value()) << text;
+    EXPECT_EQ(field->to_string(), spec->to_string()) << text;
+  }
 }
 
 TEST(SweepCliTest, DoubleValuesParseStrictly) {

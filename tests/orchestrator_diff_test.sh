@@ -1,0 +1,59 @@
+#!/bin/sh
+# sweep_orchestrator --diff: the determinism check behind every merge
+# test. Documents that differ only in timing keys match (exit 0); a
+# changed row fact is a mismatch (exit 1) that names its path; an
+# unparsable document is an error (exit 1) that names its file.
+#
+#   orchestrator_diff_test.sh <sweep_orchestrator>
+set -eu
+
+ORCH=$1
+
+WORKDIR=$(mktemp -d)
+trap 'rm -rf "$WORKDIR"' EXIT
+cd "$WORKDIR"
+
+# doc WALL RATE HASH [EXTRA]: one grid section with one row.
+doc() {
+  cat <<JSON
+{"bench": "b", "threads": 2, "repeat": 1, "shard": "0..1/1",
+ "sections": [{"name": "s", "cells": 1, "wall_seconds": $1,
+               "runs_per_sec": $2,
+               "rows": [{"index": 0, "steps": 7,
+                         "schedule_hash": "$3"}]}],
+ "total_cells": 1, "total_wall_seconds": $1, "runs_per_sec": $2$4}
+JSON
+}
+
+doc 0.5 2 00000000deadbeef "" > FULL.json
+doc 0.9 1.1 00000000deadbeef \
+  ', "orchestration": {"leases_completed": 3}' > TIMING.json
+doc 0.5 2 00000000feedface "" > HASH.json
+echo '{"bench": ' > BROKEN.json
+
+fail() {
+  echo "orchestrator_diff_test: $*" >&2
+  exit 1
+}
+
+# 1. Timing keys only: a match.
+"$ORCH" --diff FULL.json TIMING.json > out.txt ||
+  fail "timing-only difference was reported as a mismatch: $(cat out.txt)"
+
+# 2. One row fact: a mismatch naming the path and both values.
+status=0
+"$ORCH" --diff FULL.json HASH.json > out.txt 2>&1 || status=$?
+[ "$status" -eq 1 ] || fail "schedule_hash mismatch exited $status, want 1"
+grep -q 'sections\[0\]\.rows\[0\]\.schedule_hash' out.txt ||
+  fail "mismatch output does not name the path: $(cat out.txt)"
+grep -q '00000000deadbeef' out.txt && grep -q '00000000feedface' out.txt ||
+  fail "mismatch output does not render both values: $(cat out.txt)"
+
+# 3. An unparsable document: an error naming the file.
+status=0
+"$ORCH" --diff FULL.json BROKEN.json > out.txt 2>&1 || status=$?
+[ "$status" -eq 1 ] || fail "unparsable input exited $status, want 1"
+grep -q 'BROKEN.json' out.txt ||
+  fail "parse error does not name the file: $(cat out.txt)"
+
+echo "orchestrator_diff_test: match, mismatch, and parse error all correct"
