@@ -65,18 +65,17 @@ const KSetAgreement::Outcome& KSetAgreement::outcome(Pid p) const {
 }
 
 bool KSetAgreement::all_decided(ProcSet who) const {
-  for (Pid p : who.to_vector()) {
-    if (!decided(p)) return false;
-  }
-  return true;
+  bool all = true;
+  who.for_each([&](Pid p) { all = all && decided(p); });
+  return all;
 }
 
 std::vector<std::int64_t> KSetAgreement::distinct_decisions(
     ProcSet who) const {
   std::vector<std::int64_t> vals;
-  for (Pid p : who.to_vector()) {
+  who.for_each([&](Pid p) {
     if (decided(p)) vals.push_back(outcome(p).value);
-  }
+  });
   std::sort(vals.begin(), vals.end());
   vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
   return vals;

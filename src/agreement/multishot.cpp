@@ -51,15 +51,18 @@ void MultiShotAgreement::install(shm::ProcessRuntime& proc, Pid p,
 shm::Prog MultiShotAgreement::driver(Pid p,
                                      std::vector<std::int64_t> commands) {
   const int k = params_.k;
+  // Per-slot pump state, reset (not reallocated) at each slot.
+  std::vector<PaxosConsensus::Status> statuses(static_cast<std::size_t>(k));
+  std::vector<shm::Prog> kids;
+  std::vector<bool> started(static_cast<std::size_t>(k));
+  kids.reserve(static_cast<std::size_t>(k));
   for (int slot = 0; slot < params_.slots; ++slot) {
     // The slot's k instance programs, pumped round-robin: each pass
     // forwards one register operation of each live instance, so a
     // stalled instance (crashed leader) cannot block the others.
-    std::vector<PaxosConsensus::Status> statuses(
-        static_cast<std::size_t>(k));
-    std::vector<shm::Prog> kids;
-    std::vector<bool> started(static_cast<std::size_t>(k), false);
-    kids.reserve(static_cast<std::size_t>(k));
+    kids.clear();
+    std::fill(statuses.begin(), statuses.end(), PaxosConsensus::Status{});
+    std::fill(started.begin(), started.end(), false);
     for (int m = 0; m < k; ++m) {
       auto leader = [this, m](Pid self) -> Pid {
         const ProcSet ws = detector_->view(self).winnerset;
@@ -116,19 +119,20 @@ int MultiShotAgreement::decided_prefix(Pid p) const {
 }
 
 bool MultiShotAgreement::all_decided(ProcSet who) const {
-  for (Pid p : who.to_vector()) {
-    if (decided_prefix(p) < params_.slots) return false;
-  }
-  return true;
+  bool all = true;
+  who.for_each([&](Pid p) {
+    all = all && decided_prefix(p) == params_.slots;
+  });
+  return all;
 }
 
 std::vector<std::int64_t> MultiShotAgreement::slot_values(
     int slot, ProcSet who) const {
   std::vector<std::int64_t> values;
-  for (Pid p : who.to_vector()) {
+  who.for_each([&](Pid p) {
     const auto v = log_at(p, slot);
     if (v.has_value()) values.push_back(*v);
-  }
+  });
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;

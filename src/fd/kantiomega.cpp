@@ -159,16 +159,16 @@ shm::Prog KAntiOmega::run_impl(Pid p) {
 bool KAntiOmega::stabilized(ProcSet alive, std::int64_t window) const {
   SETLIB_EXPECTS(!alive.empty());
   SETLIB_EXPECTS(window >= 1);
-  const auto pids = alive.to_vector();
-  const View& first = view(pids.front());
+  const View& first = view(alive.min());
   if (first.iterations < window) return false;
-  for (Pid p : pids) {
+  bool stable = true;
+  alive.for_each([&](Pid p) {
     const View& v = view(p);
-    if (v.iterations < window) return false;
-    if (v.winnerset != first.winnerset) return false;
-    if (v.iterations - v.last_change_iteration < window) return false;
-  }
-  return true;
+    stable = stable && v.iterations >= window &&
+             v.winnerset == first.winnerset &&
+             v.iterations - v.last_change_iteration >= window;
+  });
+  return stable;
 }
 
 ProcSet KAntiOmega::trusted_candidates(ProcSet alive,
@@ -176,9 +176,14 @@ ProcSet KAntiOmega::trusted_candidates(ProcSet alive,
   SETLIB_EXPECTS(!alive.empty());
   SETLIB_EXPECTS(window >= 1);
   ProcSet out = ProcSet::universe(params_.n);
-  for (Pid p : alive.to_vector()) {
+  bool warmed_up = true;
+  alive.for_each([&](Pid p) {
+    if (!warmed_up) return;
     const View& v = view(p);
-    if (v.iterations < window) return ProcSet();
+    if (v.iterations < window) {
+      warmed_up = false;
+      return;
+    }
     ProcSet kept;
     for (Pid c = 0; c < params_.n; ++c) {
       if (v.last_excluded[static_cast<std::size_t>(c)] <=
@@ -187,8 +192,8 @@ ProcSet KAntiOmega::trusted_candidates(ProcSet alive,
       }
     }
     out = out & kept;
-  }
-  return out;
+  });
+  return warmed_up ? out : ProcSet();
 }
 
 ProcSet KAntiOmega::common_winnerset(ProcSet alive) const {

@@ -20,10 +20,9 @@ Pid LeaderView::leader_of(Pid p) const {
 bool LeaderView::unanimous(ProcSet who) const {
   SETLIB_EXPECTS(!who.empty());
   const Pid first = leader_of(who.min());
-  for (Pid p : who.to_vector()) {
-    if (leader_of(p) != first) return false;
-  }
-  return true;
+  bool same = true;
+  who.for_each([&](Pid p) { same = same && leader_of(p) == first; });
+  return same;
 }
 
 OmegaCheck check_omega(const KAntiOmega& detector, ProcSet correct,

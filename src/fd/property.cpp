@@ -13,13 +13,13 @@ PropertyCheck check_kantiomega(const KAntiOmega& detector, ProcSet correct,
   PropertyCheck out;
 
   out.output_sizes_ok = true;
-  for (Pid p : correct.to_vector()) {
+  correct.for_each([&](Pid p) {
     const auto& v = detector.view(p);
     if (v.fd_output.size() != params.n - params.k ||
         v.winnerset.size() != params.k) {
       out.output_sizes_ok = false;
     }
-  }
+  });
 
   out.stabilized = detector.stabilized(correct, window);
   if (out.stabilized) {

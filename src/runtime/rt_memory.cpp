@@ -5,10 +5,21 @@
 namespace setlib::runtime {
 
 shm::RegisterId RtMemory::alloc(std::string name) {
+  return alloc_block(std::move(name), 1, false);
+}
+
+shm::RegisterId RtMemory::alloc_array(std::string name, std::int64_t count) {
+  return alloc_block(std::move(name), count, true);
+}
+
+shm::RegisterId RtMemory::alloc_block(std::string name, std::int64_t count,
+                                      bool array) {
   SETLIB_EXPECTS(!frozen());
-  cells_.push_back(std::make_unique<Cell>());
-  names_.push_back(std::move(name));
-  return static_cast<shm::RegisterId>(cells_.size()) - 1;
+  SETLIB_EXPECTS(count >= 1);
+  for (std::int64_t i = 0; i < count; ++i) {
+    cells_.push_back(std::make_unique<Cell>());
+  }
+  return names_.add(std::move(name), count, array);
 }
 
 shm::Value RtMemory::read(shm::RegisterId reg) {
@@ -31,9 +42,9 @@ std::int64_t RtMemory::register_count() const {
   return static_cast<std::int64_t>(cells_.size());
 }
 
-const std::string& RtMemory::name(shm::RegisterId reg) const {
+std::string RtMemory::name(shm::RegisterId reg) const {
   SETLIB_EXPECTS(reg >= 0 && reg < register_count());
-  return names_[static_cast<std::size_t>(reg)];
+  return names_.name(reg);
 }
 
 }  // namespace setlib::runtime

@@ -25,10 +25,11 @@ class RtMemory final : public shm::IMemory {
   RtMemory() = default;
 
   shm::RegisterId alloc(std::string name) override;
+  shm::RegisterId alloc_array(std::string name, std::int64_t count) override;
   shm::Value read(shm::RegisterId reg) override;
   void write(shm::RegisterId reg, shm::Value v) override;
   std::int64_t register_count() const override;
-  const std::string& name(shm::RegisterId reg) const override;
+  std::string name(shm::RegisterId reg) const override;
   std::int64_t read_count() const override {
     return reads_.load(std::memory_order_relaxed);
   }
@@ -44,6 +45,9 @@ class RtMemory final : public shm::IMemory {
   }
 
  private:
+  shm::RegisterId alloc_block(std::string name, std::int64_t count,
+                              bool array);
+
   struct Cell {
     mutable util::Mutex mu;
     shm::Value value SETLIB_GUARDED_BY(mu);
@@ -53,7 +57,7 @@ class RtMemory final : public shm::IMemory {
   // freeze(), and the executor freezes before any reader thread
   // exists, so only each cell's payload needs a guard.
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::vector<std::string> names_;
+  shm::RegisterNames names_;
   std::atomic<bool> frozen_{false};
   std::atomic<std::int64_t> reads_{0};
   std::atomic<std::int64_t> writes_{0};

@@ -39,7 +39,11 @@ Pid EnforcedGenerator::pick_substitute(State& st, ProcSet alive) {
 }
 
 Pid EnforcedGenerator::next() {
-  const ProcSet alive = plan_.alive_at(emitted_);
+  if (emitted_ >= alive_until_) {
+    alive_ = plan_.alive_at(emitted_);
+    alive_until_ = plan_.next_crash_after(emitted_);
+  }
+  const ProcSet alive = alive_;
   SETLIB_ASSERT(!alive.empty());
 
   // Base proposal, already crash-filtered.

@@ -72,6 +72,10 @@ class EnforcedGenerator final : public ScheduleGenerator {
   std::unique_ptr<ScheduleGenerator> base_;
   std::vector<State> states_;
   CrashPlan plan_;
+  // plan_.alive_at(emitted_), valid while emitted_ < alive_until_ (the
+  // plan's next crash step).
+  ProcSet alive_;
+  std::int64_t alive_until_ = 0;
   std::int64_t emitted_ = 0;
   std::int64_t substitutions_ = 0;
   std::int64_t dropped_ = 0;

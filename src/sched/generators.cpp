@@ -231,6 +231,14 @@ ProcSet CrashPlan::alive_at(std::int64_t step) const {
   return s;
 }
 
+std::int64_t CrashPlan::next_crash_after(std::int64_t step) const {
+  std::int64_t next = kNever;
+  for (const std::int64_t at : crash_step_) {
+    if (at > step && at < next) next = at;
+  }
+  return next;
+}
+
 CrashFilterGenerator::CrashFilterGenerator(
     std::unique_ptr<ScheduleGenerator> base, CrashPlan plan)
     : base_(std::move(base)), plan_(std::move(plan)) {

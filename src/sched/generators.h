@@ -217,6 +217,10 @@ class CrashPlan {
   /// Processes alive at global step index `step`.
   ProcSet alive_at(std::int64_t step) const;
 
+  /// The first step after `step` at which alive_at changes: the least
+  /// crash step > `step`, or kNever when no crash is still to come.
+  std::int64_t next_crash_after(std::int64_t step) const;
+
  private:
   int n_;
   std::vector<std::int64_t> crash_step_;

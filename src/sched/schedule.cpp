@@ -20,11 +20,6 @@ Pid Schedule::operator[](std::int64_t i) const {
   return steps_[static_cast<std::size_t>(i)];
 }
 
-void Schedule::append(Pid p) {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  steps_.push_back(p);
-}
-
 std::int64_t Schedule::count(Pid p, std::int64_t from, std::int64_t to) const {
   SETLIB_EXPECTS(0 <= from && from <= to && to <= size());
   std::int64_t c = 0;

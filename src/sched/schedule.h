@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/assert.h"
 #include "src/util/procset.h"
 
 namespace setlib::sched {
@@ -29,7 +30,10 @@ class Schedule {
 
   Pid operator[](std::int64_t i) const;
 
-  void append(Pid p);
+  void append(Pid p) {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    steps_.push_back(p);
+  }
 
   const std::vector<Pid>& steps() const noexcept { return steps_; }
 

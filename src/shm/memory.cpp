@@ -1,23 +1,40 @@
 #include "src/shm/memory.h"
 
+#include <algorithm>
+
 #include "src/util/assert.h"
 
 namespace setlib::shm {
 
-RegisterId IMemory::alloc_array(const std::string& name, std::int64_t count) {
+RegisterId RegisterNames::add(std::string name, std::int64_t count,
+                              bool array) {
   SETLIB_EXPECTS(count >= 1);
-  const RegisterId base = alloc(name + "[0]");
-  for (std::int64_t i = 1; i < count; ++i) {
-    const RegisterId r = alloc(name + "[" + std::to_string(i) + "]");
-    SETLIB_ENSURES(r == base + i);
-  }
+  const RegisterId base = count_;
+  blocks_.push_back(Block{base, array, std::move(name)});
+  count_ += count;
   return base;
+}
+
+std::string RegisterNames::name(RegisterId reg) const {
+  SETLIB_EXPECTS(reg >= 0 && reg < count_);
+  // The last block starting at or before reg.
+  const auto it = std::upper_bound(
+      blocks_.begin(), blocks_.end(), reg,
+      [](RegisterId r, const Block& b) { return r < b.base; });
+  const Block& block = *(it - 1);
+  if (!block.array) return block.name;
+  return block.name + "[" + std::to_string(reg - block.base) + "]";
 }
 
 RegisterId SimMemory::alloc(std::string name) {
   cells_.emplace_back();
-  names_.push_back(std::move(name));
-  return static_cast<RegisterId>(cells_.size()) - 1;
+  return names_.add(std::move(name), 1, false);
+}
+
+RegisterId SimMemory::alloc_array(std::string name, std::int64_t count) {
+  SETLIB_EXPECTS(count >= 1);
+  cells_.resize(cells_.size() + static_cast<std::size_t>(count));
+  return names_.add(std::move(name), count, true);
 }
 
 Value SimMemory::read(RegisterId reg) {
@@ -36,9 +53,9 @@ std::int64_t SimMemory::register_count() const {
   return static_cast<std::int64_t>(cells_.size());
 }
 
-const std::string& SimMemory::name(RegisterId reg) const {
+std::string SimMemory::name(RegisterId reg) const {
   SETLIB_EXPECTS(reg >= 0 && reg < register_count());
-  return names_[static_cast<std::size_t>(reg)];
+  return names_.name(reg);
 }
 
 const Value& SimMemory::peek(RegisterId reg) const {

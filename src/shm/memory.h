@@ -32,18 +32,39 @@ class IMemory {
   /// Allocate one register. Setup-phase only for threaded memories.
   virtual RegisterId alloc(std::string name) = 0;
 
-  /// Allocate `count` registers with contiguous ids; returns the base id.
-  RegisterId alloc_array(const std::string& name, std::int64_t count);
+  /// Allocate `count` registers with contiguous ids named
+  /// "name[0]".."name[count-1]"; returns the base id.
+  virtual RegisterId alloc_array(std::string name, std::int64_t count) = 0;
 
   virtual Value read(RegisterId reg) = 0;
   virtual void write(RegisterId reg, Value v) = 0;
 
   virtual std::int64_t register_count() const = 0;
-  virtual const std::string& name(RegisterId reg) const = 0;
+  virtual std::string name(RegisterId reg) const = 0;
 
   /// Total reads/writes performed (for benchmarks and step accounting).
   virtual std::int64_t read_count() const = 0;
   virtual std::int64_t write_count() const = 0;
+};
+
+/// Register names, one entry per alloc()/alloc_array() call. Shared by
+/// the IMemory implementations; ids are dense and allocated in order.
+class RegisterNames {
+ public:
+  /// Name the next `count` register ids; returns the first. `array`
+  /// renders element i as "name[i]", otherwise the name is used as is.
+  RegisterId add(std::string name, std::int64_t count, bool array);
+
+  std::string name(RegisterId reg) const;
+
+ private:
+  struct Block {
+    RegisterId base;
+    bool array;
+    std::string name;
+  };
+  std::vector<Block> blocks_;
+  std::int64_t count_ = 0;
 };
 
 /// Deterministic single-threaded memory.
@@ -52,10 +73,11 @@ class SimMemory final : public IMemory {
   SimMemory() = default;
 
   RegisterId alloc(std::string name) override;
+  RegisterId alloc_array(std::string name, std::int64_t count) override;
   Value read(RegisterId reg) override;
   void write(RegisterId reg, Value v) override;
   std::int64_t register_count() const override;
-  const std::string& name(RegisterId reg) const override;
+  std::string name(RegisterId reg) const override;
   std::int64_t read_count() const override { return reads_; }
   std::int64_t write_count() const override { return writes_; }
 
@@ -64,7 +86,7 @@ class SimMemory final : public IMemory {
 
  private:
   std::vector<Value> cells_;
-  std::vector<std::string> names_;
+  RegisterNames names_;
   std::int64_t reads_ = 0;
   std::int64_t writes_ = 0;
 };

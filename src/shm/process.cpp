@@ -22,10 +22,13 @@ bool ProcessRuntime::halted() const {
 
 ProcessRuntime::TaskCb* ProcessRuntime::next_live_task() {
   const std::size_t count = tasks_.size();
+  SETLIB_ASSERT(rr_cursor_ < count);
+  std::size_t next = rr_cursor_;
   for (std::size_t i = 0; i < count; ++i) {
-    TaskCb& t = tasks_[(rr_cursor_ + i) % count];
+    TaskCb& t = tasks_[next];
+    if (++next == count) next = 0;
     if (!t.started || !t.prog.done()) {
-      rr_cursor_ = (rr_cursor_ + i + 1) % count;
+      rr_cursor_ = next;
       return &t;
     }
   }

@@ -1,5 +1,7 @@
 #include "src/shm/simulator.h"
 
+#include <algorithm>
+
 #include "src/util/assert.h"
 
 namespace setlib::shm {
@@ -34,6 +36,17 @@ void Simulator::use_crash_plan(const sched::CrashPlan& plan) {
   for (Pid p = 0; p < n_; ++p) {
     plan_crash_steps_[static_cast<std::size_t>(p)] = plan.crash_step(p);
   }
+  update_next_plan_crash();
+}
+
+void Simulator::update_next_plan_crash() {
+  next_plan_crash_ = sched::CrashPlan::kNever;
+  for (Pid p = 0; p < n_; ++p) {
+    if (!crashed_.contains(p)) {
+      next_plan_crash_ = std::min(
+          next_plan_crash_, plan_crash_steps_[static_cast<std::size_t>(p)]);
+    }
+  }
 }
 
 void Simulator::use_crash_source(std::function<ProcSet()> source) {
@@ -52,8 +65,9 @@ void Simulator::maybe_crash_per_source() {
 }
 
 bool Simulator::maybe_crash_per_plan() {
-  bool any = false;
   const std::int64_t now = steps_taken();
+  if (now < next_plan_crash_) return false;
+  bool any = false;
   for (Pid p = 0; p < n_; ++p) {
     if (!crashed_.contains(p) &&
         plan_crash_steps_[static_cast<std::size_t>(p)] <= now) {
@@ -61,6 +75,7 @@ bool Simulator::maybe_crash_per_plan() {
       any = true;
     }
   }
+  update_next_plan_crash();
   return any;
 }
 

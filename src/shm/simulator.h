@@ -73,6 +73,7 @@ class Simulator {
 
  private:
   bool maybe_crash_per_plan();
+  void update_next_plan_crash();
   void maybe_crash_per_source();
   bool execute(Pid p);
 
@@ -82,6 +83,9 @@ class Simulator {
   ProcSet crashed_;
   sched::Schedule executed_;
   std::vector<std::int64_t> plan_crash_steps_;
+  // Least plan crash step of a process not yet crashed (kNever if none):
+  // before it, maybe_crash_per_plan has nothing to do.
+  std::int64_t next_plan_crash_ = sched::CrashPlan::kNever;
   std::function<ProcSet()> crash_source_;
   sched::ObservationFeed* feed_ = nullptr;
 };

@@ -36,23 +36,6 @@ ProcSet ProcSet::range(Pid lo, Pid hi) {
   return s;
 }
 
-bool ProcSet::contains(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
-  return (mask_ >> p) & 1;
-}
-
-int ProcSet::size() const noexcept { return std::popcount(mask_); }
-
-ProcSet ProcSet::with(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
-  return ProcSet(mask_ | (std::uint64_t{1} << p));
-}
-
-ProcSet ProcSet::without(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
-  return ProcSet(mask_ & ~(std::uint64_t{1} << p));
-}
-
 Pid ProcSet::min() const {
   SETLIB_EXPECTS(!empty());
   return std::countr_zero(mask_);
@@ -61,13 +44,6 @@ Pid ProcSet::min() const {
 Pid ProcSet::max() const {
   SETLIB_EXPECTS(!empty());
   return 63 - std::countl_zero(mask_);
-}
-
-Pid ProcSet::nth(int m) const {
-  SETLIB_EXPECTS(m >= 0 && m < size());
-  std::uint64_t mask = mask_;
-  for (int i = 0; i < m; ++i) mask &= mask - 1;  // clear lowest set bit
-  return std::countr_zero(mask);
 }
 
 std::vector<Pid> ProcSet::to_vector() const {

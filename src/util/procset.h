@@ -77,19 +77,33 @@ class ProcSet {
   static ProcSet range(Pid lo, Pid hi);
 
   constexpr std::uint64_t mask() const noexcept { return mask_; }
-  bool contains(Pid p) const;
-  int size() const noexcept;
+  bool contains(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
+    return (mask_ >> p) & 1;
+  }
+  int size() const noexcept { return std::popcount(mask_); }
   bool empty() const noexcept { return mask_ == 0; }
 
-  ProcSet with(Pid p) const;
-  ProcSet without(Pid p) const;
+  ProcSet with(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
+    return ProcSet(mask_ | (std::uint64_t{1} << p));
+  }
+  ProcSet without(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
+    return ProcSet(mask_ & ~(std::uint64_t{1} << p));
+  }
 
   /// Smallest element; requires non-empty.
   Pid min() const;
   /// Largest element; requires non-empty.
   Pid max() const;
   /// The m-th smallest element (0-based); requires m < size().
-  Pid nth(int m) const;
+  Pid nth(int m) const {
+    SETLIB_EXPECTS(m >= 0 && m < size());
+    std::uint64_t mask = mask_;
+    for (int i = 0; i < m; ++i) mask &= mask - 1;  // clear lowest set bit
+    return std::countr_zero(mask);
+  }
 
   /// Elements in increasing order.
   std::vector<Pid> to_vector() const;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/sched/analyzer.h"
+#include "src/sched/enforcer.h"
 #include "src/util/assert.h"
 
 namespace setlib::sched {
@@ -157,6 +161,88 @@ TEST(CrashPlanTest, AtFactory) {
   EXPECT_EQ(plan.faulty(), ProcSet::of({3, 4}));
   EXPECT_EQ(plan.crash_step(3), 7);
   EXPECT_EQ(plan.crash_step(0), CrashPlan::kNever);
+}
+
+// EnforcedGenerator caches the alive set between the plan's crash
+// steps; its stream must equal an enforcer that recomputes alive_at on
+// every pull (the same algorithm, written out here).
+TEST(EnforcedGeneratorTest, CachedAliveSetMatchesPerPullRecompute) {
+  constexpr int kN = 5;
+  constexpr std::uint64_t kSeed = 77;
+  CrashPlan plan(kN);
+  plan.set_crash(1, 100);
+  plan.set_crash(3, 250);
+  const std::vector<TimelinessConstraint> constraints = {
+      {ProcSet::of({1, 2}), ProcSet::universe(kN), 3},
+      {ProcSet::of({3}), ProcSet::of({0, 4}), 2}};
+  EnforcedGenerator gen(std::make_unique<UniformRandomGenerator>(kN, kSeed),
+                        constraints, plan);
+
+  struct RefState {
+    TimelinessConstraint c;
+    std::int64_t q_steps_since_p = 0;
+    int rotate = 0;
+  };
+  std::vector<RefState> states;
+  for (const auto& c : constraints) states.push_back(RefState{c});
+  UniformRandomGenerator base(kN, kSeed);
+  std::int64_t substitutions = 0;
+  std::int64_t dropped = 0;
+  for (std::int64_t emitted = 0; emitted < 1000; ++emitted) {
+    const ProcSet alive = plan.alive_at(emitted);
+    Pid candidate = -1;
+    for (int attempts = 0; attempts < 1'000'000 && candidate < 0;
+         ++attempts) {
+      const Pid p = base.next();
+      if (alive.contains(p)) candidate = p;
+    }
+    if (candidate < 0) candidate = alive.min();
+    bool changed = true;
+    for (int rounds = 0; changed && rounds < 8; ++rounds) {
+      changed = false;
+      for (auto& st : states) {
+        if (st.c.observed_set.contains(candidate) &&
+            !st.c.timely_set.contains(candidate) &&
+            st.q_steps_since_p >= st.c.bound - 1) {
+          const ProcSet avail = st.c.timely_set & alive;
+          if (avail.empty()) {
+            ++dropped;
+            continue;
+          }
+          candidate = avail.nth(st.rotate % avail.size());
+          ++st.rotate;
+          ++substitutions;
+          changed = true;
+          break;
+        }
+      }
+    }
+    for (auto& st : states) {
+      if (st.c.timely_set.contains(candidate)) {
+        st.q_steps_since_p = 0;
+      } else if (st.c.observed_set.contains(candidate)) {
+        ++st.q_steps_since_p;
+      }
+    }
+    ASSERT_EQ(gen.next(), candidate) << "at pull " << emitted;
+  }
+  EXPECT_EQ(gen.substitutions(), substitutions);
+  EXPECT_EQ(gen.dropped_constraints(), dropped);
+  EXPECT_GT(substitutions, 0);
+  EXPECT_GT(dropped, 0);  // {3} is gone after step 250
+}
+
+TEST(CrashPlanTest, NextCrashAfter) {
+  CrashPlan plan(4);
+  EXPECT_EQ(plan.next_crash_after(0), CrashPlan::kNever);
+  plan.set_crash(1, 100);
+  plan.set_crash(3, 250);
+  plan.set_crash(0, 0);
+  EXPECT_EQ(plan.next_crash_after(-1), 0);
+  EXPECT_EQ(plan.next_crash_after(0), 100);
+  EXPECT_EQ(plan.next_crash_after(99), 100);
+  EXPECT_EQ(plan.next_crash_after(100), 250);
+  EXPECT_EQ(plan.next_crash_after(250), CrashPlan::kNever);
 }
 
 TEST(CrashFilterTest, SuppressesCrashedSteps) {

@@ -2,6 +2,9 @@
 // programs, process runtimes, and the simulator.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/sched/generators.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
@@ -32,6 +35,94 @@ TEST(ValueTest, EqualityAndPrinting) {
   EXPECT_NE(Value::of(4), Value::of(4, 0));
   EXPECT_EQ(Value().to_string(), "_|_");
   EXPECT_EQ(Value::of(1, 2).to_string(), "(1,2)");
+}
+
+// Values of every size on both sides of the inline/spill boundary.
+Value value_of_size(std::size_t size, std::int64_t salt) {
+  std::vector<std::int64_t> words;
+  for (std::size_t i = 0; i < size; ++i) {
+    words.push_back(salt * 100 + static_cast<std::int64_t>(i));
+  }
+  return Value(words);
+}
+
+TEST(ValueTest, RoundTripsAcrossInlineBoundary) {
+  for (std::size_t size = 0; size <= 6; ++size) {
+    const Value v = value_of_size(size, 3);
+    ASSERT_EQ(v.size(), size);
+    for (std::size_t i = 0; i < size; ++i) {
+      EXPECT_EQ(v.at(i), 300 + static_cast<std::int64_t>(i));
+    }
+    std::string printed = size == 0 ? "_|_" : "(";
+    for (std::size_t i = 0; i < size; ++i) {
+      if (i > 0) printed += ',';
+      printed += std::to_string(300 + i);
+    }
+    if (size > 0) printed += ")";
+    EXPECT_EQ(v.to_string(), printed);
+
+    Value copy = v;
+    EXPECT_EQ(copy, v);
+    EXPECT_EQ(copy.to_string(), printed);
+    Value moved = std::move(copy);
+    EXPECT_EQ(moved, v);
+    Value assigned = value_of_size(6 - size, 9);
+    EXPECT_NE(assigned, v);
+    assigned = v;
+    EXPECT_EQ(assigned, v);
+    Value move_assigned = Value::of(1, 2);
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(move_assigned, v);
+    EXPECT_EQ(move_assigned.to_string(), printed);
+  }
+}
+
+TEST(ValueTest, InlineAndSpilledPrefixesDiffer) {
+  const Value four = Value::of(1, 2, 3, 4);
+  const Value five{1, 2, 3, 4, 5};
+  EXPECT_NE(four, five);
+  EXPECT_NE(five, four);
+  EXPECT_NE(five, (Value{1, 2, 3, 4, 6}));
+  EXPECT_EQ(five, (Value{1, 2, 3, 4, 5}));
+  EXPECT_EQ(four, (Value{1, 2, 3, 4}));
+  EXPECT_NE(Value(), Value::of(0));
+}
+
+TEST(ValueTest, MovedFromValueStaysValid) {
+  for (const std::size_t size : {2u, 6u}) {
+    Value from = value_of_size(size, 1);
+    const Value to = std::move(from);
+    EXPECT_EQ(to, value_of_size(size, 1));
+    // The moved-from state is the contract under test.
+    EXPECT_TRUE(from.is_nil());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(from.to_string(), "_|_");
+    from = value_of_size(5, 2);
+    EXPECT_EQ(from, value_of_size(5, 2));
+    Value again = std::move(from);
+    from = Value::of(7);
+    EXPECT_EQ(from.as_int_or(0), 7);
+    EXPECT_EQ(again.size(), 5u);
+  }
+}
+
+TEST(SimMemoryTest, SnapshotSegmentRoundTrips) {
+  // An n = 8 snapshot segment: {seq, value, view[0..7]}, 10 words.
+  constexpr int kN = 8;
+  std::vector<std::int64_t> words = {41, -5};
+  for (int q = 0; q < kN; ++q) words.push_back(q * q);
+  SimMemory mem;
+  const RegisterId seg = mem.alloc_array("snap.seg", kN);
+  mem.write(seg + 3, Value(words));
+  const Value back = mem.read(seg + 3);
+  ASSERT_EQ(back.size(), words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(back.at(i), words[i]);
+  }
+  EXPECT_EQ(back, mem.peek(seg + 3));
+  EXPECT_TRUE(mem.read(seg + 2).is_nil());
+  mem.write(seg + 3, Value::of(1));
+  EXPECT_EQ(mem.read(seg + 3), Value::of(1));
+  EXPECT_EQ(mem.name(seg + 7), "snap.seg[7]");
 }
 
 TEST(SimMemoryTest, AllocReadWrite) {
@@ -200,6 +291,70 @@ TEST(SimulatorTest, CrashPlanTriggersMidRun) {
   sim.run(gen, 100);
   EXPECT_EQ(sim.executed().count(1, 20, sim.executed().size()), 0);
   EXPECT_GT(sim.executed().count(1), 0);
+}
+
+// The plan-crash check skips its O(n) scan until the next pending crash
+// step; the executed schedule must match a per-step check of every
+// process, including a crash at step 0 and a process that never crashes.
+TEST(SimulatorTest, CrashPlanMatchesPerStepCheck) {
+  constexpr int kN = 3;
+  const std::vector<std::int64_t> crash_at = {0, 7,
+                                              sched::CrashPlan::kNever};
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  Simulator sim(mem, kN);
+  sched::CrashPlan plan(kN);
+  for (Pid p = 0; p < kN; ++p) {
+    sim.process(p).add_task(incrementer(r, 1'000), "inc");
+    if (crash_at[static_cast<std::size_t>(p)] != sched::CrashPlan::kNever) {
+      plan.set_crash(p, crash_at[static_cast<std::size_t>(p)]);
+    }
+  }
+  sim.use_crash_plan(plan);
+  sched::RoundRobinGenerator gen(kN);
+  EXPECT_EQ(sim.run(gen, 40), 40);
+
+  std::vector<Pid> expected;
+  ProcSet crashed;
+  for (std::int64_t pull = 0; expected.size() < 40; ++pull) {
+    for (Pid p = 0; p < kN; ++p) {
+      if (crash_at[static_cast<std::size_t>(p)] <=
+          static_cast<std::int64_t>(expected.size())) {
+        crashed = crashed.with(p);
+      }
+    }
+    const Pid p = static_cast<Pid>(pull % kN);
+    if (!crashed.contains(p)) expected.push_back(p);
+  }
+  EXPECT_EQ(sim.executed().steps(), expected);
+  EXPECT_EQ(sim.crashed_set(), ProcSet::of({0, 1}));
+}
+
+TEST(SimulatorTest, CrashPlanInstalledMidRun) {
+  constexpr int kN = 3;
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  Simulator sim(mem, kN);
+  for (Pid p = 0; p < kN; ++p) {
+    sim.process(p).add_task(incrementer(r, 1'000), "inc");
+  }
+  sched::RoundRobinGenerator gen(kN);
+  sim.use_crash_plan(sched::CrashPlan::none(kN));
+  EXPECT_EQ(sim.run(gen, 10), 10);
+  EXPECT_EQ(sim.crashed_set(), ProcSet());
+
+  // Step 5 has already passed: process 0 crashes before the next step.
+  sched::CrashPlan plan(kN);
+  plan.set_crash(0, 5);
+  plan.set_crash(1, 16);
+  sim.use_crash_plan(plan);
+  EXPECT_EQ(sim.run(gen, 20), 20);
+  const sched::Schedule& s = sim.executed();
+  EXPECT_EQ(s.count(0, 10, s.size()), 0);
+  EXPECT_GT(s.count(1, 10, 16), 0);
+  EXPECT_EQ(s.count(1, 16, s.size()), 0);
+  EXPECT_EQ(s.count(2, 16, s.size()), s.size() - 16);
+  EXPECT_EQ(sim.crashed_set(), ProcSet::of({0, 1}));
 }
 
 TEST(SimulatorTest, RunUntilStops) {

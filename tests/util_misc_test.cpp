@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "src/util/assert.h"
 #include "src/util/rng.h"
@@ -39,6 +40,31 @@ TEST(RngTest, NextBelowInRange) {
     EXPECT_LT(rng.next_below(17), 17u);
   }
   EXPECT_THROW(rng.next_below(0), ContractViolation);
+}
+
+// The power-of-two fast path must draw exactly what the rejection
+// formula draws, so every generator's stream is unchanged.
+TEST(RngTest, NextBelowPowerOfTwoMatchesRejection) {
+  auto rejection = [](Rng& rng, std::uint64_t bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold) return r % bound;
+    }
+  };
+  std::vector<std::uint64_t> bounds = {3, 5, 24};
+  for (int shift = 0; shift <= 62; ++shift) {
+    bounds.push_back(std::uint64_t{1} << shift);
+  }
+  for (const std::uint64_t bound : bounds) {
+    Rng fast(0xfeed + bound);
+    Rng reference = fast;
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_EQ(fast.next_below(bound), rejection(reference, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(fast.next_u64(), reference.next_u64()) << "bound " << bound;
+  }
 }
 
 TEST(RngTest, NextInInclusiveBounds) {
