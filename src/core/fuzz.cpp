@@ -163,17 +163,14 @@ sched::Schedule minimize_schedule(sched::PackedSchedule& scratch,
 }
 
 /// Enumerates every n-bit mask with exactly k bits set (k >= 1), in
-/// increasing numeric order, via Gosper's hack.
+/// increasing numeric order, via the shared colex successor.
 template <typename Fn>
 void for_each_popcount_mask(int n, int k, Fn&& fn) {
   SETLIB_EXPECTS(k >= 1 && k <= n);
   const std::uint64_t limit = std::uint64_t{1} << n;
-  std::uint64_t mask = (std::uint64_t{1} << k) - 1;
-  while (mask < limit) {
-    fn(mask);
-    const std::uint64_t c = mask & (0 - mask);
-    const std::uint64_t r = mask + c;
-    mask = (((r ^ mask) >> 2) / c) | r;
+  for (ProcSet s = ProcSet::range(0, k); s.mask() < limit;
+       s = next_colex(s)) {
+    fn(s.mask());
   }
 }
 

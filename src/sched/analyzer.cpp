@@ -233,6 +233,7 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
                  p_end <= p_ranker_.count());
   const std::int64_t words = packed_->words();
   ScanOutcome out;
+  if (p_begin == p_end) return out;
   // Q-counts at or above prune_q cannot improve the outcome, so an
   // observer scan aborts the moment one P-free window reaches it. For
   // the exhaustive best-pair mode the cap tightens as the best bound
@@ -242,8 +243,9 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
                              : bound_cap;
   const simd::Kernels& kernels = simd::active_kernels();
   // Scratch: the shared per-P OR buffer (words) plus one Q chunk. The
-  // Q side is accumulated chunk-by-chunk so the walk can still abort
-  // early on pruned pairs without paying a full-length Q OR first.
+  // Q side is built chunk by chunk, the first chunk one word and each
+  // later one twice the last up to kQChunk, so a pair pruned in its
+  // first words pays for those words only.
   constexpr std::int64_t kQChunk = 64;
   std::optional<util::FrameScope> frame;
   std::vector<std::uint64_t> fallback;
@@ -256,23 +258,44 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
     pwords = fallback.data();
   }
   std::uint64_t* const qbuf = pwords + words;
-  for (std::int64_t pr = p_begin; pr < p_end; ++pr) {
-    const ProcSet p = p_ranker_.unrank(pr);
+  // A large observer set is built as the complement of the OR of the
+  // columns outside it: every step has exactly one pid, so within the
+  // steps < size() the two agree, and the complement reads n - j
+  // columns instead of j.
+  const int n = packed_->n();
+  const bool complement = 2 * j_ > n;
+  const ProcSet universe = ProcSet::universe(n);
+  // Steps < size() of the last word (1 to 64 of them).
+  const std::uint64_t tail_mask = low_word_mask(
+      static_cast<int>(packed_->size() - (words - 1) * kBitsPerWord));
+  // Rank order is colex order: both sides start at their first rank
+  // and step by successor.
+  ProcSet p = p_ranker_.unrank(p_begin);
+  const ProcSet q_first = q_ranker_.unrank(0);
+  const std::int64_t q_total = q_ranker_.count();
+  for (std::int64_t pr = p_begin; pr < p_end; ++pr, p = next_colex(p)) {
     packed_->or_columns(p, pwords);  // shared by every observer below
-    const std::int64_t q_total = q_ranker_.count();
-    for (std::int64_t qr = 0; qr < q_total; ++qr) {
-      const ProcSet q = q_ranker_.unrank(qr);
+    ProcSet q = q_first;
+    for (std::int64_t qr = 0; qr < q_total; ++qr, q = next_colex(q)) {
       ++out.pairs;
+      const ProcSet built = complement ? universe - q : q;
       // Chunked Q-column OR + window walk, aborted at the prune cap.
       simd::WalkState window;
       bool pruned = false;
-      for (std::int64_t w = 0; w < words && !pruned; w += kQChunk) {
-        const std::int64_t c = std::min<std::int64_t>(kQChunk, words - w);
+      std::int64_t chunk = 1;
+      for (std::int64_t w = 0; w < words && !pruned;) {
+        const std::int64_t c = std::min(chunk, words - w);
         std::fill_n(qbuf, static_cast<std::size_t>(c), std::uint64_t{0});
-        q.for_each([&](Pid x) {
+        built.for_each([&](Pid x) {
           kernels.or_into(qbuf, packed_->column(x) + w, c);
         });
+        if (complement) {
+          for (std::int64_t k = 0; k < c; ++k) qbuf[k] = ~qbuf[k];
+          if (w + c == words) qbuf[c - 1] &= tail_mask;
+        }
         pruned = kernels.window_walk(pwords + w, qbuf, c, prune_q, &window);
+        w += c;
+        chunk = std::min(2 * chunk, kQChunk);
       }
       if (pruned) continue;
       const std::int64_t bound = window.max_q + 1;

@@ -34,7 +34,13 @@
 //     every observer set, a bound cap aborts an observer as soon as
 //     one window already exceeds it, and enumeration follows
 //     SubsetRanker (combinadic) order so results — including argmin
-//     tie-breaks — are identical to the exhaustive nested loops.
+//     tie-breaks — are identical to the exhaustive nested loops. The
+//     scan is prune-first: an observer's timeline is built in chunks
+//     that start at one word and double up to 64, so a pair pruned in
+//     its first words reads only those words; an observer set larger
+//     than half the universe is built as the complement of the OR of
+//     the columns outside it; and observer sets advance by colex
+//     successor (next_colex) instead of being unranked per pair.
 //
 // min_timeliness_bound_reference is the original per-step scan, kept
 // as the executable specification: the randomized equivalence tests
@@ -190,14 +196,17 @@ struct TimelyPair {
 /// packed prefix. P-subsets enumerate in SubsetRanker (combinadic)
 /// order; each P's OR'd timeline is computed once and shared by all
 /// C(n,j) observer sets; observer scans fuse the Q-column OR with the
-/// window walk and abort as soon as one P-free window reaches the
-/// bound cap. The [p_begin, p_end) rank ranges let callers shard the
+/// window walk, chunk by chunk (1, 2, 4, ... up to 64 words; for
+/// 2j > n, the inverted OR of the n - j columns outside Q), and abort
+/// as soon as one P-free window reaches the bound cap, so a pruned
+/// pair costs the words up to its prune point. The [p_begin, p_end)
+/// rank ranges let callers shard the
 /// P-space (e.g. across an ExperimentRunner pool): results over a
 /// partition of [0, p_count()) compose to the full-range result.
 class RankedPairScan {
  public:
   /// With an arena, per-call scratch (the shared P OR-buffer and the
-  /// chunked Q OR-buffer) is bump-allocated inside a FrameScope per
+  /// 64-word Q chunk buffer) is bump-allocated inside a FrameScope per
   /// scan call instead of hitting the heap. The arena is mutated by
   /// the (const) scan calls, so a scan object with an arena belongs to
   /// one thread — pool consumers build one RankedPairScan per worker

@@ -22,12 +22,12 @@ Pid RoundRobinGenerator::next() {
 }
 
 UniformRandomGenerator::UniformRandomGenerator(int n, std::uint64_t seed)
-    : n_(n), rng_(seed) {
+    : n_(n), bound_(static_cast<std::uint64_t>(n)), rng_(seed) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
 }
 
 Pid UniformRandomGenerator::next() {
-  return static_cast<Pid>(rng_.next_below(static_cast<std::uint64_t>(n_)));
+  return static_cast<Pid>(rng_.next_below(bound_));
 }
 
 WeightedRandomGenerator::WeightedRandomGenerator(std::vector<double> weights,
@@ -151,7 +151,7 @@ Pid KSubsetStarverGenerator::next() {
   if (step_in_phase_ >= growth_ * phase_) enter_phase();
   ++step_in_phase_;
   const Pid p = active_[rr_];
-  rr_ = (rr_ + 1) % active_.size();
+  if (++rr_ == active_.size()) rr_ = 0;
   return p;
 }
 

@@ -49,6 +49,7 @@ class UniformRandomGenerator final : public ScheduleGenerator {
 
  private:
   int n_;
+  FixedBound bound_;  // n, reduced without a division per draw
   Rng rng_;
 };
 

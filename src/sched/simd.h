@@ -25,6 +25,11 @@
 // the state (RankedPairScan does). Completed walks (false) leave
 // identical state in every implementation: max_q is monotone, so a
 // walk that never reaches prune_q runs every word in all of them.
+// The same monotonicity makes the split of a timeline into calls
+// irrelevant: RankedPairScan walks one pair in growing chunks (1, 2,
+// 4, ... 64 words), carrying the state from call to call, and a pair
+// prunes in some chunk iff its whole-timeline max_q reaches prune_q,
+// so counts, members and witnesses match a single whole-length walk.
 #ifndef SETLIB_SCHED_SIMD_H
 #define SETLIB_SCHED_SIMD_H
 

@@ -1,10 +1,34 @@
 #include "src/util/procset.h"
 
 #include <bit>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 namespace setlib {
+
+namespace {
+
+// C(i, j) for 0 <= i, j <= kMaxProcs by Pascal's rule (0 for j > i).
+// The largest entry, C(63, 31), is below 2^60.
+struct BinomialTable {
+  std::int64_t c[kMaxProcs + 1][kMaxProcs + 1] = {};
+};
+
+constexpr BinomialTable make_binomial_table() {
+  BinomialTable t;
+  for (int i = 0; i <= kMaxProcs; ++i) {
+    t.c[i][0] = 1;
+    for (int j = 1; j <= i; ++j) {
+      t.c[i][j] = t.c[i - 1][j - 1] + (j < i ? t.c[i - 1][j] : 0);
+    }
+  }
+  return t;
+}
+
+constexpr BinomialTable kChoose = make_binomial_table();
+
+}  // namespace
 
 ProcSet ProcSet::universe(int n) {
   SETLIB_EXPECTS(n >= 0 && n <= kMaxProcs);
@@ -80,11 +104,18 @@ std::int64_t binomial(int n, int k) {
   SETLIB_EXPECTS(n >= 0 && k >= 0);
   if (k > n) return 0;
   if (k > n - k) k = n - k;
+  // The multiplicative formula, independent of SubsetRanker's table.
+  // Each step is exact (result * (n-k+i) is divisible by i) and the
+  // product is formed in 128 bits, so every C(n, k) that fits in int64
+  // comes out, C(63, 31) included.
+  using Wide = unsigned __int128;
   std::int64_t result = 1;
   for (int i = 1; i <= k; ++i) {
-    // Exact at every step: result * (n-k+i) is divisible by i here.
-    SETLIB_ASSERT(result <= (std::int64_t{1} << 62) / (n - k + i));
-    result = result * (n - k + i) / i;
+    const Wide next = Wide(static_cast<std::uint64_t>(result)) *
+                      static_cast<std::uint64_t>(n - k + i) /
+                      static_cast<std::uint64_t>(i);
+    SETLIB_ASSERT(next <= Wide(std::numeric_limits<std::int64_t>::max()));
+    result = static_cast<std::int64_t>(next);
   }
   return result;
 }
@@ -92,11 +123,13 @@ std::int64_t binomial(int n, int k) {
 std::vector<ProcSet> k_subsets(int n, int k) {
   SETLIB_EXPECTS(n >= 0 && n <= kMaxProcs);
   SETLIB_EXPECTS(k >= 0 && k <= n);
-  SubsetRanker ranker(n, k);
+  const std::int64_t count = kChoose.c[n][k];
   std::vector<ProcSet> out;
-  out.reserve(static_cast<std::size_t>(ranker.count()));
-  for (std::int64_t r = 0; r < ranker.count(); ++r) {
-    out.push_back(ranker.unrank(r));
+  out.reserve(static_cast<std::size_t>(count));
+  ProcSet s = ProcSet::range(0, k);  // rank 0
+  for (std::int64_t r = 0; r < count; ++r) {
+    out.push_back(s);
+    if (k > 0) s = next_colex(s);
   }
   return out;
 }
@@ -104,16 +137,7 @@ std::vector<ProcSet> k_subsets(int n, int k) {
 SubsetRanker::SubsetRanker(int n, int k) : n_(n), k_(k) {
   SETLIB_EXPECTS(n >= 0 && n <= kMaxProcs);
   SETLIB_EXPECTS(k >= 0 && k <= n);
-  choose_.assign(static_cast<std::size_t>(n + 1),
-                 std::vector<std::int64_t>(static_cast<std::size_t>(k + 1), 0));
-  for (int i = 0; i <= n; ++i) {
-    choose_[i][0] = 1;
-    for (int j = 1; j <= k && j <= i; ++j) {
-      choose_[i][j] = choose_[i - 1][j - 1] +
-                      (j <= i - 1 ? choose_[i - 1][j] : 0);
-    }
-  }
-  count_ = choose_[n][k];
+  count_ = kChoose.c[n][k];
 }
 
 std::int64_t SubsetRanker::rank(ProcSet s) const {
@@ -123,10 +147,7 @@ std::int64_t SubsetRanker::rank(ProcSet s) const {
   // C(c_i, i).
   std::int64_t r = 0;
   int i = 1;
-  for (Pid p : s.to_vector()) {
-    r += choose_[p][i];
-    ++i;
-  }
+  s.for_each([&](Pid p) { r += kChoose.c[p][i++]; });
   return r;
 }
 
@@ -137,9 +158,9 @@ ProcSet SubsetRanker::unrank(std::int64_t r) const {
   for (int i = k_; i >= 1; --i) {
     // Largest c with C(c, i) <= rem.
     int c = i - 1;
-    while (c + 1 <= n_ - 1 && choose_[c + 1][i] <= rem) ++c;
+    while (c + 1 <= n_ - 1 && kChoose.c[c + 1][i] <= rem) ++c;
     s = s.with(c);
-    rem -= choose_[c][i];
+    rem -= kChoose.c[c][i];
   }
   SETLIB_ENSURES(s.size() == k_);
   return s;

@@ -9,7 +9,9 @@
 //
 // SubsetRanker provides the combinatorial number system bijection
 // between k-subsets of {0..n-1} and dense indices [0, C(n,k)), used to
-// lay out the Counter[A, q] register matrix of Figure 2.
+// lay out the Counter[A, q] register matrix of Figure 2. Rank order is
+// colex order, which is numeric mask order, so next_colex steps through
+// the ranks one by one without unranking.
 #ifndef SETLIB_UTIL_PROCSET_H
 #define SETLIB_UTIL_PROCSET_H
 
@@ -157,11 +159,25 @@ std::ostream& operator<<(std::ostream& os, ProcSet s);
 /// n choose k with overflow guard (result must fit in int64).
 std::int64_t binomial(int n, int k);
 
+/// The k-subset following `s` (|s| = k >= 1) in colex order — Gosper's
+/// successor, with a shift by the lowest set bit in place of the
+/// division. next_colex(unrank(r)) == unrank(r + 1) for any SubsetRanker
+/// over s's universe; past the last k-subset of {0..n-1} the result has
+/// a member >= n.
+constexpr ProcSet next_colex(ProcSet s) noexcept {
+  const std::uint64_t mask = s.mask();
+  const std::uint64_t ripple = mask + (mask & (0 - mask));
+  return ProcSet((((ripple ^ mask) >> 2) >> std::countr_zero(mask)) |
+                 ripple);
+}
+
 /// Enumerate all k-subsets of {0..n-1} in combinadic (rank) order.
 std::vector<ProcSet> k_subsets(int n, int k);
 
 /// Bijection between k-subsets of {0..n-1} and [0, C(n,k)), via the
-/// combinatorial number system. rank(unrank(r)) == r for all r.
+/// combinatorial number system. rank(unrank(r)) == r for all r. Every
+/// instance reads one process-wide table of C(i, j) for i, j <=
+/// kMaxProcs, so construction allocates nothing.
 class SubsetRanker {
  public:
   SubsetRanker(int n, int k);
@@ -177,8 +193,6 @@ class SubsetRanker {
   int n_;
   int k_;
   std::int64_t count_;
-  // choose_[i][j] = C(i, j) for i <= n, j <= k.
-  std::vector<std::vector<std::int64_t>> choose_;
 };
 
 }  // namespace setlib

@@ -17,6 +17,14 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+FixedBound::FixedBound(std::uint64_t bound)
+    : bound_(bound), power_of_two_((bound & (bound - 1)) == 0) {
+  SETLIB_EXPECTS(bound > 0);
+  if (power_of_two_) return;
+  threshold_ = (0 - bound) % bound;
+  magic_ = ~Wide{0} / bound + 1;
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);

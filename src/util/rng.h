@@ -17,6 +17,38 @@ namespace setlib {
 /// SplitMix64 step; used for seeding and as a cheap stateless mixer.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// A bound fixed for many Rng::next_below draws, with both of
+/// next_below's divisions paid once here: the rejection threshold, and
+/// Lemire's 128-bit fastmod multiplier for r % bound ("Faster Remainder
+/// by Direct Computation", 2019). Draws through it equal
+/// next_below(bound) bit for bit, rejections included. Power-of-two
+/// bounds keep next_below's plain mask.
+class FixedBound {
+ public:
+  /// Requires bound > 0 (throws otherwise).
+  explicit FixedBound(std::uint64_t bound);
+
+  std::uint64_t bound() const noexcept { return bound_; }
+
+ private:
+  friend class Rng;
+  using Wide = unsigned __int128;
+
+  /// r % bound_ for a bound that is not a power of two.
+  std::uint64_t reduce(std::uint64_t r) const noexcept {
+    const Wide low = magic_ * r;  // the fraction r / bound_, 128 bits
+    const Wide bottom =
+        (Wide(static_cast<std::uint64_t>(low)) * bound_) >> 64;
+    return static_cast<std::uint64_t>(
+        ((low >> 64) * bound_ + bottom) >> 64);
+  }
+
+  std::uint64_t bound_;
+  bool power_of_two_;
+  std::uint64_t threshold_ = 0;  // (2^64 - bound) % bound
+  Wide magic_ = 0;               // floor((2^128 - 1) / bound) + 1
+};
+
 /// xoshiro256** deterministic PRNG.
 class Rng {
  public:
@@ -28,6 +60,15 @@ class Rng {
   /// Uniform in [0, bound). Requires bound > 0 (throws otherwise). Uses
   /// rejection sampling, so the distribution is exactly uniform.
   std::uint64_t next_below(std::uint64_t bound);
+
+  /// Same draw as next_below(bound.bound()), without a division.
+  std::uint64_t next_below(const FixedBound& bound) noexcept {
+    if (bound.power_of_two_) return next_u64() & (bound.bound_ - 1);
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= bound.threshold_) return bound.reduce(r);
+    }
+  }
 
   /// Uniform int in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);

@@ -8,6 +8,7 @@
 #include "src/sched/analyzer.h"
 #include "src/sched/enforcer.h"
 #include "src/util/assert.h"
+#include "src/util/rng.h"
 
 namespace setlib::sched {
 namespace {
@@ -36,6 +37,21 @@ TEST(UniformRandomTest, SeedDeterminism) {
     if (pa != c.next()) differ = true;
   }
   EXPECT_TRUE(differ);
+}
+
+// The generator's fixed-bound draw must reproduce the stream of plain
+// next_below(n) draws on the same seed, for power-of-two and other n.
+TEST(UniformRandomTest, StreamMatchesNextBelowLoop) {
+  for (const int n : {3, 4, 5, 24}) {
+    UniformRandomGenerator gen(n, 0x5eed + static_cast<std::uint64_t>(n));
+    Rng reference(0x5eed + static_cast<std::uint64_t>(n));
+    for (int t = 0; t < 50'000; ++t) {
+      const Pid want = static_cast<Pid>(
+          reference.next_below(static_cast<std::uint64_t>(n)));
+      const Pid got = gen.next();
+      if (got != want) FAIL() << "n " << n << " step " << t;
+    }
+  }
 }
 
 TEST(WeightedRandomTest, RespectsWeights) {
@@ -135,6 +151,35 @@ TEST(KSubsetStarverTest, EveryKSubsetEventuallyStarved) {
   for (const ProcSet pair : k_subsets(n, k + 1)) {
     EXPECT_LE(min_timeliness_bound(s, pair, ProcSet::universe(n)), 2 * n)
         << pair.to_string();
+  }
+}
+
+// The starver's phase and round-robin bookkeeping, restated with `%`:
+// phase m (length growth * m) starves the k-subset of rank
+// (m - 1) mod C(n, k) and cycles through the rest.
+TEST(KSubsetStarverTest, StreamMatchesModuloLoop) {
+  const int n = 24, k = 2;
+  const std::int64_t growth = 64;
+  KSubsetStarverGenerator gen(n, ProcSet::universe(n), k, growth);
+  const std::vector<ProcSet> starved = k_subsets(n, k);
+  std::int64_t phase = 1;
+  std::int64_t step_in_phase = 0;
+  std::size_t rr = 0;
+  for (int t = 0; t < 50'000; ++t) {
+    if (step_in_phase == growth * phase) {
+      ++phase;
+      step_in_phase = 0;
+      rr = 0;
+    }
+    const std::vector<Pid> active =
+        starved[static_cast<std::size_t>(phase - 1) % starved.size()]
+            .complement(n)
+            .to_vector();
+    const Pid want = active[rr];
+    rr = (rr + 1) % active.size();
+    ++step_in_phase;
+    const Pid got = gen.next();
+    if (got != want) FAIL() << "step " << t;
   }
 }
 

@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sched/enforcer.h"
 #include "src/sched/generators.h"
+#include "src/sched/simd.h"
 #include "src/util/rng.h"
 
 namespace setlib::sched {
@@ -208,11 +211,13 @@ TimelyPair best_pair_oracle(const Schedule& s, int i, int j) {
   return best;
 }
 
+// The 5,000-step trials outgrow 4,096 steps (64 words), so the scan's
+// observer chunks grow from one word to their full 64-word size.
 TEST(RankedPairScanTest, BestPairMatchesExhaustiveOracle) {
   Rng rng(41);
-  for (int trial = 0; trial < 12; ++trial) {
+  for (int trial = 0; trial < 14; ++trial) {
     const int n = 3 + static_cast<int>(rng.next_below(4));  // 3..6
-    const Schedule s = random_schedule(rng, n, 400);
+    const Schedule s = random_schedule(rng, n, trial < 12 ? 400 : 5'000);
     const PackedSchedule packed(s);
     for (int i = 1; i <= n; ++i) {
       for (int j = 1; j <= n; ++j) {
@@ -228,9 +233,9 @@ TEST(RankedPairScanTest, BestPairMatchesExhaustiveOracle) {
 
 TEST(RankedPairScanTest, WitnessMatchesFirstInEnumerationOrder) {
   Rng rng(43);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 24; ++trial) {
     const int n = 3 + static_cast<int>(rng.next_below(4));
-    const Schedule s = random_schedule(rng, n, 300);
+    const Schedule s = random_schedule(rng, n, trial < 20 ? 300 : 5'000);
     const PackedSchedule packed(s);
     const int i = 1 + static_cast<int>(rng.next_below(
                           static_cast<std::uint64_t>(n)));
@@ -257,6 +262,84 @@ TEST(RankedPairScanTest, WitnessMatchesFirstInEnumerationOrder) {
       EXPECT_EQ(got->bound, expected->bound);
     }
   }
+}
+
+// count_members against the reference scan of every pair. The sizes
+// cover small observer sets (2j <= n: Q's columns are OR'd) and large
+// ones (2j > n: the complement's columns are OR'd and inverted); the
+// lengths cover a one-step schedule, the last-word tail mask on either
+// side of a word boundary, and 9,000 steps (141 words), which runs
+// through every chunk size from 1 to 64 words. Both kernel tables must
+// give the reference's counts and first member.
+TEST(RankedPairScanTest, CountMembersMatchesExhaustiveOracle) {
+  struct Case {
+    Schedule s;
+    int i;
+    int j;
+    std::vector<std::int64_t> bounds;  // reference, in enumeration order
+  };
+  std::vector<Case> cases;
+  Rng rng(53);
+  for (int n = 4; n <= 9; ++n) {
+    for (const std::int64_t len : {1, 63, 64, 65, 1000, 9000}) {
+      const Schedule s = random_schedule(rng, n, len);
+      for (const int i : {1, n - 1}) {
+        for (const int j : {1, n / 2, n / 2 + 1, n}) {
+          Case c{s, i, j, {}};
+          for (ProcSet p : k_subsets(n, i)) {
+            for (ProcSet q : k_subsets(n, j)) {
+              c.bounds.push_back(min_timeliness_bound_reference(s, p, q));
+            }
+          }
+          cases.push_back(std::move(c));
+        }
+      }
+    }
+  }
+  const auto check_all = [&cases](const char* table) {
+    for (const Case& c : cases) {
+      const PackedSchedule packed(c.s);
+      const RankedPairScan scan(packed, c.i, c.j);
+      const std::vector<ProcSet> ps = k_subsets(c.s.n(), c.i);
+      const std::vector<ProcSet> qs = k_subsets(c.s.n(), c.j);
+      for (std::int64_t cap = 1; cap <= 4; ++cap) {
+        RankedPairScan::MemberCount want;
+        for (std::size_t k = 0; k < c.bounds.size(); ++k) {
+          ++want.pairs;
+          if (c.bounds[k] > cap) continue;
+          ++want.members;
+          if (!want.first) {
+            want.first = TimelyPair{ps[k / qs.size()], qs[k % qs.size()],
+                                    c.bounds[k]};
+          }
+        }
+        const auto got = scan.count_members(cap);
+        const std::string where =
+            std::string(table) + " n " + std::to_string(c.s.n()) +
+            " len " + std::to_string(c.s.size()) + " i " +
+            std::to_string(c.i) + " j " + std::to_string(c.j) + " cap " +
+            std::to_string(cap);
+        ASSERT_EQ(got.pairs, want.pairs) << where;
+        ASSERT_EQ(got.members, want.members) << where;
+        ASSERT_EQ(got.first.has_value(), want.first.has_value()) << where;
+        if (got.first) {
+          EXPECT_EQ(got.first->timely_set, want.first->timely_set) << where;
+          EXPECT_EQ(got.first->observed_set, want.first->observed_set)
+              << where;
+          EXPECT_EQ(got.first->bound, want.first->bound) << where;
+        }
+      }
+    }
+  };
+  {
+    // Restores the dispatched table even when an assertion returns.
+    struct ForceScalar {
+      ForceScalar() { simd::set_kernels_for_testing(&simd::scalar_kernels()); }
+      ~ForceScalar() { simd::set_kernels_for_testing(nullptr); }
+    } force_scalar;
+    check_all("scalar");
+  }
+  check_all(simd::active_kernels().name);
 }
 
 TEST(RankedPairScanTest, RangeSplitsCompose) {

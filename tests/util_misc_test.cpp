@@ -67,6 +67,36 @@ TEST(RngTest, NextBelowPowerOfTwoMatchesRejection) {
   }
 }
 
+// A FixedBound draw is next_below's draw with the divisions hoisted:
+// the same value and the same number of consumed words, rejections
+// included (2^63 + 1 rejects about half of all words).
+TEST(RngTest, FixedBoundMatchesNextBelow) {
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t b = 1; b <= 64; ++b) bounds.push_back(b);
+  for (const std::uint64_t b :
+       {std::uint64_t{1000003}, (std::uint64_t{1} << 32) - 1,
+        (std::uint64_t{1} << 32) + 1, std::uint64_t{1} << 62,
+        (std::uint64_t{1} << 63) + 1}) {
+    bounds.push_back(b);
+  }
+  for (const std::uint64_t bound : bounds) {
+    const FixedBound fixed(bound);
+    EXPECT_EQ(fixed.bound(), bound);
+    Rng fast(0xb0b + bound);
+    Rng reference = fast;
+    for (int i = 0; i < 100'000; ++i) {
+      const std::uint64_t got = fast.next_below(fixed);
+      const std::uint64_t want = reference.next_below(bound);
+      if (got != want) {
+        FAIL() << "bound " << bound << " draw " << i << ": " << got
+               << " != " << want;
+      }
+    }
+    EXPECT_EQ(fast.next_u64(), reference.next_u64()) << "bound " << bound;
+  }
+  EXPECT_THROW(FixedBound(0), ContractViolation);
+}
+
 TEST(RngTest, NextInInclusiveBounds) {
   Rng rng(9);
   bool hit_lo = false, hit_hi = false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 
 namespace setlib {
@@ -149,6 +151,46 @@ TEST(SubsetRankerTest, UnrankOrderIsMonotone) {
   for (std::int64_t r = 1; r < ranker.count(); ++r) {
     EXPECT_LT(ranker.unrank(r - 1).mask(), ranker.unrank(r).mask());
   }
+}
+
+// next_colex is the successor of SubsetRanker's rank order, so rank
+// loops can step instead of unranking. Past the last rank it leaves
+// the universe.
+TEST(SubsetRankerTest, ColexSuccessorIsNextRank) {
+  const auto check = [](int n, int k, std::int64_t max_ranks) {
+    const SubsetRanker ranker(n, k);
+    const std::int64_t ranks = std::min(ranker.count(), max_ranks);
+    ProcSet s = ranker.unrank(0);
+    EXPECT_EQ(s, ProcSet::range(0, k));
+    for (std::int64_t r = 0; r + 1 < ranks; ++r) {
+      const ProcSet next = next_colex(s);
+      ASSERT_EQ(next, ranker.unrank(r + 1))
+          << "n " << n << " k " << k << " rank " << r;
+      s = next;
+    }
+    if (ranks == ranker.count()) {
+      EXPECT_FALSE(next_colex(s).subset_of(ProcSet::universe(n)))
+          << "n " << n << " k " << k;
+    }
+  };
+  for (int n = 1; n <= 12; ++n) {
+    for (int k = 1; k <= n; ++k) check(n, k, INT64_MAX);
+  }
+  for (const int k : {1, 2, 22, 23}) check(24, k, INT64_MAX);
+  for (const int k : {1, 31, 62}) check(63, k, 10'000);
+}
+
+// The shared C(i, j) table behind every ranker agrees with the
+// multiplicative formula over the whole supported range, C(63, 31)
+// included.
+TEST(SubsetRankerTest, CountIsBinomial) {
+  for (int n = 0; n <= kMaxProcs; ++n) {
+    for (int k = 0; k <= n; ++k) {
+      ASSERT_EQ(SubsetRanker(n, k).count(), binomial(n, k))
+          << "n " << n << " k " << k;
+    }
+  }
+  EXPECT_EQ(binomial(63, 31), 916312070471295267);
 }
 
 TEST(SubsetRankerTest, RejectsWrongSizeSet) {
