@@ -86,10 +86,10 @@ PairScanResult ranked_pair_scan(const PairScanConfig& cfg,
     gen = std::make_unique<sched::KSubsetStarverGenerator>(
         cfg.n, ProcSet::universe(cfg.n), cfg.i, 64);
   }
-  const sched::Schedule s = sched::generate(*gen, cfg.len);
   // Pack-once: the shared packed prefix is built on the submitting
-  // thread and borrowed read-only by every worker's scan.
-  const sched::PackedSchedule packed(s);
+  // thread, straight from the generator (no Schedule is materialized),
+  // and borrowed read-only by every worker's scan.
+  const sched::PackedSchedule packed(*gen, cfg.len);
   const std::int64_t p_count = SubsetRanker(cfg.n, cfg.i).count();
 
   // Fixed-size P-rank chunks: the chunk space (not the thread count)

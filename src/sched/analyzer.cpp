@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <span>
 
 #include "src/sched/simd.h"
 #include "src/util/assert.h"
@@ -146,26 +147,70 @@ PackedSchedule::PackedSchedule(const Schedule& s,
   repack(s);
 }
 
+PackedSchedule::PackedSchedule(ScheduleGenerator& gen, std::int64_t steps) {
+  SETLIB_EXPECTS(steps >= 0);
+  reset(gen.n(), steps);
+  // 16 blocks per fill() call: the batch stays in L1, and the per-call
+  // cost is spread over 1,024 steps.
+  constexpr std::int64_t kPullSteps = 16 * kBitsPerWord;
+  Pid pulled[kPullSteps];
+  for (std::int64_t t0 = 0; t0 < len_; t0 += kPullSteps) {
+    const std::int64_t count = std::min(kPullSteps, len_ - t0);
+    gen.fill(std::span<Pid>(pulled, static_cast<std::size_t>(count)));
+    for (std::int64_t t = 0; t < count; t += kBitsPerWord) {
+      const std::int64_t w = (t0 + t) / kBitsPerWord;
+      pack_block(pulled + t, block_steps(w), w);
+    }
+  }
+}
+
 void PackedSchedule::repack(const Schedule& s) {
-  n_ = s.n();
-  len_ = s.size();
+  reset(s.n(), s.size());
+  const Pid* steps = s.steps().data();
+  for (std::int64_t w = 0; w < words_; ++w) {
+    pack_block(steps + w * kBitsPerWord, block_steps(w), w);
+  }
+}
+
+void PackedSchedule::reset(int n, std::int64_t len) {
+  n_ = n;
+  len_ = len;
   words_ = (len_ + kBitsPerWord - 1) / kBitsPerWord;
   const std::size_t total =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(words_);
+  // No zero fill: pack_block writes every word.
   if (arena_ != nullptr) {
     data_ = arena_->alloc_array<std::uint64_t>(
         static_cast<std::int64_t>(total));
-    std::fill_n(data_, total, std::uint64_t{0});
   } else {
-    owned_.assign(total, 0);  // grow-only: capacity is recycled
+    if (owned_.size() < total) owned_.resize(total);  // grow-only
     data_ = owned_.data();
   }
-  const std::vector<Pid>& steps = s.steps();
-  for (std::int64_t t = 0; t < len_; ++t) {
-    const Pid p = steps[static_cast<std::size_t>(t)];
-    data_[static_cast<std::size_t>(p) * static_cast<std::size_t>(words_) +
-          static_cast<std::size_t>(t / kBitsPerWord)] |=
-        std::uint64_t{1} << (t % kBitsPerWord);
+}
+
+int PackedSchedule::block_steps(std::int64_t w) const noexcept {
+  return static_cast<int>(
+      std::min<std::int64_t>(kBitsPerWord, len_ - w * kBitsPerWord));
+}
+
+void PackedSchedule::pack_block(const Pid* steps, int count,
+                                std::int64_t w) {
+  // Gather the block's bits per process on the stack, then store one
+  // word per column. Indexing by pid % 64 keeps a bad pid in bounds
+  // until the range check after the loop rejects it.
+  std::uint64_t acc[kBitsPerWord] = {};
+  unsigned max_pid = 0;
+  std::uint64_t bit = 1;
+  for (int t = 0; t < count; ++t, bit <<= 1) {
+    const auto p = static_cast<unsigned>(steps[t]);
+    max_pid = std::max(max_pid, p);
+    acc[p % kBitsPerWord] |= bit;
+  }
+  SETLIB_EXPECTS(max_pid < static_cast<unsigned>(n_));
+  const auto stride = static_cast<std::size_t>(words_);
+  for (int p = 0; p < n_; ++p) {
+    data_[static_cast<std::size_t>(p) * stride +
+          static_cast<std::size_t>(w)] = acc[p];
   }
 }
 

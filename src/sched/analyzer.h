@@ -52,6 +52,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/sched/generator.h"
 #include "src/sched/schedule.h"
 #include "src/util/arena.h"
 #include "src/util/procset.h"
@@ -131,10 +132,14 @@ class BoundTracker {
 /// Pack-once ownership contract (docs/MEMORY.md): whoever executes a
 /// schedule packs it exactly once — on its per-cell arena when it has
 /// one — and every downstream consumer (engine report, pair scans,
-/// frontier checks) borrows that instance read-only. repack() recycles
-/// the word storage across schedules, so a loop that analyzes many
-/// schedules (the fuzzer's minimization evals, the frontier's cell
-/// loop) allocates its words once.
+/// frontier checks) borrows that instance read-only. A consumer that
+/// never reads the steps themselves (the membership census) packs
+/// straight from the generator and never materializes a Schedule.
+/// repack() recycles the word storage across schedules, so a loop
+/// that analyzes many schedules (the fuzzer's minimization evals, the
+/// frontier's cell loop) allocates its words once. Every constructor
+/// and repack() share one block packer: 64 steps become one word of
+/// every column.
 class PackedSchedule {
  public:
   /// Empty (n = 0, size = 0): a repack target for reuse loops.
@@ -145,6 +150,13 @@ class PackedSchedule {
   /// frame discipline governs the storage — repack() on an
   /// arena-backed instance bumps fresh words from the arena.
   PackedSchedule(const Schedule& s, util::ArenaAllocator& arena);
+  /// Packs the next `steps` steps of `gen` straight into the words:
+  /// pulled through gen.fill() 1,024 at a time into a stack buffer and
+  /// packed one 64-step block at a time. No Schedule is materialized,
+  /// and the words are the only allocation. The columns equal
+  /// PackedSchedule(generate(gen, steps)), and `gen` is left exactly
+  /// `steps` steps further on.
+  PackedSchedule(ScheduleGenerator& gen, std::int64_t steps);
 
   // The word storage is borrowed by reference everywhere (column()
   // pointers); copying would silently fork it.
@@ -176,6 +188,15 @@ class PackedSchedule {
   std::int64_t bound_for(ProcSet p, ProcSet q) const;
 
  private:
+  /// Sizes the word storage for n processes x len steps. Contents are
+  /// left unspecified: pack_block writes every word of its block.
+  void reset(int n, std::int64_t len);
+  /// Steps in block w (64, or fewer in the last block).
+  int block_steps(std::int64_t w) const noexcept;
+  /// The one pack loop: steps[0, count) become bits [0, count) of word
+  /// w of every column.
+  void pack_block(const Pid* steps, int count, std::int64_t w);
+
   int n_ = 0;
   std::int64_t len_ = 0;
   std::int64_t words_ = 0;

@@ -1,8 +1,22 @@
 #include "src/sched/enforcer.h"
 
+#include <bit>
+
 #include "src/util/assert.h"
 
 namespace setlib::sched {
+
+namespace {
+
+// Base pulls per step before the enforcer gives up on the base finding
+// an alive process and emits the smallest alive pid instead.
+constexpr std::int64_t kMaxPulls = 1'000'000;
+
+// Substitution rounds per step: a substitution restarts the constraint
+// scan, at most this many times.
+constexpr int kMaxRounds = 8;
+
+}  // namespace
 
 EnforcedGenerator::EnforcedGenerator(
     std::unique_ptr<ScheduleGenerator> base,
@@ -16,7 +30,11 @@ EnforcedGenerator::EnforcedGenerator(
     SETLIB_EXPECTS(!c.timely_set.empty());
     SETLIB_EXPECTS(c.timely_set.subset_of(universe));
     SETLIB_EXPECTS(c.observed_set.subset_of(universe));
-    states_.push_back(State{c});
+    State st;
+    st.timely = c.timely_set.mask();
+    st.q_only = (c.observed_set - c.timely_set).mask();
+    st.trigger = c.bound - 1;
+    states_.push_back(st);
   }
 }
 
@@ -29,68 +47,90 @@ std::unique_ptr<EnforcedGenerator> EnforcedGenerator::single(
       CrashPlan::none(n));
 }
 
-Pid EnforcedGenerator::pick_substitute(State& st, ProcSet alive) {
-  const ProcSet candidates = st.c.timely_set & alive;
-  SETLIB_EXPECTS(!candidates.empty());
-  const int sz = candidates.size();
-  const Pid p = candidates.nth(st.rotate % sz);
-  ++st.rotate;
-  return p;
+void EnforcedGenerator::recompute_alive() {
+  alive_ = plan_.alive_at(emitted_);
+  alive_until_ = plan_.next_crash_after(emitted_);
+  SETLIB_ASSERT(!alive_.empty());
+  for (State& st : states_) {
+    st.avail = st.timely & alive_.mask();
+    if (st.avail == 0) continue;
+    const ProcSet avail(st.avail);
+    st.cursor = avail.nth(static_cast<int>(st.rotate % avail.size()));
+  }
 }
 
-Pid EnforcedGenerator::next() {
-  if (emitted_ >= alive_until_) {
-    alive_ = plan_.alive_at(emitted_);
-    alive_until_ = plan_.next_crash_after(emitted_);
-  }
-  const ProcSet alive = alive_;
-  SETLIB_ASSERT(!alive.empty());
-
-  // Base proposal, already crash-filtered.
-  Pid candidate = -1;
-  for (std::int64_t attempts = 0; attempts < 1'000'000; ++attempts) {
-    const Pid p = base_->next();
-    if (alive.contains(p)) {
-      candidate = p;
+// Inline: the shared rule is most of the cost of next() and fill().
+inline Pid EnforcedGenerator::enforce(Pid candidate) {
+  // Apply constraints in order: the first one the candidate would break
+  // substitutes, and the scan restarts so the final choice is
+  // re-checked against every constraint. A lone constraint skips the
+  // re-check: its substitutes are in P, which its window never counts.
+  for (int round = 0; round < kMaxRounds; ++round) {
+    State* hit = nullptr;
+    for (State& st : states_) {
+      if ((st.q_only >> candidate & 1) == 0 ||
+          st.q_steps_since_p < st.trigger) {
+        continue;
+      }
+      if (st.avail == 0) {
+        ++dropped_;
+        continue;  // constraint no longer enforceable
+      }
+      hit = &st;
       break;
     }
-  }
-  if (candidate < 0) candidate = alive.min();
-
-  // Apply constraints in order; a substitution restarts the scan so the
-  // final choice is re-checked against every constraint.
-  bool changed = true;
-  int rounds = 0;
-  while (changed && rounds < 8) {
-    changed = false;
-    ++rounds;
-    for (auto& st : states_) {
-      const bool in_q = st.c.observed_set.contains(candidate);
-      const bool in_p = st.c.timely_set.contains(candidate);
-      if (in_q && !in_p && st.q_steps_since_p >= st.c.bound - 1) {
-        const ProcSet avail = st.c.timely_set & alive;
-        if (avail.empty()) {
-          ++dropped_;
-          continue;  // constraint no longer enforceable
-        }
-        candidate = pick_substitute(st, alive);
-        ++substitutions_;
-        changed = true;
-        break;
-      }
-    }
+    if (hit == nullptr) break;
+    // Substitute member rotate % |P ∩ alive|, then advance the cursor
+    // to the next member, wrapping to the first.
+    candidate = hit->cursor;
+    ++hit->rotate;
+    const std::uint64_t later =
+        hit->avail & (~std::uint64_t{1} << hit->cursor);
+    hit->cursor = std::countr_zero(later != 0 ? later : hit->avail);
+    ++substitutions_;
+    if (states_.size() == 1) break;
   }
 
-  // Update window counters with the emitted step.
-  for (auto& st : states_) {
-    if (st.c.timely_set.contains(candidate)) {
-      st.q_steps_since_p = 0;
-    } else if (st.c.observed_set.contains(candidate)) {
-      ++st.q_steps_since_p;
-    }
+  // Window counters, branch-free: a P-step resets, a (Q \ P)-step
+  // counts.
+  for (State& st : states_) {
+    const auto in_p = static_cast<std::int64_t>(st.timely >> candidate & 1);
+    const auto in_q = static_cast<std::int64_t>(st.q_only >> candidate & 1);
+    st.q_steps_since_p = (st.q_steps_since_p + in_q) & (in_p - 1);
   }
   ++emitted_;
   return candidate;
+}
+
+Pid EnforcedGenerator::next() {
+  refresh_alive();
+  // Base proposal, crash-filtered.
+  for (std::int64_t attempts = 0; attempts < kMaxPulls; ++attempts) {
+    const Pid p = base_->next();
+    if (alive_.contains(p)) return enforce(p);
+  }
+  return enforce(alive_.min());
+}
+
+void EnforcedGenerator::fill(std::span<Pid> out) {
+  std::size_t done = 0;
+  std::int64_t rejected = 0;  // crashed base picks for step out[done]
+  while (done < out.size()) {
+    // Each pull yields at most one step, so the owed tail of `out` is
+    // the pull buffer: steps are written behind the read position.
+    const std::span<Pid> pulled = out.subspan(done);
+    base_->fill(pulled);
+    for (const Pid p : pulled) {
+      refresh_alive();
+      if (alive_.contains(p)) {
+        out[done++] = enforce(p);
+        rejected = 0;
+      } else if (++rejected == kMaxPulls) {
+        out[done++] = enforce(alive_.min());
+        rejected = 0;
+      }
+    }
+  }
 }
 
 }  // namespace setlib::sched

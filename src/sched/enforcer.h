@@ -7,6 +7,12 @@
 // alive members) whenever emitting the base's choice would complete a
 // P-free window with b steps of Q.
 //
+// One private rule, enforce(), serves next() and fill(): each
+// constraint keeps its word masks and, cached between the crash plan's
+// crash steps, its alive timely members and round-robin cursor, so a
+// step costs a few mask tests and a branch-free counter update per
+// constraint.
+//
 // With several overlapping constraints the enforcer is best-effort
 // (constraints are applied in order, and a substitution for one may feed
 // another); experiments therefore always cross-check the *executed*
@@ -16,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/sched/generator.h"
@@ -49,6 +56,9 @@ class EnforcedGenerator final : public ScheduleGenerator {
 
   int n() const override { return base_->n(); }
   Pid next() override;
+  /// Pulls from the base in blocks of exactly the steps still owed, so
+  /// the base is consumed in the same order as by next() calls.
+  void fill(std::span<Pid> out) override;
 
   /// Number of substituted steps so far (how often the enforcer had to
   /// override the base generator).
@@ -62,12 +72,30 @@ class EnforcedGenerator final : public ScheduleGenerator {
 
  private:
   struct State {
-    TimelinessConstraint c;
+    std::uint64_t timely = 0;      // P
+    std::uint64_t q_only = 0;      // Q \ P: the steps a window counts
+    std::int64_t trigger = 0;      // bound - 1
     std::int64_t q_steps_since_p = 0;
-    int rotate = 0;  // round-robin cursor into P's members
+    // Substitutions so far; the next substitute is member
+    // rotate % |P ∩ alive| of P ∩ alive.
+    std::int64_t rotate = 0;
+    // Cached by recompute_alive(): P ∩ alive and its member number
+    // rotate % |P ∩ alive| (`cursor`, as a pid), valid until the
+    // alive set changes; substitutions advance the cursor in step.
+    std::uint64_t avail = 0;
+    Pid cursor = 0;
   };
 
-  Pid pick_substitute(State& st, ProcSet alive);
+  /// Refreshes alive_ (and every constraint's cache) when emitted_ has
+  /// reached the plan's next crash step.
+  void refresh_alive() {
+    if (emitted_ >= alive_until_) recompute_alive();
+  }
+  void recompute_alive();
+
+  /// The rule: emits `candidate` (an alive base pick) or a substitute,
+  /// and advances the window counters.
+  Pid enforce(Pid candidate);
 
   std::unique_ptr<ScheduleGenerator> base_;
   std::vector<State> states_;

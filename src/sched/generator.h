@@ -8,10 +8,16 @@
 // generators.h and families.h are oblivious (pure functions of params
 // and seed), while the ReactiveGenerators in reactive.h consume the
 // ObservationFeed (observations.h) the executor publishes each step.
+//
+// Bulk consumers (generate(), PackedSchedule's generator constructor)
+// pull through fill() instead: one virtual call per block, and the
+// oblivious generators override it with a loop the compiler can see
+// through. fill() never changes the stream, only the cost of reading it.
 #ifndef SETLIB_SCHED_GENERATOR_H
 #define SETLIB_SCHED_GENERATOR_H
 
 #include <memory>
+#include <span>
 
 #include "src/sched/schedule.h"
 #include "src/util/procset.h"
@@ -27,9 +33,19 @@ class ScheduleGenerator {
 
   /// The pid taking the next step.
   virtual Pid next() = 0;
+
+  /// Writes the next out.size() steps into `out`, in order. Contract:
+  /// fill() and next() read one stream — any interleaving of fill()
+  /// blocks (of any size, including 0) and next() calls yields the
+  /// same pids, and leaves the generator in the same state, as that
+  /// many next() calls. The default loops next().
+  virtual void fill(std::span<Pid> out) {
+    for (Pid& p : out) p = next();
+  }
 };
 
-/// Materialize the next `steps` steps of `gen` as a Schedule.
+/// Materialize the next `steps` steps of `gen` as a Schedule (one
+/// fill() into a pre-sized step vector).
 Schedule generate(ScheduleGenerator& gen, std::int64_t steps);
 
 }  // namespace setlib::sched

@@ -1,14 +1,16 @@
 #include "src/sched/generators.h"
 
+#include <algorithm>
+
 #include "src/util/assert.h"
 
 namespace setlib::sched {
 
 Schedule generate(ScheduleGenerator& gen, std::int64_t steps) {
   SETLIB_EXPECTS(steps >= 0);
-  Schedule s(gen.n());
-  for (std::int64_t i = 0; i < steps; ++i) s.append(gen.next());
-  return s;
+  std::vector<Pid> out(static_cast<std::size_t>(steps));
+  gen.fill(out);
+  return Schedule(gen.n(), std::move(out));
 }
 
 RoundRobinGenerator::RoundRobinGenerator(int n) : n_(n) {
@@ -28,6 +30,10 @@ UniformRandomGenerator::UniformRandomGenerator(int n, std::uint64_t seed)
 
 Pid UniformRandomGenerator::next() {
   return static_cast<Pid>(rng_.next_below(bound_));
+}
+
+void UniformRandomGenerator::fill(std::span<Pid> out) {
+  for (Pid& p : out) p = static_cast<Pid>(rng_.next_below(bound_));
 }
 
 WeightedRandomGenerator::WeightedRandomGenerator(std::vector<double> weights,
@@ -153,6 +159,25 @@ Pid KSubsetStarverGenerator::next() {
   const Pid p = active_[rr_];
   if (++rr_ == active_.size()) rr_ = 0;
   return p;
+}
+
+void KSubsetStarverGenerator::fill(std::span<Pid> out) {
+  std::size_t done = 0;
+  while (done < out.size()) {
+    if (step_in_phase_ >= growth_ * phase_) enter_phase();
+    // One run: the rest of this phase or of `out`, and at most the
+    // rest of the current round-robin lap.
+    const std::size_t run = std::min(
+        {out.size() - done,
+         static_cast<std::size_t>(growth_ * phase_ - step_in_phase_),
+         active_.size() - rr_});
+    std::copy_n(active_.begin() + static_cast<std::ptrdiff_t>(rr_), run,
+                out.begin() + static_cast<std::ptrdiff_t>(done));
+    done += run;
+    step_in_phase_ += static_cast<std::int64_t>(run);
+    rr_ += run;
+    if (rr_ == active_.size()) rr_ = 0;
+  }
 }
 
 SwitchGenerator::SwitchGenerator(std::unique_ptr<ScheduleGenerator> before,

@@ -46,6 +46,7 @@ class UniformRandomGenerator final : public ScheduleGenerator {
 
   int n() const override { return n_; }
   Pid next() override;
+  void fill(std::span<Pid> out) override;
 
  private:
   int n_;
@@ -134,6 +135,8 @@ class KSubsetStarverGenerator final : public ScheduleGenerator {
 
   int n() const override { return n_; }
   Pid next() override;
+  /// Copies whole round-robin runs of the current phase at a time.
+  void fill(std::span<Pid> out) override;
 
  private:
   void enter_phase();

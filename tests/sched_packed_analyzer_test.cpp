@@ -16,6 +16,8 @@
 #include "src/sched/enforcer.h"
 #include "src/sched/generators.h"
 #include "src/sched/simd.h"
+#include "src/util/arena.h"
+#include "src/util/assert.h"
 #include "src/util/rng.h"
 
 namespace setlib::sched {
@@ -130,6 +132,79 @@ TEST(PackedScheduleTest, ColumnsPartitionTheTimeline) {
                                s.size() % kBitsPerWord)),
               0u);
   }
+}
+
+// Column-for-column equality, stale words included: every word of
+// every column must match.
+void expect_same_columns(const PackedSchedule& got,
+                         const PackedSchedule& want, const std::string& what) {
+  ASSERT_EQ(got.n(), want.n()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  ASSERT_EQ(got.words(), want.words()) << what;
+  for (Pid p = 0; p < want.n(); ++p) {
+    for (std::int64_t w = 0; w < want.words(); ++w) {
+      ASSERT_EQ(got.column(p)[w], want.column(p)[w])
+          << what << " pid " << p << " word " << w;
+    }
+  }
+}
+
+// Both census families: the enforced witness and the i-subset starver.
+std::unique_ptr<ScheduleGenerator> census_generator(bool enforced) {
+  if (enforced) {
+    return EnforcedGenerator::single(
+        std::make_unique<UniformRandomGenerator>(24, 11),
+        TimelinessConstraint(ProcSet::range(0, 2), ProcSet::range(0, 23),
+                             3));
+  }
+  return std::make_unique<KSubsetStarverGenerator>(
+      24, ProcSet::universe(24), 2, 64);
+}
+
+TEST(PackedScheduleTest, GeneratorFedMatchesMaterialized) {
+  for (const bool enforced : {true, false}) {
+    for (const std::int64_t len : {0, 1, 63, 64, 65, 40'001}) {
+      const std::string what = std::string(enforced ? "enforced" : "starver") +
+                               " len " + std::to_string(len);
+      auto fed = census_generator(enforced);
+      auto materialized = census_generator(enforced);
+      const PackedSchedule got(*fed, len);
+      const PackedSchedule want(generate(*materialized, len));
+      expect_same_columns(got, want, what);
+      // The packer pulled exactly `len` steps.
+      EXPECT_EQ(fed->next(), materialized->next()) << what;
+    }
+  }
+}
+
+TEST(PackedScheduleTest, RepackOverwritesRecycledWords) {
+  Rng rng(23);
+  PackedSchedule heap;
+  util::ArenaAllocator arena;
+  PackedSchedule on_arena(random_schedule(rng, 5, 10), arena);
+  for (const std::int64_t len : {40'001, 65, 0, 130, 64, 1'000}) {
+    for (const int n : {7, 3}) {
+      const Schedule s = random_schedule(rng, n, len);
+      heap.repack(s);
+      on_arena.repack(s);
+      const PackedSchedule fresh(s);
+      const std::string what =
+          "n " + std::to_string(n) + " len " + std::to_string(len);
+      expect_same_columns(heap, fresh, "heap " + what);
+      expect_same_columns(on_arena, fresh, "arena " + what);
+    }
+  }
+}
+
+TEST(PackedScheduleTest, GeneratorFedRejectsOutOfRangePids) {
+  // A generator claiming n = 3 but emitting pid 4.
+  class Liar final : public ScheduleGenerator {
+   public:
+    int n() const override { return 3; }
+    Pid next() override { return 4; }
+  };
+  Liar liar;
+  EXPECT_THROW(PackedSchedule(liar, 10), ContractViolation);
 }
 
 TEST(BoundTrackerTest, ExtendMatchesRecomputeAtEveryCut) {

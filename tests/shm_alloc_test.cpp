@@ -2,14 +2,22 @@
 // values of up to Value::kInlineWords words never touches the heap.
 // This binary replaces the global operator new/delete with counting
 // versions (for this executable only) and checks the count stays at
-// zero across a hot loop of register operations.
+// zero across a hot loop of register operations. The census generation
+// contract rides along: the enforcer's next() and fill() allocate
+// nothing, and packing straight from a generator allocates its words
+// and nothing else.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "src/sched/analyzer.h"
+#include "src/sched/enforcer.h"
+#include "src/sched/generators.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
 #include "src/shm/program.h"
@@ -124,3 +132,46 @@ TEST(ShmAllocTest, ProcessStepsDoNotAllocate) {
 
 }  // namespace
 }  // namespace setlib::shm
+
+namespace setlib::sched {
+namespace {
+
+std::unique_ptr<EnforcedGenerator> census_enforced() {
+  return EnforcedGenerator::single(
+      std::make_unique<UniformRandomGenerator>(24, 11),
+      TimelinessConstraint(ProcSet::range(0, 2), ProcSet::range(0, 23), 3));
+}
+
+TEST(CensusAllocTest, EnforcedNextAndFillDoNotAllocate) {
+  auto gen = census_enforced();
+  std::vector<Pid> block(4'096);
+  std::int64_t checksum = 0;
+  const std::int64_t allocs = allocations_in([&] {
+    for (int round = 0; round < 10; ++round) {
+      gen->fill(block);
+      for (int t = 0; t < 1'000; ++t) checksum += gen->next();
+    }
+  });
+  EXPECT_EQ(allocs, 0);
+  EXPECT_GT(gen->substitutions(), 0);
+  EXPECT_NE(checksum, 0);
+}
+
+TEST(CensusAllocTest, GeneratorFedPackAllocatesOnlyItsWords) {
+  auto enforced = census_enforced();
+  KSubsetStarverGenerator starver(24, ProcSet::universe(24), 2, 64);
+  for (ScheduleGenerator* gen :
+       {static_cast<ScheduleGenerator*>(enforced.get()),
+        static_cast<ScheduleGenerator*>(&starver)}) {
+    std::int64_t words = 0;
+    const std::int64_t allocs = allocations_in([&] {
+      const PackedSchedule packed(*gen, 40'000);
+      words = packed.words();
+    });
+    EXPECT_EQ(allocs, 1);
+    EXPECT_EQ(words, 625);
+  }
+}
+
+}  // namespace
+}  // namespace setlib::sched
