@@ -108,10 +108,10 @@ void BM_SafeAgreementRound(benchmark::State& state) {
       auto task = [](bg::SafeAgreement* obj, Pid me,
                      bg::SafeAgreement::Outcome* out,
                      char* flag) -> shm::Prog {
-        SETLIB_CO_RUN(obj->propose(me, shm::Value::of(me)));
+        co_await obj->propose(me, shm::Value::of(me));
         for (;;) {
           bool blocked = false;
-          SETLIB_CO_RUN(obj->try_resolve(me, out, &blocked));
+          co_await obj->try_resolve(me, out, &blocked);
           if (out->decided) {
             *flag = 1;
             co_return;

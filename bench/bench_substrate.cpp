@@ -108,9 +108,9 @@ BENCHMARK(BM_EnforcedGeneratorThroughput);
 
 shm::Prog snapshot_loop(shm::AtomicSnapshot* snap, Pid p) {
   for (std::int64_t r = 1;; ++r) {
-    SETLIB_CO_RUN(snap->update(p, r));
+    co_await snap->update(p, r);
     std::vector<std::int64_t> out;
-    SETLIB_CO_RUN(snap->scan(p, &out));
+    co_await snap->scan(p, &out);
     benchmark::DoNotOptimize(out.data());
   }
 }

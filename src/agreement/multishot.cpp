@@ -1,7 +1,7 @@
 #include "src/agreement/multishot.h"
 
 #include <algorithm>
-#include <string>
+#include <array>
 
 #include "src/util/assert.h"
 
@@ -21,9 +21,8 @@ MultiShotAgreement::MultiShotAgreement(shm::IMemory& mem, Params params,
                      static_cast<std::size_t>(params.k));
   for (int s = 0; s < params.slots; ++s) {
     for (int m = 0; m < params.k; ++m) {
-      instances_.push_back(std::make_unique<PaxosConsensus>(
-          mem, params.n,
-          "ms.slot" + std::to_string(s) + ".inst" + std::to_string(m)));
+      instances_.emplace_back(mem, params.n,
+                              shm::RegisterName("ms.slot", s, ".inst", m));
     }
   }
   log_.assign(static_cast<std::size_t>(params.n) *
@@ -34,9 +33,9 @@ MultiShotAgreement::MultiShotAgreement(shm::IMemory& mem, Params params,
 PaxosConsensus& MultiShotAgreement::instance(int slot, int m) {
   SETLIB_EXPECTS(slot >= 0 && slot < params_.slots);
   SETLIB_EXPECTS(m >= 0 && m < params_.k);
-  return *instances_[static_cast<std::size_t>(slot) *
-                         static_cast<std::size_t>(params_.k) +
-                     static_cast<std::size_t>(m)];
+  return instances_[static_cast<std::size_t>(slot) *
+                        static_cast<std::size_t>(params_.k) +
+                    static_cast<std::size_t>(m)];
 }
 
 void MultiShotAgreement::install(shm::ProcessRuntime& proc, Pid p,
@@ -51,55 +50,32 @@ void MultiShotAgreement::install(shm::ProcessRuntime& proc, Pid p,
 shm::Prog MultiShotAgreement::driver(Pid p,
                                      std::vector<std::int64_t> commands) {
   const int k = params_.k;
-  // Per-slot pump state, reset (not reallocated) at each slot.
+  // Per-slot race state, reset (not reallocated) at each slot.
   std::vector<PaxosConsensus::Status> statuses(static_cast<std::size_t>(k));
   std::vector<shm::Prog> kids;
-  std::vector<bool> started(static_cast<std::size_t>(k));
   kids.reserve(static_cast<std::size_t>(k));
   for (int slot = 0; slot < params_.slots; ++slot) {
-    // The slot's k instance programs, pumped round-robin: each pass
-    // forwards one register operation of each live instance, so a
-    // stalled instance (crashed leader) cannot block the others.
+    // The slot's k instance programs race round-robin, one register
+    // operation each per step, so a stalled instance (crashed leader)
+    // cannot block the others. An instance finishes exactly when it
+    // decides locally.
     kids.clear();
-    std::fill(statuses.begin(), statuses.end(), PaxosConsensus::Status{});
-    std::fill(started.begin(), started.end(), false);
     for (int m = 0; m < k; ++m) {
       auto leader = [this, m](Pid self) -> Pid {
         const ProcSet ws = detector_->view(self).winnerset;
         SETLIB_ASSERT(ws.size() == params_.k);
         return ws.nth(m);
       };
+      statuses[static_cast<std::size_t>(m)] = PaxosConsensus::Status{};
       kids.push_back(instance(slot, m).run(
           p, commands[static_cast<std::size_t>(slot)], leader,
           &statuses[static_cast<std::size_t>(m)]));
     }
-
-    std::optional<std::int64_t> decision;
-    while (!decision.has_value()) {
-      for (int m = 0; m < k && !decision.has_value(); ++m) {
-        auto& kid = kids[static_cast<std::size_t>(m)];
-        if (!started[static_cast<std::size_t>(m)]) {
-          kid.resume();  // run to the first operation request
-          started[static_cast<std::size_t>(m)] = true;
-        }
-        if (kid.done()) continue;
-        // Forward exactly one of the child's operations as our own.
-        shm::OpRequest& req = kid.pending();
-        if (req.kind == shm::OpRequest::Kind::kRead) {
-          *req.read_sink = co_await shm::read(req.reg);
-        } else {
-          co_await shm::write(req.reg, std::move(req.to_write));
-        }
-        req = shm::OpRequest{};
-        kid.resume();
-        if (statuses[static_cast<std::size_t>(m)].decided) {
-          decision = statuses[static_cast<std::size_t>(m)].value;
-        }
-      }
-    }
+    const std::size_t won = co_await shm::first_of(kids);
+    SETLIB_ASSERT(statuses[won].decided);
     log_[static_cast<std::size_t>(p) *
              static_cast<std::size_t>(params_.slots) +
-         static_cast<std::size_t>(slot)] = *decision;
+         static_cast<std::size_t>(slot)] = statuses[won].value;
   }
 }
 
@@ -136,6 +112,20 @@ std::vector<std::int64_t> MultiShotAgreement::slot_values(
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;
+}
+
+MultiShotAgreement::SlotTally MultiShotAgreement::slot_tally(
+    int slot, ProcSet who) const {
+  SlotTally tally;
+  std::array<std::int64_t, kMaxProcs> seen{};  // [0, tally.distinct)
+  who.for_each([&](Pid p) {
+    const auto v = log_at(p, slot);
+    const auto end = seen.begin() + tally.distinct;
+    if (!v.has_value() || std::find(seen.begin(), end, *v) != end) return;
+    seen[static_cast<std::size_t>(tally.distinct++)] = *v;
+    if (tally.distinct == 1 || *v < tally.smallest) tally.smallest = *v;
+  });
+  return tally;
 }
 
 }  // namespace setlib::agreement

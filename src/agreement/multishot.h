@@ -6,17 +6,17 @@
 // "k-forking" log.
 //
 // Per process there is a single driver task that works through the
-// slots in order. Within a slot it multiplexes the slot's k Paxos
-// instance programs (instance m led by the m-th member of the
-// detector's current winnerset) until one of them decides locally,
-// then advances. Slots are independent Paxos instances, so per-slot
-// safety is unconditional, and liveness per slot follows from detector
-// stabilization exactly as in the single-shot case.
+// slots in order. Within a slot it races the slot's k Paxos instance
+// programs with shm::first_of (instance m led by the m-th member of the
+// detector's current winnerset; one register operation each per step,
+// round-robin) until one of them decides locally, then advances. Slots
+// are independent Paxos instances, so per-slot safety is unconditional,
+// and liveness per slot follows from detector stabilization exactly as
+// in the single-shot case.
 #ifndef SETLIB_AGREEMENT_MULTISHOT_H
 #define SETLIB_AGREEMENT_MULTISHOT_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -57,6 +57,13 @@ class MultiShotAgreement {
   /// (k-agreement requires <= k of them).
   std::vector<std::int64_t> slot_values(int slot, ProcSet who) const;
 
+  /// slot_values' size and smallest element, counted in place.
+  struct SlotTally {
+    int distinct = 0;
+    std::int64_t smallest = 0;  // meaningful when distinct > 0
+  };
+  SlotTally slot_tally(int slot, ProcSet who) const;
+
   const Params& params() const noexcept { return params_; }
 
  private:
@@ -65,7 +72,7 @@ class MultiShotAgreement {
 
   Params params_;
   const fd::KAntiOmega* detector_;
-  std::vector<std::unique_ptr<PaxosConsensus>> instances_;  // [slot*k + m]
+  std::vector<PaxosConsensus> instances_;  // [slot*k + m]
   // log_[p * slots + s]: p's decision for slot s.
   std::vector<std::optional<std::int64_t>> log_;
 };

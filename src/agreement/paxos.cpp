@@ -15,11 +15,11 @@ constexpr std::size_t kHas = 3;
 }  // namespace
 
 PaxosConsensus::PaxosConsensus(shm::IMemory& mem, int n,
-                               const std::string& name)
+                               std::string_view name)
     : n_(n) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
-  blocks_base_ = mem.alloc_array(name + ".R", n);
-  decision_ = mem.alloc(name + ".D");
+  blocks_base_ = mem.alloc_array(shm::RegisterName(name, ".R"), n);
+  decision_ = mem.alloc(shm::RegisterName(name, ".D"));
 }
 
 shm::RegisterId PaxosConsensus::block_reg(Pid q) const {

@@ -27,7 +27,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 
 #include "src/shm/memory.h"
 #include "src/shm/program.h"
@@ -47,7 +47,8 @@ class PaxosConsensus {
     std::int64_t ballots_started = 0;  // telemetry
   };
 
-  PaxosConsensus(shm::IMemory& mem, int n, const std::string& name);
+  /// Registers: `name`.R[q] (the blocks) and `name`.D (the decision).
+  PaxosConsensus(shm::IMemory& mem, int n, std::string_view name);
 
   /// The per-process task. Terminates (task completes) once p observes
   /// a decision; on_decide (optional) fires at that local moment.

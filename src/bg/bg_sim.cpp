@@ -107,7 +107,7 @@ shm::Prog BGSimulation::run_impl(Pid sim) {
       SafeAgreement& agreement = sa(u, s);
       SafeAgreement::Outcome outcome;
       bool blocked = false;
-      SETLIB_CO_RUN(agreement.try_resolve(sim, &outcome, &blocked));
+      co_await agreement.try_resolve(sim, &outcome, &blocked);
 
       if (!outcome.decided &&
           !st.proposed[static_cast<std::size_t>(s - 1)]) {
@@ -130,9 +130,8 @@ shm::Prog BGSimulation::run_impl(Pid sim) {
           flat.push_back(best_val);
         }
         st.proposed[static_cast<std::size_t>(s - 1)] = true;
-        SETLIB_CO_RUN(
-            agreement.propose(sim, shm::Value(std::move(flat))));
-        SETLIB_CO_RUN(agreement.try_resolve(sim, &outcome, &blocked));
+        co_await agreement.propose(sim, shm::Value(std::move(flat)));
+        co_await agreement.try_resolve(sim, &outcome, &blocked);
       }
 
       if (!outcome.decided) {

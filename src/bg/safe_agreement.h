@@ -48,7 +48,7 @@ class SafeAgreement {
                 const std::string& name);
 
   /// Enter and (unless crashed mid-way) leave the unsafe zone with
-  /// payload v. Run inline via SETLIB_CO_RUN from a simulator program,
+  /// payload v. Run inline with co_await from a simulator program,
   /// or as a standalone task in unit tests.
   shm::Prog propose(Pid i, shm::Value v);
 

@@ -224,16 +224,16 @@ BatchOutcome ServiceHarness::run_commands(
   out.decisions.assign(static_cast<std::size_t>(slots), -1);
   int max_distinct = 0;
   for (int s = 0; s < slots; ++s) {
-    const std::vector<std::int64_t> values = log.slot_values(s, everyone);
-    max_distinct = std::max(max_distinct, static_cast<int>(values.size()));
-    bool slot_ok = !values.empty();
-    for (const std::int64_t value : values) {
-      if (value != commands[static_cast<std::size_t>(s)]) slot_ok = false;
+    const auto tally = log.slot_tally(s, everyone);
+    max_distinct = std::max(max_distinct, tally.distinct);
+    if (tally.distinct > 0) {
+      out.decisions[static_cast<std::size_t>(s)] = tally.smallest;
     }
-    if (!values.empty()) {
-      out.decisions[static_cast<std::size_t>(s)] = values.front();
+    // Every decider decided the slot's own command.
+    if (tally.distinct == 1 &&
+        tally.smallest == commands[static_cast<std::size_t>(s)]) {
+      ++out.decided_ok;
     }
-    if (slot_ok) ++out.decided_ok;
   }
   out.distinct_decisions = max_distinct;
   out.success = log.all_decided(everyone) &&

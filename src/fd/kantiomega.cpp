@@ -1,6 +1,7 @@
 #include "src/fd/kantiomega.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/util/assert.h"
 
@@ -63,14 +64,19 @@ shm::Prog KAntiOmega::run_impl(Pid p) {
   const std::int64_t sets = ranker_.count();
   View& view = views_[static_cast<std::size_t>(p)];
 
-  // Local variables (per the figure's declarations).
+  // Local variables (per the figure's declarations), carved from one
+  // buffer so a detector task allocates once.
   std::int64_t my_hb = 0;
-  std::vector<std::int64_t> prev_heartbeat(static_cast<std::size_t>(n), 0);
-  std::vector<std::int64_t> timeout(static_cast<std::size_t>(sets),
-                                    params_.initial_timeout);
-  std::vector<std::int64_t> timer = timeout;  // timer[A] = timeout[A]
-  std::vector<std::int64_t> cnt(static_cast<std::size_t>(sets * n), 0);
-  std::vector<std::int64_t> row(static_cast<std::size_t>(n), 0);
+  const auto un = static_cast<std::size_t>(n);
+  const auto us = static_cast<std::size_t>(sets);
+  std::vector<std::int64_t> locals(2 * un + 2 * us + us * un, 0);
+  const std::span<std::int64_t> prev_heartbeat(locals.data(), un);
+  const std::span<std::int64_t> row(prev_heartbeat.data() + un, un);
+  const std::span<std::int64_t> timeout(row.data() + un, us);
+  const std::span<std::int64_t> timer(timeout.data() + us, us);
+  const std::span<std::int64_t> cnt(timer.data() + us, us * un);
+  std::fill(timeout.begin(), timeout.end(), params_.initial_timeout);
+  std::copy(timeout.begin(), timeout.end(), timer.begin());  // timer = timeout
 
   for (;;) {  // line 1: repeat forever
     // line 2: cnt[A, q] <- read(Counter[A, q]) for every (A, q)

@@ -4,22 +4,23 @@
 
 namespace setlib::runtime {
 
-shm::RegisterId RtMemory::alloc(std::string name) {
-  return alloc_block(std::move(name), 1, false);
+shm::RegisterId RtMemory::alloc(std::string_view name) {
+  return alloc_block(name, 1, false);
 }
 
-shm::RegisterId RtMemory::alloc_array(std::string name, std::int64_t count) {
-  return alloc_block(std::move(name), count, true);
+shm::RegisterId RtMemory::alloc_array(std::string_view name,
+                                      std::int64_t count) {
+  return alloc_block(name, count, true);
 }
 
-shm::RegisterId RtMemory::alloc_block(std::string name, std::int64_t count,
+shm::RegisterId RtMemory::alloc_block(std::string_view name, std::int64_t count,
                                       bool array) {
   SETLIB_EXPECTS(!frozen());
   SETLIB_EXPECTS(count >= 1);
   for (std::int64_t i = 0; i < count; ++i) {
     cells_.push_back(std::make_unique<Cell>());
   }
-  return names_.add(std::move(name), count, array);
+  return names_.add(name, count, array);
 }
 
 shm::Value RtMemory::read(shm::RegisterId reg) {

@@ -24,8 +24,9 @@ class RtMemory final : public shm::IMemory {
  public:
   RtMemory() = default;
 
-  shm::RegisterId alloc(std::string name) override;
-  shm::RegisterId alloc_array(std::string name, std::int64_t count) override;
+  shm::RegisterId alloc(std::string_view name) override;
+  shm::RegisterId alloc_array(std::string_view name,
+                              std::int64_t count) override;
   shm::Value read(shm::RegisterId reg) override;
   void write(shm::RegisterId reg, shm::Value v) override;
   std::int64_t register_count() const override;
@@ -45,7 +46,7 @@ class RtMemory final : public shm::IMemory {
   }
 
  private:
-  shm::RegisterId alloc_block(std::string name, std::int64_t count,
+  shm::RegisterId alloc_block(std::string_view name, std::int64_t count,
                               bool array);
 
   struct Cell {

@@ -6,11 +6,14 @@
 
 namespace setlib::shm {
 
-RegisterId RegisterNames::add(std::string name, std::int64_t count,
+RegisterId RegisterNames::add(std::string_view name, std::int64_t count,
                               bool array) {
   SETLIB_EXPECTS(count >= 1);
+  SETLIB_EXPECTS(chars_.size() + name.size() <= UINT32_MAX);
   const RegisterId base = count_;
-  blocks_.push_back(Block{base, array, std::move(name)});
+  blocks_.push_back(Block{base, static_cast<std::uint32_t>(chars_.size()),
+                          static_cast<std::uint32_t>(name.size()), array});
+  chars_.append(name);
   count_ += count;
   return base;
 }
@@ -22,19 +25,22 @@ std::string RegisterNames::name(RegisterId reg) const {
       blocks_.begin(), blocks_.end(), reg,
       [](RegisterId r, const Block& b) { return r < b.base; });
   const Block& block = *(it - 1);
-  if (!block.array) return block.name;
-  return block.name + "[" + std::to_string(reg - block.base) + "]";
+  std::string out = chars_.substr(block.offset, block.length);
+  if (block.array) {
+    out.append("[").append(std::to_string(reg - block.base)).append("]");
+  }
+  return out;
 }
 
-RegisterId SimMemory::alloc(std::string name) {
+RegisterId SimMemory::alloc(std::string_view name) {
   cells_.emplace_back();
-  return names_.add(std::move(name), 1, false);
+  return names_.add(name, 1, false);
 }
 
-RegisterId SimMemory::alloc_array(std::string name, std::int64_t count) {
+RegisterId SimMemory::alloc_array(std::string_view name, std::int64_t count) {
   SETLIB_EXPECTS(count >= 1);
   cells_.resize(cells_.size() + static_cast<std::size_t>(count));
-  return names_.add(std::move(name), count, true);
+  return names_.add(name, count, true);
 }
 
 Value SimMemory::read(RegisterId reg) {

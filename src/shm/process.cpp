@@ -45,22 +45,14 @@ bool ProcessRuntime::step(IMemory& mem) {
     if (t->prog.done()) return false;  // purely local task
   }
 
-  OpRequest& req = t->prog.pending();
-  SETLIB_ASSERT(req.kind != OpRequest::Kind::kNone);
-  switch (req.kind) {
-    case OpRequest::Kind::kRead:
-      SETLIB_ASSERT(req.read_sink != nullptr);
-      *req.read_sink = mem.read(req.reg);
-      break;
-    case OpRequest::Kind::kWrite:
-      mem.write(req.reg, std::move(req.to_write));
-      break;
-    case OpRequest::Kind::kNone:
-      break;
+  Op& op = t->prog.pending();
+  if (op.kind == Op::Kind::kRead) {
+    op.value = mem.read(op.reg);
+  } else {
+    mem.write(op.reg, std::move(op.value));
   }
-  req = OpRequest{};
   ++ops_;
-  t->prog.resume();  // run to the next request or completion
+  t->prog.resume();  // one resume: the leaf runs to its next op
   return true;
 }
 

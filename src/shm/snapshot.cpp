@@ -91,9 +91,9 @@ Prog AtomicSnapshot::update(Pid p, std::int64_t v) {
 
 Prog AtomicSnapshot::update_impl(Pid p, std::int64_t v) {
 
-  // Embedded scan (pumped inline: its reads are our steps 1:1).
+  // Embedded scan (a child program: its reads are our steps 1:1).
   std::vector<std::int64_t> view;
-  SETLIB_CO_RUN(scan(p, &view));
+  co_await scan(p, &view);
 
   // Read own segment for the sequence number (p is its only writer, so
   // this is exact; a local cache would also do).

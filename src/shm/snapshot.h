@@ -40,7 +40,7 @@ class AtomicSnapshot {
                  std::int64_t initial = 0);
 
   /// One-shot scan task: deposits an atomic snapshot (n values) in
-  /// *out. Also usable inline from another program via SETLIB_CO_RUN.
+  /// *out. Also a child of another program: `co_await snap.scan(p, &v);`.
   Prog scan(Pid p, std::vector<std::int64_t>* out);
 
   /// Update p's component to v (includes the embedded scan).

@@ -39,6 +39,17 @@ struct Rig {
   }
 };
 
+// slot_tally is slot_values' size and smallest element.
+void expect_tally_matches(const MultiShotAgreement& ms, int slot,
+                          ProcSet who) {
+  const auto values = ms.slot_values(slot, who);
+  const auto tally = ms.slot_tally(slot, who);
+  EXPECT_EQ(tally.distinct, static_cast<int>(values.size())) << slot;
+  if (!values.empty()) {
+    EXPECT_EQ(tally.smallest, values.front()) << slot;
+  }
+}
+
 TEST(MultiShotTest, ReplicatedLogForConsensus) {
   const int n = 4, k = 1, t = 2, slots = 6;
   Rig rig(n, k, t, slots);
@@ -69,6 +80,7 @@ TEST(MultiShotTest, KForkingLogStaysWithinK) {
     EXPECT_GE(values.size(), 1u);
     EXPECT_LE(values.size(), static_cast<std::size_t>(k)) << "slot " << s;
     for (const auto v : values) EXPECT_EQ(v % 1000, s);
+    expect_tally_matches(*rig.ms, s, ProcSet::universe(n));
   }
 }
 
@@ -90,6 +102,7 @@ TEST(MultiShotTest, ProgressWithCrashes) {
   for (int s = 0; s < slots; ++s) {
     EXPECT_LE(rig.ms->slot_values(s, correct).size(),
               static_cast<std::size_t>(k));
+    expect_tally_matches(*rig.ms, s, correct);
   }
 }
 
@@ -105,6 +118,9 @@ TEST(MultiShotTest, PrefixGrowsInOrder) {
     // Slots decide strictly in order: nothing beyond the prefix.
     for (int s = prefix; s < slots; ++s) {
       EXPECT_FALSE(rig.ms->log_at(0, s).has_value());
+    }
+    for (int s = 0; s < slots; ++s) {
+      expect_tally_matches(*rig.ms, s, ProcSet::universe(n));
     }
     last_prefix = prefix;
   }

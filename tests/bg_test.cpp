@@ -21,10 +21,10 @@ namespace {
 // Drive propose-then-resolve as a single task per participant.
 shm::Prog propose_and_resolve(SafeAgreement* sa, Pid i, std::int64_t v,
                               SafeAgreement::Outcome* out) {
-  SETLIB_CO_RUN(sa->propose(i, shm::Value::of(v)));
+  co_await sa->propose(i, shm::Value::of(v));
   for (;;) {
     bool blocked = false;
-    SETLIB_CO_RUN(sa->try_resolve(i, out, &blocked));
+    co_await sa->try_resolve(i, out, &blocked);
     if (out->decided) co_return;
   }
 }

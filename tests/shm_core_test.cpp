@@ -2,7 +2,9 @@
 // programs, process runtimes, and the simulator.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/sched/generators.h"
@@ -236,7 +238,7 @@ TEST(SubProgramPumpTest, ForwardsChildOps) {
   std::int64_t seen = -1;
   auto parent = [](RegisterId reg, std::int64_t* out) -> Prog {
     co_await write(reg, Value::of(7));
-    SETLIB_CO_RUN(incrementer(reg, 2));
+    co_await incrementer(reg, 2);
     const Value v = co_await read(reg);
     *out = v.as_int_or(0);
   };
@@ -251,6 +253,221 @@ TEST(SubProgramPumpTest, ForwardsChildOps) {
   EXPECT_EQ(ops, 6);
   EXPECT_EQ(seen, 9);
 }
+
+Prog throwing_child(RegisterId reg, const char* what) {
+  co_await write(reg, Value::of(1));
+  throw std::runtime_error(what);
+}
+
+TEST(ProgramTest, ChildExceptionSurfacesFromStep) {
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  auto parent = [](RegisterId reg) -> Prog {
+    co_await write(reg, Value::of(0));
+    co_await throwing_child(reg, "child bug");
+    co_await write(reg, Value::of(2));  // never reached
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(parent(r), "parent");
+  EXPECT_TRUE(proc.step(mem));  // parent's write; the child starts
+  try {
+    proc.step(mem);  // the child's write, then its throw
+    FAIL() << "the child's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "child bug");
+  }
+  EXPECT_EQ(mem.peek(r), Value::of(1));
+  EXPECT_TRUE(proc.halted());
+}
+
+TEST(ProgramTest, ParentCatchesChildException) {
+  // co_await child behaves like a call: the caller may handle it.
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  auto parent = [](RegisterId reg) -> Prog {
+    bool caught = false;
+    try {
+      co_await throwing_child(reg, "handled");
+    } catch (const std::runtime_error&) {
+      caught = true;
+    }
+    co_await write(reg, Value::of(caught ? 7 : 8));
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(parent(r), "parent");
+  EXPECT_TRUE(proc.step(mem));  // the child's write
+  EXPECT_TRUE(proc.step(mem));  // the parent's write after the catch
+  EXPECT_EQ(mem.peek(r), Value::of(7));
+  EXPECT_TRUE(proc.halted());
+}
+
+TEST(ProgramTest, NestedChildrenRunOnOneStack) {
+  // Three levels deep, every op is still exactly one step of the task.
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  auto middle = [](RegisterId reg) -> Prog {
+    co_await incrementer(reg, 1);
+    co_await incrementer(reg, 1);
+  };
+  auto top = [&middle](RegisterId reg) -> Prog {
+    co_await middle(reg);
+    co_await write(reg, Value::of(100));
+    co_await middle(reg);
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(top(r), "top");
+  int steps = 0;
+  while (proc.step(mem)) ++steps;
+  EXPECT_EQ(steps, 4 + 1 + 4);
+  EXPECT_EQ(mem.peek(r), Value::of(102));
+}
+
+// Writes 1, 2, ..., rounds to reg; *before_first is set before its first
+// operation (local computation only).
+Prog counting_kid(RegisterId reg, int rounds, bool* before_first) {
+  *before_first = true;
+  for (int i = 1; i <= rounds; ++i) co_await write(reg, Value::of(i));
+}
+
+TEST(FirstOfTest, KidsTakeOneOpEachInTurn) {
+  SimMemory mem;
+  const RegisterId a = mem.alloc("a");
+  const RegisterId b = mem.alloc("b");
+  const RegisterId won = mem.alloc("won");
+  bool a_started = false;
+  bool b_started = false;
+  auto racer = [&]() -> Prog {
+    Prog kids[] = {counting_kid(a, 100, &a_started),
+                   counting_kid(b, 3, &b_started)};
+    const std::size_t first = co_await first_of(kids);
+    co_await write(won, Value::of(static_cast<std::int64_t>(first)));
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(racer(), "race");
+  EXPECT_TRUE(proc.step(mem));  // a := 1; kid b starts in this step
+  EXPECT_TRUE(a_started);
+  EXPECT_TRUE(b_started);
+  EXPECT_TRUE(mem.peek(b).is_nil());
+  EXPECT_TRUE(proc.step(mem));  // b := 1
+  EXPECT_EQ(mem.peek(b), Value::of(1));
+  EXPECT_TRUE(proc.step(mem));  // a := 2
+  EXPECT_EQ(mem.peek(a), Value::of(2));
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(proc.step(mem));  // b, a, b
+  // b finished on its third write; the caller continues in that step.
+  EXPECT_EQ(mem.peek(a), Value::of(3));
+  EXPECT_EQ(mem.peek(b), Value::of(3));
+  EXPECT_TRUE(proc.step(mem));  // won := 1
+  EXPECT_EQ(mem.peek(won), Value::of(1));
+  EXPECT_TRUE(proc.halted());
+  EXPECT_EQ(mem.peek(a), Value::of(3));  // the loser stayed suspended
+}
+
+TEST(FirstOfTest, SingleKidRunsStraightThrough) {
+  SimMemory mem;
+  const RegisterId a = mem.alloc("a");
+  bool started = false;
+  auto racer = [&]() -> Prog {
+    Prog kids[] = {counting_kid(a, 5, &started)};
+    const std::size_t first = co_await first_of(kids);
+    co_await write(a, Value::of(10 + static_cast<std::int64_t>(first)));
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(racer(), "race");
+  for (int i = 1; i <= 5; ++i) {
+    EXPECT_TRUE(proc.step(mem));
+    EXPECT_EQ(mem.peek(a), Value::of(i));
+  }
+  EXPECT_TRUE(proc.step(mem));
+  EXPECT_EQ(mem.peek(a), Value::of(10));
+  EXPECT_TRUE(proc.halted());
+}
+
+TEST(FirstOfTest, KidsMayAwaitChildren) {
+  SimMemory mem;
+  const RegisterId a = mem.alloc("a");
+  const RegisterId b = mem.alloc("b");
+  auto kid = [](RegisterId reg, int times) -> Prog {
+    co_await incrementer(reg, times);  // 2 ops per increment
+  };
+  auto racer = [&]() -> Prog {
+    Prog kids[] = {kid(a, 10), kid(b, 2)};
+    co_await first_of(kids);
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(racer(), "race");
+  int steps = 0;
+  while (proc.step(mem)) ++steps;
+  // b needs 4 ops; a takes one op before each of them.
+  EXPECT_EQ(steps, 8);
+  EXPECT_EQ(mem.peek(b), Value::of(2));
+  EXPECT_EQ(mem.peek(a), Value::of(2));  // 2 reads and 2 writes of a
+}
+
+TEST(FirstOfTest, KidExceptionSurfacesFromStep) {
+  SimMemory mem;
+  const RegisterId a = mem.alloc("a");
+  const RegisterId b = mem.alloc("b");
+  bool started = false;
+  auto racer = [&]() -> Prog {
+    Prog kids[] = {counting_kid(a, 100, &started),
+                   throwing_child(b, "kid bug")};
+    co_await first_of(kids);
+  };
+  ProcessRuntime proc(0);
+  proc.add_task(racer(), "race");
+  EXPECT_TRUE(proc.step(mem));  // a := 1
+  try {
+    proc.step(mem);  // b := 1, then the kid throws
+    FAIL() << "the kid's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "kid bug");
+  }
+  EXPECT_EQ(mem.peek(b), Value::of(1));
+  EXPECT_TRUE(proc.halted());
+}
+
+TEST(ProgramTest, FrameFreedDuringThreadTeardown) {
+  // The thread_local below is constructed before the thread's frame
+  // pool registers its drain, so it is destroyed after the drain ran:
+  // its frame must bypass the drained pool. (A sanitizer build reports
+  // a leak or use-after-free here if it does not.)
+  std::thread([] {
+    thread_local Prog late;
+    late = incrementer(0, 1);
+    thread_local Prog early = incrementer(0, 1);  // destroyed before it
+    EXPECT_TRUE(late.valid() && early.valid());
+  }).join();
+}
+
+TEST(ProgramTest, StaticProgDestroyedAfterExit) {
+  // Destroyed after the main thread's pool drained at exit.
+  static Prog survivor = incrementer(0, 1);
+  EXPECT_TRUE(survivor.valid());
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A frame parked on the free list is poisoned, so a sanitizer build
+// still catches use of a destroyed program's frame.
+Prog parked(RegisterId reg, volatile char** local) {
+  char in_frame = 1;  // lives across the suspension, so in the frame
+  *local = &in_frame;
+  co_await write(reg, Value::of(in_frame));
+  co_await write(reg, Value::of(in_frame));
+}
+
+TEST(ProgramDeathTest, RecycledFrameIsPoisoned) {
+  SimMemory mem;
+  const RegisterId r = mem.alloc("r");
+  volatile char* local = nullptr;
+  {
+    ProcessRuntime proc(0);
+    proc.add_task(parked(r, &local), "parked");
+    proc.step(mem);
+    EXPECT_EQ(*local, 1);
+  }
+  EXPECT_DEATH((void)*local, "use-after-poison");
+}
+#endif
 
 TEST(SimulatorTest, RecordsExecutedSchedule) {
   SimMemory mem;

@@ -33,7 +33,7 @@ TEST(AtomicSnapshotTest, SequentialUpdateThenScan) {
 
 Prog updater_loop(AtomicSnapshot* snap, Pid p, int rounds) {
   for (int r = 1; r <= rounds; ++r) {
-    SETLIB_CO_RUN(snap->update(p, r));
+    co_await snap->update(p, r);
   }
 }
 
@@ -41,7 +41,7 @@ Prog scanner_loop(AtomicSnapshot* snap, Pid p, int rounds,
                   std::vector<std::vector<std::int64_t>>* results) {
   for (int r = 0; r < rounds; ++r) {
     std::vector<std::int64_t> out;
-    SETLIB_CO_RUN(snap->scan(p, &out));
+    co_await snap->scan(p, &out);
     results->push_back(out);
   }
 }

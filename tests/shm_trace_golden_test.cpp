@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,11 +51,11 @@ std::uint64_t mix_value(std::uint64_t h, const Value& v) {
 /// Forwards to a SimMemory and hashes every operation in order.
 class RecordingMemory final : public IMemory {
  public:
-  RegisterId alloc(std::string name) override {
-    return inner_.alloc(std::move(name));
+  RegisterId alloc(std::string_view name) override {
+    return inner_.alloc(name);
   }
-  RegisterId alloc_array(std::string name, std::int64_t count) override {
-    return inner_.alloc_array(std::move(name), count);
+  RegisterId alloc_array(std::string_view name, std::int64_t count) override {
+    return inner_.alloc_array(name, count);
   }
   Value read(RegisterId reg) override {
     Value v = inner_.read(reg);
@@ -166,8 +167,8 @@ TEST(ShmTraceGoldenTest, KSetAgreement) {
 Prog snapshot_client(AtomicSnapshot* snap, Pid p, int rounds,
                      std::vector<std::int64_t>* last_scan) {
   for (int r = 1; r <= rounds; ++r) {
-    SETLIB_CO_RUN(snap->update(p, 10 * p + r));
-    SETLIB_CO_RUN(snap->scan(p, last_scan));
+    co_await snap->update(p, 10 * p + r);
+    co_await snap->scan(p, last_scan);
   }
 }
 
