@@ -216,7 +216,7 @@ class FirstOf {
  public:
   explicit FirstOf(std::span<Prog> kids) : kids_(kids) {
     SETLIB_EXPECTS(!kids.empty());
-    for (const Prog& kid : kids) SETLIB_EXPECTS(kid.valid() && !kid.done());
+    for (const Prog& k : kids) SETLIB_EXPECTS(k.valid() && !k.done());
   }
 
   bool await_ready() const noexcept { return false; }

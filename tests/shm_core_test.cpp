@@ -446,6 +446,14 @@ TEST(ProgramTest, StaticProgDestroyedAfterExit) {
 }
 
 #if defined(__SANITIZE_ADDRESS__)
+#define SETLIB_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SETLIB_TEST_ASAN 1
+#endif
+#endif
+
+#if defined(SETLIB_TEST_ASAN)
 // A frame parked on the free list is poisoned, so a sanitizer build
 // still catches use of a destroyed program's frame.
 Prog parked(RegisterId reg, volatile char** local) {
