@@ -206,7 +206,7 @@ void print_stack_sweep(core::ExperimentRunner& runner,
             << runner.options().repeat
             << ", threads=" << runner.pool().threads() << ", "
             << agg.aggregate().cells << " cells, "
-            << agg.aggregate().runs_per_second << " runs/sec)\n"
+            << agg.aggregate().runs_per_second() << " runs/sec)\n"
             << table.render() << "\n";
 }
 

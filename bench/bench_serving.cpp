@@ -91,7 +91,7 @@ void run_serving(core::ExperimentRunner& runner, core::JsonSink& json) {
             << " shard_requests=" << report.shard_requests
             << " decided_ok=" << report.shard_decided_ok << "\n";
   std::cout << "wall: closed loop seconds=" << report.section.wall_seconds
-            << " batches_per_sec=" << report.section.runs_per_second
+            << " batches_per_sec=" << report.section.runs_per_second()
             << " threads=" << runner.pool().threads() << "\n";
 
   if (g_qps > 0) {

@@ -132,7 +132,7 @@ void print_seed_sweep(core::ExperimentRunner& runner,
             << runner.options().repeat
             << ", threads=" << runner.pool().threads() << ", "
             << agg.aggregate().cells << " cells, "
-            << agg.aggregate().runs_per_second << " runs/sec)\n"
+            << agg.aggregate().runs_per_second() << " runs/sec)\n"
             << table.render() << "\n";
 }
 

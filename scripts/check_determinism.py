@@ -16,8 +16,8 @@ deterministic layer:
                       gmtime(): wall-clock reads outside the
                       timing-key files.
   chrono              std::chrono outside the timing-key files.
-                      Timing may only feed keys that is_timing_key
-                      excludes from determinism diffs.
+                      Timing may only feed the "timing" subtree,
+                      which determinism diffs exclude.
   unordered-iteration std::unordered_{map,set,multimap,multiset}:
                       iteration order is implementation-defined, and
                       anything that iterates one eventually feeds a
@@ -35,8 +35,8 @@ deterministic layer:
 Escape hatch: a line ending in `// determinism: allow(<reason>)` is
 exempt from every rule; the reason is mandatory and lands in review.
 The timing-key allowlist (TIMING_KEY_FILES) exempts the files whose
-entire job is wall-clock measurement — their output travels under
-timing keys, which merge/diff tooling excludes by rule.
+entire job is wall-clock measurement — their output travels in the
+"timing" subtree, which merge/diff tooling excludes by rule.
 
 Usage: check_determinism.py [root] [extra files...]
 Scans <root>/src by default; extra explicit files are scanned with the
@@ -48,10 +48,10 @@ import sys
 
 # Files whose whole purpose is wall-clock measurement: pacing,
 # subprocess timeouts, lease deadlines, serving QPS, WallTimer. Their
-# measurements only ever feed timing keys (runs_per_sec, *wall*,
-# *seconds*, "orchestration"), which core::is_timing_key excludes from
-# determinism diffs — see docs/STATIC_ANALYSIS.md for the policy on
-# growing this list.
+# measurements only ever feed the "timing" subtree of a document (each
+# section's "timing" object and the top-level one), which
+# core::strip_timing_keys excludes from determinism diffs — see
+# docs/STATIC_ANALYSIS.md for the policy on growing this list.
 TIMING_KEY_FILES = {
     "src/core/loadgen.h",       # open-loop QPS pacing types
     "src/core/loadgen.cpp",

@@ -3,12 +3,13 @@
 
 Usage: check_serving_schema.py BENCH_serving.json
 
-Checks that the closed_loop section is a well-formed grid section
-(rows match the cell count) carrying the full admission/SLO annotation
-set, that the kSame keys are declared in same_keys so shard merges
-enforce them, and that the admission accounting is internally
-consistent (accepted + shed == offered, decided_ok <= batch_requests).
-Fatal on any mismatch — CI runs this against the smoke run's output.
+Checks that the document and every section carry a "timing" object,
+that the closed_loop section is a well-formed grid section (rows match
+the cell count) carrying the full admission/SLO annotation set, that
+the kSame keys are declared in same_keys so shard merges enforce them,
+and that the admission accounting is internally consistent
+(accepted + shed == offered, decided_ok <= batch_requests). Fatal on
+any mismatch — CI runs this against the smoke run's output.
 """
 import json
 import sys
@@ -22,8 +23,7 @@ SAME_KEYS = [
 ]
 SUM_KEYS = ["batch_requests", "decided_ok"]
 ROW_KEYS = {"index", "success", "detector_ok", "distinct", "steps",
-            "witness_bound", "schedule_hash", "allocs_per_op",
-            "bytes_per_op"}
+            "witness_bound", "schedule_hash"}
 
 
 def fail(message):
@@ -36,7 +36,12 @@ def main():
     with open(sys.argv[1]) as handle:
         doc = json.load(handle)
 
+    if not isinstance(doc.get("timing"), dict):
+        fail("the document has no timing object")
     sections = {s["name"]: s for s in doc.get("sections", [])}
+    for name, section in sections.items():
+        if not isinstance(section.get("timing"), dict):
+            fail(f"section '{name}' has no timing object")
     if "closed_loop" not in sections:
         fail("no closed_loop section in the document")
     closed = sections["closed_loop"]
@@ -71,17 +76,13 @@ def main():
     if closed["error_budget_burn"] < 0:
         fail("negative error_budget_burn")
 
-    # Open loop is optional (--qps runs only); when present, every
-    # extra key must be a timing key so it never leaks into merges.
+    # Open loop is optional (--qps runs only); when present, every fact
+    # it measures must live in its timing object so none leaks into
+    # merges.
     if "open_loop" in sections:
-        frame = {"name", "cells", "wall_seconds", "runs_per_sec",
-                 "same_keys"}
         for key in sections["open_loop"]:
-            if key in frame:
-                continue
-            if not ("wall" in key or "seconds" in key or
-                    key == "runs_per_sec"):
-                fail(f"open_loop key '{key}' is not a timing key")
+            if key not in ("name", "cells", "same_keys", "timing"):
+                fail(f"open_loop key '{key}' is outside its timing object")
 
     print(f"serving schema OK: {len(rows)} batch rows, "
           f"offered={offered} accepted={accepted} shed={shed}, "

@@ -134,8 +134,9 @@ struct RunReport {
   // bound), measured as the run's delta on its cell arena: upstream
   // blocks acquired beyond the arena reserve, and their bytes. Zero is
   // the steady state — the pack-once pipeline's no-heap-traffic claim,
-  // pinned per row in the BENCH_*.json artifacts. Deterministic facts
-  // (pure function of config + reserve size), merged as kSame.
+  // pinned by util_arena_test and shm_alloc_test and read by
+  // perfbench's util.arena.allocs_per_op layer. Deterministic facts
+  // (pure function of config + reserve size).
   std::int64_t allocs_per_op = 0;
   std::int64_t bytes_per_op = 0;
 

@@ -240,16 +240,18 @@ ElasticResult orchestrate_elastic(
     for (auto& [lo, doc] : accepted) docs.push_back(std::move(doc));
     try {
       result.merged = merge_shard_docs(docs);
-      // The scheduler's accounting rides along under a timing key:
-      // pure wall-clock/scheduling facts, excluded from determinism
-      // diffs by is_timing_key("orchestration").
+      // The scheduler's accounting rides along in the document's
+      // "timing" object: pure wall-clock/scheduling facts, excluded
+      // from determinism diffs with the rest of it.
       JsonValue orchestration = result.queue.to_json();
       orchestration.set("transport",
                         JsonValue::of(transport->describe()));
       orchestration.set(
           "workers",
           JsonValue::of(static_cast<std::int64_t>(options.workers)));
-      result.merged.set("orchestration", std::move(orchestration));
+      JsonValue timing = result.merged.at("timing");
+      timing.set("orchestration", std::move(orchestration));
+      result.merged.set("timing", std::move(timing));
     } catch (const MergeError& e) {
       result.merge_error = e.what();
     }

@@ -16,7 +16,7 @@
 //
 // The contract tested in CI: for a deterministic bench,
 //   orchestrate_elastic(bench, ...).merged == unsharded --json document
-// bit-identical modulo timing keys (is_timing_key), regardless of
+// bit-identical outside the "timing" objects, regardless of
 // which workers died, which ranges were resharded, or in what order
 // leases completed.
 #ifndef SETLIB_CORE_ORCHESTRATOR_H
@@ -97,9 +97,9 @@ struct ElasticResult {
   std::vector<LeaseRun> leases;  // every lease attempt, in finish order
   WorkQueueReport queue;         // the scheduler's accounting
   std::string merge_error;       // non-empty when merging failed
-  /// The merged document, with the orchestration report attached under
-  /// the top-level "orchestration" key (a timing key: excluded from
-  /// determinism diffs). Valid iff ok().
+  /// The merged document, with the orchestration report attached as
+  /// "orchestration" inside its top-level "timing" object (excluded
+  /// from determinism diffs). Valid iff ok().
   JsonValue merged;
 
   bool ok() const;

@@ -80,10 +80,6 @@ void AggregateSink::cell(const SweepCell&, const RunReport& report,
 
 void AggregateSink::end_section(const SectionStats& stats) {
   agg_.wall_seconds += stats.wall_seconds;
-  agg_.runs_per_second =
-      agg_.wall_seconds > 0.0
-          ? static_cast<double>(agg_.cells) / agg_.wall_seconds
-          : 0.0;
 }
 
 void CollectSink::cell(const SweepCell& cell, const RunReport& report,
@@ -127,79 +123,141 @@ std::string TableSink::render() const {
 
 namespace {
 
-/// The multi-seed dispersion facts over one group of rows — a whole
-/// section, or one grid point's `--repeat` rows: mean / sample-based
-/// stddev surrogate (Summary::stddev), 95% Student-t CI of the mean,
-/// and the success rate with its proportion CI. Returned as
-/// (key, value) pairs in emission order; NaN (rendered null) when the
-/// group is empty. Shared by JsonSink emission and merge_section
-/// recomputation, so the two cannot drift apart — that textual
-/// identity is what keeps orchestrated merges bit-identical to
-/// unsharded runs.
-std::vector<std::pair<std::string, double>> dispersion_stats(
-    const Summary& steps, const Summary& witness, std::size_t successes,
-    std::size_t rows) {
+/// Appends the multi-seed dispersion facts over one group of rows — a
+/// whole section, or one grid point's `--repeat` rows: mean /
+/// sample-based stddev surrogate (Summary::stddev), 95% Student-t CI
+/// of the mean, and the success rate with its proportion CI. NaN
+/// (rendered null) when the group is empty.
+void add_dispersion(JsonValue& out, const Summary& steps,
+                    const Summary& witness, std::size_t successes,
+                    std::size_t rows) {
   const double empty = std::numeric_limits<double>::quiet_NaN();
-  auto mean_of = [&empty](const Summary& s) {
-    return s.empty() ? empty : s.mean();
+  auto& members = out.members();
+  auto put = [&members](std::string key, double value) {
+    members.emplace_back(std::move(key), JsonValue::of(value));
   };
-  auto stddev_of = [&empty](const Summary& s) {
-    return s.empty() ? empty : s.stddev();
-  };
-  auto ci_lo = [&empty](const Summary& s) {
-    return s.empty() ? empty : s.mean() - ci95_halfwidth(s);
-  };
-  auto ci_hi = [&empty](const Summary& s) {
-    return s.empty() ? empty : s.mean() + ci95_halfwidth(s);
-  };
+  for (const auto& [prefix, s] :
+       {std::pair<std::string, const Summary*>{"steps", &steps},
+        {"witness_bound", &witness}}) {
+    const bool none = s->empty();
+    const double half = none ? empty : ci95_halfwidth(*s);
+    put(prefix + "_mean", none ? empty : s->mean());
+    put(prefix + "_stddev", none ? empty : s->stddev());
+    put("ci_" + prefix + "_low", none ? empty : s->mean() - half);
+    put("ci_" + prefix + "_high", none ? empty : s->mean() + half);
+  }
   const double rate = rows == 0 ? empty
                                 : static_cast<double>(successes) /
                                       static_cast<double>(rows);
-  std::vector<std::pair<std::string, double>> out;
-  out.emplace_back("steps_mean", mean_of(steps));
-  out.emplace_back("steps_stddev", stddev_of(steps));
-  out.emplace_back("ci_steps_low", ci_lo(steps));
-  out.emplace_back("ci_steps_high", ci_hi(steps));
-  out.emplace_back("witness_bound_mean", mean_of(witness));
-  out.emplace_back("witness_bound_stddev", stddev_of(witness));
-  out.emplace_back("ci_witness_bound_low", ci_lo(witness));
-  out.emplace_back("ci_witness_bound_high", ci_hi(witness));
-  out.emplace_back("success_rate", rate);
-  out.emplace_back("ci_success_low",
-                   rows == 0 ? empty
-                             : rate - ci95_proportion_halfwidth(rate, rows));
-  out.emplace_back("ci_success_high",
-                   rows == 0 ? empty
-                             : rate + ci95_proportion_halfwidth(rate, rows));
+  const double half =
+      rows == 0 ? empty : ci95_proportion_halfwidth(rate, rows);
+  put("success_rate", rate);
+  put("ci_success_low", rate - half);
+  put("ci_success_high", rate + half);
+}
+
+/// Every rows-derived fact of a grid section, in emission order: the
+/// pooled counts, percentiles and dispersion keys, then "point_stats"
+/// (the dispersion keys per grid point, rows grouped by global index /
+/// repeat_factor). JsonSink renders it and merge_shard_docs recomputes
+/// it from the union rows, so a merged document is bit-identical to
+/// the unsharded one by construction. Rows are in ascending index
+/// order, so one linear pass groups them.
+JsonValue grid_facts(const std::vector<GridRow>& rows, int repeat_factor) {
+  SETLIB_EXPECTS(repeat_factor >= 1);
+  const auto width = static_cast<std::size_t>(repeat_factor);
+  std::size_t successes = 0;
+  std::size_t detector_ok = 0;
+  Summary steps;
+  Summary witness;
+  for (const GridRow& row : rows) {
+    if (row.success) ++successes;
+    if (row.detector_ok) ++detector_ok;
+    steps.add(static_cast<double>(row.steps));
+    witness.add(static_cast<double>(row.witness_bound));
+  }
+  const double empty = std::numeric_limits<double>::quiet_NaN();
+  auto pct = [&empty](const Summary& s, double q) {
+    return JsonValue::of(s.empty() ? empty : s.percentile(q));
+  };
+  JsonValue out = JsonValue::object({
+      {"successes", JsonValue::of(successes)},
+      {"detector_ok", JsonValue::of(detector_ok)},
+      {"steps_p50", pct(steps, 50.0)},
+      {"steps_p90", pct(steps, 90.0)},
+      {"steps_p99", pct(steps, 99.0)},
+      {"witness_bound_p90", pct(witness, 90.0)},
+  });
+  add_dispersion(out, steps, witness, successes, rows.size());
+
+  std::vector<JsonValue> points;
+  std::size_t r = 0;
+  while (r < rows.size()) {
+    const std::size_t point = rows[r].index / width;
+    std::size_t cells = 0;
+    std::size_t point_successes = 0;
+    Summary point_steps;
+    Summary point_witness;
+    for (; r < rows.size() && rows[r].index / width == point; ++r) {
+      ++cells;
+      if (rows[r].success) ++point_successes;
+      point_steps.add(static_cast<double>(rows[r].steps));
+      point_witness.add(static_cast<double>(rows[r].witness_bound));
+    }
+    JsonValue group = JsonValue::object(
+        {{"point", JsonValue::of(point)}, {"cells", JsonValue::of(cells)}});
+    add_dispersion(group, point_steps, point_witness, point_successes,
+                   cells);
+    points.push_back(std::move(group));
+  }
+  out.members().emplace_back("point_stats",
+                             JsonValue::array(std::move(points)));
   return out;
 }
 
-/// One grid point's rows: global cell index / repeat factor.
-struct PointGroup {
-  std::int64_t point = 0;
-  std::size_t cells = 0;
-  std::size_t successes = 0;
-  Summary steps;
-  Summary witness;
-};
+/// A section's "timing" object: wall_seconds and the runs_per_sec
+/// derived from it, then any further wall-clock facts.
+JsonValue section_timing(
+    std::size_t cells, double wall_seconds,
+    const std::vector<std::pair<std::string, double>>& more = {}) {
+  JsonValue out = JsonValue::object(
+      {{"wall_seconds", JsonValue::of(wall_seconds)},
+       {"runs_per_sec",
+        JsonValue::of(runs_per_wall_second(cells, wall_seconds))}});
+  for (const auto& [key, value] : more) {
+    out.members().emplace_back(key, JsonValue::of(value));
+  }
+  return out;
+}
+
+/// The document's top-level "timing" object.
+JsonValue document_timing(std::size_t cells, double wall_seconds,
+                          JsonValue threads) {
+  return JsonValue::object(
+      {{"total_wall_seconds", JsonValue::of(wall_seconds)},
+       {"runs_per_sec",
+        JsonValue::of(runs_per_wall_second(cells, wall_seconds))},
+       {"threads", std::move(threads)}});
+}
 
 }  // namespace
 
 JsonSink::JsonSink(Config config) : config_(std::move(config)) {}
 
-void JsonSink::begin_section(const std::string& name, std::size_t,
-                             const ShardSpec&) {
+void JsonSink::begin_section(const std::string& name,
+                             std::size_t grid_cells, const ShardSpec&) {
   SETLIB_EXPECTS(!streaming_);  // runner sections never nest
   streaming_ = true;
   pending_ = Section{};
   pending_.name = name;
   pending_.from_grid = true;
+  pending_.grid_cells = grid_cells;
 }
 
 void JsonSink::cell(const SweepCell& cell, const RunReport& report,
                     double) {
   SETLIB_EXPECTS(streaming_);
-  CellRow row;
+  GridRow row;
   row.index = cell.index;
   row.success = report.success;
   row.detector_ok = report.detector.abstract_ok;
@@ -207,69 +265,24 @@ void JsonSink::cell(const SweepCell& cell, const RunReport& report,
   row.steps = report.steps_executed;
   row.witness_bound = report.witness_bound;
   row.schedule_hash = report.schedule_hash;
-  row.allocs_per_op = report.allocs_per_op;
-  row.bytes_per_op = report.bytes_per_op;
   pending_.rows.push_back(row);
 }
 
 void JsonSink::end_section(const SectionStats& stats) {
   SETLIB_EXPECTS(streaming_);
+  SETLIB_EXPECTS(stats.repeats >= 1);
   streaming_ = false;
   pending_.cells = stats.cells;
   pending_.wall_seconds = stats.wall_seconds;
-  std::size_t successes = 0;
-  std::size_t detector_ok = 0;
-  Summary witness;
-  Summary allocs;
-  Summary bytes;
-  for (const CellRow& row : pending_.rows) {
-    if (row.success) ++successes;
-    if (row.detector_ok) ++detector_ok;
-    witness.add(static_cast<double>(row.witness_bound));
-    allocs.add(static_cast<double>(row.allocs_per_op));
-    bytes.add(static_cast<double>(row.bytes_per_op));
-  }
-  // Percentile keys are emitted unconditionally — an empty shard's
-  // section must be schema-identical to a populated one, or naive
-  // document merging produces asymmetric sections. json_number turns
-  // the NaN placeholder into null on render.
-  const double empty = std::numeric_limits<double>::quiet_NaN();
-  auto pct = [&empty](const Summary& s, double q) {
-    return s.empty() ? empty : s.percentile(q);
-  };
-  auto& extra = pending_.extra;
-  extra.emplace_back("grid_cells",
-                     static_cast<double>(stats.grid_cells));
-  extra.emplace_back("successes", static_cast<double>(successes));
-  extra.emplace_back("detector_ok", static_cast<double>(detector_ok));
-  extra.emplace_back("steps_p50", pct(stats.steps, 50.0));
-  extra.emplace_back("steps_p90", pct(stats.steps, 90.0));
-  extra.emplace_back("steps_p99", pct(stats.steps, 99.0));
-  extra.emplace_back("witness_bound_p90", pct(witness, 90.0));
-  // Worst-case allocation account over the section's rows: 0 here is
-  // the "steady-state cells allocate nothing" claim, checkable per
-  // artifact. Deterministic (pure function of the rows), recomputed
-  // from union rows on merge like the percentiles.
-  extra.emplace_back("allocs_per_op_max", allocs.empty() ? empty : allocs.max());
-  extra.emplace_back("bytes_per_op_max", bytes.empty() ? empty : bytes.max());
-  // Multi-seed dispersion pooled across the section's rows; the
-  // per-point breakdown (one group per grid point, across its
-  // --repeat seeds) is rendered as the point_stats array. Both are
-  // pure functions of the rows, so merge_shard_docs recomputes them
-  // from the union rows with the same dispersion_stats arithmetic and
-  // merged documents stay bit-identical to unsharded ones.
-  for (const auto& fact : dispersion_stats(
-           stats.steps, witness, successes, pending_.rows.size())) {
-    extra.push_back(fact);
-  }
-  SETLIB_EXPECTS(stats.repeats >= 1);
   pending_.repeat_factor = stats.repeats;
-  // Per-cell wall latency percentiles: the only non-deterministic
-  // section facts besides wall_seconds/runs_per_sec (keys prefixed
-  // cell_seconds_ so determinism diffs can strip them).
-  extra.emplace_back("cell_seconds_p50", pct(stats.cell_seconds, 50.0));
-  extra.emplace_back("cell_seconds_p90", pct(stats.cell_seconds, 90.0));
-  extra.emplace_back("cell_seconds_p99", pct(stats.cell_seconds, 99.0));
+  const Summary& latency = stats.cell_seconds;
+  auto pct = [&latency](double q) {
+    return latency.empty() ? std::numeric_limits<double>::quiet_NaN()
+                           : latency.percentile(q);
+  };
+  pending_.timing = {{"cell_seconds_p50", pct(50.0)},
+                     {"cell_seconds_p90", pct(90.0)},
+                     {"cell_seconds_p99", pct(99.0)}};
   sections_.push_back(std::move(pending_));
   pending_ = Section{};
 }
@@ -288,10 +301,13 @@ void JsonSink::section(
 void JsonSink::annotate(const std::string& key, double value,
                         MergeRule rule) {
   SETLIB_EXPECTS(!sections_.empty());
-  sections_.back().extra.emplace_back(key, value);
-  if (rule == MergeRule::kSame) {
-    sections_.back().same_keys.push_back(key);
+  Section& sec = sections_.back();
+  if (rule == MergeRule::kTiming) {
+    sec.timing.emplace_back(key, value);
+    return;
   }
+  sec.extra.emplace_back(key, value);
+  if (rule == MergeRule::kSame) sec.same_keys.push_back(key);
 }
 
 std::string JsonSink::render() const {
@@ -300,7 +316,6 @@ std::string JsonSink::render() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"bench\": " << json_quote(config_.name) << ",\n";
-  os << "  \"threads\": " << config_.threads << ",\n";
   os << "  \"repeat\": " << config_.repeat << ",\n";
   os << "  \"shard\": " << json_quote(config_.shard.to_string())
      << ",\n";
@@ -309,14 +324,8 @@ std::string JsonSink::render() const {
     const Section& sec = sections_[s];
     total_cells += sec.cells;
     total_wall += sec.wall_seconds;
-    const double rate =
-        sec.wall_seconds > 0.0
-            ? static_cast<double>(sec.cells) / sec.wall_seconds
-            : 0.0;
     os << "    {\"name\": " << json_quote(sec.name)
-       << ", \"cells\": " << sec.cells
-       << ", \"wall_seconds\": " << json_number(sec.wall_seconds)
-       << ", \"runs_per_sec\": " << json_number(rate);
+       << ", \"cells\": " << sec.cells;
     if (!sec.same_keys.empty()) {
       os << ", \"same_keys\": [";
       for (std::size_t k = 0; k < sec.same_keys.size(); ++k) {
@@ -328,67 +337,38 @@ std::string JsonSink::render() const {
       os << ", " << json_quote(key) << ": " << json_number(value);
     }
     if (sec.from_grid) {
-      // Per-point multi-seed statistics: rows grouped by grid point
-      // (global index / repeat_factor), each group carrying the same
-      // dispersion keys as the pooled section scalars. Rows within a
-      // shard are contiguous ascending indices, so one linear pass
-      // groups them.
-      os << ", \"repeat_factor\": " << sec.repeat_factor;
-      os << ", \"point_stats\": [";
-      std::size_t r = 0;
-      bool first_group = true;
-      while (r < sec.rows.size()) {
-        PointGroup group;
-        group.point = static_cast<std::int64_t>(sec.rows[r].index) /
-                      sec.repeat_factor;
-        while (r < sec.rows.size() &&
-               static_cast<std::int64_t>(sec.rows[r].index) /
-                       sec.repeat_factor ==
-                   group.point) {
-          const CellRow& row = sec.rows[r];
-          ++group.cells;
-          if (row.success) ++group.successes;
-          group.steps.add(static_cast<double>(row.steps));
-          group.witness.add(static_cast<double>(row.witness_bound));
-          ++r;
-        }
-        os << (first_group ? "" : ", ") << "{\"point\": " << group.point
-           << ", \"cells\": " << group.cells;
-        for (const auto& [key, value] :
-             dispersion_stats(group.steps, group.witness,
-                              group.successes, group.cells)) {
-          os << ", " << json_quote(key) << ": " << json_number(value);
-        }
-        os << "}";
-        first_group = false;
+      os << ", \"grid_cells\": " << sec.grid_cells
+         << ", \"repeat_factor\": " << sec.repeat_factor;
+      const JsonValue facts = grid_facts(sec.rows, sec.repeat_factor);
+      for (const auto& [key, value] : facts.members()) {
+        os << ", " << json_quote(key) << ": " << value.dump();
       }
-      os << "]";
       os << ", \"rows\": [";
-      for (std::size_t row_idx = 0; row_idx < sec.rows.size();
-           ++row_idx) {
-        const CellRow& row = sec.rows[row_idx];
-        os << (row_idx == 0 ? "" : ", ") << "{\"index\": " << row.index
+      for (std::size_t r = 0; r < sec.rows.size(); ++r) {
+        const GridRow& row = sec.rows[r];
+        os << (r == 0 ? "" : ", ") << "{\"index\": " << row.index
            << ", \"success\": " << (row.success ? 1 : 0)
            << ", \"detector_ok\": " << (row.detector_ok ? 1 : 0)
            << ", \"distinct\": " << row.distinct_decisions
            << ", \"steps\": " << row.steps
            << ", \"witness_bound\": " << row.witness_bound
            << ", \"schedule_hash\": "
-           << json_quote(sched::hash_hex(row.schedule_hash))
-           << ", \"allocs_per_op\": " << row.allocs_per_op
-           << ", \"bytes_per_op\": " << row.bytes_per_op << "}";
+           << json_quote(sched::hash_hex(row.schedule_hash)) << "}";
       }
       os << "]";
     }
-    os << "}" << (s + 1 < sections_.size() ? "," : "") << "\n";
+    os << ", \"timing\": "
+       << section_timing(sec.cells, sec.wall_seconds, sec.timing).dump()
+       << "}" << (s + 1 < sections_.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
-  const double total_rate =
-      total_wall > 0.0 ? static_cast<double>(total_cells) / total_wall
-                       : 0.0;
   os << "  \"total_cells\": " << total_cells << ",\n";
-  os << "  \"total_wall_seconds\": " << json_number(total_wall) << ",\n";
-  os << "  \"runs_per_sec\": " << json_number(total_rate) << "\n";
+  os << "  \"timing\": "
+     << document_timing(total_cells, total_wall,
+                        JsonValue::of(static_cast<std::int64_t>(
+                            config_.threads)))
+            .dump()
+     << "\n";
   os << "}\n";
   return os.str();
 }
@@ -404,19 +384,12 @@ void JsonSink::write_if_requested() const {
 // ---------------------------------------------------------------------
 // Shard-document merging.
 
-bool is_timing_key(const std::string& key) {
-  return key == "runs_per_sec" || key == "orchestration" ||
-         key.find("wall") != std::string::npos ||
-         key.find("seconds") != std::string::npos ||
-         key.find("speedup") != std::string::npos;
-}
-
 JsonValue strip_timing_keys(const JsonValue& value) {
   switch (value.kind()) {
     case JsonValue::Kind::kObject: {
       JsonValue out = JsonValue::object();
       for (const auto& [key, member] : value.members()) {
-        if (is_timing_key(key)) continue;
+        if (key == "timing") continue;
         out.set(key, strip_timing_keys(member));
       }
       return out;
@@ -463,33 +436,6 @@ JsonValue sort_keys(const JsonValue& value) {
   }
 }
 
-bool is_cell_seconds_key(const std::string& key) {
-  return key.rfind("cell_seconds_", 0) == 0;
-}
-
-/// Keys a grid section derives from its rows; recomputed on merge.
-/// The ci_* / *_mean / *_stddev / success_rate dispersion keys are in
-/// this set on purpose: none of them contains a timing substring, but
-/// even one that did would be recomputed here before is_timing_key is
-/// ever consulted (grid stats are checked first in merge_section).
-bool is_grid_stat_key(const std::string& key) {
-  return key == "grid_cells" || key == "successes" ||
-         key == "detector_ok" || key == "steps_p50" ||
-         key == "steps_p90" || key == "steps_p99" ||
-         key == "witness_bound_p90" || key == "allocs_per_op_max" ||
-         key == "bytes_per_op_max" || key == "steps_mean" ||
-         key == "steps_stddev" || key == "witness_bound_mean" ||
-         key == "witness_bound_stddev" || key == "success_rate" ||
-         key == "repeat_factor" || key == "point_stats" ||
-         key.rfind("ci_", 0) == 0 || is_cell_seconds_key(key);
-}
-
-/// The section skeleton every JsonSink section shares.
-bool is_section_frame_key(const std::string& key) {
-  return key == "name" || key == "cells" || key == "wall_seconds" ||
-         key == "runs_per_sec" || key == "same_keys" || key == "rows";
-}
-
 std::size_t require_count(const JsonValue& section,
                           const std::string& name,
                           const std::string& key) {
@@ -498,6 +444,20 @@ std::size_t require_count(const JsonValue& section,
     throw MergeError("section \"" + name + "\": negative " + key);
   }
   return static_cast<std::size_t>(value);
+}
+
+/// The member `key` of every part, which must be equal across them.
+const JsonValue& agreed_member(const std::vector<const JsonValue*>& parts,
+                               const std::string& name,
+                               const std::string& key) {
+  const JsonValue& first = parts[0]->at(key);
+  for (const JsonValue* part : parts) {
+    if (!(part->at(key) == first)) {
+      throw MergeError("section \"" + name + "\": shards disagree on " +
+                       key);
+    }
+  }
+  return first;
 }
 
 JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
@@ -520,17 +480,14 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
   double wall = 0.0;
   for (const JsonValue* part : parts) {
     cells += require_count(*part, name, "cells");
-    const JsonValue& w = part->at("wall_seconds");
+    const JsonValue& w = part->at("timing").at("wall_seconds");
     if (w.is_number()) wall += w.as_double();
   }
 
   JsonValue out = JsonValue::object();
   out.set("name", JsonValue::of(name));
   out.set("cells", JsonValue::of(cells));
-  out.set("wall_seconds", JsonValue::of(wall));
-  out.set("runs_per_sec",
-          JsonValue::of(wall > 0.0 ? static_cast<double>(cells) / wall
-                                   : 0.0));
+  out.set("timing", section_timing(cells, wall));
 
   // same_keys is part of the schema: every shard must carry the same
   // list, and it travels into the merged document.
@@ -553,15 +510,15 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
     }
   }
 
-  std::vector<JsonValue> rows;
   if (grid) {
-    const JsonValue& grid_cells = parts[0]->at("grid_cells");
+    out.set("grid_cells", agreed_member(parts, name, "grid_cells"));
+    const JsonValue& repeat_factor =
+        agreed_member(parts, name, "repeat_factor");
+    out.set("repeat_factor", repeat_factor);
+    std::vector<JsonValue> rows;
+    std::vector<GridRow> facts_rows;
     std::int64_t last_index = -1;
     for (const JsonValue* part : parts) {
-      if (!(part->at("grid_cells") == grid_cells)) {
-        throw MergeError("section \"" + name +
-                         "\": shards disagree on grid_cells");
-      }
       const auto& part_rows = part->at("rows").items();
       if (part_rows.size() != require_count(*part, name, "cells")) {
         throw MergeError("section \"" + name +
@@ -577,108 +534,39 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
               "order)");
         }
         last_index = index;
+        GridRow facts_row;
+        facts_row.index = static_cast<std::size_t>(index);
+        facts_row.success = row.at("success").as_int() != 0;
+        facts_row.detector_ok = row.at("detector_ok").as_int() != 0;
+        facts_row.steps = row.at("steps").as_int();
+        facts_row.witness_bound = row.at("witness_bound").as_int();
+        facts_rows.push_back(facts_row);
         rows.push_back(row);
       }
     }
-
-    // Recompute every rows-derived fact with the same arithmetic the
-    // unsharded run uses; per-cell latency percentiles are wall-clock
-    // facts of runs that no longer exist, so they merge to null.
-    std::size_t successes = 0;
-    std::size_t detector_ok = 0;
-    Summary steps;
-    Summary witness;
-    Summary allocs;
-    Summary bytes;
-    for (const JsonValue& row : rows) {
-      if (row.at("success").as_int() != 0) ++successes;
-      if (row.at("detector_ok").as_int() != 0) ++detector_ok;
-      steps.add(row.at("steps").as_double());
-      witness.add(row.at("witness_bound").as_double());
-      allocs.add(row.at("allocs_per_op").as_double());
-      bytes.add(row.at("bytes_per_op").as_double());
+    const int width =
+        static_cast<int>(std::max<std::int64_t>(1, repeat_factor.as_int()));
+    JsonValue facts = grid_facts(facts_rows, width);
+    for (auto& [key, value] : facts.members()) {
+      out.set(key, std::move(value));
     }
-    const double empty = std::numeric_limits<double>::quiet_NaN();
-    auto pct = [&empty](const Summary& s, double q) {
-      return s.empty() ? empty : s.percentile(q);
-    };
-    out.set("grid_cells", grid_cells);
-    out.set("successes", JsonValue::of(static_cast<double>(successes)));
-    out.set("detector_ok",
-            JsonValue::of(static_cast<double>(detector_ok)));
-    out.set("steps_p50", JsonValue::of(pct(steps, 50.0)));
-    out.set("steps_p90", JsonValue::of(pct(steps, 90.0)));
-    out.set("steps_p99", JsonValue::of(pct(steps, 99.0)));
-    out.set("witness_bound_p90", JsonValue::of(pct(witness, 90.0)));
-    out.set("allocs_per_op_max",
-            JsonValue::of(allocs.empty() ? empty : allocs.max()));
-    out.set("bytes_per_op_max",
-            JsonValue::of(bytes.empty() ? empty : bytes.max()));
-    // The multi-seed dispersion keys — pooled scalars and the
-    // per-point breakdown — recomputed from the union rows in shard
-    // (= cell) order through the same dispersion_stats helper the
-    // JsonSink emits with, so the merged values are bit-identical to
-    // the unsharded run's.
-    for (const auto& [key, value] :
-         dispersion_stats(steps, witness, successes, rows.size())) {
-      out.set(key, JsonValue::of(value));
-    }
-    const JsonValue& repeat_factor = parts[0]->at("repeat_factor");
-    for (const JsonValue* part : parts) {
-      if (!(part->at("repeat_factor") == repeat_factor)) {
-        throw MergeError("section \"" + name +
-                         "\": shards disagree on repeat_factor");
-      }
-    }
-    out.set("repeat_factor", repeat_factor);
-    const std::int64_t rf = std::max<std::int64_t>(
-        1, repeat_factor.as_int());
-    std::vector<JsonValue> points;
-    std::size_t r = 0;
-    while (r < rows.size()) {
-      PointGroup group;
-      group.point = rows[r].at("index").as_int() / rf;
-      while (r < rows.size() &&
-             rows[r].at("index").as_int() / rf == group.point) {
-        const JsonValue& row = rows[r];
-        ++group.cells;
-        if (row.at("success").as_int() != 0) ++group.successes;
-        group.steps.add(row.at("steps").as_double());
-        group.witness.add(row.at("witness_bound").as_double());
-        ++r;
-      }
-      JsonValue obj = JsonValue::object();
-      obj.set("point", JsonValue::of(group.point));
-      obj.set("cells", JsonValue::of(group.cells));
-      for (const auto& [key, value] :
-           dispersion_stats(group.steps, group.witness, group.successes,
-                            group.cells)) {
-        obj.set(key, JsonValue::of(value));
-      }
-      points.push_back(std::move(obj));
-    }
-    out.set("point_stats", JsonValue::array(std::move(points)));
-    out.set("cell_seconds_p50", JsonValue::null());
-    out.set("cell_seconds_p90", JsonValue::null());
-    out.set("cell_seconds_p99", JsonValue::null());
+    out.set("rows", JsonValue::array(std::move(rows)));
   }
 
-  // Hand annotations: the union of extra keys across shards, in first
-  // appearance order. Timing keys never merge; same_keys facts must
-  // agree; everything else is a shard-local count and sums.
+  // Every member not written above is a hand annotation, recombined by
+  // its rule: same_keys facts must agree, everything else is a
+  // shard-local count and sums. Keys merge in first-appearance order.
   std::vector<std::string> extra_keys;
   for (const JsonValue* part : parts) {
     for (const auto& [key, member] : part->members()) {
-      if (is_section_frame_key(key)) continue;
-      if (grid && is_grid_stat_key(key)) continue;
-      if (std::find(extra_keys.begin(), extra_keys.end(), key) ==
-          extra_keys.end()) {
+      if (out.find(key) == nullptr &&
+          std::find(extra_keys.begin(), extra_keys.end(), key) ==
+              extra_keys.end()) {
         extra_keys.push_back(key);
       }
     }
   }
   for (const std::string& key : extra_keys) {
-    if (is_timing_key(key)) continue;
     if (std::find(same_keys.begin(), same_keys.end(), key) !=
         same_keys.end()) {
       const JsonValue* agreed = nullptr;
@@ -713,8 +601,6 @@ JsonValue merge_section(const std::vector<const JsonValue*>& parts) {
       out.set(key, JsonValue::of(sum));
     }
   }
-
-  if (grid) out.set("rows", JsonValue::array(std::move(rows)));
   return out;
 }
 
@@ -767,12 +653,16 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
   }
 
   const JsonValue& first = *ranges[0].second;
-  for (const char* key : {"bench", "threads", "repeat"}) {
-    for (const auto& [spec, doc] : ranges) {
+  const JsonValue& threads = first.at("timing").at("threads");
+  for (const auto& [spec, doc] : ranges) {
+    for (const char* key : {"bench", "repeat"}) {
       if (!(doc->at(key) == first.at(key))) {
         throw MergeError(std::string("shard documents disagree on \"") +
                          key + "\"");
       }
+    }
+    if (!(doc->at("timing").at("threads") == threads)) {
+      throw MergeError("shard documents disagree on \"threads\"");
     }
   }
 
@@ -785,7 +675,6 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
 
   JsonValue merged = JsonValue::object();
   merged.set("bench", first.at("bench"));
-  merged.set("threads", first.at("threads"));
   merged.set("repeat", first.at("repeat"));
   merged.set("shard", JsonValue::of(ShardSpec{}.to_string()));
 
@@ -800,17 +689,12 @@ JsonValue merge_shard_docs_impl(const std::vector<JsonValue>& docs) {
     }
     JsonValue section = merge_section(parts);
     total_cells += static_cast<std::size_t>(section.at("cells").as_int());
-    total_wall += section.at("wall_seconds").as_double();
+    total_wall += section.at("timing").at("wall_seconds").as_double();
     sections.push_back(std::move(section));
   }
   merged.set("sections", JsonValue::array(std::move(sections)));
   merged.set("total_cells", JsonValue::of(total_cells));
-  merged.set("total_wall_seconds", JsonValue::of(total_wall));
-  merged.set("runs_per_sec",
-             JsonValue::of(total_wall > 0.0
-                               ? static_cast<double>(total_cells) /
-                                     total_wall
-                               : 0.0));
+  merged.set("timing", document_timing(total_cells, total_wall, threads));
   return merged;
 }
 

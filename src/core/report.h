@@ -12,14 +12,15 @@
 //   - CollectSink keeps the raw cells + reports for callers that
 //     post-process (the Theorem 27 matrix).
 //   - JsonSink accumulates BENCH_<name>.json sections: cell counts,
-//     wall/throughput, per-cell latency percentiles (util::Summary),
-//     and a per-cell row array of the deterministic fields so shard
-//     unions can be diffed cell-for-cell against unsharded runs.
+//     a per-cell row array of the deterministic fields (so shard
+//     unions can be diffed cell-for-cell against unsharded runs), the
+//     statistics derived from those rows, and a "timing" object per
+//     section holding every wall-clock fact.
 //
 // Because cells stream in cell order within a shard, and shards are
 // contiguous ranges of the flat index space, concatenating the sink
 // output of a tiling's ranges in order reproduces the unsharded output
-// exactly (modulo wall-clock fields).
+// exactly (modulo the "timing" objects).
 #ifndef SETLIB_CORE_REPORT_H
 #define SETLIB_CORE_REPORT_H
 
@@ -71,6 +72,14 @@ struct ShardSpec {
   static std::optional<ShardSpec> parse(std::string_view text);
 };
 
+/// Cells per wall second; 0 when no time was measured. The one
+/// formula behind every runs_per_second()/"runs_per_sec" fact.
+inline double runs_per_wall_second(std::size_t cells,
+                                   double wall_seconds) noexcept {
+  return wall_seconds > 0.0 ? static_cast<double>(cells) / wall_seconds
+                            : 0.0;
+}
+
 /// Facts about one executed sweep section (one runner.run call).
 struct SectionStats {
   std::string name;
@@ -81,11 +90,13 @@ struct SectionStats {
   /// statistics group by.
   int repeats = 1;
   ShardSpec shard;
-  Summary steps;         // per-cell steps_executed (deterministic)
-  Summary cell_seconds;  // per-cell wall latency (thread-count dependent)
-  // Wall-clock facts (the only thread-count-dependent scalars).
+  // Wall-clock facts (the only thread-count-dependent fields).
+  Summary cell_seconds;  // per-cell wall latency
   double wall_seconds = 0.0;
-  double runs_per_second = 0.0;
+
+  double runs_per_second() const noexcept {
+    return runs_per_wall_second(cells, wall_seconds);
+  }
 };
 
 /// Streaming consumer of a sweep section. All hooks default to no-ops;
@@ -109,9 +120,11 @@ struct SweepAggregate {
   Summary steps;                // steps_executed per cell
   Summary witness_bound;        // measured (P, Q) bound per cell
   Summary distinct_decisions;
-  // Wall-clock facts (the only thread-count-dependent fields).
-  double wall_seconds = 0.0;
-  double runs_per_second = 0.0;
+  double wall_seconds = 0.0;  // the only thread-count-dependent field
+
+  double runs_per_second() const noexcept {
+    return runs_per_wall_second(cells, wall_seconds);
+  }
 };
 
 class AggregateSink : public ReportSink {
@@ -166,36 +179,64 @@ class TableSink : public ReportSink {
 /// across shards. Counts over a shard's slice (successes, mismatches,
 /// census members) sum; facts that are invariants of the run
 /// (series_phases, n_max, a cross-check verdict) must agree and are
-/// kept verbatim. Timing facts (see is_timing_key) are never merged.
+/// kept verbatim. Wall-clock facts (a measured speedup, an open-loop
+/// QPS) go to the section's "timing" object, which no merge keeps and
+/// no determinism diff compares.
 enum class MergeRule {
-  kSum,   // shard-local count: shards add up to the unsharded value
-  kSame,  // run invariant: every shard (and the full run) agrees
+  kSum,     // shard-local count: shards add up to the unsharded value
+  kSame,    // run invariant: every shard (and the full run) agrees
+  kTiming,  // wall-clock fact: lands under the section's "timing"
+};
+
+/// One grid section row: the deterministic fields of one cell.
+struct GridRow {
+  std::size_t index = 0;  // global (unsharded) cell index
+  bool success = false;
+  bool detector_ok = false;
+  int distinct_decisions = 0;
+  std::int64_t steps = 0;
+  std::int64_t witness_bound = 0;
+  // Replay hash of the executed schedule, rendered as a 16-hex-digit
+  // string (JSON numbers are doubles and would corrupt it). Rows
+  // concatenate verbatim in shard merges, so the hash is identical
+  // across merges and thread counts by construction.
+  std::uint64_t schedule_hash = 0;
 };
 
 /// Accumulates sweep sections and writes BENCH_<name>.json. Grid
-/// sections (streamed through the ReportSink hooks) record successes,
-/// per-cell latency percentiles, and a per-cell row array of the
-/// deterministic fields; hand-fed section() calls cover loops whose
-/// results are not RunReports.
+/// sections (streamed through the ReportSink hooks) record a per-cell
+/// row array of the deterministic fields; hand-fed section() calls
+/// cover loops whose results are not RunReports.
+///
+/// Document layout:
+///
+///   {"bench", "repeat", "shard", "sections": [...], "total_cells",
+///    "timing": {"total_wall_seconds", "runs_per_sec", "threads"}}
+///
+/// Each section is {"name", "cells", ["same_keys"], annotations...,
+/// "timing": {"wall_seconds", "runs_per_sec", kTiming annotations}};
+/// a grid section adds "grid_cells", "repeat_factor", the rows-derived
+/// facts, "rows", and the per-cell latency percentiles
+/// cell_seconds_p50/p90/p99 under its "timing". Everything that may
+/// differ between two runs of the same cells lives under a "timing"
+/// key, and only there.
 ///
 /// Emission contract (the merge path depends on it): the document
 /// always round-trips through a strict JSON parser — strings are
 /// escaped, non-finite doubles render as null — and a grid section
-/// emits its percentile and dispersion keys (steps_p50/p90/p99,
-/// witness_bound_p90, cell_seconds_p50/p90/p99, plus the multi-seed
-/// statistics: steps_mean/steps_stddev,
+/// emits every rows-derived fact whether or not the shard ran any
+/// cells (null when empty), so shard documents are schema-identical.
+/// The rows-derived facts are successes, detector_ok,
+/// steps_p50/p90/p99, witness_bound_p90, and the multi-seed
+/// statistics steps_mean/steps_stddev,
 /// witness_bound_mean/witness_bound_stddev, success_rate and the 95%
 /// confidence intervals ci_steps_low/high, ci_witness_bound_low/high,
-/// ci_success_low/high — Student-t for means, normal approximation
-/// for the success proportion) whether or not the shard ran any cells
-/// (null when empty), so shard documents are schema-identical. The
-/// scalars pool the whole section; the "point_stats" array repeats
-/// the same keys per grid point (rows grouped by global index /
-/// "repeat_factor"), i.e. per point across its --repeat seeds. All of
-/// them are pure functions of the rows; merge_shard_docs recomputes
-/// them from the union rows with the same arithmetic
-/// (dispersion_stats in report.cpp is the single shared
-/// implementation).
+/// ci_success_low/high (Student-t for means, normal approximation for
+/// the success proportion). The scalars pool the whole section; the
+/// "point_stats" array repeats the dispersion keys per grid point
+/// (rows grouped by global index / "repeat_factor"), i.e. per point
+/// across its --repeat seeds. One function in report.cpp computes all
+/// of them, for rendering and for merge_shard_docs alike.
 class JsonSink : public ReportSink {
  public:
   struct Config {
@@ -223,7 +264,8 @@ class JsonSink : public ReportSink {
   /// Attaches an extra numeric fact to the most recent section. The
   /// MergeRule tells merge_shard_docs how to recombine the fact; keys
   /// annotated kSame are listed in the section's "same_keys" array so
-  /// the rule travels with the document.
+  /// the rule travels with the document, and kTiming facts go to the
+  /// section's "timing" object.
   void annotate(const std::string& key, double value,
                 MergeRule rule = MergeRule::kSum);
 
@@ -234,34 +276,18 @@ class JsonSink : public ReportSink {
   void write_if_requested() const;
 
  private:
-  struct CellRow {
-    std::size_t index = 0;  // global (unsharded) cell index
-    bool success = false;
-    bool detector_ok = false;
-    int distinct_decisions = 0;
-    std::int64_t steps = 0;
-    std::int64_t witness_bound = 0;
-    // Replay hash of the executed schedule, rendered as a 16-hex-digit
-    // string (JSON numbers are doubles and would corrupt it). Not a
-    // timing key: rows concatenate verbatim in shard merges, so the
-    // hash is pinned kSame-by-construction across merges and thread
-    // counts.
-    std::uint64_t schedule_hash = 0;
-    // Arena counter deltas of the cell's analysis phase (see
-    // RunReport). Deterministic facts, not timing keys: zero rows are
-    // the pack-once pipeline's no-heap-traffic evidence.
-    std::int64_t allocs_per_op = 0;
-    std::int64_t bytes_per_op = 0;
-  };
+  using Facts = std::vector<std::pair<std::string, double>>;
   struct Section {
     std::string name;
     std::size_t cells = 0;
     double wall_seconds = 0.0;
-    std::vector<std::pair<std::string, double>> extra;
+    Facts extra;
     std::vector<std::string> same_keys;  // extras annotated kSame
+    Facts timing;  // cell latency percentiles, kTiming annotations
     bool from_grid = false;
-    int repeat_factor = 1;      // grid sections: --repeat group width
-    std::vector<CellRow> rows;  // grid sections only
+    std::size_t grid_cells = 0;  // grid sections only, like the rest
+    int repeat_factor = 1;       // --repeat group width
+    std::vector<GridRow> rows;
   };
 
   Config config_;
@@ -276,18 +302,17 @@ class JsonSink : public ReportSink {
 // --json documents of one bench whose ranges tile the virtual span
 // exactly once (any count, any split history, any completion order),
 // merge_shard_docs produces the document the unsharded run would have
-// written, bit-identical modulo timing keys:
+// written, bit-identical outside the "timing" objects:
 //
 //   - grid sections: the per-cell "rows" arrays concatenate in range
 //     order (global indices must stay strictly increasing), and every
-//     derived fact (successes, detector_ok, steps percentiles,
-//     witness_bound_p90) is recomputed from the union rows with the
-//     same Summary arithmetic the unsharded run uses;
-//   - hand-fed sections: cells sum; extras sum (kSum) or must agree
-//     (kSame, per the section's same_keys list);
-//   - timing keys (is_timing_key) are wall-clock facts: wall_seconds
-//     sums and runs_per_sec is recomputed, every other timing fact is
-//     dropped — they are excluded from determinism diffs by rule.
+//     rows-derived fact is recomputed from the union rows by the same
+//     function the unsharded run renders with;
+//   - every other section member is an annotation: cells and kSum
+//     annotations sum, kSame annotations (the section's same_keys
+//     list) must agree;
+//   - "timing" objects: wall_seconds sums and runs_per_sec is
+//     recomputed; every other timing fact is dropped.
 //
 // Inconsistent inputs (gaps, overlaps, diverging configs, mismatched
 // section sequences) throw MergeError rather than producing a
@@ -299,15 +324,9 @@ class MergeError : public std::runtime_error {
       : std::runtime_error(what_arg) {}
 };
 
-/// True for wall-clock-derived keys, which no determinism diff may
-/// compare: "runs_per_sec", any key containing "wall", "seconds", or
-/// "speedup", and "orchestration" (the elastic orchestrator's
-/// lease/straggler report — pure scheduling facts). The one copy of
-/// the rule: merges and `sweep_orchestrator --diff` both go through
-/// strip_timing_keys.
-bool is_timing_key(const std::string& key);
-
-/// Deep-copies `value` with every is_timing_key object member removed.
+/// Deep-copies `value` with every member named "timing" removed: the
+/// one rule of what a determinism diff may not compare. Merges and
+/// `sweep_orchestrator --diff` both go through it.
 JsonValue strip_timing_keys(const JsonValue& value);
 
 /// Serializes with object keys sorted recursively (compact form), so

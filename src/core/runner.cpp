@@ -104,12 +104,7 @@ SectionStats ExperimentRunner::run(const SweepGrid& grid,
   stats.repeats = grid.repeats();
   stats.shard = options_.shard;
   stats.wall_seconds = timer.seconds();
-  stats.runs_per_second =
-      stats.wall_seconds > 0.0
-          ? static_cast<double>(stats.cells) / stats.wall_seconds
-          : 0.0;
   for (std::size_t i = 0; i < cells.size(); ++i) {  // cell order
-    stats.steps.add(static_cast<double>(reports[i].steps_executed));
     stats.cell_seconds.add(seconds[i]);
     for (ReportSink* sink : sinks) {
       sink->cell(cells[i], reports[i], seconds[i]);
@@ -135,10 +130,6 @@ SectionStats ExperimentRunner::run(
   stats.cells = count;
   stats.shard = options_.shard;
   stats.wall_seconds = timer.seconds();
-  stats.runs_per_second =
-      stats.wall_seconds > 0.0
-          ? static_cast<double>(count) / stats.wall_seconds
-          : 0.0;
   return stats;
 }
 

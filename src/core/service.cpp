@@ -309,16 +309,11 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
   stats.repeats = 1;
   stats.shard = runner.options().shard;
   stats.wall_seconds = timer.seconds();
-  stats.runs_per_second =
-      stats.wall_seconds > 0.0
-          ? static_cast<double>(stats.cells) / stats.wall_seconds
-          : 0.0;
 
   for (std::size_t i = 0; i < outcomes.size(); ++i) {  // batch order
     const std::size_t global = begin + i;
     const BatchOutcome& outcome = outcomes[i];
     const AdmissionPlan::Batch& batch = admission.batches[global];
-    stats.steps.add(static_cast<double>(outcome.steps));
     stats.cell_seconds.add(outcome.seconds);
 
     // One synthesized grid cell per batch, so the existing sinks (and
@@ -521,25 +516,27 @@ OpenLoopReport ServiceHarness::run_open_loop(ExperimentRunner& runner,
                         config_.slo_target);
 
   if (json != nullptr) {
-    // Every key carries a "wall"/"seconds" substring on purpose: open
-    // loop is wall-clock territory, so the is_timing_key rule excludes
-    // all of it from determinism diffs and shard merges.
-    json->section(
-        "open_loop", static_cast<std::size_t>(out.served),
-        out.wall_seconds,
-        {{"offered_wall", static_cast<double>(out.offered)},
-         {"served_wall", static_cast<double>(out.served)},
-         {"shed_wall", static_cast<double>(out.shed)},
-         {"unserved_wall", static_cast<double>(out.unserved)},
-         {"qps_target_wall", out.qps_target},
-         {"qps_achieved_wall", out.qps_achieved},
-         {"latency_p50_seconds", out.slo.p50 * 1e-6},
-         {"latency_p99_seconds", out.slo.p99 * 1e-6},
-         {"latency_p999_seconds", out.slo.p999 * 1e-6},
-         {"latency_max_seconds", out.slo.max * 1e-6},
-         {"slo_violations_wall",
-          static_cast<double>(out.slo.violations)},
-         {"error_budget_burn_wall", out.slo.error_budget_burn}});
+    // Open loop is wall-clock territory: every fact it measures goes
+    // to the section's "timing" object, outside determinism diffs and
+    // shard merges.
+    json->section("open_loop", static_cast<std::size_t>(out.served),
+                  out.wall_seconds);
+    for (const auto& [key, value] :
+         {std::pair<const char*, double>{
+              "offered", static_cast<double>(out.offered)},
+          {"served", static_cast<double>(out.served)},
+          {"shed", static_cast<double>(out.shed)},
+          {"unserved", static_cast<double>(out.unserved)},
+          {"qps_target", out.qps_target},
+          {"qps_achieved", out.qps_achieved},
+          {"latency_p50_seconds", out.slo.p50 * 1e-6},
+          {"latency_p99_seconds", out.slo.p99 * 1e-6},
+          {"latency_p999_seconds", out.slo.p999 * 1e-6},
+          {"latency_max_seconds", out.slo.max * 1e-6},
+          {"slo_violations", static_cast<double>(out.slo.violations)},
+          {"error_budget_burn", out.slo.error_budget_burn}}) {
+      json->annotate(key, value, MergeRule::kTiming);
+    }
   }
   return out;
 }

@@ -30,9 +30,9 @@
 // - Open loop (the throughput mode): arrivals are paced on the wall
 //   clock at a target QPS, the queue is drained in rounds, and
 //   latency is measured in real microseconds. Every fact it emits is
-//   named as a timing key (contains "wall"/"seconds"), so the
-//   existing is_timing_key rule excludes it from determinism diffs
-//   and shard merges by construction.
+//   annotated MergeRule::kTiming, so it lands in the section's
+//   "timing" object, outside determinism diffs and shard merges by
+//   construction.
 //
 // Threading model: ServiceHarness owns no mutex. The admission plan is
 // computed single-threaded; batch execution parallelizes only through
@@ -211,7 +211,7 @@ class ServiceHarness {
   /// Open-loop serving: wall-clock arrivals at `target_qps` for
   /// `duration`, bounded-queue backpressure, batches drained in rounds
   /// through the runner's pool. Emits a hand-fed "open_loop" JSON
-  /// section whose keys are all timing keys.
+  /// section whose facts all live in its "timing" object.
   OpenLoopReport run_open_loop(ExperimentRunner& runner,
                                std::int64_t target_qps,
                                std::chrono::seconds duration,

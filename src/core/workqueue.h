@@ -122,9 +122,9 @@ struct WorkQueueReport {
   std::vector<LeaseEvent> events;
 
   /// Rendered for the merged document. Every fact in here is a
-  /// wall-clock/scheduling fact, so the whole object lives under the
-  /// "orchestration" key, which is_timing_key excludes from
-  /// determinism diffs by rule.
+  /// wall-clock/scheduling fact, so the whole object lives as
+  /// "orchestration" inside the document's "timing" object, which
+  /// determinism diffs exclude.
   JsonValue to_json() const;
 };
 

@@ -12,17 +12,17 @@
 // reserve size) — independent of which worker thread ran the previous
 // cell, how many cells it ran, or what they allocated. The per-cell
 // counter deltas the engine reports (RunReport::allocs_per_op /
-// bytes_per_op) are therefore bit-identical at any thread count and
-// across shard merges, like every other deterministic row fact.
+// bytes_per_op) are therefore bit-identical at any thread count, like
+// every other deterministic per-cell fact.
 //
 // Counters: allocs() and bytes() count upstream acquisitions only —
 // overflow blocks grabbed beyond the reserve — and are cumulative and
 // monotone (rewinds free memory but never un-count it), so callers
 // measure a scope by delta. A steady-state cell whose peak footprint
 // fits the reserve reports a zero delta: that is the "allocates
-// nothing" claim the BENCH_*.json artifacts pin. high_water() is the
-// peak in_use() observed, the number that says how big the reserve
-// must be for a workload to stay steady-state.
+// nothing" claim util_arena_test and shm_alloc_test pin. high_water()
+// is the peak in_use() observed, the number that says how big the
+// reserve must be for a workload to stay steady-state.
 //
 // FrameScope is the per-cell frame: it captures the arena position on
 // entry and rewinds (freeing overflow blocks acquired inside the

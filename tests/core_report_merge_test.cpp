@@ -1,6 +1,7 @@
 // The shard-document merge behind the multi-process orchestrator:
 // merging --cells=LO..HI/SPAN JSON documents that tile the span must
-// reproduce the unsharded document bit-identically modulo timing keys,
+// reproduce the unsharded document bit-identically outside the
+// "timing" objects,
 // for grid and hand-fed sections alike; inconsistent inputs must throw MergeError,
 // never produce a silently incomplete document. Also pins the
 // JsonSink emission contract the merge depends on (escaping,
@@ -163,17 +164,15 @@ TEST(MergeShardDocsTest, DivergingConfigIsAnError) {
 
 TEST(MergeShardDocsTest, DisagreeingInvariantKeyIsAnError) {
   const std::string shard0 =
-      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "0..1/2",
-          "sections": [{"name": "s", "cells": 1, "wall_seconds": 0,
-                        "runs_per_sec": 0, "same_keys": ["inv"],
-                        "inv": 7}],
-          "total_cells": 1, "total_wall_seconds": 0, "runs_per_sec": 0})";
+      R"({"bench": "b", "repeat": 1, "shard": "0..1/2",
+          "sections": [{"name": "s", "cells": 1, "same_keys": ["inv"],
+                        "inv": 7, "timing": {"wall_seconds": 0}}],
+          "total_cells": 1, "timing": {"threads": 1}})";
   const std::string shard1 =
-      R"({"bench": "b", "threads": 1, "repeat": 1, "shard": "1..2/2",
-          "sections": [{"name": "s", "cells": 1, "wall_seconds": 0,
-                        "runs_per_sec": 0, "same_keys": ["inv"],
-                        "inv": 8}],
-          "total_cells": 1, "total_wall_seconds": 0, "runs_per_sec": 0})";
+      R"({"bench": "b", "repeat": 1, "shard": "1..2/2",
+          "sections": [{"name": "s", "cells": 1, "same_keys": ["inv"],
+                        "inv": 8, "timing": {"wall_seconds": 0}}],
+          "total_cells": 1, "timing": {"threads": 1}})";
   try {
     merge_shard_docs({JsonValue::parse(shard0), JsonValue::parse(shard1)});
     FAIL() << "expected MergeError";
@@ -294,7 +293,6 @@ TEST(JsonSinkContractTest, EmptyShardGridSectionsKeepThePercentileKeys) {
   EXPECT_EQ(section.at("cells").as_int(), 0);
   for (const char* key :
        {"steps_p50", "steps_p90", "steps_p99", "witness_bound_p90",
-        "cell_seconds_p50", "cell_seconds_p90", "cell_seconds_p99",
         "steps_mean", "steps_stddev", "ci_steps_low", "ci_steps_high",
         "witness_bound_mean", "witness_bound_stddev",
         "ci_witness_bound_low", "ci_witness_bound_high", "success_rate",
@@ -302,29 +300,106 @@ TEST(JsonSinkContractTest, EmptyShardGridSectionsKeepThePercentileKeys) {
     ASSERT_NE(section.find(key), nullptr) << key;
     EXPECT_TRUE(section.at(key).is_null()) << key;
   }
+  const JsonValue& timing = section.at("timing");
+  for (const char* key :
+       {"cell_seconds_p50", "cell_seconds_p90", "cell_seconds_p99"}) {
+    ASSERT_NE(timing.find(key), nullptr) << key;
+    EXPECT_TRUE(timing.at(key).is_null()) << key;
+  }
   EXPECT_EQ(section.at("rows").items().size(), 0u);
   EXPECT_EQ(section.at("point_stats").items().size(), 0u);
   EXPECT_EQ(section.at("repeat_factor").as_int(), 1);
 }
 
 TEST(TimingKeyTest, TheRuleMatchesTheDocumentedKeys) {
-  for (const char* key :
-       {"wall_seconds", "total_wall_seconds", "runs_per_sec",
-        "cell_seconds_p50", "series_wall_seconds",
-        "rescan_wall_seconds", "speedup_vs_rescan"}) {
-    EXPECT_TRUE(is_timing_key(key)) << key;
-  }
-  // The dispersion keys must never pattern-match as timing keys — a
-  // timing match would drop them from merged documents instead of
-  // recomputing them.
-  for (const char* key :
-       {"cells", "successes", "steps_p50", "series_phases",
-        "rescan_match", "bench", "steps_mean", "steps_stddev",
-        "witness_bound_mean", "witness_bound_stddev", "success_rate",
-        "ci_steps_low", "ci_steps_high", "ci_witness_bound_low",
-        "ci_witness_bound_high", "ci_success_low", "ci_success_high"}) {
-    EXPECT_FALSE(is_timing_key(key)) << key;
-  }
+  // strip_timing_keys drops every member named "timing", at any depth,
+  // and nothing else: a key's spelling never makes it a timing fact.
+  const JsonValue doc = JsonValue::parse(R"({
+      "bench": "b", "total_cells": 2,
+      "timing": {"total_wall_seconds": 1, "runs_per_sec": 2,
+                 "threads": 4, "orchestration": {"leases_completed": 3}},
+      "sections": [{"name": "s", "cells": 2, "speedup_count": 1,
+                    "wall_clock_checks": 2, "seconds_budget": 3,
+                    "point_stats": [{"point": 0, "timing": {"x": 1}}],
+                    "timing": {"wall_seconds": 1, "runs_per_sec": 2,
+                               "cell_seconds_p50": 0.5}}]})");
+  EXPECT_EQ(canonical_json(strip_timing_keys(doc)),
+            canonical_json(JsonValue::parse(R"({
+      "bench": "b", "total_cells": 2,
+      "sections": [{"name": "s", "cells": 2, "speedup_count": 1,
+                    "wall_clock_checks": 2, "seconds_budget": 3,
+                    "point_stats": [{"point": 0}]}]})")));
+
+  // A rendered document keeps every wall-clock fact, the thread count
+  // included, under a "timing" object: renders at different thread
+  // counts strip to the same document.
+  auto rendered = [](int threads) {
+    JsonSink::Config config;
+    config.name = "timing_layout";
+    config.threads = threads;
+    JsonSink sink(config);
+    sink.section("s", 2, 0.5 * threads);
+    sink.annotate("measured_seconds", threads, MergeRule::kTiming);
+    return JsonValue::parse(sink.render());
+  };
+  const JsonValue one = rendered(1);
+  const JsonValue four = rendered(4);
+  EXPECT_EQ(one.at("timing").at("threads").as_int(), 1);
+  EXPECT_EQ(four.at("timing").at("threads").as_int(), 4);
+  EXPECT_EQ(four.find("threads"), nullptr);
+  EXPECT_EQ(four.at("timing").at("total_wall_seconds").as_double(), 2.0);
+  EXPECT_EQ(four.at("timing").at("runs_per_sec").as_double(), 1.0);
+  const JsonValue& section = four.at("sections").items().at(0);
+  EXPECT_EQ(section.at("timing").at("wall_seconds").as_double(), 2.0);
+  EXPECT_EQ(section.at("timing").at("runs_per_sec").as_double(), 1.0);
+  EXPECT_NE(canonical_json(one), canonical_json(four));
+  EXPECT_EQ(canonical_json(strip_timing_keys(one)),
+            canonical_json(strip_timing_keys(four)));
+}
+
+/// One hand-fed section over `cells` cells of the `shard` range, with
+/// a summed and an invariant annotation whose names merely look like
+/// timing keys, and a real timing annotation.
+JsonValue annotated_doc(ShardSpec shard, std::size_t cells,
+                        double speedup_count, double measured_seconds) {
+  JsonSink::Config config;
+  config.name = "annotated";
+  config.shard = shard;
+  JsonSink sink(config);
+  sink.section("s", cells, 0.25);
+  sink.annotate("speedup_count", speedup_count);
+  sink.annotate("wall_clock_checks", 2.0, MergeRule::kSame);
+  sink.annotate("measured_seconds", measured_seconds, MergeRule::kTiming);
+  return JsonValue::parse(sink.render());
+}
+
+TEST(MergeShardDocsTest, AnnotationsSpelledLikeTimingAreMergedAndCompared) {
+  const JsonValue merged =
+      merge_shard_docs({annotated_doc({0, 1, 2}, 1, 1.0, 0.5),
+                        annotated_doc({1, 2, 2}, 1, 2.0, 0.75)});
+  const JsonValue& section = merged.at("sections").items().at(0);
+  EXPECT_EQ(section.at("speedup_count").as_double(), 3.0);  // kSum
+  EXPECT_EQ(section.at("wall_clock_checks").as_double(), 2.0);  // kSame
+  EXPECT_EQ(comparable(merged),
+            comparable(annotated_doc({0, 1, 1}, 2, 3.0, 9.0)));
+  // The determinism diff compares them like any other fact.
+  EXPECT_NE(comparable(merged),
+            comparable(annotated_doc({0, 1, 1}, 2, 4.0, 9.0)));
+}
+
+TEST(JsonSinkContractTest, TimingAnnotationsLandUnderTheSectionTiming) {
+  const JsonValue doc = annotated_doc({0, 1, 1}, 2, 3.0, 0.5);
+  const JsonValue& section = doc.at("sections").items().at(0);
+  EXPECT_EQ(section.find("measured_seconds"), nullptr);
+  EXPECT_EQ(section.at("timing").at("measured_seconds").as_double(), 0.5);
+  EXPECT_EQ(section.find("same_keys")->dump(), R"(["wall_clock_checks"])");
+  // Excluded from the determinism diff...
+  EXPECT_EQ(comparable(doc),
+            comparable(annotated_doc({0, 1, 1}, 2, 3.0, 7.0)));
+  // ...and from merges, which keep only the recomputed wall clock.
+  const JsonValue merged = merge_shard_docs({doc});
+  EXPECT_EQ(merged.at("sections").items().at(0).at("timing").dump(),
+            R"({"wall_seconds": 0.25, "runs_per_sec": 8})");
 }
 
 TEST(CanonicalJsonTest, KeyOrderDoesNotAffectTheCanonicalForm) {

@@ -40,11 +40,9 @@ std::pair<ClosedLoopReport, JsonValue> serve(const ServiceConfig& config,
   return {std::move(report), JsonValue::parse(json.render())};
 }
 
-/// Canonical form for determinism diffs: timing keys stripped, the
-/// document-level thread count (the one legitimately varying field)
-/// neutralized.
-std::string comparable(JsonValue doc) {
-  doc.set("threads", JsonValue::of(std::int64_t{0}));
+/// Canonical form for determinism diffs: the timing objects (where
+/// the thread count lives too) stripped.
+std::string comparable(const JsonValue& doc) {
   return canonical_json(strip_timing_keys(doc));
 }
 

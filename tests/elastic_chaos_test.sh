@@ -29,7 +29,7 @@ while :; do
   # Every attempt, killed or not, must merge bit-identical.
   "$ORCH" --diff FULL.json MERGED.json
 
-  # The orchestration report (a timing key, so outside the diff) says
+  # The orchestration report (under "timing", so outside the diff) says
   # whether the kill landed and the victim's lease was resharded.
   if grep -q '"leases_failed": *[1-9]' MERGED.json &&
      grep -q '"leases_resharded": *[1-9]' MERGED.json; then

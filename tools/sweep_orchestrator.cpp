@@ -7,8 +7,8 @@
 // lease is split, requeued, and re-leased, and the accepted lease
 // documents merge into one --out document bit-identical (modulo timing
 // keys) to the unsharded `--json` run. The merged document carries the
-// scheduler's accounting under the top-level "orchestration" key (a
-// timing key).
+// scheduler's accounting as "orchestration" inside its top-level
+// "timing" object.
 //
 //   sweep_orchestrator <bench> [--workers=M] [--ranges=R]
 //                      [--lease-timeout=SECONDS] [--straggler-factor=F]
