@@ -26,8 +26,6 @@
 //     min_timeliness_bound_reference, so the packed analyzer is
 //     differentially pinned on every family's schedules; mismatches
 //     are counted (and summed across shards) in the JSON.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -210,65 +208,15 @@ void print_frontier_map(core::ExperimentRunner& runner,
   json.annotate("reference_mismatches", mismatches);
 }
 
-void BM_FamilyGenerate(benchmark::State& state) {
-  const auto& families = sched::schedule_families();
-  const sched::FamilyInfo& info =
-      families[static_cast<std::size_t>(state.range(0))];
-  sched::FamilyParams params;
-  params.n = 16;
-  params.crash_count = 4;
-  for (auto _ : state) {
-    auto gen = sched::make_family(info.kind, params, 42);
-    benchmark::DoNotOptimize(sched::generate(*gen, 1 << 14));
-  }
-  state.SetItemsProcessed(state.iterations() * (1 << 14));
-  state.SetLabel(info.name);
-}
-BENCHMARK(BM_FamilyGenerate)->DenseRange(0, 5);
-
-void BM_ReactiveGenerate(benchmark::State& state) {
-  const auto& reactives = sched::reactive_adversaries();
-  const sched::ReactiveInfo& info =
-      reactives[static_cast<std::size_t>(state.range(0))];
-  sched::ReactiveParams params;
-  params.n = 16;
-  params.crash_budget = 4;
-  for (auto _ : state) {
-    auto gen = sched::make_reactive(info.kind, params, 42);
-    benchmark::DoNotOptimize(sched::generate_observed(*gen, 1 << 14));
-  }
-  state.SetItemsProcessed(state.iterations() * (1 << 14));
-  state.SetLabel(info.name);
-}
-BENCHMARK(BM_ReactiveGenerate)->DenseRange(0, 2);
-
-void BM_FrontierCellScan(benchmark::State& state) {
-  sched::FamilyParams params;
-  params.n = kFrontierN;
-  params.crash_count = 2;
-  params.crash_horizon = kFrontierLen / 2;
-  auto gen =
-      sched::make_family(sched::FamilyKind::kBursty, params, 42);
-  const sched::Schedule s = sched::generate(*gen, kFrontierLen);
-  const sched::PackedSchedule packed(s);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::RankedPairScan(packed, 2, 4).best_pair());
-  }
-}
-BENCHMARK(BM_FrontierCellScan)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(&argc, argv, "adversary_frontier");
+      core::parse_runner_options(argc, argv, "adversary_frontier");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_family_grid(runner, json);
   print_frontier_map(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -16,8 +16,6 @@
 // of BENCH_fig1_timeliness.json (series_phases and rescan_match, plus
 // series_wall_seconds, rescan_wall_seconds and speedup_vs_rescan
 // under the section's "timing").
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "src/core/experiments.h"
@@ -164,103 +162,16 @@ void print_family_sweep(core::ExperimentRunner& runner,
   std::cout << "\n";
 }
 
-void BM_Figure1Generate(benchmark::State& state) {
-  const std::int64_t steps = state.range(0);
-  for (auto _ : state) {
-    sched::Figure1Generator gen(3, 0, 1, 2);
-    benchmark::DoNotOptimize(sched::generate(gen, steps));
-  }
-  state.SetItemsProcessed(state.iterations() * steps);
-}
-BENCHMARK(BM_Figure1Generate)->Arg(1 << 12)->Arg(1 << 16);
-
-void BM_MinTimelinessBound(benchmark::State& state) {
-  const std::int64_t steps = state.range(0);
-  sched::Figure1Generator gen(3, 0, 1, 2);
-  const auto schedule = sched::generate(gen, steps);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::min_timeliness_bound(
-        schedule, ProcSet::of({0, 1}), ProcSet::of(2)));
-  }
-  state.SetItemsProcessed(state.iterations() * steps);
-}
-BENCHMARK(BM_MinTimelinessBound)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_MinTimelinessBoundReference(benchmark::State& state) {
-  const std::int64_t steps = state.range(0);
-  sched::Figure1Generator gen(3, 0, 1, 2);
-  const auto schedule = sched::generate(gen, steps);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::min_timeliness_bound_reference(
-        schedule, ProcSet::of({0, 1}), ProcSet::of(2)));
-  }
-  state.SetItemsProcessed(state.iterations() * steps);
-}
-BENCHMARK(BM_MinTimelinessBoundReference)
-    ->Arg(1 << 12)
-    ->Arg(1 << 16)
-    ->Arg(1 << 20);
-
-void BM_BoundTrackerExtend(benchmark::State& state) {
-  // Cost of tracking the bound across growing prefixes: the whole
-  // series in one pass, amortized O(1) per step.
-  const std::int64_t steps = state.range(0);
-  sched::Figure1Generator gen(3, 0, 1, 2);
-  const auto schedule = sched::generate(gen, steps);
-  for (auto _ : state) {
-    sched::BoundTracker tracker(ProcSet::of({0, 1}), ProcSet::of(2));
-    for (std::int64_t cut = 0; cut < steps; cut += 1024) {
-      tracker.extend(schedule, cut);
-    }
-    tracker.extend(schedule);
-    benchmark::DoNotOptimize(tracker.bound());
-  }
-  state.SetItemsProcessed(state.iterations() * steps);
-}
-BENCHMARK(BM_BoundTrackerExtend)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_SystemMembershipBestPair(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  sched::UniformRandomGenerator gen(n, 42);
-  const auto schedule = sched::generate(gen, 4'000);
-  const sched::SystemMembership membership(schedule);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(membership.best_pair(2, n - 1));
-  }
-}
-BENCHMARK(BM_SystemMembershipBestPair)
-    ->Arg(4)
-    ->Arg(6)
-    ->Arg(8)
-    ->Arg(12)
-    ->Arg(16);
-
-void BM_RankedPairScanCensus(benchmark::State& state) {
-  // Exhaustive membership census at large n: C(n,2) x C(n,n-1) pairs
-  // with cap pruning over one shared packed prefix.
-  const int n = static_cast<int>(state.range(0));
-  sched::UniformRandomGenerator gen(n, 42);
-  const auto schedule = sched::generate(gen, 20'000);
-  const sched::PackedSchedule packed(schedule);
-  const sched::RankedPairScan scan(packed, 2, n - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scan.count_members(3));
-  }
-}
-BENCHMARK(BM_RankedPairScanCensus)->Arg(16)->Arg(24);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(&argc, argv, "fig1_timeliness");
+      core::parse_runner_options(argc, argv, "fig1_timeliness");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_figure1_table(runner, json);
   print_series_speedup(runner, json);
   print_family_sweep(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,15 +5,12 @@
 // with and without crashes, plus the per-iteration register-operation
 // cost model |Pi_n^k| * n + n + 1 + |Pi_n^k|. Every series' rows are
 // independent simulator runs, so they shard across the persistent
-// ExperimentRunner pool (--threads / --cells); the microbenchmarks
-// time raw simulator throughput while the detector runs.
+// ExperimentRunner pool (--threads / --cells).
 //
 // EXP-F2d sweeps system membership at detector-infeasible sizes: for
 // n up to 28, the batched sched::RankedPairScan censuses every
 // C(n,2) x C(n,n-1) pair on witness-enforced vs i-subset-starver
 // schedules, with the P-rank chunks driven through the runner pool.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <memory>
 
@@ -275,35 +272,11 @@ void print_largen_membership(core::ExperimentRunner& runner,
   }
 }
 
-void BM_DetectorSteps(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    state.PauseTiming();
-    shm::SimMemory mem;
-    fd::KAntiOmega detector(mem, {n, k, std::max(k, n / 2), 1});
-    shm::Simulator sim(mem, n);
-    for (Pid p = 0; p < n; ++p) {
-      sim.process(p).add_task(detector.run(p), "fd");
-    }
-    sched::RoundRobinGenerator gen(n);
-    state.ResumeTiming();
-    sim.run(gen, 50'000);
-  }
-  state.SetItemsProcessed(state.iterations() * 50'000);
-}
-BENCHMARK(BM_DetectorSteps)
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({6, 3})
-    ->Args({8, 4})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(&argc, argv, "fig2_detector");
+      core::parse_runner_options(argc, argv, "fig2_detector");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_convergence_table(runner, json);
@@ -311,7 +284,5 @@ int main(int argc, char** argv) {
   print_gst_series(runner, json);
   print_largen_membership(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

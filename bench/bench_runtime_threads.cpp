@@ -1,17 +1,14 @@
-// EXP-RT — the threaded runtime: end-to-end (t, k, n)-agreement latency
-// on real std::jthreads under the set-timeliness pacer, vs thread count
-// and pacer bound, plus pacer gate overhead.
+// EXP-RT — the threaded runtime: end-to-end (t, k, n)-agreement on real
+// std::jthreads under the set-timeliness pacer, one row per (t, k, n)
+// and crash count.
 //
 // Each table row spawns its own n jthreads, so the default sweep width
 // is 1; `--threads=N` runs N rows' jthread groups concurrently
 // (oversubscription is safe — the pacer serializes inside a row).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "src/core/runner.h"
 #include "src/core/sweep_cli.h"
-#include "src/runtime/pacer.h"
 #include "src/runtime/rt_harness.h"
 #include "src/util/table.h"
 
@@ -66,56 +63,14 @@ void print_rt_table(core::ExperimentRunner& runner,
   json.section("rt_table", reports.size(), wall);
 }
 
-void BM_ThreadedAgreement(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    runtime::RtRunConfig cfg;
-    cfg.n = n;
-    cfg.k = std::max(1, n / 3);
-    cfg.t = std::max(1, n / 2);
-    const auto report = runtime::run_kset_threaded(cfg);
-    benchmark::DoNotOptimize(report.success);
-  }
-}
-BENCHMARK(BM_ThreadedAgreement)->Arg(3)->Arg(5)->Arg(8)->Unit(
-    benchmark::kMillisecond);
-
-void BM_ThreadedAgreementVsBound(benchmark::State& state) {
-  const std::int64_t bound = state.range(0);
-  for (auto _ : state) {
-    runtime::RtRunConfig cfg;
-    cfg.n = 4;
-    cfg.k = 1;
-    cfg.t = 2;
-    cfg.bound = bound;
-    const auto report = runtime::run_kset_threaded(cfg);
-    benchmark::DoNotOptimize(report.success);
-  }
-}
-BENCHMARK(BM_ThreadedAgreementVsBound)->Arg(2)->Arg(8)->Arg(64)->Unit(
-    benchmark::kMillisecond);
-
-void BM_PacerGate(benchmark::State& state) {
-  runtime::Pacer pacer(
-      2, {sched::TimelinessConstraint(ProcSet::of(0), ProcSet::of(1), 1000)},
-      /*record_schedule=*/false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pacer.step(0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacerGate);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(&argc, argv, "runtime_threads");
+      core::parse_runner_options(argc, argv, "runtime_threads");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_rt_table(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

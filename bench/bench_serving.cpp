@@ -17,13 +17,10 @@
 // Deterministic facts print on "EXP-SERVE:" lines; wall-clock facts
 // are isolated on lines starting "wall:" so determinism diffs can
 // `grep -v '^wall'`.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <iostream>
 #include <string>
 
-#include "src/core/loadgen.h"
 #include "src/core/report.h"
 #include "src/core/runner.h"
 #include "src/core/service.h"
@@ -110,62 +107,15 @@ void run_serving(core::ExperimentRunner& runner, core::JsonSink& json) {
   }
 }
 
-void BM_LoadGenArrivals(benchmark::State& state) {
-  const std::int64_t requests = state.range(0);
-  const core::LoadGen gen(core::LoadGenConfig{requests, 42, 8});
-  for (auto _ : state) {
-    const auto arrivals = gen.arrivals();
-    benchmark::DoNotOptimize(arrivals.data());
-  }
-  state.SetItemsProcessed(state.iterations() * requests);
-}
-BENCHMARK(BM_LoadGenArrivals)->Arg(100'000)->Unit(
-    benchmark::kMillisecond);
-
-void BM_AdmissionPlan(benchmark::State& state) {
-  core::ServiceConfig config;
-  config.requests = state.range(0);
-  const core::ServiceHarness harness(config);
-  for (auto _ : state) {
-    const auto plan = harness.plan();
-    benchmark::DoNotOptimize(plan.batches.data());
-  }
-  state.SetItemsProcessed(state.iterations() * config.requests);
-}
-BENCHMARK(BM_AdmissionPlan)->Arg(100'000)->Unit(benchmark::kMillisecond);
-
-void BM_ServingBatch(benchmark::State& state) {
-  // One enforced-schedule agreement pass per iteration: the per-batch
-  // decision cost the admission plan's service model stands in for.
-  core::ServiceConfig config;
-  config.requests = 4096;
-  config.batch = static_cast<int>(state.range(0));
-  const core::ServiceHarness harness(config);
-  const core::AdmissionPlan plan = harness.plan();
-  std::int64_t slots = 0;
-  std::size_t index = 0;
-  for (auto _ : state) {
-    const auto outcome =
-        harness.run_batch(plan, index++ % plan.batches.size());
-    slots += static_cast<std::int64_t>(outcome.decisions.size());
-    benchmark::DoNotOptimize(outcome.steps);
-  }
-  state.SetItemsProcessed(slots);
-}
-BENCHMARK(BM_ServingBatch)->Arg(1)->Arg(64)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   strip_serving_flags(&argc, argv);
   const auto options =
-      setlib::core::parse_runner_options(&argc, argv, "serving");
+      setlib::core::parse_runner_options(argc, argv, "serving");
   setlib::core::ExperimentRunner runner(options);
   setlib::core::JsonSink json = runner.json_sink();
   run_serving(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,9 +6,6 @@
 // series, and a spec × family × seed SweepGrid aggregated into the
 // success-rate matrix. Everything runs through one persistent
 // core::ExperimentRunner (--threads / --repeat / --cells / --json).
-// Microbenchmarks time whole engine runs.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "src/core/engine.h"
@@ -136,54 +133,16 @@ void print_seed_sweep(core::ExperimentRunner& runner,
             << table.render() << "\n";
 }
 
-void BM_AgreementRun(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  const int t = static_cast<int>(state.range(2));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    core::RunConfig cfg;
-    cfg.spec = {t, k, n};
-    cfg.system = core::matching_system(cfg.spec);
-    cfg.seed = ++seed;
-    const auto report = core::run_agreement(cfg);
-    benchmark::DoNotOptimize(report.success);
-  }
-}
-BENCHMARK(BM_AgreementRun)
-    ->Args({3, 1, 1})
-    ->Args({4, 2, 2})
-    ->Args({5, 2, 3})
-    ->Args({6, 3, 3})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TrivialRegime(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  std::uint64_t seed = 100;
-  for (auto _ : state) {
-    core::RunConfig cfg;
-    cfg.spec = {1, 2, n};  // k > t
-    cfg.system = {n, n, n};
-    cfg.seed = ++seed;
-    const auto report = core::run_agreement(cfg);
-    benchmark::DoNotOptimize(report.success);
-  }
-}
-BENCHMARK(BM_TrivialRegime)->Arg(4)->Arg(8)->Arg(16)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(&argc, argv, "thm24_agreement");
+      core::parse_runner_options(argc, argv, "thm24_agreement");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_agreement_table(runner, json);
   print_bound_series(runner, json);
   print_seed_sweep(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

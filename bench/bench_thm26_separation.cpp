@@ -12,9 +12,8 @@
 // Plus the direct evidence: the k-subset starver (a schedule of
 // S^{k+1}_{n,n}) defeats the Figure 2 detector's k-anti-Omega property.
 // Each series' rows are independent runs sharded across the persistent
-// ExperimentRunner pool (--threads / --cells).
-#include <benchmark/benchmark.h>
-
+// ExperimentRunner pool (--threads / --cells). The bench exits non-zero
+// when a part-1 run fails or a part-2b detector keeps its property.
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -35,8 +34,9 @@ namespace {
 
 using namespace setlib;
 
-void print_part1_possibility(core::ExperimentRunner& runner,
-                             core::JsonSink& json) {
+// Each part returns the number of its rows that contradict Theorem 26.
+int print_part1_possibility(core::ExperimentRunner& runner,
+                            core::JsonSink& json) {
   struct Row {
     int k, n;
   };
@@ -57,7 +57,9 @@ void print_part1_possibility(core::ExperimentRunner& runner,
   const double wall = timer.seconds();
 
   TextTable table({"(k,k,n)", "system", "success", "distinct", "steps"});
+  int failures = 0;
   for (std::size_t i = 0; i < reports.size(); ++i) {
+    if (!reports[i].success) ++failures;
     const Row& row = rows[first + i];
     const core::AgreementSpec spec{row.k, row.k, row.n};
     const core::SystemSpec system{row.k, row.n, row.n};
@@ -71,6 +73,7 @@ void print_part1_possibility(core::ExperimentRunner& runner,
   std::cout << "EXP-T26 part 1: (k,k,n)-agreement solvable in S^k_{n,n}\n"
             << table.render() << "\n";
   json.section("possibility", reports.size(), wall);
+  return failures;
 }
 
 void print_bg_properties(core::ExperimentRunner& runner,
@@ -155,8 +158,8 @@ void print_bg_properties(core::ExperimentRunner& runner,
   json.section("bg_properties", facts.size(), wall);
 }
 
-void print_detector_defeat(core::ExperimentRunner& runner,
-                           core::JsonSink& json) {
+int print_detector_defeat(core::ExperimentRunner& runner,
+                          core::JsonSink& json) {
   struct Row {
     int k, n;
   };
@@ -180,7 +183,9 @@ void print_detector_defeat(core::ExperimentRunner& runner,
 
   TextTable table({"(k,k,n) detector", "family", "abstract property",
                    "winnerset changes"});
+  int holds = 0;
   for (std::size_t i = 0; i < reports.size(); ++i) {
+    if (reports[i].detector.abstract_ok) ++holds;
     const Row& row = rows[first + i];
     const core::AgreementSpec spec{row.k, row.k, row.n};
     table.row()
@@ -194,46 +199,19 @@ void print_detector_defeat(core::ExperimentRunner& runner,
                "k-anti-Omega detector\n"
             << table.render() << "\n";
   json.section("detector_defeat", reports.size(), wall);
+  return holds;
 }
-
-void BM_BGSimulationThroughput(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    state.PauseTiming();
-    shm::SimMemory mem;
-    bg::BGSimulation sim_obj(
-        mem, bg::BGSimulation::Params{m, n, 16},
-        [](int u) { return std::make_unique<bg::ForeverThread>(u); });
-    shm::Simulator sim(mem, m);
-    for (Pid i = 0; i < m; ++i) {
-      sim.process(i).add_task(sim_obj.run(i), "bg");
-    }
-    sched::RoundRobinGenerator gen(m);
-    state.ResumeTiming();
-    sim.run(gen, 200'000);
-    benchmark::DoNotOptimize(sim_obj.simulated_schedule().size());
-  }
-  state.SetItemsProcessed(state.iterations() * 200'000);
-}
-BENCHMARK(BM_BGSimulationThroughput)
-    ->Args({2, 4})
-    ->Args({3, 5})
-    ->Args({4, 8})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(&argc, argv, "thm26_separation");
+      core::parse_runner_options(argc, argv, "thm26_separation");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
-  print_part1_possibility(runner, json);
+  int contradictions = print_part1_possibility(runner, json);
   print_bg_properties(runner, json);
-  print_detector_defeat(runner, json);
+  contradictions += print_detector_defeat(runner, json);
   json.write_if_requested();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return contradictions == 0 ? 0 : 1;
 }

@@ -12,12 +12,13 @@
 //                                           batched RankedPairScan, on
 //                                           a witness-enforced and an
 //                                           i-subset-starver schedule
-// `--threads=N` / `--cells=LO..HI` (stripped before the positional args)
+// `--threads=N` / `--cells=LO..HI` (anywhere among the positional args)
 // shard the empirical matrix cells — and the scan's P-rank chunks —
-// across the ExperimentRunner's persistent pool.
-#include <cstdlib>
-#include <cstring>
+// across the ExperimentRunner's persistent pool. Every positional must
+// be a base-10 integer; a malformed one fails naming its argument.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "src/core/experiments.h"
 #include "src/core/runner.h"
@@ -54,18 +55,32 @@ void print_predicate_matrix(const core::AgreementSpec& spec) {
 int main(int argc, char** argv) {
   using namespace setlib;
 
-  const auto options =
-      core::parse_runner_options(&argc, argv, "solvability_explorer");
+  // Positionals out, flags left for the shared parser.
+  std::vector<std::string> args;
+  int flag_count = 1;
+  for (int a = 1; a < argc; ++a) {
+    if (std::string(argv[a]).rfind("--", 0) == 0) {
+      argv[flag_count++] = argv[a];
+    } else {
+      args.emplace_back(argv[a]);
+    }
+  }
+  const auto options = core::parse_runner_options(flag_count, argv,
+                                                   "solvability_explorer");
+  const auto arg = [&](std::size_t index, const char* name) {
+    return core::parse_int_value(args[index], name);
+  };
 
-  if (argc >= 2 && std::strcmp(argv[1], "scan") == 0) {
-    if (argc < 5) {
+  if (!args.empty() && args[0] == "scan") {
+    if (args.size() < 4) {
       std::cout << "usage: solvability_explorer scan n i j [cap]\n";
       return 1;
     }
-    const int n = std::atoi(argv[2]);
-    const int i = std::atoi(argv[3]);
-    const int j = std::atoi(argv[4]);
-    const std::int64_t cap = argc > 5 ? std::atoll(argv[5]) : 3;
+    const int n = arg(1, "n");
+    const int i = arg(2, "i");
+    const int j = arg(3, "j");
+    const std::int64_t cap =
+        args.size() > 4 ? core::parse_long_value(args[4], "cap") : 3;
     if (n < 2 || n > kMaxProcs || i < 1 || i > n || j < 1 || j > n ||
         cap < 1) {
       std::cout << "usage: solvability_explorer scan n i j [cap]\n"
@@ -105,11 +120,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (argc == 6) {
-    const core::AgreementSpec spec{std::atoi(argv[1]), std::atoi(argv[2]),
-                                   std::atoi(argv[3])};
-    const core::SystemSpec sys{std::atoi(argv[4]), std::atoi(argv[5]),
-                               spec.n};
+  if (args.size() == 5) {
+    const core::AgreementSpec spec{arg(0, "t"), arg(1, "k"), arg(2, "n")};
+    const core::SystemSpec sys{arg(3, "i"), arg(4, "j"), spec.n};
     const bool answer = core::solvable(spec, sys);
     std::cout << spec.to_string() << " in " << sys.to_string() << ": "
               << (answer ? "SOLVABLE" : "UNSOLVABLE") << "\n";
@@ -119,9 +132,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (argc == 4) {
-    const core::AgreementSpec spec{std::atoi(argv[1]), std::atoi(argv[2]),
-                                   std::atoi(argv[3])};
+  if (args.size() == 3) {
+    const core::AgreementSpec spec{arg(0, "t"), arg(1, "k"), arg(2, "n")};
     print_predicate_matrix(spec);
     if (spec.k <= spec.t) {
       std::cout << "Running the empirical matrix (detector frontier + "

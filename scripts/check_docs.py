@@ -3,7 +3,7 @@
 
 Usage: check_docs.py [repo_root]
 
-Three checks, all fatal on failure:
+Every check is fatal on failure:
   1. Every relative markdown link in docs/*.md and README.md resolves
      to an existing file (http(s) links, pure #anchors, and links that
      escape the repo root — e.g. the CI badge's ../../actions URL —
@@ -13,19 +13,21 @@ Three checks, all fatal on failure:
      file, so file presence == target presence).
   3. Every shipped bench binary (bench/*.cpp) is covered by
      docs/EXPERIMENTS.md.
-  4. Every public core header (src/core/*.h) is mentioned by stem in
+  4. Every example (examples/*.cpp) has a row in docs/EXPERIMENTS.md's
+     example table, and every row names an existing example.
+  5. Every public core header (src/core/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — the layer map must not silently fall
      behind the core surface.
-  5. Every runtime header (src/runtime/*.h) is mentioned by stem in
+  6. Every runtime header (src/runtime/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — same rule for the runtime layer (the
      orchestration transport seam lives there).
-  6. Every sched header (src/sched/*.h) is mentioned by stem in
+  7. Every sched header (src/sched/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — same rule for the model layer (the
      observation feed and the reactive adversaries live there).
-  7. Every util header (src/util/*.h) is mentioned by stem in
+  8. Every util header (src/util/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — same rule for the foundation layer (the
      arena allocator and the contract macros live there).
-  8. Every determinism-linter rule name (check_determinism.RULES,
+  9. Every determinism-linter rule name (check_determinism.RULES,
      plus the allow-comment escape-hatch rule) is documented in
      docs/STATIC_ANALYSIS.md — the linter must not grow a rule the
      policy page never explains.
@@ -36,6 +38,7 @@ import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_RE = re.compile(r"\bbench_[a-z0-9_]+\b")
+EXAMPLE_ROW_RE = re.compile(r"^\| `([a-z0-9_]+)` \|", re.MULTILINE)
 
 
 def check_links(root):
@@ -79,6 +82,25 @@ def check_benches(root):
     return failures
 
 
+def check_examples(root):
+    failures = []
+    text = (root / "docs" / "EXPERIMENTS.md").read_text()
+    table = text.split("## Example binaries", 1)[-1].split("\n## ", 1)[0]
+    listed = set(EXAMPLE_ROW_RE.findall(table))
+    shipped = {p.stem for p in (root / "examples").glob("*.cpp")}
+    for name in sorted(listed - shipped):
+        failures.append(
+            f"EXPERIMENTS.md lists example {name}, but "
+            f"examples/{name}.cpp does not exist")
+    for name in sorted(shipped - listed):
+        failures.append(
+            f"examples/{name}.cpp ships, but EXPERIMENTS.md's example "
+            f"table has no row for it")
+    print(f"examples: {len(shipped)} shipped, {len(listed)} "
+          f"documented, {len(failures)} mismatches")
+    return failures
+
+
 def check_headers(root, layer):
     failures = []
     architecture = (root / "docs" / "ARCHITECTURE.md").read_text()
@@ -114,6 +136,7 @@ def main():
     default_root = pathlib.Path(__file__).resolve().parent.parent
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else default_root
     failures = (check_links(root) + check_benches(root) +
+                check_examples(root) +
                 check_headers(root, "core") +
                 check_headers(root, "runtime") +
                 check_headers(root, "sched") +

@@ -99,7 +99,7 @@ bool consume_cells_flag(const std::string& arg, ShardSpec* out) {
 
 }  // namespace
 
-RunnerOptions parse_runner_options(int* argc, char** argv,
+RunnerOptions parse_runner_options(int argc, const char* const* argv,
                                    const std::string& name) {
   RunnerOptions options;
   options.name = name;
@@ -107,8 +107,7 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
   // ExperimentRunner constructor fills in the BENCH_<name>.json
   // default (single source of truth for the naming scheme).
 
-  int kept = 1;  // argv[0] always stays
-  for (int i = 1; i < *argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (consume_int_flag(arg, "--threads=", &options.threads)) {
       SETLIB_EXPECTS(options.threads >= 0);
@@ -135,9 +134,9 @@ RunnerOptions parse_runner_options(int* argc, char** argv,
       SETLIB_EXPECTS(!options.json_path.empty());
       continue;
     }
-    argv[kept++] = argv[i];
+    throw ContractViolation(name + ": unrecognized argument '" + arg +
+                            "'");
   }
-  *argc = kept;
   return options;
 }
 

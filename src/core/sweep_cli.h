@@ -2,7 +2,7 @@
 // examples: parses the shared flags into a core::RunnerOptions that
 // constructs the binary's ExperimentRunner.
 //
-// Every bench accepts, before its Google Benchmark arguments:
+// Every bench accepts:
 //   --threads=N    sweep parallelism (0 = hardware concurrency)
 //   --repeat=N     repeat factor for grid sweeps (seeds per cell point)
 //   --cells=LO..HI[/SPAN]
@@ -14,8 +14,9 @@
 //   --grain=N      indices per work-stealing pop (0 = auto)
 //   --json[=path]  write BENCH_<name>.json (sections, throughput,
 //                  per-cell latency percentiles and rows)
-// Recognized flags are stripped from argv so the remainder can go to
-// benchmark::Initialize unchanged.
+// Any other argument is an error: a caller with arguments of its own
+// strips them before the call, so a misspelt flag (`--thread=4`,
+// `--jsn=x.json`) fails instead of running with the defaults.
 #ifndef SETLIB_CORE_SWEEP_CLI_H
 #define SETLIB_CORE_SWEEP_CLI_H
 
@@ -25,8 +26,9 @@
 
 namespace setlib::core {
 
-/// Parses and strips the shared flags from (argc, argv).
-RunnerOptions parse_runner_options(int* argc, char** argv,
+/// Parses the shared flags in argv[1, argc). Throws a
+/// ContractViolation naming the first argument that is not one of them.
+RunnerOptions parse_runner_options(int argc, const char* const* argv,
                                    const std::string& name);
 
 /// Strict base-10 parse of a flag value. Rejects empty values,

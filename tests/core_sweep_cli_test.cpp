@@ -22,8 +22,8 @@ RunnerOptions parse(std::vector<std::string> args) {
   static std::string prog = "prog";
   argv.push_back(prog.data());
   for (std::string& arg : args) argv.push_back(arg.data());
-  int argc = static_cast<int>(argv.size());
-  return parse_runner_options(&argc, argv.data(), "cli_test");
+  return parse_runner_options(static_cast<int>(argv.size()), argv.data(),
+                              "cli_test");
 }
 
 TEST(SweepCliTest, ParsesAndStripsTheSharedFlags) {
@@ -40,18 +40,21 @@ TEST(SweepCliTest, ParsesAndStripsTheSharedFlags) {
   EXPECT_EQ(options.json_path, "out.json");
 }
 
-TEST(SweepCliTest, UnrecognizedArgsSurviveInOrder) {
-  std::vector<std::string> args = {"--benchmark_list_tests",
-                                   "--threads=2", "positional"};
-  std::vector<char*> argv;
-  std::string prog = "prog";
-  argv.push_back(prog.data());
-  for (std::string& arg : args) argv.push_back(arg.data());
-  int argc = static_cast<int>(argv.size());
-  parse_runner_options(&argc, argv.data(), "cli_test");
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "--benchmark_list_tests");
-  EXPECT_STREQ(argv[2], "positional");
+TEST(SweepCliTest, UnrecognizedArgsAreRejectedByName) {
+  // A misspelt shared flag must not run with the defaults
+  // (`--thread=4` at one thread, `--jsn=x.json` writing no JSON).
+  for (const std::string bad :
+       {"--thread=4", "--jsn=x.json", "--benchmark_list_tests",
+        "positional"}) {
+    try {
+      parse({"--threads=2", bad, "--repeat=3"});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SweepCliTest, OverflowingLongIsRejectedNotSaturated) {

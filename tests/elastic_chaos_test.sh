@@ -18,13 +18,13 @@ WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
 cd "$WORKDIR"
 
-"$BENCH" --threads=2 --json=FULL.json --benchmark_list_tests > /dev/null
+"$BENCH" --threads=2 --json=FULL.json > /dev/null
 
 attempt=1
 while :; do
   "$ORCH" "$BENCH" --workers=3 --ranges=9 \
     --chaos-kill-nth=2 --chaos-kill-delay-ms=0 \
-    --out=MERGED.json -- --threads=2 --benchmark_list_tests
+    --out=MERGED.json -- --threads=2
 
   # Every attempt, killed or not, must merge bit-identical.
   "$ORCH" --diff FULL.json MERGED.json
