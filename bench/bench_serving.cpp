@@ -1,23 +1,18 @@
-// EXP-SERVE — agreement-as-a-service. Closed-loop mode (default):
-// a seeded LoadGen stream is admitted through the bounded queue,
-// batched, and every batch is decided by one enforced-schedule
-// MultiShotAgreement pass; all aggregate stats (latency percentiles,
-// admission counts, decisions) are virtual-tick facts, bit-identical
-// at any --threads and across --cells=LO..HI unions. Open-loop mode
-// (--qps=N): wall-clock pacing at a target QPS for --duration seconds;
-// every fact it prints or records is a timing key.
+// EXP-SERVE — agreement-as-a-service, closed loop: a seeded LoadGen
+// stream is admitted through the bounded queue, batched, and every
+// batch is decided by one enforced-schedule MultiShotAgreement pass;
+// all aggregate stats (latency percentiles, admission counts,
+// decisions) are virtual-tick facts, bit-identical at any --threads
+// and across --cells=LO..HI unions.
 //
 // Serving flags (stripped before the shared runner flags):
-//   --requests=N    closed-loop stream length (default 1e6)
+//   --requests=N    request stream length (default 1e6)
 //   --batch=B       max requests per agreement batch
 //   --queue-cap=N   bounded admission queue depth
-//   --qps=N         also run open loop at N requests/sec
-//   --duration=N    open-loop run length in seconds
 //
 // Deterministic facts print on "EXP-SERVE:" lines; wall-clock facts
 // are isolated on lines starting "wall:" so determinism diffs can
 // `grep -v '^wall'`.
-#include <chrono>
 #include <iostream>
 #include <string>
 
@@ -31,8 +26,6 @@ namespace {
 using namespace setlib;
 
 core::ServiceConfig g_config;  // NOLINT: CLI-configured before main runs
-long g_qps = 0;
-long g_duration_seconds = 2;
 
 void strip_serving_flags(int* argc, char** argv) {
   int out = 1;
@@ -51,10 +44,6 @@ void strip_serving_flags(int* argc, char** argv) {
     }
     if (core::consume_long_flag(arg, "--queue-cap=", &queue_cap)) {
       g_config.queue_cap = queue_cap;
-      continue;
-    }
-    if (core::consume_long_flag(arg, "--qps=", &g_qps)) continue;
-    if (core::consume_long_flag(arg, "--duration=", &g_duration_seconds)) {
       continue;
     }
     argv[out++] = argv[i];
@@ -90,21 +79,6 @@ void run_serving(core::ExperimentRunner& runner, core::JsonSink& json) {
   std::cout << "wall: closed loop seconds=" << report.section.wall_seconds
             << " batches_per_sec=" << report.section.runs_per_second()
             << " threads=" << runner.pool().threads() << "\n";
-
-  if (g_qps > 0) {
-    const core::OpenLoopReport open = harness.run_open_loop(
-        runner, g_qps, std::chrono::seconds(g_duration_seconds), &json);
-    std::cout << "wall: open loop qps_target=" << open.qps_target
-              << " qps_achieved=" << open.qps_achieved
-              << " offered=" << open.offered << " served=" << open.served
-              << " shed=" << open.shed << " unserved=" << open.unserved
-              << "\n";
-    std::cout << "wall: open loop latency_us p50=" << open.slo.p50
-              << " p99=" << open.slo.p99 << " p999=" << open.slo.p999
-              << " violations=" << open.slo.violations
-              << " error_budget_burn=" << open.slo.error_budget_burn
-              << "\n";
-  }
 }
 
 }  // namespace

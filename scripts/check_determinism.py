@@ -2,7 +2,7 @@
 """Determinism-contract linter for the deterministic layers of src/.
 
 The repo's load-bearing guarantee is bit-identical results at any
-thread count, shard split, or lease tiling (docs/ARCHITECTURE.md, "The
+thread count or --cells tiling (docs/ARCHITECTURE.md, "The
 determinism contract"). The end-to-end diff tests catch violations
 after the fact; this linter catches the *sources* of nondeterminism at
 review time by banning the constructs that have no place in a
@@ -36,7 +36,14 @@ Escape hatch: a line ending in `// determinism: allow(<reason>)` is
 exempt from every rule; the reason is mandatory and lands in review.
 The timing-key allowlist (TIMING_KEY_FILES) exempts the files whose
 entire job is wall-clock measurement — their output travels in the
-"timing" subtree, which merge/diff tooling excludes by rule.
+"timing" subtree, which merge/diff tooling excludes by rule. Two
+findings police those escape hatches rather than code constructs:
+
+  allow-comment       an allow() escape hatch with a blank reason.
+  stale-allowlist     a TIMING_KEY_FILES entry that names a missing
+                      file or suppresses no wall-clock/chrono finding
+                      (the allowlist lists exactly the files that
+                      read the clock).
 
 Usage: check_determinism.py [root] [extra files...]
 Scans <root>/src by default; extra explicit files are scanned with the
@@ -46,36 +53,28 @@ import pathlib
 import re
 import sys
 
-# Files whose whole purpose is wall-clock measurement: pacing,
-# subprocess timeouts, lease deadlines, serving QPS, WallTimer. Their
-# measurements only ever feed the "timing" subtree of a document (each
-# section's "timing" object and the top-level one), which
-# core::strip_timing_keys excludes from determinism diffs — see
-# docs/STATIC_ANALYSIS.md for the policy on growing this list.
+# Files whose whole purpose is wall-clock measurement: the WallTimer
+# and the real-thread runtime's wall caps. Their measurements only
+# ever feed the "timing" subtree of a document (each section's
+# "timing" object and the top-level one), which core::strip_timing_keys
+# excludes from determinism diffs — see docs/STATIC_ANALYSIS.md for the
+# policy on growing this list. Every entry must suppress at least one
+# wall-clock/chrono finding (the stale-allowlist check).
 TIMING_KEY_FILES = {
-    "src/core/loadgen.h",       # open-loop QPS pacing types
-    "src/core/loadgen.cpp",
-    "src/core/orchestrator.h",  # lease timeouts, backoff, transport
-    "src/core/orchestrator.cpp",
     "src/core/runner.h",        # WallTimer
-    "src/core/service.h",       # open-loop serving mode
-    "src/core/service.cpp",
-    "src/core/workqueue.h",     # lease deadlines, straggler ages
-    "src/core/workqueue.cpp",
     "src/runtime/executor.h",   # max_wall caps
     "src/runtime/executor.cpp",
     "src/runtime/rt_harness.h",
-    "src/runtime/rt_harness.cpp",
-    "src/runtime/subprocess.h",  # child process timeouts
-    "src/runtime/subprocess.cpp",
-    "src/runtime/transport.h",
-    "src/runtime/transport.cpp",
-    "src/util/sync.h",          # CondVar::wait_for timeout parameter
 }
 
 # Rules whose scope the timing-key allowlist narrows; every other rule
 # applies to every file (escape hatch: the allow comment).
 TIMING_SCOPED_RULES = {"wall-clock", "chrono"}
+
+# Findings about the escape hatches (the allow() comment and the
+# timing-key allowlist) rather than code constructs; check_docs.py
+# requires these names documented alongside RULES.
+ESCAPE_HATCH_RULES = ("allow-comment", "stale-allowlist")
 
 # (name, compiled regex, message). Names are load-bearing: the fixture
 # tests fire each one, and check_docs.py requires each to be
@@ -159,12 +158,15 @@ def strip_noise(line, in_block_comment):
 
 
 def lint_file(path, rel, findings):
+    """Appends the file's findings; returns how many timing-scoped
+    matches the allowlist suppressed in it."""
     timing_file = rel in TIMING_KEY_FILES
+    suppressed = 0
     in_block = False
     try:
         text = path.read_text()
     except UnicodeDecodeError:
-        return
+        return suppressed
     for lineno, line in enumerate(text.splitlines(), start=1):
         allow = ALLOW_RE.search(line)
         if allow and not allow.group(1).strip():
@@ -176,21 +178,42 @@ def lint_file(path, rel, findings):
         if allow:
             continue
         for name, pattern, message in RULES:
-            if timing_file and name in TIMING_SCOPED_RULES:
+            if not pattern.search(code):
                 continue
-            if pattern.search(code):
+            if timing_file and name in TIMING_SCOPED_RULES:
+                suppressed += 1
+            else:
                 findings.append((rel, lineno, name, message))
+    return suppressed
+
+
+def check_allowlist(root, suppressed, findings):
+    """stale-allowlist: every TIMING_KEY_FILES entry must exist under
+    root and suppress at least one finding (`suppressed` maps each
+    scanned relpath to its lint_file count)."""
+    for rel in sorted(TIMING_KEY_FILES):
+        if not (root / rel).is_file():
+            findings.append((rel, 0, "stale-allowlist",
+                             "TIMING_KEY_FILES names a missing file"))
+        elif suppressed.get(rel, 0) == 0:
+            findings.append((rel, 0, "stale-allowlist",
+                             "TIMING_KEY_FILES entry suppresses no "
+                             "wall-clock/chrono finding; drop it"))
 
 
 def lint_paths(root, extra_files=()):
-    """Lints <root>/src plus any explicit extra files; returns the
-    finding list [(relpath, line, rule, message)]."""
+    """Lints <root>/src (and checks the allowlist against it) plus any
+    explicit extra files; returns the finding list
+    [(relpath, line, rule, message)]."""
     findings = []
-    files = sorted((root / "src").rglob("*.h")) + \
-        sorted((root / "src").rglob("*.cpp")) if (root / "src").is_dir() \
-        else []
-    for path in files:
-        lint_file(path, path.relative_to(root).as_posix(), findings)
+    if (root / "src").is_dir():
+        files = sorted((root / "src").rglob("*.h")) + \
+            sorted((root / "src").rglob("*.cpp"))
+        suppressed = {}
+        for path in files:
+            rel = path.relative_to(root).as_posix()
+            suppressed[rel] = lint_file(path, rel, findings)
+        check_allowlist(root, suppressed, findings)
     for path in extra_files:
         path = pathlib.Path(path)
         lint_file(path, path.name, findings)

@@ -90,14 +90,41 @@ class Scoping(unittest.TestCase):
             check_determinism.TIMING_KEY_FILES = saved
         self.assertEqual(findings, [])
 
-    def test_timing_key_allowlist_files_exist(self):
-        for rel in check_determinism.TIMING_KEY_FILES:
-            self.assertTrue((ROOT / rel).exists(),
-                            f"TIMING_KEY_FILES names missing file {rel}")
-
     def test_src_tree_is_clean(self):
         findings = check_determinism.lint_paths(ROOT)
         self.assertEqual(findings, [])
+
+
+class StaleAllowlist(unittest.TestCase):
+    """An allowlist entry must name an existing file that reads the
+    clock; the fixture root holds one file that does and one that
+    does not."""
+
+    def lint_fixture_root(self, allowlist):
+        saved = check_determinism.TIMING_KEY_FILES
+        try:
+            check_determinism.TIMING_KEY_FILES = allowlist
+            return check_determinism.lint_paths(FIXTURES / "stale_allowlist")
+        finally:
+            check_determinism.TIMING_KEY_FILES = saved
+
+    def test_entry_that_suppresses_a_finding_is_kept(self):
+        self.assertEqual(self.lint_fixture_root({"src/timed.cpp"}), [])
+
+    def test_missing_or_idle_entries_fire(self):
+        findings = self.lint_fixture_root(
+            {"src/timed.cpp", "src/untimed.cpp", "src/gone.cpp"})
+        self.assertEqual(
+            [(rel, rule) for (rel, _, rule, _) in findings],
+            [("src/gone.cpp", "stale-allowlist"),
+             ("src/untimed.cpp", "stale-allowlist")])
+        self.assertIn("missing file", findings[0][3])
+        self.assertIn("suppresses no", findings[1][3])
+
+    def test_unlisted_clock_read_still_fires(self):
+        findings = self.lint_fixture_root(set())
+        self.assertEqual([(rel, rule) for (rel, _, rule, _) in findings],
+                         [("src/timed.cpp", "chrono")])
 
 
 if __name__ == "__main__":

@@ -1,13 +1,11 @@
 // Seeded load generation for the serving harness.
 //
 // LoadGen turns (request count, seed, mean inter-arrival gap) into the
-// deterministic request stream the closed-loop serving mode consumes:
-// request r's command payload and virtual arrival tick are pure
-// functions of (config, r), so every shard and every thread count sees
-// exactly the same traffic — the serving-side analogue of the sweep
-// engine's index-derived cell seeds. The open-loop mode reuses the same
-// stateless command derivation and replaces only the clock (wall-time
-// pacing at a target QPS instead of virtual ticks).
+// deterministic request stream the serving harness consumes: request
+// r's command payload and virtual arrival tick are pure functions of
+// (config, r), so every shard and every thread count sees exactly the
+// same traffic — the serving-side analogue of the sweep engine's
+// index-derived cell seeds.
 #ifndef SETLIB_CORE_LOADGEN_H
 #define SETLIB_CORE_LOADGEN_H
 
@@ -17,7 +15,7 @@
 namespace setlib::core {
 
 /// One client request: a command to be appended to the replicated
-/// agreement log. `arrival_tick` is virtual time (closed loop only).
+/// agreement log. `arrival_tick` is virtual time.
 struct Request {
   std::int64_t id = 0;
   std::int64_t command = 0;
@@ -41,11 +39,10 @@ class LoadGen {
   const LoadGenConfig& config() const noexcept { return config_; }
 
   /// Command payload of request `id` — a stateless splitmix64 hash of
-  /// (seed, id), so open-loop arrivals can derive commands without
-  /// materializing the stream. Always in [0, 2^31).
+  /// (seed, id), so it needs no generator state. Always in [0, 2^31).
   std::int64_t command(std::int64_t id) const noexcept;
 
-  /// The full closed-loop arrival stream: `requests` entries with ids
+  /// The full arrival stream: `requests` entries with ids
   /// 0..requests-1 and nondecreasing arrival ticks starting at the
   /// first drawn gap.
   std::vector<Request> arrivals() const;

@@ -48,7 +48,7 @@ std::optional<ShardSpec> ShardSpec::parse(std::string_view text) {
   if (dots == std::string_view::npos) return std::nullopt;
   const std::size_t slash = text.find('/', dots + 2);
   ShardSpec spec;
-  spec.span = kLeaseSpan;
+  spec.span = kDefaultSpan;
   const std::string_view hi = slash == std::string_view::npos
                                   ? text.substr(dots + 2)
                                   : text.substr(dots + 2, slash - dots - 2);

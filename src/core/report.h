@@ -40,19 +40,18 @@
 namespace setlib::core {
 
 /// A half-open range [lo, hi) of a span-wide virtual cell space: the
-/// one partition of every sweep (`--cells=LO..HI[/SPAN]`, the elastic
-/// work queue's worker flag). The range covers [total*lo/span,
-/// total*hi/span) of every real cell space of size total, so a work
-/// queue can carve, split, and re-lease ranges without knowing any
-/// section's cell count — ranges that tile [0, span) tile every
-/// section, whatever its size (floor arithmetic maps shared boundaries
-/// to shared boundaries), and the union of a tiling's runs is
+/// one partition of every sweep (`--cells=LO..HI[/SPAN]`). The range
+/// covers [total*lo/span, total*hi/span) of every real cell space of
+/// size total, so ranges can be chosen without knowing any section's
+/// cell count — ranges that tile [0, span) tile every section,
+/// whatever its size (floor arithmetic maps shared boundaries to
+/// shared boundaries), and the union of a tiling's runs is
 /// bit-identical to the unsharded run. N equal slices are the N ranges
 /// K..K+1/N. The default {0, 1, 1} is the whole, unsharded space.
 struct ShardSpec {
-  /// Default span of a bare `--cells=LO..HI`; wide enough that
-  /// splitting halves stays meaningful far past any real worker count.
-  static constexpr std::size_t kLeaseSpan = std::size_t{1} << 20;
+  /// Default span of a bare `--cells=LO..HI`; fine enough that uneven
+  /// splits stay meaningful far past any real shard count.
+  static constexpr std::size_t kDefaultSpan = std::size_t{1} << 20;
 
   std::size_t lo = 0;
   std::size_t hi = 1;
@@ -65,7 +64,7 @@ struct ShardSpec {
   /// This shard's slice of [0, total), as {begin, end}.
   std::pair<std::size_t, std::size_t> range(std::size_t total) const;
 
-  /// The one parser of "LO..HI[/SPAN]" (SPAN defaults to kLeaseSpan),
+  /// The one parser of "LO..HI[/SPAN]" (SPAN defaults to kDefaultSpan),
   /// shared by the --cells= flag and the merge's "shard" field: plain
   /// digits only (at most 9 per number — no signs, spaces, or
   /// exponents), and the result must be valid(). nullopt otherwise.
@@ -179,9 +178,9 @@ class TableSink : public ReportSink {
 /// across shards. Counts over a shard's slice (successes, mismatches,
 /// census members) sum; facts that are invariants of the run
 /// (series_phases, n_max, a cross-check verdict) must agree and are
-/// kept verbatim. Wall-clock facts (a measured speedup, an open-loop
-/// QPS) go to the section's "timing" object, which no merge keeps and
-/// no determinism diff compares.
+/// kept verbatim. Wall-clock facts (a measured speedup, a throughput)
+/// go to the section's "timing" object, which no merge keeps and no
+/// determinism diff compares.
 enum class MergeRule {
   kSum,     // shard-local count: shards add up to the unsharded value
   kSame,    // run invariant: every shard (and the full run) agrees
@@ -297,12 +296,11 @@ class JsonSink : public ReportSink {
 };
 
 // ---------------------------------------------------------------------
-// Shard-document merging: the recombination rule behind the
-// multi-process orchestrator. Given any set of --cells=LO..HI/SPAN
-// --json documents of one bench whose ranges tile the virtual span
-// exactly once (any count, any split history, any completion order),
-// merge_shard_docs produces the document the unsharded run would have
-// written, bit-identical outside the "timing" objects:
+// Shard-document merging: the recombination rule behind `shard_merge`.
+// Given any set of --cells=LO..HI/SPAN --json documents of one bench
+// whose ranges tile the virtual span exactly once (any count, any
+// input order), merge_shard_docs produces the document the unsharded
+// run would have written, bit-identical outside the "timing" objects:
 //
 //   - grid sections: the per-cell "rows" arrays concatenate in range
 //     order (global indices must stay strictly increasing), and every
@@ -326,7 +324,7 @@ class MergeError : public std::runtime_error {
 
 /// Deep-copies `value` with every member named "timing" removed: the
 /// one rule of what a determinism diff may not compare. Merges and
-/// `sweep_orchestrator --diff` both go through it.
+/// `shard_merge --diff` both go through it.
 JsonValue strip_timing_keys(const JsonValue& value);
 
 /// Serializes with object keys sorted recursively (compact form), so

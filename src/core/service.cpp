@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "src/agreement/multishot.h"
 #include "src/fd/kantiomega.h"
@@ -20,11 +18,10 @@ namespace setlib::core {
 
 namespace {
 
-/// Seed-space salts so the admission plan's service-time jitter and the
-/// open-loop batch seeds never collide with the closed-loop batch
-/// seeds, which use the unsalted (config seed, batch index) stream.
-constexpr std::uint64_t kJitterSalt = 0x73657276696365ULL;   // "service"
-constexpr std::uint64_t kOpenLoopSalt = 0x6f70656e6c6fULL;   // "openlo"
+/// Seed-space salt so the admission plan's service-time jitter never
+/// collides with the batch seeds, which use the unsalted (config seed,
+/// batch index) stream.
+constexpr std::uint64_t kJitterSalt = 0x73657276696365ULL;  // "service"
 
 /// Nearest-rank pick from an already-sorted sample set.
 double sorted_percentile(const std::vector<std::int64_t>& sorted,
@@ -53,7 +50,6 @@ void ServiceConfig::validate() const {
   SETLIB_EXPECTS(service_jitter_ticks >= 0);
   SETLIB_EXPECTS(slo_latency_ticks >= 0);
   SETLIB_EXPECTS(slo_target > 0.0 && slo_target < 1.0);
-  SETLIB_EXPECTS(open_slo_latency_us >= 0);
   SETLIB_EXPECTS(timeliness_bound >= 1);
   SETLIB_EXPECTS(max_steps_per_slot >= 1);
   SETLIB_EXPECTS(stabilization_window >= 0);
@@ -410,134 +406,6 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
 
   out.section = stats;
   out.batches_run = outcomes.size();
-  return out;
-}
-
-OpenLoopReport ServiceHarness::run_open_loop(ExperimentRunner& runner,
-                                             std::int64_t target_qps,
-                                             std::chrono::seconds duration,
-                                             JsonSink* json) const {
-  SETLIB_EXPECTS(target_qps > 0);
-  SETLIB_EXPECTS(duration.count() >= 0);
-
-  // Only the stateless command derivation is reused here; arrival
-  // pacing comes from the wall clock.
-  LoadGen gen(LoadGenConfig{0, config_.seed,
-                            config_.mean_interarrival_ticks});
-
-  using Clock = std::chrono::steady_clock;
-  struct Pending {
-    std::int64_t id = 0;
-    Clock::time_point enqueued;
-  };
-
-  const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline = start + duration;
-  std::deque<Pending> queue;
-  std::vector<std::int64_t> latency_us;
-  OpenLoopReport out;
-  out.qps_target = static_cast<double>(target_qps);
-  std::int64_t next_id = 0;
-  std::size_t open_batches = 0;
-  const int lanes = std::max(1, runner.pool().threads());
-
-  for (Clock::time_point now = Clock::now(); now < deadline;
-       now = Clock::now()) {
-    // Admit everything the pacing says should have arrived by `now`;
-    // the queue cap sheds the overflow, never blocks the generator.
-    const std::chrono::duration<double> elapsed = now - start;
-    const auto due = static_cast<std::int64_t>(
-        elapsed.count() * static_cast<double>(target_qps));
-    while (next_id < due) {
-      ++out.offered;
-      if (static_cast<std::int64_t>(queue.size()) >= config_.queue_cap) {
-        ++out.shed;
-      } else {
-        queue.push_back(Pending{next_id, now});
-      }
-      ++next_id;
-    }
-    if (queue.empty()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      continue;
-    }
-
-    // Drain one round: up to one batch per pool lane, fanned out
-    // through the persistent workers.
-    std::vector<std::vector<Pending>> batches;
-    while (!queue.empty() &&
-           static_cast<int>(batches.size()) < lanes) {
-      std::vector<Pending> members;
-      while (!queue.empty() &&
-             static_cast<int>(members.size()) < config_.batch) {
-        members.push_back(queue.front());
-        queue.pop_front();
-      }
-      batches.push_back(std::move(members));
-    }
-    std::vector<std::uint64_t> seeds(batches.size());
-    std::vector<Clock::time_point> completed(batches.size());
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      seeds[i] = derive_cell_seed(config_.seed ^ kOpenLoopSalt,
-                                  open_batches + i);
-    }
-    open_batches += batches.size();
-    runner.pool().for_each(
-        batches.size(),
-        [&](std::size_t i) {
-          std::vector<std::int64_t> commands;
-          commands.reserve(batches[i].size());
-          for (const Pending& pending : batches[i]) {
-            commands.push_back(gen.command(pending.id));
-          }
-          run_commands(commands, seeds[i]);
-          completed[i] = Clock::now();
-        },
-        1);
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      for (const Pending& pending : batches[i]) {
-        latency_us.push_back(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                completed[i] - pending.enqueued)
-                .count());
-      }
-      out.served += static_cast<std::int64_t>(batches[i].size());
-    }
-  }
-
-  out.unserved = static_cast<std::int64_t>(queue.size());
-  out.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  out.qps_achieved = out.wall_seconds > 0.0
-                         ? static_cast<double>(out.served) /
-                               out.wall_seconds
-                         : 0.0;
-  out.slo = compute_slo(latency_us, config_.open_slo_latency_us,
-                        config_.slo_target);
-
-  if (json != nullptr) {
-    // Open loop is wall-clock territory: every fact it measures goes
-    // to the section's "timing" object, outside determinism diffs and
-    // shard merges.
-    json->section("open_loop", static_cast<std::size_t>(out.served),
-                  out.wall_seconds);
-    for (const auto& [key, value] :
-         {std::pair<const char*, double>{
-              "offered", static_cast<double>(out.offered)},
-          {"served", static_cast<double>(out.served)},
-          {"shed", static_cast<double>(out.shed)},
-          {"unserved", static_cast<double>(out.unserved)},
-          {"qps_target", out.qps_target},
-          {"qps_achieved", out.qps_achieved},
-          {"latency_p50_seconds", out.slo.p50 * 1e-6},
-          {"latency_p99_seconds", out.slo.p99 * 1e-6},
-          {"latency_p999_seconds", out.slo.p999 * 1e-6},
-          {"latency_max_seconds", out.slo.max * 1e-6},
-          {"slo_violations", static_cast<double>(out.slo.violations)},
-          {"error_budget_burn", out.slo.error_budget_burn}}) {
-      json->annotate(key, value, MergeRule::kTiming);
-    }
-  }
   return out;
 }
 

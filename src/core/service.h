@@ -9,30 +9,20 @@
 // S^k_{t+1,n}-enforced schedule — so the detector-stabilization cost is
 // amortized over the whole batch instead of paid per request.
 //
-// Two serving modes share that batch engine:
-//
-// - Closed loop (the determinism mode): arrivals, admission, batching,
-//   and per-request latency all live in *virtual ticks*. The admission
-//   plan — a single-server discrete-event pass over the seeded arrival
-//   stream with a deterministic batch service-time model — is a pure
-//   function of the ServiceConfig, cheap enough (O(requests) integer
-//   arithmetic) that every shard computes the full global plan
-//   identically. The expensive agreement batches then fan out across
-//   the ExperimentRunner's persistent pool, restricted to the runner's
-//   shard slice, and stream into ReportSinks as an ordinary grid
-//   section (one row per batch). Aggregate stats are therefore
-//   bit-identical at any thread count, and the N-shard JSON documents
-//   merge through core::merge_shard_docs unchanged: row-derived facts
-//   are recomputed from the union rows, admission/SLO facts are global
-//   plan invariants annotated MergeRule::kSame, and per-shard request
-//   counters are annotated kSum.
-//
-// - Open loop (the throughput mode): arrivals are paced on the wall
-//   clock at a target QPS, the queue is drained in rounds, and
-//   latency is measured in real microseconds. Every fact it emits is
-//   annotated MergeRule::kTiming, so it lands in the section's
-//   "timing" object, outside determinism diffs and shard merges by
-//   construction.
+// Arrivals, admission, batching, and per-request latency all live in
+// *virtual ticks*. The admission plan — a single-server discrete-event
+// pass over the seeded arrival stream with a deterministic batch
+// service-time model — is a pure function of the ServiceConfig, cheap
+// enough (O(requests) integer arithmetic) that every shard computes
+// the full global plan identically. The expensive agreement batches
+// then fan out across the ExperimentRunner's persistent pool,
+// restricted to the runner's shard slice, and stream into ReportSinks
+// as an ordinary grid section (one row per batch). Aggregate stats are
+// therefore bit-identical at any thread count, and the N-shard JSON
+// documents merge through core::merge_shard_docs unchanged: row-derived
+// facts are recomputed from the union rows, admission/SLO facts are
+// global plan invariants annotated MergeRule::kSame, and per-shard
+// request counters are annotated kSum.
 //
 // Threading model: ServiceHarness owns no mutex. The admission plan is
 // computed single-threaded; batch execution parallelizes only through
@@ -42,7 +32,6 @@
 #ifndef SETLIB_CORE_SERVICE_H
 #define SETLIB_CORE_SERVICE_H
 
-#include <chrono>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -85,9 +74,6 @@ struct ServiceConfig {
   /// spent, above 1.0 the SLO is blown.
   std::int64_t slo_latency_ticks = 2000;
   double slo_target = 0.999;
-
-  /// Open-loop SLO threshold (wall microseconds).
-  std::int64_t open_slo_latency_us = 50'000;
 
   /// Enforced (P, Q) = (first k, first t+1) timeliness bound of each
   /// batch's schedule.
@@ -168,17 +154,6 @@ struct ClosedLoopReport {
   std::vector<std::pair<std::int64_t, std::int64_t>> decisions;
 };
 
-struct OpenLoopReport {
-  std::int64_t offered = 0;
-  std::int64_t served = 0;
-  std::int64_t shed = 0;
-  std::int64_t unserved = 0;  // still queued when the clock ran out
-  double wall_seconds = 0.0;
-  double qps_target = 0.0;
-  double qps_achieved = 0.0;
-  SloReport slo;  // over wall microseconds
-};
-
 class ServiceHarness {
  public:
   explicit ServiceHarness(ServiceConfig config);
@@ -201,26 +176,17 @@ class ServiceHarness {
   /// exactly like ExperimentRunner::run over a SweepGrid). When `json`
   /// is given, the section is annotated with the admission/SLO facts
   /// (kSame: global plan invariants) and the per-shard request
-  /// counters (kSum), so orchestrated N-shard documents merge
+  /// counters (kSum), so the documents of a `--cells` tiling merge
   /// bit-identically to the unsharded run.
   ClosedLoopReport run_closed_loop(
       ExperimentRunner& runner,
       const std::vector<ReportSink*>& sinks = {},
       JsonSink* json = nullptr) const;
 
-  /// Open-loop serving: wall-clock arrivals at `target_qps` for
-  /// `duration`, bounded-queue backpressure, batches drained in rounds
-  /// through the runner's pool. Emits a hand-fed "open_loop" JSON
-  /// section whose facts all live in its "timing" object.
-  OpenLoopReport run_open_loop(ExperimentRunner& runner,
-                               std::int64_t target_qps,
-                               std::chrono::seconds duration,
-                               JsonSink* json = nullptr) const;
-
  private:
   /// The shared batch engine: decides `commands` (one slot each) with
   /// one detector + MultiShotAgreement stack under an enforced schedule
-  /// drawn from `seed`. Both serving modes funnel through this.
+  /// drawn from `seed`. Every batch funnels through this.
   BatchOutcome run_commands(const std::vector<std::int64_t>& commands,
                             std::uint64_t seed) const;
 

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdlib>
 #include <optional>
 
@@ -53,32 +52,6 @@ bool consume_int_flag(const std::string& arg, const std::string& prefix,
                       int* out) {
   if (arg.rfind(prefix, 0) != 0) return false;
   *out = parse_int_value(arg.substr(prefix.size()), prefix);
-  return true;
-}
-
-double parse_double_value(const std::string& text,
-                          const std::string& flag) {
-  if (text.empty()) {
-    throw ContractViolation(flag + ": empty value");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || end == nullptr || *end != '\0') {
-    throw ContractViolation(flag + ": expected a number, got '" + text +
-                            "'");
-  }
-  if (errno == ERANGE || !std::isfinite(parsed)) {
-    throw ContractViolation(flag + ": value '" + text +
-                            "' is out of range");
-  }
-  return parsed;
-}
-
-bool consume_double_flag(const std::string& arg,
-                         const std::string& prefix, double* out) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = parse_double_value(arg.substr(prefix.size()), prefix);
   return true;
 }
 

@@ -7,7 +7,7 @@
 //   --repeat=N     repeat factor for grid sweeps (seeds per cell point)
 //   --cells=LO..HI[/SPAN]
 //                  run the [LO, HI) slice of a SPAN-wide virtual cell
-//                  space (default ShardSpec::kLeaseSpan; LO < HI); the
+//                  space (default ShardSpec::kDefaultSpan; LO < HI); the
 //                  documents of ranges tiling [0, SPAN) merge to the
 //                  unsharded document (modulo wall-clock fields).
 //                  `--cells=K..K+1/N` is the K-th of N equal slices.
@@ -42,11 +42,6 @@ long parse_long_value(const std::string& text, const std::string& flag);
 /// [INT_MIN, INT_MAX] instead of wrapping.
 int parse_int_value(const std::string& text, const std::string& flag);
 
-/// Strict parse of a floating-point flag value (strtod, whole-string,
-/// finite). Same error discipline as parse_long_value.
-double parse_double_value(const std::string& text,
-                          const std::string& flag);
-
 /// If arg starts with prefix ("--threads="), parses the remainder into
 /// *out and returns true; returns false when the prefix does not
 /// match. Parse failures throw (see parse_long_value).
@@ -54,8 +49,6 @@ bool consume_long_flag(const std::string& arg, const std::string& prefix,
                        long* out);
 bool consume_int_flag(const std::string& arg, const std::string& prefix,
                       int* out);
-bool consume_double_flag(const std::string& arg,
-                         const std::string& prefix, double* out);
 
 }  // namespace setlib::core
 

@@ -1,10 +1,9 @@
 // A minimal JSON document model for the report pipeline.
 //
 // The repo both emits JSON (JsonSink's BENCH_<name>.json documents)
-// and, since the multi-process orchestrator, consumes it again: the
-// shard merger parses the N shard documents and recombines them into
-// one. JsonValue is the shared model. Two properties matter more than
-// generality:
+// and consumes it again: the shard merger parses the N shard documents
+// and recombines them into one. JsonValue is the shared model. Two
+// properties matter more than generality:
 //
 //   - Numbers remember their source text. A parsed document re-emits
 //     every number literal byte-for-byte, so parse -> merge -> dump

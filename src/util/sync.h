@@ -13,7 +13,6 @@
 #ifndef SETLIB_UTIL_SYNC_H
 #define SETLIB_UTIL_SYNC_H
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -80,16 +79,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // ownership returns to the caller's guard
-  }
-
-  /// Blocks until notified or `timeout` elapsed.
-  template <typename Rep, typename Period>
-  void wait_for(Mutex& mu,
-                const std::chrono::duration<Rep, Period>& timeout)
-      SETLIB_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
-    cv_.wait_for(lock, timeout);
-    lock.release();
   }
 
  private:

@@ -1,9 +1,8 @@
-// The shard-document merge behind the multi-process orchestrator:
-// merging --cells=LO..HI/SPAN JSON documents that tile the span must
-// reproduce the unsharded document bit-identically outside the
-// "timing" objects,
-// for grid and hand-fed sections alike; inconsistent inputs must throw MergeError,
-// never produce a silently incomplete document. Also pins the
+// The shard-document merge behind `shard_merge`: merging
+// --cells=LO..HI/SPAN JSON documents that tile the span must reproduce
+// the unsharded document bit-identically outside the "timing" objects,
+// for grid and hand-fed sections alike; inconsistent inputs must throw
+// MergeError, never produce a silently incomplete document. Also pins the
 // JsonSink emission contract the merge depends on (escaping,
 // non-finite -> null, schema-consistent percentile keys).
 #include <gtest/gtest.h>
@@ -38,7 +37,7 @@ SweepGrid small_grid() {
 /// write: one grid section plus one hand-fed section with a summed and
 /// an invariant annotation.
 JsonValue bench_doc(std::size_t lo, std::size_t hi,
-                    std::size_t span = ShardSpec::kLeaseSpan) {
+                    std::size_t span = ShardSpec::kDefaultSpan) {
   RunnerOptions options;
   options.name = "merge_test";
   options.threads = 2;
@@ -119,8 +118,8 @@ TEST(MergeShardDocsTest, CiKeysAreRecomputedFromTheUnionRows) {
     ASSERT_TRUE(got.at(key).is_number()) << key;
     // Rendered-literal equality: the unsharded document's value went
     // through json_number formatting; the merged value must emit the
-    // identical literal (that is the bit-identity the orchestrator's
-    // canonical diff checks).
+    // identical literal (that is the bit-identity `shard_merge --diff`
+    // checks).
     EXPECT_EQ(got.at(key).dump(), want.at(key).dump()) << key;
   }
   // The grid varies bounds and seeds, so the witness-bound interval
@@ -201,31 +200,30 @@ TEST(MergeShardDocsTest, MalformedShardFieldIsAnError) {
   }
 }
 
-TEST(MergeShardDocsTest, LeaseDocsMergeBitIdenticalToTheUnshardedDoc) {
-  // Any set of lease documents whose ranges tile the virtual span —
-  // any count, uneven widths, shuffled completion order — merges to
-  // the unsharded document.
+TEST(MergeShardDocsTest, RangeDocsMergeBitIdenticalToTheUnshardedDoc) {
+  // Any set of range documents that tile the virtual span — any
+  // count, uneven widths, shuffled input order — merges to the
+  // unsharded document.
   const JsonValue full = full_doc();
-  const std::size_t span = ShardSpec::kLeaseSpan;
+  const std::size_t span = ShardSpec::kDefaultSpan;
 
-  // A single whole-span lease is the unsharded run.
+  // A single whole-span range is the unsharded run.
   EXPECT_EQ(comparable(merge_shard_docs({bench_doc(0, span)})),
             comparable(full));
 
-  // An uneven three-way tiling, given out of order (as an elastic run
-  // with resharding would produce).
-  std::vector<JsonValue> leases;
-  leases.push_back(bench_doc(700'000, span));
-  leases.push_back(bench_doc(0, 100'000));
-  leases.push_back(bench_doc(100'000, 700'000));
-  const JsonValue merged = merge_shard_docs(leases);
+  // An uneven three-way tiling, given out of order.
+  std::vector<JsonValue> ranges;
+  ranges.push_back(bench_doc(700'000, span));
+  ranges.push_back(bench_doc(0, 100'000));
+  ranges.push_back(bench_doc(100'000, 700'000));
+  const JsonValue merged = merge_shard_docs(ranges);
   EXPECT_EQ(comparable(merged), comparable(full));
   EXPECT_EQ(merged.at("shard").as_string(), "0..1/1");
 }
 
-TEST(MergeShardDocsTest, LeaseTilingViolationsAreErrors) {
-  const std::size_t span = ShardSpec::kLeaseSpan;
-  // A gap means a lost lease...
+TEST(MergeShardDocsTest, RangeTilingViolationsAreErrors) {
+  const std::size_t span = ShardSpec::kDefaultSpan;
+  // A gap means a lost range...
   EXPECT_THROW(
       merge_shard_docs({bench_doc(0, 1'000), bench_doc(2'000, span)}),
       MergeError);
@@ -317,7 +315,7 @@ TEST(TimingKeyTest, TheRuleMatchesTheDocumentedKeys) {
   const JsonValue doc = JsonValue::parse(R"({
       "bench": "b", "total_cells": 2,
       "timing": {"total_wall_seconds": 1, "runs_per_sec": 2,
-                 "threads": 4, "orchestration": {"leases_completed": 3}},
+                 "threads": 4, "merge": {"shards": 3}},
       "sections": [{"name": "s", "cells": 2, "speedup_count": 1,
                     "wall_clock_checks": 2, "seconds_budget": 3,
                     "point_stats": [{"point": 0, "timing": {"x": 1}}],

@@ -385,10 +385,10 @@ TEST(JsonSinkTest, GridRowsCarryTheScheduleHash) {
   }
 }
 
-TEST(JsonSinkTest, ReactiveLeaseDocsMergeToTheUnshardedDocument) {
-  // The elastic orchestrator's merge invariant, over a reactive-family
-  // grid: any lease tiling of the virtual span (here an uneven N=3
-  // split, completed out of order) merges bit-identically — modulo
+TEST(JsonSinkTest, ReactiveRangeDocsMergeToTheUnshardedDocument) {
+  // The shard-merge invariant over a reactive-family grid: any
+  // --cells tiling of the virtual span (here an uneven N=3 split,
+  // merged out of order) merges bit-identically — modulo
   // timing keys — to the unsharded document, schedule_hash rows
   // included (the hash is a row fact, not a summed or timing key).
   SweepGrid grid;
@@ -402,7 +402,7 @@ TEST(JsonSinkTest, ReactiveLeaseDocsMergeToTheUnshardedDocument) {
 
   const auto doc = [&grid](ShardSpec shard) {
     RunnerOptions options;
-    options.name = "reactive_lease";
+    options.name = "reactive_ranges";
     options.threads = 2;
     options.shard = shard;
     ExperimentRunner runner(options);
@@ -410,16 +410,16 @@ TEST(JsonSinkTest, ReactiveLeaseDocsMergeToTheUnshardedDocument) {
     runner.run(grid, "grid_section", {&json});
     return JsonValue::parse(json.render());
   };
-  const auto lease = [](std::size_t lo, std::size_t hi) {
-    return ShardSpec{lo, hi, ShardSpec::kLeaseSpan};
+  const auto range = [](std::size_t lo, std::size_t hi) {
+    return ShardSpec{lo, hi, ShardSpec::kDefaultSpan};
   };
 
   const JsonValue full = doc(ShardSpec{});
-  std::vector<JsonValue> leases;
-  leases.push_back(doc(lease(600'000, ShardSpec::kLeaseSpan)));
-  leases.push_back(doc(lease(0, 250'000)));
-  leases.push_back(doc(lease(250'000, 600'000)));
-  const JsonValue merged = merge_shard_docs(leases);
+  std::vector<JsonValue> ranges;
+  ranges.push_back(doc(range(600'000, ShardSpec::kDefaultSpan)));
+  ranges.push_back(doc(range(0, 250'000)));
+  ranges.push_back(doc(range(250'000, 600'000)));
+  const JsonValue merged = merge_shard_docs(ranges);
   EXPECT_EQ(canonical_json(strip_timing_keys(merged)),
             canonical_json(strip_timing_keys(full)));
   EXPECT_NE(merged.dump().find("\"schedule_hash\""), std::string::npos);

@@ -93,12 +93,12 @@ TEST(SweepCliTest, ShardFlagValidatesItsShape) {
                ContractViolation);
 }
 
-TEST(SweepCliTest, CellsFlagParsesLeases) {
+TEST(SweepCliTest, CellsFlagParsesRanges) {
   // Bare LO..HI rides on the default virtual span.
   RunnerOptions options = parse({"--cells=1024..4096"});
   EXPECT_EQ(options.shard.lo, 1024u);
   EXPECT_EQ(options.shard.hi, 4096u);
-  EXPECT_EQ(options.shard.span, ShardSpec::kLeaseSpan);
+  EXPECT_EQ(options.shard.span, ShardSpec::kDefaultSpan);
   EXPECT_EQ(options.shard.to_string(), "1024..4096/1048576");
   EXPECT_FALSE(options.shard.whole());
   // An explicit span travels after the slash.
@@ -149,19 +149,6 @@ TEST(SweepCliTest, CliAndMergeShareOneRangeRule) {
     ASSERT_TRUE(field.has_value()) << text;
     EXPECT_EQ(field->to_string(), spec->to_string()) << text;
   }
-}
-
-TEST(SweepCliTest, DoubleValuesParseStrictly) {
-  EXPECT_DOUBLE_EQ(parse_double_value("2.5", "--f="), 2.5);
-  EXPECT_DOUBLE_EQ(parse_double_value("4", "--f="), 4.0);
-  EXPECT_THROW(parse_double_value("", "--f="), ContractViolation);
-  EXPECT_THROW(parse_double_value("2.5x", "--f="), ContractViolation);
-  EXPECT_THROW(parse_double_value("nan", "--f="), ContractViolation);
-  EXPECT_THROW(parse_double_value("1e999", "--f="), ContractViolation);
-  double out = 0.0;
-  EXPECT_TRUE(consume_double_flag("--f=1.5", "--f=", &out));
-  EXPECT_DOUBLE_EQ(out, 1.5);
-  EXPECT_FALSE(consume_double_flag("--g=1.5", "--f=", &out));
 }
 
 TEST(SweepCliTest, NegativeCountsAreRejected) {
