@@ -26,6 +26,8 @@ TEST(ValidatorTest, FlagsEachViolationKind) {
     EXPECT_FALSE(v.agreement_ok);
     EXPECT_TRUE(v.validity_ok);
     EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.detail,
+              "distinct=2/1 agreement=VIOLATED validity=ok termination=ok");
   }
   {
     // Invalid value.
@@ -33,12 +35,17 @@ TEST(ValidatorTest, FlagsEachViolationKind) {
     const auto v = validate_agreement(1, 1, 3, proposals, d, ProcSet());
     EXPECT_TRUE(v.agreement_ok);
     EXPECT_FALSE(v.validity_ok);
+    EXPECT_EQ(v.detail,
+              "distinct=1/1 agreement=ok validity=VIOLATED termination=ok");
   }
   {
     // Missing decision of a correct process.
     std::vector<std::optional<std::int64_t>> d{1, std::nullopt, 1};
     const auto v = validate_agreement(1, 1, 3, proposals, d, ProcSet());
     EXPECT_FALSE(v.termination_ok);
+    EXPECT_EQ(v.detail,
+              "distinct=1/1 agreement=ok validity=ok "
+              "termination=incomplete");
   }
   {
     // Missing decision of a crashed process is fine.
@@ -55,6 +62,8 @@ TEST(ValidatorTest, FlagsEachViolationKind) {
     const auto v =
         validate_agreement(1, 1, 3, proposals, d, ProcSet::of({1, 2}));
     EXPECT_TRUE(v.termination_ok);
+    EXPECT_EQ(v.detail,
+              "distinct=0/1 agreement=ok validity=ok termination=vacuous");
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/core/experiments.h"
 #include "src/core/solvability.h"
+#include "src/core/sweep.h"
 
 namespace setlib::core {
 namespace {
@@ -97,6 +98,66 @@ TEST(EngineTest, ReportDecisionsShapeIsConsistent) {
   EXPECT_GE(decided, 3 - cfg.spec.t);
   EXPECT_EQ(report.timely_set.size(), 1);
   EXPECT_EQ(report.observed_set.size(), 2);
+}
+
+// run_agreement under each reactive adversary at seed 5: the schedule
+// hash and the detail string, captured before the reactive adversaries
+// lost their per-step allocations and the detail strings their
+// ostringstream. (2,1,5) runs the detector and Paxos, stopping early
+// and then over a full 20,000-step budget (the detector stabilizes);
+// (2,2,5) prints a two-member winnerset; (1,2,4) is the trivial
+// regime. Never re-pin these to make a change pass.
+struct PinnedRun {
+  AgreementSpec spec;
+  std::int64_t max_steps;
+  bool run_full_budget;
+  ScheduleFamily family;
+  std::uint64_t hash;
+  const char* detail;
+};
+
+constexpr PinnedRun kPinnedRuns[] = {
+      {{2, 1, 5}, 5000, false, ScheduleFamily::kWindowStretcher, 0x8cc0aa06ab26b7f2ull,
+       "distinct=1/1 agreement=ok validity=ok termination=ok steps=256 witness_bound=134 detector=oscillating"},
+      {{2, 1, 5}, 5000, false, ScheduleFamily::kDecisionChaser, 0x1d97984ef21f1c69ull,
+       "distinct=1/1 agreement=ok validity=ok termination=ok steps=768 witness_bound=129 detector=oscillating"},
+      {{2, 1, 5}, 5000, false, ScheduleFamily::kBudgetCrasher, 0x41e05c25ad9f9dfcull,
+       "distinct=1/1 agreement=ok validity=ok termination=ok steps=192 witness_bound=10 detector=oscillating"},
+      {{2, 1, 5}, 20000, true, ScheduleFamily::kWindowStretcher, 0x633c515b112a8287ull,
+       "distinct=1/1 agreement=ok validity=ok termination=ok steps=20000 witness_bound=1562 detector=oscillating"},
+      {{2, 1, 5}, 20000, true, ScheduleFamily::kDecisionChaser, 0xa392ef3d3f16b8c5ull,
+       "distinct=1/1 agreement=ok validity=ok termination=ok steps=20000 witness_bound=129 detector=stable winnerset={0}"},
+      {{2, 1, 5}, 20000, true, ScheduleFamily::kBudgetCrasher, 0x75865696d0cc57b7ull,
+       "distinct=1/1 agreement=ok validity=ok termination=ok steps=20000 witness_bound=6713 detector=stable winnerset={1}"},
+      {{2, 2, 5}, 20000, true, ScheduleFamily::kWindowStretcher, 0x633c515b112a8287ull,
+       "distinct=1/2 agreement=ok validity=ok termination=ok steps=20000 witness_bound=1561 detector=oscillating"},
+      {{2, 2, 5}, 20000, true, ScheduleFamily::kDecisionChaser, 0xad22fc6441f6d532ull,
+       "distinct=1/2 agreement=ok validity=ok termination=ok steps=20000 witness_bound=8 detector=stable winnerset={0,1}"},
+      {{2, 2, 5}, 20000, true, ScheduleFamily::kBudgetCrasher, 0x0e61670cba36c84bull,
+       "distinct=2/2 agreement=ok validity=ok termination=ok steps=20000 witness_bound=6679 detector=stable winnerset={0,2}"},
+      {{1, 2, 4}, 5000, false, ScheduleFamily::kWindowStretcher, 0x225e3e47f9c6cda8ull,
+       "distinct=1/2 agreement=ok validity=ok termination=ok steps=704 witness_bound=1"},
+      {{1, 2, 4}, 5000, false, ScheduleFamily::kDecisionChaser, 0x23cfabb2da994994ull,
+       "distinct=2/2 agreement=ok validity=ok termination=ok steps=64 witness_bound=1"},
+      {{1, 2, 4}, 5000, false, ScheduleFamily::kBudgetCrasher, 0x4ed8b8ed7ffd79bfull,
+       "distinct=1/2 agreement=ok validity=ok termination=ok steps=64 witness_bound=1"},
+};
+
+TEST(EngineTest, ReactiveRunsMatchTheirPinnedHashesAndDetails) {
+  for (const PinnedRun& pin : kPinnedRuns) {
+    RunConfig cfg;
+    cfg.spec = pin.spec;
+    cfg.system = matching_system(pin.spec);
+    cfg.family = pin.family;
+    cfg.seed = 5;
+    cfg.max_steps = pin.max_steps;
+    cfg.run_full_budget = pin.run_full_budget;
+    const RunReport report = run_agreement(cfg);
+    EXPECT_EQ(report.schedule_hash, pin.hash)
+        << family_name(pin.family) << " max_steps=" << pin.max_steps;
+    EXPECT_EQ(report.detail, pin.detail)
+        << family_name(pin.family) << " max_steps=" << pin.max_steps;
+  }
 }
 
 TEST(ExperimentsTest, Figure1RowsMatchPaperClaims) {

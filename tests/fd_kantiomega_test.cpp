@@ -73,6 +73,9 @@ TEST(KAntiOmegaTest, StabilizesUnderRoundRobin) {
   const auto check = check_kantiomega(*rig.detector, all, 8);
   EXPECT_TRUE(check.ok) << check.detail;
   EXPECT_TRUE(check.abstract_ok);
+  EXPECT_EQ(check.detail,
+            "sizes=ok stabilized=yes trusted={0} abstract=ok winnerset={0} "
+            "correct_winner=yes");
 }
 
 TEST(KAntiOmegaTest, CrashedWinnersetIsAbandoned) {
@@ -94,6 +97,9 @@ TEST(KAntiOmegaTest, CrashedWinnersetIsAbandoned) {
   EXPECT_TRUE(check.has_correct_winner) << check.detail;
   // The fully-crashed rank-0 set {0,1} must have been abandoned.
   EXPECT_NE(check.winnerset, ProcSet::range(0, k)) << check.detail;
+  EXPECT_EQ(check.detail,
+            "sizes=ok stabilized=yes trusted={0,2} abstract=ok "
+            "winnerset={0,2} correct_winner=yes");
 }
 
 TEST(KAntiOmegaTest, Lemma12CrashedSetCountersDiverge) {
