@@ -18,12 +18,10 @@ KSetAgreement::KSetAgreement(shm::IMemory& mem, Params params,
   SETLIB_EXPECTS(detector->params().k == params.k);
   instances_.reserve(static_cast<std::size_t>(params.k));
   for (int m = 0; m < params.k; ++m) {
-    instances_.push_back(std::make_unique<PaxosConsensus>(
-        mem, params.n, "kset.inst" + std::to_string(m)));
+    instances_.emplace_back(mem, params.n, shm::RegisterName("kset.inst", m));
   }
   statuses_.resize(static_cast<std::size_t>(params.k) *
                    static_cast<std::size_t>(params.n));
-  for (auto& s : statuses_) s = std::make_unique<PaxosConsensus::Status>();
   outcomes_.assign(static_cast<std::size_t>(params.n), Outcome{});
 }
 
@@ -32,11 +30,9 @@ void KSetAgreement::install(shm::ProcessRuntime& proc, Pid p,
   SETLIB_EXPECTS(p >= 0 && p < params_.n);
   SETLIB_EXPECTS(proc.pid() == p);
   for (int m = 0; m < params_.k; ++m) {
-    auto* status =
-        statuses_[static_cast<std::size_t>(m) *
-                      static_cast<std::size_t>(params_.n) +
-                  static_cast<std::size_t>(p)]
-            .get();
+    auto* status = &statuses_[static_cast<std::size_t>(m) *
+                                  static_cast<std::size_t>(params_.n) +
+                              static_cast<std::size_t>(p)];
     // Instance m trusts the m-th smallest member of the local winnerset
     // (the winnerset always has exactly k members, Figure 2 line 4).
     auto leader = [this, m](Pid self) -> Pid {
@@ -53,8 +49,8 @@ void KSetAgreement::install(shm::ProcessRuntime& proc, Pid p,
       }
     };
     proc.add_task(
-        instances_[static_cast<std::size_t>(m)]->run(p, proposal, leader,
-                                                     status, on_decide),
+        instances_[static_cast<std::size_t>(m)].run(p, proposal, leader,
+                                                    status, on_decide),
         "kset.inst" + std::to_string(m));
   }
 }
@@ -83,7 +79,7 @@ std::vector<std::int64_t> KSetAgreement::distinct_decisions(
 
 const PaxosConsensus& KSetAgreement::instance(int m) const {
   SETLIB_EXPECTS(m >= 0 && m < params_.k);
-  return *instances_[static_cast<std::size_t>(m)];
+  return instances_[static_cast<std::size_t>(m)];
 }
 
 }  // namespace setlib::agreement

@@ -14,7 +14,6 @@
 #define SETLIB_AGREEMENT_KSET_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/agreement/paxos.h"
@@ -64,9 +63,11 @@ class KSetAgreement {
  private:
   Params params_;
   const fd::KAntiOmega* detector_;
-  std::vector<std::unique_ptr<PaxosConsensus>> instances_;
+  // Both sized once in the constructor and never resized: installed
+  // tasks hold pointers into them.
+  std::vector<PaxosConsensus> instances_;
   // statuses_[m * n + p]: status of instance m at process p.
-  std::vector<std::unique_ptr<PaxosConsensus::Status>> statuses_;
+  std::vector<PaxosConsensus::Status> statuses_;
   std::vector<Outcome> outcomes_;
 };
 

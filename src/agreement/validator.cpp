@@ -1,7 +1,7 @@
 #include "src/agreement/validator.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "src/util/assert.h"
 
@@ -20,6 +20,7 @@ AgreementVerdict validate_agreement(
   AgreementVerdict out;
 
   std::vector<std::int64_t> decided_values;
+  decided_values.reserve(static_cast<std::size_t>(n));
   for (Pid p = 0; p < n; ++p) {
     if (decisions[static_cast<std::size_t>(p)].has_value()) {
       decided_values.push_back(*decisions[static_cast<std::size_t>(p)]);
@@ -41,23 +42,28 @@ AgreementVerdict validate_agreement(
 
   out.termination_ok = true;
   if (faulty.size() <= t) {
-    for (Pid p : faulty.complement(n).to_vector()) {
+    faulty.complement(n).for_each([&](Pid p) {
       if (!decisions[static_cast<std::size_t>(p)].has_value()) {
         out.termination_ok = false;
       }
-    }
+    });
   }
 
   out.ok = out.agreement_ok && out.validity_ok && out.termination_ok;
 
-  std::ostringstream os;
-  os << "distinct=" << out.distinct_values << "/" << k
-     << " agreement=" << (out.agreement_ok ? "ok" : "VIOLATED")
-     << " validity=" << (out.validity_ok ? "ok" : "VIOLATED")
-     << " termination="
-     << (faulty.size() > t ? "vacuous"
-                           : (out.termination_ok ? "ok" : "incomplete"));
-  out.detail = os.str();
+  std::string& detail = out.detail;
+  detail.reserve(80);
+  detail += "distinct=";
+  detail += std::to_string(out.distinct_values);
+  detail += '/';
+  detail += std::to_string(k);
+  detail += " agreement=";
+  detail += out.agreement_ok ? "ok" : "VIOLATED";
+  detail += " validity=";
+  detail += out.validity_ok ? "ok" : "VIOLATED";
+  detail += " termination=";
+  detail += faulty.size() > t ? "vacuous"
+                              : (out.termination_ok ? "ok" : "incomplete");
   return out;
 }
 

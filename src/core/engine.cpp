@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
+#include <string>
 
 #include "src/agreement/kset.h"
 #include "src/agreement/trivial.h"
@@ -267,11 +267,11 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
         }
       }
       if (cfg.run_full_budget) return false;
-      const ProcSet correct = sim.crashed_set().complement(n);
-      for (Pid p : correct.to_vector()) {
-        if (!outs[static_cast<std::size_t>(p)].decided) return false;
-      }
-      return true;
+      bool all = true;
+      sim.crashed_set().complement(n).for_each([&](Pid p) {
+        all = all && outs[static_cast<std::size_t>(p)].decided;
+      });
+      return all;
     };
     report.steps_executed =
         sim.run_until(*setup.generator, cfg.max_steps, all_correct_decided);
@@ -321,10 +321,10 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
     // the configured window as a floor), so slow oscillation on long
     // runs is not mistaken for convergence.
     std::int64_t min_it = -1;
-    for (Pid p : correct.to_vector()) {
+    correct.for_each([&](Pid p) {
       const auto it = detector.view(p).iterations;
       min_it = min_it < 0 ? it : std::min(min_it, it);
-    }
+    });
     const std::int64_t window =
         std::max(cfg.stabilization_window, std::max<std::int64_t>(min_it, 0) / 3);
     const auto prop = fd::check_kantiomega(detector, correct, window);
@@ -334,11 +334,11 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
     report.detector.trusted = prop.trusted;
     report.detector.abstract_ok = prop.abstract_ok;
     std::int64_t max_it = 0;
-    for (Pid p : correct.to_vector()) {
+    correct.for_each([&](Pid p) {
       const auto& v = detector.view(p);
       max_it = std::max(max_it, v.iterations);
       report.detector.total_winnerset_changes += v.winnerset_changes;
-    }
+    });
     report.detector.min_iterations = std::max<std::int64_t>(min_it, 0);
     report.detector.max_iterations = max_it;
   }
@@ -374,17 +374,21 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
     report.bytes_per_op = arena.bytes() - bytes_before;
   }
 
-  std::ostringstream os;
-  os << verdict.detail << " steps=" << report.steps_executed
-     << " witness_bound=" << report.witness_bound;
+  std::string& detail = report.detail;
+  detail.reserve(verdict.detail.size() + 96);
+  detail += verdict.detail;
+  detail += " steps=";
+  detail += std::to_string(report.steps_executed);
+  detail += " witness_bound=";
+  detail += std::to_string(report.witness_bound);
   if (report.detector.used) {
-    os << " detector="
-       << (report.detector.stabilized ? "stable" : "oscillating");
+    detail += " detector=";
+    detail += report.detector.stabilized ? "stable" : "oscillating";
     if (report.detector.stabilized) {
-      os << " winnerset=" << report.detector.winnerset;
+      detail += " winnerset=";
+      detail += report.detector.winnerset.to_string();
     }
   }
-  report.detail = os.str();
   return report;
 }
 

@@ -1,6 +1,6 @@
 #include "src/fd/property.h"
 
-#include <sstream>
+#include <string>
 
 #include "src/util/assert.h"
 
@@ -31,15 +31,22 @@ PropertyCheck check_kantiomega(const KAntiOmega& detector, ProcSet correct,
   out.trusted = detector.trusted_candidates(correct, window);
   out.abstract_ok = out.trusted.intersects(correct);
 
-  std::ostringstream os;
-  os << "sizes=" << (out.output_sizes_ok ? "ok" : "BAD")
-     << " stabilized=" << (out.stabilized ? "yes" : "no") << " trusted="
-     << out.trusted << " abstract=" << (out.abstract_ok ? "ok" : "FAIL");
+  std::string& detail = out.detail;
+  detail.reserve(96);
+  detail += "sizes=";
+  detail += out.output_sizes_ok ? "ok" : "BAD";
+  detail += " stabilized=";
+  detail += out.stabilized ? "yes" : "no";
+  detail += " trusted=";
+  detail += out.trusted.to_string();
+  detail += " abstract=";
+  detail += out.abstract_ok ? "ok" : "FAIL";
   if (out.stabilized) {
-    os << " winnerset=" << out.winnerset
-       << " correct_winner=" << (out.has_correct_winner ? "yes" : "NO");
+    detail += " winnerset=";
+    detail += out.winnerset.to_string();
+    detail += " correct_winner=";
+    detail += out.has_correct_winner ? "yes" : "NO";
   }
-  out.detail = os.str();
   return out;
 }
 

@@ -1,20 +1,13 @@
 #include "src/sched/observations.h"
 
-#include "src/util/assert.h"
+#include <algorithm>
 
 namespace setlib::sched {
 
-ObservationFeed::ObservationFeed(int n)
-    : n_(n),
-      steps_(static_cast<std::size_t>(n), 0),
-      last_(static_cast<std::size_t>(n), -1),
-      progress_(static_cast<std::size_t>(n), -1) {
+ObservationFeed::ObservationFeed(int n) : n_(n) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
-}
-
-std::int64_t ObservationFeed::steps_of(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  return steps_[static_cast<std::size_t>(p)];
+  last_.fill(-1);
+  progress_.fill(-1);
 }
 
 std::int64_t ObservationFeed::last_step_of(Pid p) const {
@@ -38,35 +31,10 @@ std::int64_t ObservationFeed::window_age(ProcSet s) const {
 }
 
 std::int64_t ObservationFeed::max_silence() const {
-  std::int64_t worst = 0;
-  for (Pid p = 0; p < n_; ++p) {
-    const std::int64_t silent = silence_of(p);
-    if (silent > worst) worst = silent;
-  }
-  return worst;
-}
-
-bool ObservationFeed::decided(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  return decided_.contains(p);
-}
-
-std::int64_t ObservationFeed::progress_of(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  const std::int64_t published = progress_[static_cast<std::size_t>(p)];
-  return published >= 0 ? published : steps_of(p);
-}
-
-bool ObservationFeed::has_progress(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  return progress_[static_cast<std::size_t>(p)] >= 0;
-}
-
-void ObservationFeed::record_step(Pid p) {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  last_[static_cast<std::size_t>(p)] = total_;
-  ++steps_[static_cast<std::size_t>(p)];
-  ++total_;
+  // silence_of(p) is total_ - 1 - last_[p] in both of its cases (a
+  // never-stepped p has last_ -1), so the longest silence belongs to
+  // the least recent last step.
+  return total_ - 1 - *std::min_element(last_.begin(), last_.begin() + n_);
 }
 
 void ObservationFeed::record_crash(Pid p) {

@@ -16,9 +16,10 @@
 #ifndef SETLIB_SCHED_OBSERVATIONS_H
 #define SETLIB_SCHED_OBSERVATIONS_H
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
+#include "src/util/assert.h"
 #include "src/util/procset.h"
 
 namespace setlib::sched {
@@ -35,7 +36,10 @@ class ObservationFeed {
   std::int64_t total_steps() const noexcept { return total_; }
 
   /// Executed steps by p so far.
-  std::int64_t steps_of(Pid p) const;
+  std::int64_t steps_of(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    return steps_[static_cast<std::size_t>(p)];
+  }
 
   /// Index (0-based, in the executed stream) of p's last step; -1 if p
   /// has not stepped yet.
@@ -61,18 +65,28 @@ class ObservationFeed {
   // --- Decision facts (published by the engine) ---
 
   /// True if the engine reported p decided.
-  bool decided(Pid p) const;
+  bool decided(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    return decided_.contains(p);
+  }
   ProcSet decided_set() const noexcept { return decided_; }
 
   /// Decision proximity for p. When the engine publishes protocol
   /// progress (detector iterations), that value is returned; otherwise
   /// steps_of(p) serves as a proxy so pure-generation runs (fuzzer,
   /// frontier map) still rank processes by how far along they are.
-  std::int64_t progress_of(Pid p) const;
+  std::int64_t progress_of(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    const std::int64_t published = progress_[static_cast<std::size_t>(p)];
+    return published >= 0 ? published : steps_[static_cast<std::size_t>(p)];
+  }
 
   /// True once publish_progress has been called for p (distinguishes
   /// engine-published progress from the steps_of proxy).
-  bool has_progress(Pid p) const;
+  bool has_progress(Pid p) const {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    return progress_[static_cast<std::size_t>(p)] >= 0;
+  }
 
   // --- Pacer constraint facts (published by the enforcer) ---
 
@@ -84,7 +98,12 @@ class ObservationFeed {
 
   // --- Publishers (executor / engine side) ---
 
-  void record_step(Pid p);
+  void record_step(Pid p) {
+    SETLIB_EXPECTS(p >= 0 && p < n_);
+    last_[static_cast<std::size_t>(p)] = total_;
+    ++steps_[static_cast<std::size_t>(p)];
+    ++total_;
+  }
   /// Idempotent: re-crashing a crashed process is a no-op.
   void record_crash(Pid p);
   void publish_progress(Pid p, std::int64_t progress);
@@ -95,9 +114,11 @@ class ObservationFeed {
  private:
   int n_;
   std::int64_t total_ = 0;
-  std::vector<std::int64_t> steps_;
-  std::vector<std::int64_t> last_;
-  std::vector<std::int64_t> progress_;  // -1 = not published
+  // Per-process facts in fixed storage (entries >= n_ unused), so a
+  // feed is one allocation and the accessors above index it directly.
+  std::array<std::int64_t, kMaxProcs> steps_{};
+  std::array<std::int64_t, kMaxProcs> last_;      // -1 = never stepped
+  std::array<std::int64_t, kMaxProcs> progress_;  // -1 = not published
   ProcSet crashed_;
   ProcSet decided_;
   std::int64_t subs_ = 0;

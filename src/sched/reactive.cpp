@@ -1,6 +1,7 @@
 #include "src/sched/reactive.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "src/util/assert.h"
@@ -14,6 +15,19 @@ namespace {
 std::uint64_t reactive_seed(std::uint64_t seed, std::uint64_t role) noexcept {
   std::uint64_t state = seed + 0x9E3779B97F4A7C15ull * (role + 1);
   return splitmix64(state);
+}
+
+template <std::size_t... I>
+std::array<FixedBound, sizeof...(I)> make_size_bounds(
+    std::index_sequence<I...>) {
+  return {FixedBound(I + 1)...};
+}
+
+/// FixedBound(size) for every set size 1..kMaxProcs, built once.
+const FixedBound& size_bound(int size) {
+  static const std::array<FixedBound, kMaxProcs> bounds =
+      make_size_bounds(std::make_index_sequence<kMaxProcs>());
+  return bounds[static_cast<std::size_t>(size - 1)];
 }
 
 void validate(const ReactiveParams& params) {
@@ -31,10 +45,14 @@ ReactiveGenerator::ReactiveGenerator(std::shared_ptr<ObservationFeed> feed)
   SETLIB_EXPECTS(feed_ != nullptr);
 }
 
-ProcSet ReactiveGenerator::alive() const {
-  const ProcSet live = ProcSet::universe(n()) - feed_->crashed();
-  SETLIB_ASSERT(!live.empty());  // crash budgets are < n
-  return live;
+Pid ReactiveGenerator::draw_member(Rng& rng, ProcSet pool) {
+  const auto m = static_cast<int>(rng.next_below(size_bound(pool.size())));
+  // pool.nth(m) as a select over every member: the loop runs |pool|
+  // times whatever m is, so its exit branch stays predictable.
+  Pid picked = 0;
+  int index = 0;
+  pool.for_each([&](Pid p) { picked = index++ == m ? p : picked; });
+  return picked;
 }
 
 WindowStretcherGenerator::WindowStretcherGenerator(
@@ -53,16 +71,20 @@ void WindowStretcherGenerator::begin_epoch() {
   // Equivalently the epoch's actives are the fewest-stepped, so the
   // solo/active role rotates through all processes as counts balance —
   // over time every candidate P-set gets fully-silenced epochs.
-  std::vector<Pid> pids = alive().to_vector();
-  std::stable_sort(pids.begin(), pids.end(), [this](Pid a, Pid b) {
-    return feed_->steps_of(a) < feed_->steps_of(b);
+  // Insertion sort by steps taken: stable, so ties keep pid order.
+  int alive_count = 0;
+  alive().for_each([&](Pid p) {
+    const std::int64_t steps = feed_->steps_of(p);
+    int at = alive_count++;
+    for (; at > 0 && feed_->steps_of(order_[at - 1]) > steps; --at) {
+      order_[at] = order_[at - 1];
+    }
+    order_[at] = p;
   });
-  const int alive_count = static_cast<int>(pids.size());
   int vcount = params_.victims == 0 ? alive_count - 1 : params_.victims;
   vcount = std::clamp(vcount, 0, alive_count - 1);
-  const auto split = pids.begin() + (alive_count - vcount);
-  active_.assign(pids.begin(), split);
-  release_.assign(split, pids.end());
+  active_ = alive_count - vcount;
+  release_end_ = alive_count;
   // Reactive growth: the epoch lasts as long as the oldest window the
   // run has produced so far (the peak silence, sampled step by step in
   // next()), plus the base stretch — so silent stretches keep getting
@@ -73,18 +95,15 @@ void WindowStretcherGenerator::begin_epoch() {
 Pid WindowStretcherGenerator::next() {
   peak_silence_ = std::max(peak_silence_, feed_->max_silence());
   if (epoch_left_ == 0) {
-    if (!release_.empty()) {
+    if (release_end_ > active_) {
       // One step per victim between epochs: everybody keeps taking
       // infinitely many steps, as the model's correctness requires.
-      const Pid p = release_.back();
-      release_.pop_back();
-      return p;
+      return order_[--release_end_];
     }
     begin_epoch();
   }
   --epoch_left_;
-  return active_[static_cast<std::size_t>(
-      rng_.next_below(static_cast<std::uint64_t>(active_.size())))];
+  return order_[rng_.next_below(size_bound(active_))];
 }
 
 DecisionChaserGenerator::DecisionChaserGenerator(
@@ -92,41 +111,49 @@ DecisionChaserGenerator::DecisionChaserGenerator(
     std::shared_ptr<ObservationFeed> feed)
     : ReactiveGenerator(std::move(feed)),
       params_(params),
-      rng_(reactive_seed(seed, 1)) {
+      rng_(reactive_seed(seed, 1)),
+      until_release_(params.stretch) {
   validate(params);
   SETLIB_EXPECTS(params.n == n());
 }
 
 Pid DecisionChaserGenerator::next() {
   const ProcSet alive_set = alive();
-  ++emitted_;
-  if (emitted_ % params_.stretch == 0) {
-    // Liveness release: round-robin over the alive set, so even the
-    // chased processes step infinitely often.
-    const std::vector<Pid> pids = alive_set.to_vector();
-    const Pid p = pids[static_cast<std::size_t>(rr_) % pids.size()];
-    rr_ = (rr_ + 1) % static_cast<int>(pids.size());
-    return p;
+  const int alive_count = alive_set.size();
+  if (--until_release_ == 0) {
+    // Liveness release every `stretch` steps: round-robin over the
+    // alive set, so even the chased processes step infinitely often.
+    // The cursor may exceed a set that shrank since its last use.
+    until_release_ = params_.stretch;
+    int at = rr_;
+    while (at >= alive_count) at -= alive_count;
+    rr_ = at + 1 == alive_count ? 0 : at + 1;
+    return alive_set.nth(at);
   }
   // Victims = the alive, undecided processes nearest to deciding
   // (published progress, or step counts as the proxy), re-targeted
-  // every step as the frontier moves.
+  // every step as the frontier moves: repeated argmax over the chased
+  // set, ties to the lower pid, which is the order a stable sort by
+  // descending progress gives.
   int vcount = params_.victims == 0 ? 1 : params_.victims;
-  vcount = std::clamp(vcount, 0, alive_set.size() - 1);
+  vcount = std::clamp(vcount, 0, alive_count - 1);
   ProcSet victims;
-  if (vcount > 0) {
-    std::vector<Pid> chased = (alive_set - feed_->decided_set()).to_vector();
-    std::stable_sort(chased.begin(), chased.end(), [this](Pid a, Pid b) {
-      return feed_->progress_of(a) > feed_->progress_of(b);
+  ProcSet chased = alive_set - feed_->decided_set();
+  for (int v = 0; v < vcount && !chased.empty(); ++v) {
+    Pid top = -1;
+    std::int64_t best = -1;
+    chased.for_each([&](Pid p) {
+      const std::int64_t progress = feed_->progress_of(p);
+      const bool ahead = progress > best;
+      best = ahead ? progress : best;
+      top = ahead ? p : top;
     });
-    const int take = std::min<int>(vcount, static_cast<int>(chased.size()));
-    for (int v = 0; v < take; ++v) victims = victims.with(chased[v]);
+    victims = victims.with(top);
+    chased = chased.without(top);
   }
   ProcSet pool = alive_set - victims;
   if (pool.empty()) pool = alive_set;
-  const std::vector<Pid> pids = pool.to_vector();
-  return pids[static_cast<std::size_t>(
-      rng_.next_below(static_cast<std::uint64_t>(pids.size())))];
+  return draw_member(rng_, pool);
 }
 
 BudgetCrasherGenerator::BudgetCrasherGenerator(
@@ -135,16 +162,15 @@ BudgetCrasherGenerator::BudgetCrasherGenerator(
     : ReactiveGenerator(std::move(feed)),
       params_(params),
       rng_(reactive_seed(seed, 2)),
-      budget_left_(std::min(params.crash_budget, params.n - 1)) {
+      budget_left_(std::min(params.crash_budget, params.n - 1)),
+      plan_(reactive_seed(seed, 3)),
+      checkpoints_left_(budget_left_) {
   validate(params);
   SETLIB_EXPECTS(params.n == n());
   // Seeded fallback checkpoints: when no published progress crosses
   // the threshold, the budget is still spent, at these steps.
-  Rng plan(reactive_seed(seed, 3));
-  std::int64_t at = 0;
-  for (int c = 0; c < budget_left_; ++c) {
-    at += plan.next_in(params_.stretch, 8 * params_.stretch);
-    checkpoints_.push_back(at);
+  if (checkpoints_left_ > 0) {
+    next_checkpoint_ = plan_.next_in(params_.stretch, 8 * params_.stretch);
   }
 }
 
@@ -166,9 +192,12 @@ void BudgetCrasherGenerator::maybe_spend_budget() {
   });
   // Worst moment #2 (fallback): a seeded checkpoint came due. Crash
   // the most advanced alive process.
-  if (target < 0 && checkpoint_idx_ < checkpoints_.size() &&
-      feed_->total_steps() >= checkpoints_[checkpoint_idx_]) {
-    ++checkpoint_idx_;
+  if (target < 0 && checkpoints_left_ > 0 &&
+      feed_->total_steps() >= next_checkpoint_) {
+    if (--checkpoints_left_ > 0) {
+      next_checkpoint_ +=
+          plan_.next_in(params_.stretch, 8 * params_.stretch);
+    }
     best = -1;
     alive_set.for_each([&](Pid p) {
       const std::int64_t progress = feed_->progress_of(p);
@@ -187,9 +216,7 @@ void BudgetCrasherGenerator::maybe_spend_budget() {
 
 Pid BudgetCrasherGenerator::next() {
   maybe_spend_budget();
-  const std::vector<Pid> pids = alive().to_vector();
-  return pids[static_cast<std::size_t>(
-      rng_.next_below(static_cast<std::uint64_t>(pids.size())))];
+  return draw_member(rng_, alive());
 }
 
 const std::vector<ReactiveInfo>& reactive_adversaries() {

@@ -26,9 +26,20 @@
 // executed step stream and deterministic protocol state, so the same
 // (kind, params, seed) replays bit-identically across threads and
 // shards, exactly like the oblivious families.
+//
+// Per-step contract: once constructed, next() makes no heap
+// allocation and no integer division, and makes at most one pass over
+// the alive set (the decision-chaser: one per victim). Uniform picks
+// draw through a FixedBound per set size, the same draw as
+// Rng::next_below(size); the release cadence is a countdown; the
+// window-stretcher's ranking lives in fixed kMaxProcs storage. Two
+// bounded exceptions: the window-stretcher sorts the alive set once per
+// epoch, and a budget-crasher step that spends a seeded checkpoint
+// ranks the alive set again and draws the next checkpoint.
 #ifndef SETLIB_SCHED_REACTIVE_H
 #define SETLIB_SCHED_REACTIVE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -78,7 +89,17 @@ class ReactiveGenerator : public ScheduleGenerator {
   explicit ReactiveGenerator(std::shared_ptr<ObservationFeed> feed);
 
   /// Processes not crashed yet (never empty: budgets are < n).
-  ProcSet alive() const;
+  ProcSet alive() const {
+    const ProcSet live =
+        ProcSet(low_word_mask(feed_->n())) - feed_->crashed();
+    SETLIB_ASSERT(!live.empty());  // crash budgets are < n
+    return live;
+  }
+
+  /// A uniform member of non-empty `pool`: the member at index
+  /// rng.next_below(pool.size()) in increasing pid order, drawn
+  /// without a division.
+  static Pid draw_member(Rng& rng, ProcSet pool);
 
   std::shared_ptr<ObservationFeed> feed_;
 };
@@ -94,8 +115,13 @@ class WindowStretcherGenerator final : public ReactiveGenerator {
 
   ReactiveParams params_;
   Rng rng_;
-  std::vector<Pid> active_;   // epoch's steppers (fewest-stepped alive)
-  std::vector<Pid> release_;  // victims owed one step, drained LIFO
+  // The alive set ordered by steps taken at the epoch's start (stable:
+  // ties keep pid order). The first active_ are the epoch's steppers
+  // (fewest-stepped); order_[active_, release_end_) are the victims
+  // owed one step each, drained from the back.
+  std::array<Pid, kMaxProcs> order_{};
+  int active_ = 0;
+  int release_end_ = 0;
   std::int64_t epoch_left_ = 0;
   /// Largest silence ever observed (max_silence() is sampled every
   /// step: at epoch boundaries everyone was just released, so the
@@ -112,8 +138,8 @@ class DecisionChaserGenerator final : public ReactiveGenerator {
  private:
   ReactiveParams params_;
   Rng rng_;
-  std::int64_t emitted_ = 0;
-  int rr_ = 0;  // release rotation cursor
+  std::int64_t until_release_;  // steps left to the next liveness release
+  int rr_ = 0;                  // release rotation cursor
 };
 
 class BudgetCrasherGenerator final : public ReactiveGenerator {
@@ -129,8 +155,12 @@ class BudgetCrasherGenerator final : public ReactiveGenerator {
   ReactiveParams params_;
   Rng rng_;
   int budget_left_;
-  std::vector<std::int64_t> checkpoints_;  // seeded, increasing
-  std::size_t checkpoint_idx_ = 0;
+  // Seeded fallback checkpoints, drawn one at a time from plan_: the
+  // next one is next_checkpoint_, and checkpoints_left_ remain
+  // including it.
+  Rng plan_;
+  int checkpoints_left_;
+  std::int64_t next_checkpoint_ = 0;
   ProcSet requested_;
 };
 

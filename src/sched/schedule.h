@@ -35,6 +35,13 @@ class Schedule {
     steps_.push_back(p);
   }
 
+  /// Capacity for `steps` steps in all, so appends up to there do not
+  /// regrow the storage.
+  void reserve(std::int64_t steps) {
+    SETLIB_EXPECTS(steps >= 0);
+    steps_.reserve(static_cast<std::size_t>(steps));
+  }
+
   const std::vector<Pid>& steps() const noexcept { return steps_; }
 
   /// Number of occurrences of p in [from, to).

@@ -10,6 +10,9 @@ ProcessRuntime::ProcessRuntime(Pid pid) : pid_(pid) {
 
 void ProcessRuntime::add_task(Prog prog, std::string name) {
   SETLIB_EXPECTS(prog.valid());
+  // Room for a protocol stack's usual few tasks (a detector plus its
+  // agreement instances) in one allocation.
+  if (tasks_.capacity() == 0) tasks_.reserve(kFirstTasks);
   tasks_.push_back(TaskCb{std::move(prog), std::move(name)});
 }
 

@@ -48,6 +48,8 @@ class ProcessRuntime {
   std::int64_t ops_executed() const noexcept { return ops_; }
 
  private:
+  static constexpr std::size_t kFirstTasks = 4;
+
   struct TaskCb {
     Prog prog;
     std::string name;

@@ -11,8 +11,7 @@ Simulator::Simulator(IMemory& mem, int n)
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   procs_.reserve(static_cast<std::size_t>(n));
   for (Pid p = 0; p < n; ++p) procs_.emplace_back(p);
-  plan_crash_steps_.assign(static_cast<std::size_t>(n),
-                           sched::CrashPlan::kNever);
+  plan_crash_steps_.fill(sched::CrashPlan::kNever);
 }
 
 ProcessRuntime& Simulator::process(Pid p) {
@@ -105,6 +104,9 @@ std::int64_t Simulator::run_until(sched::ScheduleGenerator& gen,
   SETLIB_EXPECTS(gen.n() == n_);
   SETLIB_EXPECTS(max_steps >= 0);
   SETLIB_EXPECTS(check_every >= 1);
+  // One allocation covers a short run's executed schedule; longer runs
+  // regrow from there.
+  if (executed_.empty()) executed_.reserve(std::min(max_steps, kFirstReserve));
   std::int64_t executed = 0;
   // A pull landing on a crashed process is skipped without executing;
   // cap total pulls so a generator that only schedules crashed pids

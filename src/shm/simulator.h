@@ -9,6 +9,7 @@
 #ifndef SETLIB_SHM_SIMULATOR_H
 #define SETLIB_SHM_SIMULATOR_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -72,6 +73,9 @@ class Simulator {
   std::int64_t steps_taken() const noexcept { return executed_.size(); }
 
  private:
+  /// Executed-schedule capacity taken at the first run_until (steps).
+  static constexpr std::int64_t kFirstReserve = 1024;
+
   bool maybe_crash_per_plan();
   void update_next_plan_crash();
   void maybe_crash_per_source();
@@ -82,7 +86,7 @@ class Simulator {
   std::vector<ProcessRuntime> procs_;
   ProcSet crashed_;
   sched::Schedule executed_;
-  std::vector<std::int64_t> plan_crash_steps_;
+  std::array<std::int64_t, kMaxProcs> plan_crash_steps_;  // first n_ used
   // Least plan crash step of a process not yet crashed (kNever if none):
   // before it, maybe_crash_per_plan has nothing to do.
   std::int64_t next_plan_crash_ = sched::CrashPlan::kNever;

@@ -3,7 +3,6 @@
 #include <bit>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 namespace setlib {
 
@@ -84,20 +83,17 @@ ProcSet ProcSet::complement(int n) const {
 }
 
 std::string ProcSet::to_string() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
+  std::string out = "{";
+  for_each([&](Pid p) {
+    if (out.size() > 1) out += ',';
+    out += std::to_string(p);
+  });
+  out += '}';
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, ProcSet s) {
-  os << '{';
-  bool first = true;
-  for (Pid p : s.to_vector()) {
-    if (!first) os << ',';
-    os << p;
-    first = false;
-  }
-  return os << '}';
+  return os << s.to_string();
 }
 
 std::int64_t binomial(int n, int k) {

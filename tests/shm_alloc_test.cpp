@@ -8,7 +8,8 @@
 // frame of its suspended stack. So does the census generation
 // contract: the enforcer's next() and fill() allocate nothing, and
 // packing straight from a generator allocates its words and nothing
-// else.
+// else. And the reactive adversaries' per-step contract: once built,
+// their next() allocates nothing while the feed is published into.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,8 @@
 #include "src/sched/analyzer.h"
 #include "src/sched/enforcer.h"
 #include "src/sched/generators.h"
+#include "src/sched/observations.h"
+#include "src/sched/reactive.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
 #include "src/shm/program.h"
@@ -289,6 +292,53 @@ TEST(CensusAllocTest, GeneratorFedPackAllocatesOnlyItsWords) {
     EXPECT_EQ(allocs, 1);
     EXPECT_EQ(words, 625);
   }
+}
+
+// 10,000 steps of every reactive kind, with the feed published into
+// the way the engine does it: every step recorded, and every 64 steps
+// each process's progress published and the leaders marked decided.
+TEST(ReactiveAllocTest, NextAllocatesNothingAfterConstruction) {
+  for (const ReactiveInfo& info : reactive_adversaries()) {
+    for (const int victims : {0, 2}) {
+      ReactiveParams params;
+      params.n = 7;
+      params.victims = victims;
+      params.stretch = 8;
+      params.crash_budget = 2;
+      auto gen = make_reactive(info.kind, params, 3);
+      ObservationFeed& feed = *gen->feed_ptr();
+      std::int64_t checksum = 0;
+      const std::int64_t allocs = allocations_in([&] {
+        for (int t = 0; t < 10'000; ++t) {
+          const Pid p = gen->next();
+          feed.record_step(p);
+          checksum += p;
+          if (t % 64 != 63) continue;
+          for (Pid q = 0; q < params.n; ++q) {
+            feed.publish_progress(q, feed.steps_of(q) / 4);
+            if (feed.steps_of(q) > 1'000) feed.publish_decided(q);
+          }
+        }
+      });
+      EXPECT_EQ(allocs, 0) << info.name << " victims=" << victims;
+      EXPECT_NE(checksum, 0) << info.name;
+      if (info.kind == ReactiveKind::kBudgetCrasher) {
+        EXPECT_EQ(gen->crashes_requested().size(), 2);  // spent in the loop
+      }
+    }
+  }
+}
+
+TEST(ReactiveAllocTest, InlineFeedAccessorsRejectOutOfRangePids) {
+  ObservationFeed feed(4);
+  for (const Pid bad : {-1, 4}) {
+    EXPECT_THROW(feed.steps_of(bad), ContractViolation) << bad;
+    EXPECT_THROW(feed.progress_of(bad), ContractViolation) << bad;
+    EXPECT_THROW(feed.has_progress(bad), ContractViolation) << bad;
+    EXPECT_THROW(feed.decided(bad), ContractViolation) << bad;
+    EXPECT_THROW(feed.record_step(bad), ContractViolation) << bad;
+  }
+  EXPECT_EQ(feed.total_steps(), 0);  // the rejected steps left no trace
 }
 
 }  // namespace
