@@ -30,6 +30,18 @@ const FixedBound& size_bound(int size) {
   return bounds[static_cast<std::size_t>(size - 1)];
 }
 
+/// A uniform member of non-empty `pool`: the member at index
+/// rng.next_below(pool.size()) in increasing pid order, drawn without
+/// a division. The select visits every member whatever the index, so
+/// its loop exit stays predictable.
+Pid draw_member(Rng& rng, ProcSet pool) {
+  const auto m = static_cast<int>(rng.next_below(size_bound(pool.size())));
+  Pid picked = 0;
+  int index = 0;
+  pool.for_each([&](Pid p) { picked = index++ == m ? p : picked; });
+  return picked;
+}
+
 void validate(const ReactiveParams& params) {
   SETLIB_EXPECTS(params.n >= 1 && params.n <= kMaxProcs);
   SETLIB_EXPECTS(params.victims >= 0);
@@ -43,16 +55,6 @@ void validate(const ReactiveParams& params) {
 ReactiveGenerator::ReactiveGenerator(std::shared_ptr<ObservationFeed> feed)
     : feed_(std::move(feed)) {
   SETLIB_EXPECTS(feed_ != nullptr);
-}
-
-Pid ReactiveGenerator::draw_member(Rng& rng, ProcSet pool) {
-  const auto m = static_cast<int>(rng.next_below(size_bound(pool.size())));
-  // pool.nth(m) as a select over every member: the loop runs |pool|
-  // times whatever m is, so its exit branch stays predictable.
-  Pid picked = 0;
-  int index = 0;
-  pool.for_each([&](Pid p) { picked = index++ == m ? p : picked; });
-  return picked;
 }
 
 WindowStretcherGenerator::WindowStretcherGenerator(

@@ -96,11 +96,6 @@ class ReactiveGenerator : public ScheduleGenerator {
     return live;
   }
 
-  /// A uniform member of non-empty `pool`: the member at index
-  /// rng.next_below(pool.size()) in increasing pid order, drawn
-  /// without a division.
-  static Pid draw_member(Rng& rng, ProcSet pool);
-
   std::shared_ptr<ObservationFeed> feed_;
 };
 
