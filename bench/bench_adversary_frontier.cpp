@@ -25,7 +25,8 @@
 //     also re-checks its best pair against
 //     min_timeliness_bound_reference, so the packed analyzer is
 //     differentially pinned on every family's schedules; mismatches
-//     are counted (and summed across shards) in the JSON.
+//     are counted (and summed across shards) in the JSON, and any
+//     mismatch makes the bench exit non-zero.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -106,8 +107,10 @@ std::string family_key(const std::string& name) {
   return key;
 }
 
-void print_frontier_map(core::ExperimentRunner& runner,
-                        core::JsonSink& json) {
+// Returns the number of cells whose packed bound disagrees with the
+// reference analyzer.
+int print_frontier_map(core::ExperimentRunner& runner,
+                       core::JsonSink& json) {
   // Combined adversary axis: the oblivious registry first, then the
   // reactive adversaries (reactive.h) driven in pure-generation mode
   // through generate_observed — the frontier quantifies over both.
@@ -178,7 +181,7 @@ void print_frontier_map(core::ExperimentRunner& runner,
   member_header.append(std::to_string(kBoundCap)).append(")");
   TextTable table({"family", "(i,j)", "best bound", member_header});
   std::vector<double> members(names.size(), 0.0);
-  double mismatches = 0.0;
+  int mismatches = 0;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const FrontierCell& cell = cells[c];
     std::string pair_label = "(";
@@ -192,7 +195,7 @@ void print_frontier_map(core::ExperimentRunner& runner,
         .cell(cell.best_bound)
         .cell(cell.member ? "yes" : "no");
     members[cell.family] += cell.member ? 1.0 : 0.0;
-    mismatches += cell.reference_match ? 0.0 : 1.0;
+    mismatches += cell.reference_match ? 0 : 1;
   }
   std::cout << "EXP-ADVb: which (i,j) bounds does each family keep? "
                "(n=" << kFrontierN << ", " << kFrontierLen
@@ -206,6 +209,7 @@ void print_frontier_map(core::ExperimentRunner& runner,
     json.annotate("members_" + family_key(names[f]), members[f]);
   }
   json.annotate("reference_mismatches", mismatches);
+  return mismatches;
 }
 
 }  // namespace
@@ -216,7 +220,7 @@ int main(int argc, char** argv) {
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_family_grid(runner, json);
-  print_frontier_map(runner, json);
+  const int mismatches = print_frontier_map(runner, json);
   json.write_if_requested();
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

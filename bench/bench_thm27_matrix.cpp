@@ -7,8 +7,8 @@
 // predicate: solvable iff i <= k and j - i >= t + 1 - k.
 //
 // The (i, j) cells of every matrix run through one persistent
-// core::ExperimentRunner; `--threads=N` shards them across the
-// work-stealing pool with bit-identical cell results at any N,
+// core::ExperimentRunner; `--threads=N` spreads them across the
+// worker pool with bit-identical cell results at any N,
 // `--cells=LO..HI[/SPAN]` slices the cell space across processes, and `--json`
 // records the per-matrix trajectory (cells/wall/throughput plus
 // per-cell rows) in BENCH_thm27_matrix.json. Each cell's reported

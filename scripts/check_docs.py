@@ -20,7 +20,7 @@ Every check is fatal on failure:
      behind the core surface.
   6. Every runtime header (src/runtime/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — same rule for the runtime layer (the
-     work-stealing pool and the real-thread executor live there).
+     worker pool and the real-thread executor live there).
   7. Every sched header (src/sched/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — same rule for the model layer (the
      observation feed and the reactive adversaries live there).

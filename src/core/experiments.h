@@ -139,9 +139,9 @@ struct MatrixConfig {
   std::int64_t stabilization_window = 4;
 };
 
-/// Runs the (i, j) cells through the runner (its pool width, shard,
-/// and grain apply; cell results are identical at any thread count and
-/// the shard union equals the unsharded matrix). `extra_sinks` stream
+/// Runs the (i, j) cells through the runner (its pool width and shard
+/// apply; cell results are identical at any thread count and the
+/// shard union equals the unsharded matrix). `extra_sinks` stream
 /// the raw per-cell reports — e.g. a JsonSink recording the section
 /// named "matrix_<spec>".
 std::vector<MatrixCell> thm27_matrix(

@@ -1,7 +1,5 @@
 #include "src/core/runner.h"
 
-#include <algorithm>
-
 #include "src/util/assert.h"
 
 namespace setlib::core {
@@ -29,17 +27,6 @@ JsonSink ExperimentRunner::json_sink() const {
   return JsonSink(config);
 }
 
-std::size_t ExperimentRunner::grain_for(std::size_t count) const {
-  if (options_.grain != 0) return options_.grain;
-  // Auto for generic loops: chunk so each worker sees ~16 pops on
-  // huge index spaces, cutting steal/lock overhead on cheap cells.
-  // (Grid runs of heavy run_agreement cells pin grain to 1 instead —
-  // see run(grid, ...).)
-  const std::size_t workers =
-      static_cast<std::size_t>(std::max(1, pool_.threads()));
-  return std::max<std::size_t>(1, count / (workers * 16));
-}
-
 SectionStats ExperimentRunner::run(const SweepGrid& grid,
                                    const std::string& name,
                                    const std::vector<ReportSink*>& sinks) {
@@ -62,25 +49,17 @@ SectionStats ExperimentRunner::run(const SweepGrid& grid,
   const WallTimer timer;
   if (!cells.empty()) {
     try {
-      // Grid cells are milliseconds-heavy run_agreement calls: unless
-      // the caller asked for an explicit grain, single-index pops give
-      // the best load balance (auto chunking is for cheap map loops).
-      const std::size_t grain =
-          options_.grain != 0 ? options_.grain : 1;
-      pool_.for_each(
-          cells.size(),
-          [&](std::size_t i) {
-            const WallTimer cell_timer;
-            // Fresh arena state per cell: reset trims overflow blocks
-            // back to the reserve, so the cell's counter deltas are a
-            // pure function of its config (not of which worker ran it
-            // or what ran before).
-            util::ArenaAllocator& arena = worker_arena();
-            arena.reset();
-            reports[i] = run_agreement(cells[i].config, arena);
-            seconds[i] = cell_timer.seconds();
-          },
-          grain);
+      pool_.for_each(cells.size(), [&](std::size_t i) {
+        const WallTimer cell_timer;
+        // Fresh arena state per cell: reset trims overflow blocks back
+        // to the reserve, so the cell's counter deltas are a pure
+        // function of its config (not of which worker ran it or what
+        // ran before).
+        util::ArenaAllocator& arena = worker_arena();
+        arena.reset();
+        reports[i] = run_agreement(cells[i].config, arena);
+        seconds[i] = cell_timer.seconds();
+      });
     } catch (...) {
       // A throwing cell propagates, but sinks must not stay wedged in
       // a half-open section: close the section empty (no rows from a
@@ -121,8 +100,7 @@ SectionStats ExperimentRunner::run(
   const std::size_t count = end - begin;
   const WallTimer timer;
   if (count > 0) {
-    pool_.for_each(
-        count, [&](std::size_t i) { fn(begin + i); }, grain_for(count));
+    pool_.for_each(count, [&](std::size_t i) { fn(begin + i); });
   }
   SectionStats stats;
   stats.name = name;

@@ -1,7 +1,7 @@
 // The unified experiment surface: one session-style object that owns
 // the executor, the cell space, and the result pipeline.
 //
-// ExperimentRunner holds a persistent runtime::WorkStealingPool that is
+// ExperimentRunner holds a persistent runtime::WorkerPool that is
 // reused across every sweep section of a binary (worker threads spawn
 // once, at construction). A single run() entry point executes either a
 // SweepGrid (streaming per-cell RunReports into ReportSinks, in cell
@@ -14,10 +14,6 @@
 // runs of a tiling is bit-identical to the unsharded run (modulo
 // wall-clock fields). `--cells=LO..HI[/SPAN]` on any bench falls out
 // of this.
-//
-// Batching: RunnerOptions::grain chunks the work-stealing index pops;
-// 0 picks an automatic grain (1 for the usual milliseconds-heavy
-// cells, larger on huge cheap-cell spaces) to cut steal overhead.
 #ifndef SETLIB_CORE_RUNNER_H
 #define SETLIB_CORE_RUNNER_H
 
@@ -41,7 +37,6 @@ struct RunnerOptions {
   int threads = 1;        // pool width; 0 = hardware concurrency
   int repeat = 1;         // repeat factor benches feed into grids
   ShardSpec shard;        // [lo, hi) range of every cell space
-  std::size_t grain = 0;  // indices per steal chunk; 0 = auto
   bool json = false;
   std::string json_path;  // defaults to BENCH_<name>.json
 };
@@ -68,7 +63,7 @@ class ExperimentRunner {
 
   /// The persistent pool — one set of worker threads for the runner's
   /// whole lifetime, reused by every run()/map() call.
-  runtime::WorkStealingPool& pool() noexcept { return pool_; }
+  runtime::WorkerPool& pool() noexcept { return pool_; }
 
   /// The calling thread's per-worker-slot arena. Inside a run()/map()
   /// callback each participating thread gets its own arena (indexed by
@@ -109,18 +104,15 @@ class ExperimentRunner {
     const auto [begin, end] = shard_range(n);
     std::vector<T> out(end - begin);
     if (!out.empty()) {
-      pool_.for_each(
-          out.size(), [&](std::size_t i) { out[i] = fn(begin + i); },
-          grain_for(out.size()));
+      pool_.for_each(out.size(),
+                     [&](std::size_t i) { out[i] = fn(begin + i); });
     }
     return out;
   }
 
  private:
-  std::size_t grain_for(std::size_t count) const;
-
   RunnerOptions options_;
-  runtime::WorkStealingPool pool_;
+  runtime::WorkerPool pool_;
   // One arena per pool worker slot (slot 0 doubles as the submitting
   // thread). unique_ptrs: arenas are non-movable and the vector is
   // sized once at construction.

@@ -286,16 +286,11 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
   std::vector<BatchOutcome> outcomes(end - begin);
   const WallTimer timer;
   if (!outcomes.empty()) {
-    const std::size_t grain =
-        runner.options().grain != 0 ? runner.options().grain : 1;
-    runner.pool().for_each(
-        outcomes.size(),
-        [&](std::size_t i) {
-          const WallTimer batch_timer;
-          outcomes[i] = run_batch(admission, begin + i);
-          outcomes[i].seconds = batch_timer.seconds();
-        },
-        grain);
+    runner.pool().for_each(outcomes.size(), [&](std::size_t i) {
+      const WallTimer batch_timer;
+      outcomes[i] = run_batch(admission, begin + i);
+      outcomes[i].seconds = batch_timer.seconds();
+    });
   }
 
   SectionStats stats;

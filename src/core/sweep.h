@@ -3,8 +3,8 @@
 // SweepGrid enumerates the cartesian product of the experiment axes —
 // agreement specs, a system axis, schedule families, timeliness bounds,
 // and repeat indices. Execution lives in core::ExperimentRunner
-// (src/core/runner.h), which shards the flat index space across a
-// persistent runtime::WorkStealingPool and streams per-cell RunReports
+// (src/core/runner.h), which spreads the flat index space across a
+// persistent runtime::WorkerPool and streams per-cell RunReports
 // into ReportSinks (src/core/report.h).
 //
 // Determinism contract: a cell's RunConfig — including its seed, which

@@ -23,7 +23,7 @@ long parse_long_value(const std::string& text, const std::string& flag) {
                             text + "'");
   }
   // strtol saturates to LONG_MIN/LONG_MAX on overflow and only tells
-  // us via errno — "--grain=99999999999999999999" must be an error,
+  // us via errno — "--requests=99999999999999999999" must be an error,
   // not LONG_MAX.
   if (errno == ERANGE) {
     throw ContractViolation(flag + ": value '" + text +
@@ -88,12 +88,6 @@ RunnerOptions parse_runner_options(int argc, const char* const* argv,
     }
     if (consume_int_flag(arg, "--repeat=", &options.repeat)) {
       SETLIB_EXPECTS(options.repeat >= 1);
-      continue;
-    }
-    long grain = 0;
-    if (consume_long_flag(arg, "--grain=", &grain)) {
-      SETLIB_EXPECTS(grain >= 0);
-      options.grain = static_cast<std::size_t>(grain);
       continue;
     }
     if (consume_cells_flag(arg, &options.shard)) continue;

@@ -11,7 +11,6 @@
 //                  documents of ranges tiling [0, SPAN) merge to the
 //                  unsharded document (modulo wall-clock fields).
 //                  `--cells=K..K+1/N` is the K-th of N equal slices.
-//   --grain=N      indices per work-stealing pop (0 = auto)
 //   --json[=path]  write BENCH_<name>.json (sections, throughput,
 //                  per-cell latency percentiles and rows)
 // Any other argument is an error: a caller with arguments of its own

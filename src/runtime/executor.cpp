@@ -1,6 +1,5 @@
 #include "src/runtime/executor.h"
 
-#include <algorithm>
 #include <exception>
 
 #include "src/util/assert.h"
@@ -155,14 +154,14 @@ ThreadedExecutor::RunStats ThreadedExecutor::run(Pacer& pacer,
   return stats;
 }
 
-thread_local const WorkStealingPool* WorkStealingPool::tl_pool_ = nullptr;
-thread_local std::size_t WorkStealingPool::tl_slot_ = 0;
+thread_local const WorkerPool* WorkerPool::tl_pool_ = nullptr;
+thread_local std::size_t WorkerPool::tl_slot_ = 0;
 
-std::size_t WorkStealingPool::current_slot() const noexcept {
+std::size_t WorkerPool::current_slot() const noexcept {
   return tl_pool_ == this ? tl_slot_ : 0;
 }
 
-WorkStealingPool::WorkStealingPool(int threads) {
+WorkerPool::WorkerPool(int threads) {
   SETLIB_EXPECTS(threads >= 0);
   if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -181,7 +180,7 @@ WorkStealingPool::WorkStealingPool(int threads) {
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+WorkerPool::~WorkerPool() {
   {
     const util::MutexLock lock(m_);
     stopping_ = true;
@@ -190,7 +189,7 @@ WorkStealingPool::~WorkStealingPool() {
   // jthreads join on destruction of workers_.
 }
 
-void WorkStealingPool::worker_main(std::size_t self) {
+void WorkerPool::worker_main(std::size_t self) {
   // A spawned worker belongs to this pool for its whole lifetime.
   tl_pool_ = this;
   tl_slot_ = self;
@@ -204,81 +203,36 @@ void WorkStealingPool::worker_main(std::size_t self) {
       seen = job_seq_;
       job = job_;
     }
-    // Workers beyond the job's shard count own no range and go
-    // straight to stealing; work() handles that uniformly.
-    if (job) work(*job, self);
+    // A worker that wakes after the job drained finds the cursor past
+    // n (or no job at all) and parks again.
+    if (job) work(*job);
   }
 }
 
-void WorkStealingPool::work(Job& job, std::size_t self) {
-  auto& shards = job.shards;
-  auto run_chunk = [&](std::int64_t begin, std::int64_t len) {
-    for (std::int64_t i = begin; i < begin + len; ++i) {
-      try {
-        (*job.fn)(static_cast<std::size_t>(i));
-      } catch (...) {
-        (*job.errors)[static_cast<std::size_t>(i)] =
-            std::current_exception();
-      }
+void WorkerPool::work(Job& job) {
+  for (;;) {
+    // Relaxed: the job's fields were published under m_, and the
+    // results are published by the acq_rel decrement below.
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return;
+    try {
+      (*job.fn)(i);
+    } catch (...) {
+      (*job.errors)[i] = std::current_exception();
     }
     // The thread retiring the job's last index wakes the submitter.
-    if (job.remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
+    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       const util::MutexLock lock(m_);
       done_cv_.notify_all();
     }
-  };
-
-  for (;;) {
-    std::int64_t begin = -1;
-    std::int64_t len = 0;
-    if (self < shards.size()) {
-      Shard& own = shards[self];
-      const util::MutexLock lock(own.m);
-      if (own.head < own.tail) {
-        begin = own.head;
-        len = std::min(job.grain, own.tail - own.head);
-        own.head += len;
-      }
-    }
-    if (begin < 0) {
-      // Steal a chunk from the back of the victim with the most work.
-      std::size_t victim = shards.size();
-      std::int64_t victim_remaining = 0;
-      for (std::size_t v = 0; v < shards.size(); ++v) {
-        if (v == self) continue;
-        Shard& s = shards[v];
-        const util::MutexLock lock(s.m);
-        const std::int64_t remaining = s.tail - s.head;
-        if (remaining > victim_remaining) {
-          victim = v;
-          victim_remaining = remaining;
-        }
-      }
-      if (victim < shards.size()) {
-        Shard& s = shards[victim];
-        const util::MutexLock lock(s.m);
-        if (s.head < s.tail) {
-          len = std::min(job.grain, s.tail - s.head);
-          s.tail -= len;
-          begin = s.tail;
-        }
-      }
-    }
-    if (begin < 0) return;  // every shard drained
-    run_chunk(begin, len);
   }
 }
 
-void WorkStealingPool::for_each(std::size_t n,
-                                const std::function<void(std::size_t)>& fn,
-                                std::size_t grain) {
-  SETLIB_EXPECTS(grain >= 1);
+void WorkerPool::for_each(std::size_t n,
+                          const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   std::vector<std::exception_ptr> errors(n);
-  const std::size_t chunks = (n + grain - 1) / grain;
-  const std::size_t participants =
-      std::min<std::size_t>(static_cast<std::size_t>(threads_), chunks);
-  if (participants <= 1) {
+  if (threads_ <= 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) {
       try {
         fn(i);
@@ -290,23 +244,8 @@ void WorkStealingPool::for_each(std::size_t n,
     auto job = std::make_shared<Job>();
     job->fn = &fn;
     job->errors = &errors;
-    job->grain = static_cast<std::int64_t>(grain);
-    job->shards = std::vector<Shard>(participants);
-    const std::size_t base = n / participants;
-    const std::size_t extra = n % participants;
-    std::size_t begin = 0;
-    for (std::size_t w = 0; w < participants; ++w) {
-      const std::size_t len = base + (w < extra ? 1 : 0);
-      Shard& shard = job->shards[w];
-      // Uncontended: the job is not published yet. Locking anyway
-      // keeps the write sites of head/tail uniform for the analysis.
-      const util::MutexLock lock(shard.m);
-      shard.head = static_cast<std::int64_t>(begin);
-      shard.tail = static_cast<std::int64_t>(begin + len);
-      begin += len;
-    }
-    job->remaining.store(static_cast<std::int64_t>(n),
-                         std::memory_order_release);
+    job->n = n;
+    job->remaining.store(n, std::memory_order_relaxed);
     {
       const util::MutexLock lock(m_);
       SETLIB_EXPECTS(!busy_);  // one parallel submission at a time
@@ -318,11 +257,11 @@ void WorkStealingPool::for_each(std::size_t n,
     // The submitter is participant 0 for the duration of the job; its
     // previous identity (it may be a worker of another pool) is
     // restored on the way out.
-    const WorkStealingPool* const prev_pool = tl_pool_;
+    const WorkerPool* const prev_pool = tl_pool_;
     const std::size_t prev_slot = tl_slot_;
     tl_pool_ = this;
     tl_slot_ = 0;
-    work(*job, 0);
+    work(*job);
     tl_pool_ = prev_pool;
     tl_slot_ = prev_slot;
     {

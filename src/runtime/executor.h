@@ -88,13 +88,13 @@ class ThreadedExecutor {
 };
 
 // ---------------------------------------------------------------------
-// WorkStealingPool: the generic task-parallel counterpart of the
+// WorkerPool: the generic task-parallel counterpart of the
 // ThreadedExecutor. Where the executor drives one algorithm run across
-// process threads, the pool shards an index space of *independent*
+// process threads, the pool spreads an index space of *independent*
 // heavy tasks (sweep cells, experiment grid rows) across worker
-// threads. [0, n) is split into contiguous per-worker ranges; an owner
-// consumes its range from the front, and a worker whose range runs dry
-// steals from the back of the victim with the most work left.
+// threads. The whole space [0, n) is known when a job is submitted, so
+// scheduling is plain self-scheduling: every participant claims the
+// next index from one shared atomic cursor until the cursor passes n.
 //
 // The pool is persistent: worker threads spawn once in the constructor
 // and park on a condition variable between jobs, so sequential
@@ -102,19 +102,13 @@ class ThreadedExecutor {
 // same threads instead of respawning. threads_spawned() exposes the
 // lifetime spawn count, jobs_completed() the number of drained jobs —
 // together they make the reuse observable in tests.
-//
-// Chunking: both owners and thieves pop up to `grain` consecutive
-// indices per lock acquisition. Heavy cells want grain == 1 (best
-// balance); 10^5-cell grids of microsecond cells want larger grains to
-// cut steal/lock overhead. Chunking never affects results: every index
-// runs exactly once and lands in its own slot.
-class WorkStealingPool {
+class WorkerPool {
  public:
   /// threads == 0 picks std::thread::hardware_concurrency().
-  explicit WorkStealingPool(int threads);
-  ~WorkStealingPool();
-  WorkStealingPool(const WorkStealingPool&) = delete;
-  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+  explicit WorkerPool(int threads);
+  ~WorkerPool();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   int threads() const noexcept { return threads_; }
 
@@ -141,45 +135,36 @@ class WorkStealingPool {
   /// indices completed. Exceptions thrown by fn are captured per index
   /// and the one with the smallest index is rethrown after every
   /// worker has drained — so propagation is deterministic at any
-  /// thread count and no index is silently skipped. `grain` is the
-  /// maximum number of consecutive indices claimed per pop (>= 1).
+  /// thread count and no index is silently skipped.
   ///
   /// One parallel submission at a time: the pool has a single job
   /// slot, so concurrent (or nested, from inside fn) parallel
   /// for_each calls on the same pool are a contract violation —
   /// asserted, not silently serialized. Serial fallbacks (one
   /// participant) are reentrancy-safe.
-  void for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
-                std::size_t grain = 1);
+  void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Shard {
-    util::Mutex m;
-    std::int64_t head SETLIB_GUARDED_BY(m) = 0;  // owner pops here
-    // Thieves pop here; range is [head, tail).
-    std::int64_t tail SETLIB_GUARDED_BY(m) = 0;
-  };
-
   struct Job {
-    // fn/errors/grain are written once before the job is published
-    // under m_ and read-only afterwards; remaining is the atomic
-    // completion count.
+    // fn/errors/n are written once before the job is published under
+    // m_ and read-only afterwards; next is the claim cursor and
+    // remaining the atomic completion count.
     const std::function<void(std::size_t)>* fn = nullptr;
-    std::vector<Shard> shards;
     std::vector<std::exception_ptr>* errors = nullptr;
-    std::int64_t grain = 1;
-    std::atomic<std::int64_t> remaining{0};  // indices not yet executed
+    std::size_t n = 0;
+    std::atomic<std::size_t> next{0};       // next unclaimed index
+    std::atomic<std::size_t> remaining{0};  // indices not yet executed
   };
 
   void worker_main(std::size_t self);
-  void work(Job& job, std::size_t self);
+  void work(Job& job);
 
   // Pool-scoped worker identity: the pool this thread last worked for
   // and its slot there. Scoped to a (pool, slot) pair — not a bare
   // slot — so a worker of pool A that drives a serial for_each on an
   // unrelated pool B still reads slot 0 *for B* instead of smuggling
   // its A-slot out of range.
-  static thread_local const WorkStealingPool* tl_pool_;
+  static thread_local const WorkerPool* tl_pool_;
   static thread_local std::size_t tl_slot_;
 
   int threads_;

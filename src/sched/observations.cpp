@@ -53,11 +53,4 @@ void ObservationFeed::publish_decided(Pid p) {
   decided_ = decided_.with(p);
 }
 
-void ObservationFeed::publish_constraint_state(std::int64_t substitutions,
-                                               std::int64_t drops) {
-  SETLIB_EXPECTS(substitutions >= 0 && drops >= 0);
-  subs_ = substitutions;
-  drops_ = drops;
-}
-
 }  // namespace setlib::sched

@@ -4,9 +4,9 @@
 // permits, so the strongest adversaries are not oblivious: they watch
 // the run and react. This header is the narrow, read-only window the
 // Simulator and engine publish into each step — per-process step
-// counts, window ages for candidate P-sets, crash/decision status,
-// decision proximity, and pacer (enforcer) constraint state — and that
-// ReactiveGenerators (reactive.h) consume.
+// counts, window ages for candidate P-sets, crash/decision status and
+// decision proximity — and that ReactiveGenerators (reactive.h)
+// consume.
 //
 // Determinism contract: everything published here is derived from the
 // executed step stream and the engine's deterministic protocol state,
@@ -88,14 +88,6 @@ class ObservationFeed {
     return progress_[static_cast<std::size_t>(p)] >= 0;
   }
 
-  // --- Pacer constraint facts (published by the enforcer) ---
-
-  /// Substitutions the schedule pacer (EnforcedGenerator) performed to
-  /// keep the run inside its system spec, and constraints it dropped as
-  /// unsatisfiable. Zero unless an enforcer publishes into this feed.
-  std::int64_t constraint_substitutions() const noexcept { return subs_; }
-  std::int64_t constraint_drops() const noexcept { return drops_; }
-
   // --- Publishers (executor / engine side) ---
 
   void record_step(Pid p) {
@@ -108,8 +100,6 @@ class ObservationFeed {
   void record_crash(Pid p);
   void publish_progress(Pid p, std::int64_t progress);
   void publish_decided(Pid p);
-  void publish_constraint_state(std::int64_t substitutions,
-                                std::int64_t drops);
 
  private:
   int n_;
@@ -121,8 +111,6 @@ class ObservationFeed {
   std::array<std::int64_t, kMaxProcs> progress_;  // -1 = not published
   ProcSet crashed_;
   ProcSet decided_;
-  std::int64_t subs_ = 0;
-  std::int64_t drops_ = 0;
 };
 
 }  // namespace setlib::sched

@@ -1,7 +1,7 @@
 // The ExperimentRunner: shard determinism (the concatenation of the
 // k/N shard runs equals the 1-shard run cell-for-cell), persistent
-// pool reuse (no thread respawn across sequential run() calls), grain
-// batching, and the report sinks.
+// pool reuse (no thread respawn across sequential run() calls), the
+// pool's exactly-once and exception contracts, and the report sinks.
 #include "src/core/runner.h"
 
 #include <gtest/gtest.h>
@@ -35,12 +35,10 @@ SweepGrid shard_grid() {
   return grid;  // 2 specs x 1 family x 2 bounds x 3 repeats = 12 cells
 }
 
-ExperimentRunner make_runner(int threads, ShardSpec shard = {},
-                             std::size_t grain = 0) {
+ExperimentRunner make_runner(int threads, ShardSpec shard = {}) {
   RunnerOptions options;
   options.threads = threads;
   options.shard = shard;
-  options.grain = grain;
   return ExperimentRunner(options);
 }
 
@@ -255,42 +253,30 @@ TEST(RunnerPoolTest, SequentialRunsReuseTheSameWorkerThreads) {
   }
 }
 
-TEST(RunnerPoolTest, GrainBatchingCoversEveryIndexExactlyOnce) {
-  for (const std::size_t grain : {1u, 4u, 16u, 64u, 1000u}) {
-    runtime::WorkStealingPool pool(4);
+TEST(RunnerPoolTest, SequentialJobsCoverEveryIndexExactlyOnce) {
+  // One pool, many jobs: each job starts from a fresh claim cursor.
+  runtime::WorkerPool pool(4);
+  for (int job = 0; job < 5; ++job) {
     std::vector<std::atomic<int>> hits(137);
     for (auto& h : hits) h.store(0);
-    pool.for_each(
-        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
-        grain);
+    pool.for_each(hits.size(),
+                  [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
+  EXPECT_EQ(pool.jobs_completed(), 5);
 }
 
-TEST(RunnerPoolTest, GrainKnobAppliesThroughRunnerOptions) {
-  ExperimentRunner runner = make_runner(4, ShardSpec{}, 8);
-  std::vector<std::atomic<int>> hits(100);
-  for (auto& h : hits) h.store(0);
-  runner.run(hits.size(), "grained", [&](std::size_t i) {
-    hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(RunnerPoolTest, ExceptionContractHoldsUnderGrainBatching) {
-  runtime::WorkStealingPool pool(4);
+TEST(RunnerPoolTest, ExceptionContractHoldsAcrossWorkers) {
+  runtime::WorkerPool pool(4);
   std::vector<std::atomic<int>> hits(96);
   for (auto& h : hits) h.store(0);
   try {
-    pool.for_each(
-        hits.size(),
-        [&](std::size_t i) {
-          hits[i].fetch_add(1);
-          if (i == 11 || i == 70) {
-            throw std::runtime_error("cell " + std::to_string(i));
-          }
-        },
-        8);
+    pool.for_each(hits.size(), [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (i == 11 || i == 70) {
+        throw std::runtime_error("cell " + std::to_string(i));
+      }
+    });
     FAIL() << "expected the pool to rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "cell 11");

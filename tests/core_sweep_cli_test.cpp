@@ -28,14 +28,13 @@ RunnerOptions parse(std::vector<std::string> args) {
 
 TEST(SweepCliTest, ParsesAndStripsTheSharedFlags) {
   const RunnerOptions options =
-      parse({"--threads=4", "--repeat=3", "--cells=1..2/3", "--grain=16",
+      parse({"--threads=4", "--repeat=3", "--cells=1..2/3",
              "--json=out.json"});
   EXPECT_EQ(options.threads, 4);
   EXPECT_EQ(options.repeat, 3);
   EXPECT_EQ(options.shard.lo, 1u);
   EXPECT_EQ(options.shard.hi, 2u);
   EXPECT_EQ(options.shard.span, 3u);
-  EXPECT_EQ(options.grain, 16u);
   EXPECT_TRUE(options.json);
   EXPECT_EQ(options.json_path, "out.json");
 }
@@ -57,10 +56,23 @@ TEST(SweepCliTest, UnrecognizedArgsAreRejectedByName) {
   }
 }
 
+TEST(SweepCliTest, RemovedGrainFlagIsRejectedByName) {
+  // The pool claims one index at a time; there is no batching knob.
+  try {
+    parse({"--grain=4"});
+    FAIL() << "--grain=4 was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("'--grain=4'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepCliTest, OverflowingLongIsRejectedNotSaturated) {
   // 20 nines saturate strtol to LONG_MAX with errno=ERANGE; the old
   // parser accepted that as a value.
-  EXPECT_THROW(parse({"--grain=99999999999999999999"}),
+  long value = 0;
+  EXPECT_THROW(consume_long_flag("--requests=99999999999999999999",
+                                 "--requests=", &value),
                ContractViolation);
 }
 
@@ -76,7 +88,7 @@ TEST(SweepCliTest, HugeIntFlagDoesNotWrap) {
 TEST(SweepCliTest, TrailingGarbageAndEmptyValuesAreRejected) {
   EXPECT_THROW(parse({"--threads=8x"}), ContractViolation);
   EXPECT_THROW(parse({"--threads="}), ContractViolation);
-  EXPECT_THROW(parse({"--grain=x"}), ContractViolation);
+  EXPECT_THROW(parse({"--repeat=x"}), ContractViolation);
   EXPECT_THROW(parse({"--json="}), ContractViolation);
 }
 
@@ -154,7 +166,6 @@ TEST(SweepCliTest, CliAndMergeShareOneRangeRule) {
 TEST(SweepCliTest, NegativeCountsAreRejected) {
   EXPECT_THROW(parse({"--threads=-1"}), ContractViolation);
   EXPECT_THROW(parse({"--repeat=0"}), ContractViolation);
-  EXPECT_THROW(parse({"--grain=-5"}), ContractViolation);
 }
 
 TEST(SweepCliTest, ParseValueHelpersNameTheFlag) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/experiments.h"
@@ -232,13 +233,13 @@ TEST(ExperimentRunnerTest, FailingCellPropagatesFromGridRun) {
   EXPECT_THROW(runner.run(grid, "bait", {}), ContractViolation);
 }
 
-TEST(WorkStealingPoolTest, HardwareConcurrencyFallback) {
-  runtime::WorkStealingPool pool(0);
+TEST(WorkerPoolTest, HardwareConcurrencyFallback) {
+  runtime::WorkerPool pool(0);
   EXPECT_GE(pool.threads(), 1);
 }
 
-TEST(WorkStealingPoolTest, MoreThreadsThanWork) {
-  runtime::WorkStealingPool pool(16);
+TEST(WorkerPoolTest, MoreThreadsThanWork) {
+  runtime::WorkerPool pool(16);
   std::vector<std::atomic<int>> hits(3);
   for (auto& h : hits) h.store(0);
   pool.for_each(hits.size(),
@@ -246,9 +247,44 @@ TEST(WorkStealingPoolTest, MoreThreadsThanWork) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(WorkStealingPoolTest, ZeroTasksIsANoop) {
-  runtime::WorkStealingPool pool(4);
+TEST(WorkerPoolTest, ZeroTasksIsANoop) {
+  runtime::WorkerPool pool(4);
   pool.for_each(0, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(WorkerPoolTest, ClaimCursorHoldsUpUnderContention) {
+  // Near-empty tasks keep every participant hammering the claim
+  // cursor. Each width reuses one pool across many jobs, alternating
+  // clean jobs with jobs whose indices 3, 8, 13, ... and n - 1 throw.
+  for (const int width : {1, 2, 4, 8}) {
+    runtime::WorkerPool pool(width);
+    for (const std::size_t n : {0u, 1u, 7u, 64u, 257u}) {
+      for (int rep = 0; rep < 100; ++rep) {
+        const bool throwing = rep % 2 == 1;
+        std::vector<std::atomic<int>> hits(n);
+        for (auto& h : hits) h.store(0);
+        try {
+          pool.for_each(n, [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            if (throwing && (i % 5 == 3 || i + 1 == n)) {
+              throw std::runtime_error(std::to_string(i));
+            }
+          });
+          EXPECT_TRUE(!throwing || n == 0) << width << " x " << n;
+        } catch (const std::runtime_error& e) {
+          // The smallest throwing index wins whoever ran it.
+          const std::size_t first = std::min<std::size_t>(3, n - 1);
+          EXPECT_TRUE(throwing) << width << " x " << n;
+          EXPECT_EQ(e.what(), std::to_string(first)) << width << " x " << n;
+        }
+        // The rethrow waited for the drain: every index ran once.
+        for (const auto& h : hits) {
+          ASSERT_EQ(h.load(), 1) << width << " x " << n << " rep " << rep;
+        }
+      }
+    }
+    EXPECT_EQ(pool.threads_spawned(), width - 1);
+  }
 }
 
 TEST(SweepSeedTest, DeriveCellSeedMixes) {
