@@ -116,30 +116,28 @@ FamilySetup make_randomized(const RunConfig& cfg) {
   setup.timely_set = ProcSet::range(0, cfg.system.i);
   setup.observed_set = ProcSet::range(0, cfg.system.j);
   const sched::FamilyParams params = randomized_params(cfg);
-  switch (cfg.family) {
-    case ScheduleFamily::kBursty:
-      setup.generator = sched::make_family(sched::FamilyKind::kBursty,
-                                           params, cfg.seed);
-      break;
-    case ScheduleFamily::kStarvation:
-      setup.generator = sched::make_family(sched::FamilyKind::kStarvation,
-                                           params, cfg.seed);
-      break;
-    case ScheduleFamily::kCrashProne:
-      // The simulator must mirror the generator's crashes so the
-      // validator sees the same faulty set; crash_prone_plan is
-      // exactly the plan make_family embeds.
-      setup.plan = sched::crash_prone_plan(params, cfg.seed);
-      setup.generator = sched::make_family(sched::FamilyKind::kCrashProne,
-                                           params, cfg.seed);
-      break;
-    case ScheduleFamily::kGst:
-      setup.generator =
-          sched::make_family(sched::FamilyKind::kGst, params, cfg.seed);
-      break;
-    default:
-      SETLIB_ASSERT(false);
+  const sched::FamilyKind kind = [&] {
+    switch (cfg.family) {
+      case ScheduleFamily::kBursty:
+        return sched::FamilyKind::kBursty;
+      case ScheduleFamily::kStarvation:
+        return sched::FamilyKind::kStarvation;
+      case ScheduleFamily::kCrashProne:
+        return sched::FamilyKind::kCrashProne;
+      case ScheduleFamily::kGst:
+        return sched::FamilyKind::kGst;
+      default:
+        SETLIB_ASSERT(false);
+        return sched::FamilyKind::kBursty;
+    }
+  }();
+  if (kind == sched::FamilyKind::kCrashProne) {
+    // The simulator must mirror the generator's crashes so the
+    // validator sees the same faulty set; crash_prone_plan is exactly
+    // the plan make_family embeds.
+    setup.plan = sched::crash_prone_plan(params, cfg.seed);
   }
+  setup.generator = sched::make_family(kind, params, cfg.seed);
   return setup;
 }
 
@@ -181,6 +179,32 @@ FamilySetup make_reactive_setup(const RunConfig& cfg) {
 }
 
 }  // namespace
+
+DetectorReport detector_verdict(const fd::KAntiOmega& detector,
+                                ProcSet correct,
+                                std::int64_t stabilization_window) {
+  DetectorReport report;
+  report.used = true;
+  std::int64_t min_it = -1;
+  std::int64_t max_it = 0;
+  correct.for_each([&](Pid p) {
+    const auto& v = detector.view(p);
+    min_it = min_it < 0 ? v.iterations : std::min(min_it, v.iterations);
+    max_it = std::max(max_it, v.iterations);
+    report.total_winnerset_changes += v.winnerset_changes;
+  });
+  report.min_iterations = std::max<std::int64_t>(min_it, 0);
+  report.max_iterations = max_it;
+  const std::int64_t window =
+      std::max(stabilization_window, report.min_iterations / 3);
+  const auto prop = fd::check_kantiomega(detector, correct, window);
+  report.stabilized = prop.stabilized;
+  report.winnerset = prop.winnerset;
+  report.winnerset_has_correct = prop.has_correct_winner;
+  report.trusted = prop.trusted;
+  report.abstract_ok = prop.abstract_ok;
+  return report;
+}
 
 RunReport run_agreement(const RunConfig& cfg) {
   // One-off convenience path (tests, tools): a run-local arena with
@@ -314,33 +338,8 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
             kset.outcome(p).value;
       }
     }
-    report.detector.used = true;
-    const ProcSet correct = sim.crashed_set().complement(n);
-    // "Eventually forever" on a finite run: require quiescence over the
-    // trailing third of the slowest correct process's iterations (with
-    // the configured window as a floor), so slow oscillation on long
-    // runs is not mistaken for convergence.
-    std::int64_t min_it = -1;
-    correct.for_each([&](Pid p) {
-      const auto it = detector.view(p).iterations;
-      min_it = min_it < 0 ? it : std::min(min_it, it);
-    });
-    const std::int64_t window =
-        std::max(cfg.stabilization_window, std::max<std::int64_t>(min_it, 0) / 3);
-    const auto prop = fd::check_kantiomega(detector, correct, window);
-    report.detector.stabilized = prop.stabilized;
-    report.detector.winnerset = prop.winnerset;
-    report.detector.winnerset_has_correct = prop.has_correct_winner;
-    report.detector.trusted = prop.trusted;
-    report.detector.abstract_ok = prop.abstract_ok;
-    std::int64_t max_it = 0;
-    correct.for_each([&](Pid p) {
-      const auto& v = detector.view(p);
-      max_it = std::max(max_it, v.iterations);
-      report.detector.total_winnerset_changes += v.winnerset_changes;
-    });
-    report.detector.min_iterations = std::max<std::int64_t>(min_it, 0);
-    report.detector.max_iterations = max_it;
+    report.detector = detector_verdict(
+        detector, sim.crashed_set().complement(n), cfg.stabilization_window);
   }
 
   report.faulty = sim.crashed_set();

@@ -32,6 +32,10 @@
 #include "src/util/arena.h"
 #include "src/util/procset.h"
 
+namespace setlib::fd {
+class KAntiOmega;
+}  // namespace setlib::fd
+
 namespace setlib::core {
 
 enum class ScheduleFamily {
@@ -143,6 +147,16 @@ struct RunReport {
   DetectorReport detector;
   std::string detail;
 };
+
+/// The detector's "eventually forever" verdict on a finite run:
+/// fd::check_kantiomega over the processes in `correct`, judged on a
+/// trailing window of max(stabilization_window, min_iterations / 3)
+/// iterations, so slow oscillation on long runs is not mistaken for
+/// convergence. Every detector-backed run (sweep cells and serving
+/// batches) is judged by this one rule.
+DetectorReport detector_verdict(const fd::KAntiOmega& detector,
+                                ProcSet correct,
+                                std::int64_t stabilization_window);
 
 RunReport run_agreement(const RunConfig& config);
 /// Same run, with the analysis phase's packed schedule and scan

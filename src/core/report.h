@@ -79,12 +79,12 @@ inline double runs_per_wall_second(std::size_t cells,
                             : 0.0;
 }
 
-/// Facts about one executed sweep section (one runner.run call).
+/// Facts about one executed sweep section (one run_section call).
 struct SectionStats {
   std::string name;
   std::size_t grid_cells = 0;  // size of the full (unsharded) space
   std::size_t cells = 0;       // cells actually run (this shard)
-  /// The grid's repeat factor (1 for generic loops): global cell
+  /// The grid's repeat factor (1 for serving sections): global cell
   /// index / repeats is the grid-point id the per-point multi-seed
   /// statistics group by.
   int repeats = 1;

@@ -27,23 +27,28 @@ JsonSink ExperimentRunner::json_sink() const {
   return JsonSink(config);
 }
 
-SectionStats ExperimentRunner::run(const SweepGrid& grid,
-                                   const std::string& name,
-                                   const std::vector<ReportSink*>& sinks) {
-  const std::size_t total = grid.size();
+SectionStats ExperimentRunner::run_section(
+    const std::string& name, std::size_t total, int repeats,
+    const std::vector<ReportSink*>& sinks, const CellMaker& make_cell,
+    const CellRunner& run_cell) {
   const auto [begin, end] = shard_range(total);
 
   // Materialize this shard's cells on the submitting thread: cell
-  // configs are pure functions of the global index, and the memoized
-  // point cache is not written to concurrently this way.
+  // configs are pure functions of the global index, and a grid's
+  // memoized point cache is not written to concurrently this way.
   std::vector<SweepCell> cells;
   cells.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) cells.push_back(grid.cell(i));
+  for (std::size_t i = begin; i < end; ++i) cells.push_back(make_cell(i));
 
   for (ReportSink* sink : sinks) {
     sink->begin_section(name, total, options_.shard);
   }
 
+  SectionStats stats;
+  stats.name = name;
+  stats.grid_cells = total;
+  stats.repeats = repeats;
+  stats.shard = options_.shard;
   std::vector<RunReport> reports(cells.size());
   std::vector<double> seconds(cells.size());
   const WallTimer timer;
@@ -57,31 +62,20 @@ SectionStats ExperimentRunner::run(const SweepGrid& grid,
         // ran before).
         util::ArenaAllocator& arena = worker_arena();
         arena.reset();
-        reports[i] = run_agreement(cells[i].config, arena);
+        reports[i] = run_cell(cells[i], arena);
         seconds[i] = cell_timer.seconds();
       });
     } catch (...) {
       // A throwing cell propagates, but sinks must not stay wedged in
       // a half-open section: close the section empty (no rows from a
-      // failed sweep) before rethrowing.
-      SectionStats stats;
-      stats.name = name;
-      stats.grid_cells = total;
-      stats.cells = 0;
-      stats.repeats = grid.repeats();
-      stats.shard = options_.shard;
+      // failed section) before rethrowing.
       stats.wall_seconds = timer.seconds();
       for (ReportSink* sink : sinks) sink->end_section(stats);
       throw;
     }
   }
 
-  SectionStats stats;
-  stats.name = name;
-  stats.grid_cells = total;
   stats.cells = cells.size();
-  stats.repeats = grid.repeats();
-  stats.shard = options_.shard;
   stats.wall_seconds = timer.seconds();
   for (std::size_t i = 0; i < cells.size(); ++i) {  // cell order
     stats.cell_seconds.add(seconds[i]);
@@ -93,22 +87,15 @@ SectionStats ExperimentRunner::run(const SweepGrid& grid,
   return stats;
 }
 
-SectionStats ExperimentRunner::run(
-    std::size_t n, const std::string& name,
-    const std::function<void(std::size_t)>& fn) {
-  const auto [begin, end] = shard_range(n);
-  const std::size_t count = end - begin;
-  const WallTimer timer;
-  if (count > 0) {
-    pool_.for_each(count, [&](std::size_t i) { fn(begin + i); });
-  }
-  SectionStats stats;
-  stats.name = name;
-  stats.grid_cells = n;
-  stats.cells = count;
-  stats.shard = options_.shard;
-  stats.wall_seconds = timer.seconds();
-  return stats;
+SectionStats ExperimentRunner::run(const SweepGrid& grid,
+                                   const std::string& name,
+                                   const std::vector<ReportSink*>& sinks) {
+  return run_section(
+      name, grid.size(), grid.repeats(), sinks,
+      [&grid](std::size_t i) { return grid.cell(i); },
+      [](const SweepCell& cell, util::ArenaAllocator& arena) {
+        return run_agreement(cell.config, arena);
+      });
 }
 
 }  // namespace setlib::core

@@ -3,10 +3,11 @@
 //
 // ExperimentRunner holds a persistent runtime::WorkerPool that is
 // reused across every sweep section of a binary (worker threads spawn
-// once, at construction). A single run() entry point executes either a
-// SweepGrid (streaming per-cell RunReports into ReportSinks, in cell
-// order) or a generic indexed loop; map() is the typed convenience for
-// loops that collect results.
+// once, at construction). run_section() is the one ordered section
+// stream: it runs a shard's cells on the pool and streams per-cell
+// RunReports into ReportSinks, in cell order. run() feeds it a
+// SweepGrid, and ServiceHarness feeds it serving batches. map() is
+// the typed convenience for loops that collect results.
 //
 // Sharding: RunnerOptions::shard = {lo, hi, span} restricts every cell
 // space to its [lo, hi) range of a span-wide virtual space — cell
@@ -62,15 +63,16 @@ class ExperimentRunner {
   const RunnerOptions& options() const noexcept { return options_; }
 
   /// The persistent pool — one set of worker threads for the runner's
-  /// whole lifetime, reused by every run()/map() call.
+  /// whole lifetime, reused by every run_section()/map() call.
   runtime::WorkerPool& pool() noexcept { return pool_; }
 
-  /// The calling thread's per-worker-slot arena. Inside a run()/map()
-  /// callback each participating thread gets its own arena (indexed by
-  /// the pool's worker slot), so callbacks may use it without locking.
-  /// Grid runs reset the arena before each cell — the determinism
-  /// contract in src/util/arena.h makes the per-cell counter deltas
-  /// independent of thread count and cell order.
+  /// The calling thread's per-worker-slot arena. Inside a
+  /// run_section()/map() callback each participating thread gets its
+  /// own arena (indexed by the pool's worker slot), so callbacks may
+  /// use it without locking. run_section() resets the arena before
+  /// each cell — the determinism contract in src/util/arena.h makes
+  /// the per-cell counter deltas independent of thread count and cell
+  /// order.
   util::ArenaAllocator& worker_arena() noexcept {
     return *arenas_[pool_.current_slot()];
   }
@@ -84,16 +86,32 @@ class ExperimentRunner {
     return options_.shard.range(total);
   }
 
-  /// Grid entry point: materializes this shard's cells, runs
-  /// run_agreement on each through the pool, then streams
-  /// (cell, report, seconds) to every sink in cell order.
+  /// Materializes the cell at a global index; called on the
+  /// submitting thread, in index order.
+  using CellMaker = std::function<SweepCell(std::size_t)>;
+  /// Runs one materialized cell on the worker's arena; called on pool
+  /// workers, so it must be safe to run concurrently.
+  using CellRunner =
+      std::function<RunReport(const SweepCell&, util::ArenaAllocator&)>;
+
+  /// The one ordered section stream behind every section of
+  /// RunReports: slices [0, total) to this shard, materializes the
+  /// slice's cells, runs each on the pool with its worker's arena
+  /// reset and its own wall timer, then streams (cell, report,
+  /// seconds) to every sink in cell order. A throwing cell closes the
+  /// section empty (no rows from a failed section) on every sink
+  /// before the exception propagates. `repeats` is the section's
+  /// repeat factor (SectionStats::repeats).
+  SectionStats run_section(const std::string& name, std::size_t total,
+                           int repeats,
+                           const std::vector<ReportSink*>& sinks,
+                           const CellMaker& make_cell,
+                           const CellRunner& run_cell);
+
+  /// Grid entry point: run_section over the grid's cells, each run
+  /// through run_agreement.
   SectionStats run(const SweepGrid& grid, const std::string& name,
                    const std::vector<ReportSink*>& sinks = {});
-
-  /// Generic indexed loop over this shard of [0, n); fn receives
-  /// global indices, each exactly once.
-  SectionStats run(std::size_t n, const std::string& name,
-                   const std::function<void(std::size_t)>& fn);
 
   /// Generic map over this shard of [0, n): out[i] holds the result
   /// of global index shard_range(n).first + i, in index order — so

@@ -7,7 +7,6 @@
 
 #include "src/agreement/multishot.h"
 #include "src/fd/kantiomega.h"
-#include "src/fd/property.h"
 #include "src/sched/analyzer.h"
 #include "src/sched/enforcer.h"
 #include "src/shm/memory.h"
@@ -180,13 +179,22 @@ AdmissionPlan ServiceHarness::plan() const {
   return plan;
 }
 
-BatchOutcome ServiceHarness::run_commands(
-    const std::vector<std::int64_t>& commands, std::uint64_t seed) const {
+BatchOutcome ServiceHarness::run_batch(const AdmissionPlan& plan,
+                                       std::size_t index) const {
+  SETLIB_EXPECTS(index < plan.batches.size());
+  const AdmissionPlan::Batch& batch = plan.batches[index];
   const int n = config_.spec.n;
   const int k = config_.spec.k;
   const int t = config_.spec.t;
-  const int slots = static_cast<int>(commands.size());
+  const int slots = batch.size;
   SETLIB_EXPECTS(slots >= 1);
+  std::vector<std::int64_t> commands;
+  commands.reserve(static_cast<std::size_t>(slots));
+  for (int s = 0; s < slots; ++s) {
+    commands.push_back(
+        plan.admitted[batch.first_admitted + static_cast<std::size_t>(s)]
+            .command);
+  }
 
   shm::SimMemory mem;
   shm::Simulator sim(mem, n);
@@ -204,7 +212,8 @@ BatchOutcome ServiceHarness::run_commands(
 
   const ProcSet timely = ProcSet::range(0, k);
   const ProcSet observed = ProcSet::range(0, t + 1);
-  auto base = std::make_unique<sched::UniformRandomGenerator>(n, seed);
+  auto base = std::make_unique<sched::UniformRandomGenerator>(
+      n, derive_cell_seed(config_.seed, index));
   std::vector<sched::TimelinessConstraint> constraints;
   constraints.emplace_back(timely, observed, config_.timeliness_bound);
   sched::EnforcedGenerator gen(std::move(base), std::move(constraints),
@@ -217,54 +226,34 @@ BatchOutcome ServiceHarness::run_commands(
   out.steps = sim.run_until(gen, budget,
                             [&] { return log.all_decided(everyone); });
 
+  // The Section 3 properties per slot, read off the decision tallies.
+  // The command is the only value any replica proposes for its slot,
+  // so it is the only valid decision.
+  out.terminated = log.all_decided(everyone);
+  out.agreement_ok = true;
+  out.validity_ok = true;
   out.decisions.assign(static_cast<std::size_t>(slots), -1);
-  int max_distinct = 0;
   for (int s = 0; s < slots; ++s) {
     const auto tally = log.slot_tally(s, everyone);
-    max_distinct = std::max(max_distinct, tally.distinct);
+    const bool decided_command =
+        tally.distinct == 1 &&
+        tally.smallest == commands[static_cast<std::size_t>(s)];
+    out.distinct_decisions = std::max(out.distinct_decisions, tally.distinct);
+    out.agreement_ok = out.agreement_ok && tally.distinct <= k;
+    out.validity_ok =
+        out.validity_ok && (tally.distinct == 0 || decided_command);
+    if (decided_command) ++out.decided_ok;
     if (tally.distinct > 0) {
       out.decisions[static_cast<std::size_t>(s)] = tally.smallest;
     }
-    // Every decider decided the slot's own command.
-    if (tally.distinct == 1 &&
-        tally.smallest == commands[static_cast<std::size_t>(s)]) {
-      ++out.decided_ok;
-    }
   }
-  out.distinct_decisions = max_distinct;
-  out.success = log.all_decided(everyone) &&
-                out.decided_ok == static_cast<std::int64_t>(slots);
+  out.success = out.terminated && out.agreement_ok && out.validity_ok;
 
-  // Detector quiescence over the trailing window — the engine's
-  // "eventually forever on a finite run" check.
-  std::int64_t min_it = -1;
-  for (Pid p = 0; p < n; ++p) {
-    const std::int64_t it = detector.view(p).iterations;
-    min_it = min_it < 0 ? it : std::min(min_it, it);
-  }
-  const std::int64_t window =
-      std::max(config_.stabilization_window,
-               std::max<std::int64_t>(min_it, 0) / 3);
-  const auto prop = fd::check_kantiomega(detector, everyone, window);
-  out.detector_ok = prop.abstract_ok;
-
+  out.detector =
+      detector_verdict(detector, everyone, config_.stabilization_window);
   out.witness_bound =
       sched::min_timeliness_bound(sim.executed(), timely, observed);
   return out;
-}
-
-BatchOutcome ServiceHarness::run_batch(const AdmissionPlan& plan,
-                                       std::size_t index) const {
-  SETLIB_EXPECTS(index < plan.batches.size());
-  const AdmissionPlan::Batch& batch = plan.batches[index];
-  std::vector<std::int64_t> commands;
-  commands.reserve(static_cast<std::size_t>(batch.size));
-  for (int s = 0; s < batch.size; ++s) {
-    commands.push_back(
-        plan.admitted[batch.first_admitted + static_cast<std::size_t>(s)]
-            .command);
-  }
-  return run_commands(commands, derive_cell_seed(config_.seed, index));
 }
 
 ClosedLoopReport ServiceHarness::run_closed_loop(
@@ -278,79 +267,57 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
   std::vector<ReportSink*> all_sinks = sinks;
   if (json != nullptr) all_sinks.push_back(json);
 
-  for (ReportSink* sink : all_sinks) {
-    sink->begin_section("closed_loop", total, runner.options().shard);
-  }
-
-  const auto [begin, end] = runner.shard_range(total);
-  std::vector<BatchOutcome> outcomes(end - begin);
-  const WallTimer timer;
-  if (!outcomes.empty()) {
-    runner.pool().for_each(outcomes.size(), [&](std::size_t i) {
-      const WallTimer batch_timer;
-      outcomes[i] = run_batch(admission, begin + i);
-      outcomes[i].seconds = batch_timer.seconds();
-    });
-  }
-
-  SectionStats stats;
-  stats.name = "closed_loop";
-  stats.grid_cells = total;
-  stats.cells = outcomes.size();
-  stats.repeats = 1;
-  stats.shard = runner.options().shard;
-  stats.wall_seconds = timer.seconds();
-
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {  // batch order
-    const std::size_t global = begin + i;
-    const BatchOutcome& outcome = outcomes[i];
-    const AdmissionPlan::Batch& batch = admission.batches[global];
-    stats.cell_seconds.add(outcome.seconds);
-
-    // One synthesized grid cell per batch, so the existing sinks (and
-    // the shard-merge path behind them) see a normal sweep section.
+  // One synthesized grid cell per batch, so the sinks (and the
+  // shard-merge path behind them) see a normal sweep section.
+  const auto batch_cell = [&](std::size_t index) {
     SweepCell cell;
-    cell.index = global;
-    cell.repeat = 0;
+    cell.index = index;
     cell.config.spec = config_.spec;
     cell.config.system =
         SystemSpec{config_.spec.k, config_.spec.t + 1, config_.spec.n};
     cell.config.family = ScheduleFamily::kEnforcedRandom;
-    cell.config.seed = derive_cell_seed(config_.seed, global);
+    cell.config.seed = derive_cell_seed(config_.seed, index);
     cell.config.timeliness_bound = config_.timeliness_bound;
     cell.config.max_steps =
         config_.max_steps_per_slot *
-        static_cast<std::int64_t>(std::max(batch.size, 1));
+        static_cast<std::int64_t>(admission.batches[index].size);
     cell.config.stabilization_window = config_.stabilization_window;
-
+    return cell;
+  };
+  const auto range = runner.shard_range(total);
+  const std::size_t begin = range.first;
+  std::vector<BatchOutcome> outcomes(range.second - begin);
+  const auto run_cell = [&](const SweepCell& cell, util::ArenaAllocator&) {
+    BatchOutcome& outcome = outcomes[cell.index - begin];
+    outcome = run_batch(admission, cell.index);
     RunReport report;
+    report.terminated = outcome.terminated;
+    report.agreement_ok = outcome.agreement_ok;
+    report.validity_ok = outcome.validity_ok;
     report.success = outcome.success;
-    report.terminated = outcome.success;
-    report.agreement_ok = outcome.success;
-    report.validity_ok = outcome.success;
     report.distinct_decisions = outcome.distinct_decisions;
     report.steps_executed = outcome.steps;
     report.witness_bound = outcome.witness_bound;
     report.algorithm = "kanti-omega+multishot";
-    report.detector.used = true;
-    report.detector.abstract_ok = outcome.detector_ok;
-    report.detector.stabilized = outcome.detector_ok;
+    report.detector = outcome.detector;
+    return report;
+  };
+  out.section = runner.run_section("closed_loop", total, 1, all_sinks,
+                                   batch_cell, run_cell);
 
-    for (ReportSink* sink : all_sinks) {
-      sink->cell(cell, report, outcome.seconds);
-    }
-
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {  // batch order
+    const AdmissionPlan::Batch& batch = admission.batches[begin + i];
     for (int s = 0; s < batch.size; ++s) {
       const Request& request =
           admission
               .admitted[batch.first_admitted + static_cast<std::size_t>(s)];
       out.decisions.emplace_back(
-          request.id, outcome.decisions[static_cast<std::size_t>(s)]);
+          request.id, outcomes[i].decisions[static_cast<std::size_t>(s)]);
     }
     out.shard_requests += batch.size;
-    out.shard_decided_ok += outcome.decided_ok;
+    out.shard_decided_ok += outcomes[i].decided_ok;
   }
-  for (ReportSink* sink : all_sinks) sink->end_section(stats);
+  out.batches_run = outcomes.size();
 
   if (json != nullptr) {
     // Global plan invariants: every shard computes the identical
@@ -399,8 +366,6 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
                    MergeRule::kSum);
   }
 
-  out.section = stats;
-  out.batches_run = outcomes.size();
   return out;
 }
 

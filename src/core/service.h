@@ -15,10 +15,11 @@
 // service-time model — is a pure function of the ServiceConfig, cheap
 // enough (O(requests) integer arithmetic) that every shard computes
 // the full global plan identically. The expensive agreement batches
-// then fan out across the ExperimentRunner's persistent pool,
-// restricted to the runner's shard slice, and stream into ReportSinks
-// as an ordinary grid section (one row per batch). Aggregate stats are
-// therefore bit-identical at any thread count, and the N-shard JSON
+// then run through ExperimentRunner::run_section — the same section
+// stream as every sweep grid: the runner's shard slice, its persistent
+// pool, ordered ReportSink rows (one row per batch), and an empty
+// close if a batch throws. Aggregate stats are therefore
+// bit-identical at any thread count, and the N-shard JSON
 // documents merge through core::merge_shard_docs unchanged: row-derived
 // facts are recomputed from the union rows, admission/SLO facts are
 // global plan invariants annotated MergeRule::kSame, and per-shard
@@ -26,7 +27,7 @@
 //
 // Threading model: ServiceHarness owns no mutex. The admission plan is
 // computed single-threaded; batch execution parallelizes only through
-// ExperimentRunner::run(), whose pool synchronizes internally
+// ExperimentRunner::run_section(), whose pool synchronizes internally
 // (runtime/executor.h), and per-batch results are thread-owned until
 // the runner's ordered collection phase.
 #ifndef SETLIB_CORE_SERVICE_H
@@ -131,16 +132,20 @@ struct AdmissionPlan {
   SloReport slo;                  // over latency_ticks
 };
 
-/// Measured outcome of one executed batch (one enforcer pass).
+/// Measured outcome of one executed batch (one enforcer pass). The
+/// outcome facts come from the per-slot decision tallies; the batch's
+/// grid row reports them as its RunReport outcome.
 struct BatchOutcome {
   std::int64_t steps = 0;
-  bool success = false;  // every slot decided the client command
+  bool terminated = false;    // every replica decided every slot
+  bool agreement_ok = false;  // every slot decided <= k distinct values
+  bool validity_ok = false;   // every decided value is its slot's command
+  bool success = false;       // the conjunction
   int distinct_decisions = 0;  // max distinct values over the slots
   std::int64_t decided_ok = 0;  // slots decided with the command
-  bool detector_ok = false;
+  DetectorReport detector;      // core::detector_verdict of the batch
   std::int64_t witness_bound = 0;
   std::vector<std::int64_t> decisions;  // per slot (-1 = undecided)
-  double seconds = 0.0;  // wall time of this batch (timing fact)
 };
 
 struct ClosedLoopReport {
@@ -163,18 +168,19 @@ class ServiceHarness {
   /// The deterministic admission/batching plan (closed loop).
   AdmissionPlan plan() const;
 
-  /// Executes batch `index` of `plan`: one MultiShotAgreement log with
-  /// batch-size slots under the enforced schedule seeded from
-  /// derive_cell_seed(config.seed, index). Pure function of
-  /// (config, plan, index) — safe to fan out across pool workers.
+  /// Executes batch `index` of `plan`: decides its commands (one slot
+  /// each) with one detector + MultiShotAgreement stack under the
+  /// enforced schedule seeded from derive_cell_seed(config.seed,
+  /// index). Pure function of (config, plan, index) — safe to fan out
+  /// across pool workers.
   BatchOutcome run_batch(const AdmissionPlan& plan,
                          std::size_t index) const;
 
-  /// Closed-loop serving: computes the global plan, executes this
-  /// runner-shard's slice of the batches on the persistent pool, and
-  /// streams one grid-section row per batch into `sinks` (cell order,
-  /// exactly like ExperimentRunner::run over a SweepGrid). When `json`
-  /// is given, the section is annotated with the admission/SLO facts
+  /// Closed-loop serving: computes the global plan, then runs this
+  /// runner-shard's slice of the batches through
+  /// ExperimentRunner::run_section, streaming one grid-section row per
+  /// batch into `sinks` in batch order. When `json` is given, the
+  /// section is annotated with the admission/SLO facts
   /// (kSame: global plan invariants) and the per-shard request
   /// counters (kSum), so the documents of a `--cells` tiling merge
   /// bit-identically to the unsharded run.
@@ -184,12 +190,6 @@ class ServiceHarness {
       JsonSink* json = nullptr) const;
 
  private:
-  /// The shared batch engine: decides `commands` (one slot each) with
-  /// one detector + MultiShotAgreement stack under an enforced schedule
-  /// drawn from `seed`. Every batch funnels through this.
-  BatchOutcome run_commands(const std::vector<std::int64_t>& commands,
-                            std::uint64_t seed) const;
-
   std::int64_t service_ticks(std::size_t batch_index,
                              int batch_size) const;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "src/agreement/kset.h"
 #include "src/agreement/trivial.h"
@@ -177,6 +178,14 @@ struct KSetParams {
   int crashes;
   std::uint64_t seed;
 };
+
+// gtest prints GetParam() with PrintTo, and gtest_discover_tests names
+// each ctest case by that printout: without it, the case name is a raw
+// byte dump of the struct (padding bytes included).
+void PrintTo(const KSetParams& p, std::ostream* os) {
+  *os << "n" << p.n << "_k" << p.k << "_t" << p.t << "_crashes" << p.crashes
+      << "_seed" << p.seed;
+}
 
 class KSetSweep : public ::testing::TestWithParam<KSetParams> {};
 

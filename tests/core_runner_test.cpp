@@ -310,6 +310,35 @@ TEST(JsonSinkTest, SinksSurviveAThrowingSweepSection) {
             std::string::npos);
 }
 
+TEST(ExperimentRunnerTest, RunSectionStreamsItsShardSliceInCellOrder) {
+  // The second half of a 10-cell space: global indices 5..9.
+  ExperimentRunner runner = make_runner(4, ShardSpec{1, 2, 2});
+  std::vector<std::size_t> made;
+  CollectSink rows;
+  const SectionStats stats = runner.run_section(
+      "custom", 10, 1, {&rows},
+      [&](std::size_t index) {
+        made.push_back(index);
+        SweepCell cell;
+        cell.index = index;
+        return cell;
+      },
+      [](const SweepCell& cell, util::ArenaAllocator&) {
+        RunReport report;
+        report.steps_executed = static_cast<std::int64_t>(cell.index) * 10;
+        return report;
+      });
+  EXPECT_EQ(made, (std::vector<std::size_t>{5, 6, 7, 8, 9}));
+  EXPECT_EQ(stats.grid_cells, 10u);
+  EXPECT_EQ(stats.cells, 5u);
+  ASSERT_EQ(rows.cells().size(), 5u);
+  for (std::size_t i = 0; i < rows.cells().size(); ++i) {
+    EXPECT_EQ(rows.cells()[i].index, 5 + i);
+    EXPECT_EQ(rows.reports()[i].steps_executed,
+              static_cast<std::int64_t>(5 + i) * 10);
+  }
+}
+
 TEST(JsonSinkTest, GridSectionsRecordRowsAndPercentiles) {
   RunnerOptions options;
   options.name = "runner_test";

@@ -160,6 +160,57 @@ TEST(ServiceHarnessTest, BatchingDoesNotChangeDecisions) {
   EXPECT_EQ(wide_report.shard_decided_ok, narrow.requests);
 }
 
+/// Runs the closed loop into a CollectSink and returns its rows.
+CollectSink collect_rows(const ServiceConfig& config) {
+  RunnerOptions options;
+  options.threads = 2;
+  ExperimentRunner runner(options);
+  CollectSink rows;
+  ServiceHarness(config).run_closed_loop(runner, {&rows});
+  return rows;
+}
+
+TEST(ServiceHarnessTest, StarvedBatchesDecideNothingAndViolateNothing) {
+  // One step per slot decides no slot: every row must say "did not
+  // terminate", and nothing undecided can break agreement or validity.
+  ServiceConfig config = small_config();
+  config.requests = 400;
+  config.max_steps_per_slot = 1;
+  const CollectSink rows = collect_rows(config);
+  ASSERT_FALSE(rows.reports().empty());
+  for (const RunReport& report : rows.reports()) {
+    EXPECT_FALSE(report.terminated);
+    EXPECT_TRUE(report.agreement_ok);
+    EXPECT_TRUE(report.validity_ok);
+    EXPECT_FALSE(report.success);
+    EXPECT_EQ(report.distinct_decisions, 0);
+  }
+}
+
+TEST(ServiceHarnessTest, StabilizedDetectorNamesAKSetWinnerset) {
+  ServiceConfig config = small_config();
+  config.requests = 400;
+  const CollectSink rows = collect_rows(config);
+  ASSERT_FALSE(rows.reports().empty());
+  std::size_t stabilized = 0;
+  for (std::size_t b = 0; b < rows.reports().size(); ++b) {
+    const RunReport& report = rows.reports()[b];
+    EXPECT_TRUE(report.detector.used);
+    if (report.detector.stabilized) {
+      ++stabilized;
+      EXPECT_EQ(report.detector.winnerset.size(), config.spec.k)
+          << "batch " << b;
+    }
+    // Every slot decides the command, so the row facts all hold.
+    EXPECT_TRUE(report.terminated) << "batch " << b;
+    EXPECT_TRUE(report.agreement_ok) << "batch " << b;
+    EXPECT_TRUE(report.validity_ok) << "batch " << b;
+    EXPECT_EQ(report.success, report.terminated && report.agreement_ok &&
+                                  report.validity_ok);
+  }
+  EXPECT_GT(stabilized, 0u);  // the check above is not vacuous
+}
+
 TEST(SloReportTest, PercentilesMatchAReferenceNearestRankSort) {
   Rng rng(99);
   std::vector<std::int64_t> latencies;

@@ -199,10 +199,15 @@ TEST(ExperimentRunnerTest, MapCoversEveryIndexExactlyOnce) {
     ExperimentRunner runner = make_runner(threads);
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h.store(0);
-    runner.run(hits.size(), "cover", [&](std::size_t i) {
-      hits[i].fetch_add(1);
-    });
+    const std::vector<std::size_t> out =
+        runner.map<std::size_t>(hits.size(), [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          return i;
+        });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    // Results land in index order.
+    ASSERT_EQ(out.size(), hits.size());
+    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i);
   }
 }
 
@@ -211,10 +216,11 @@ TEST(ExperimentRunnerTest, LowestIndexExceptionPropagates) {
   std::vector<std::atomic<int>> hits(64);
   for (auto& h : hits) h.store(0);
   try {
-    runner.run(hits.size(), "throwing", [&](std::size_t i) {
+    runner.map<int>(hits.size(), [&](std::size_t i) {
       hits[i].fetch_add(1);
       if (i == 7) throw std::runtime_error("cell 7");
       if (i == 40) throw std::runtime_error("cell 40");
+      return 0;
     });
     FAIL() << "expected the sweep to rethrow";
   } catch (const std::runtime_error& e) {

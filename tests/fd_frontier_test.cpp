@@ -13,6 +13,8 @@
 // winnerset can ever settle and the abstract property fails.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/fd/kantiomega.h"
 #include "src/fd/property.h"
 #include "src/sched/analyzer.h"
@@ -30,6 +32,14 @@ struct FrontierParams {
   int gap;  // j - i
   bool expect_stable;
 };
+
+// gtest prints GetParam() with PrintTo, and gtest_discover_tests names
+// each ctest case by that printout: without it, the case name is a raw
+// byte dump of the struct (padding bytes included).
+void PrintTo(const FrontierParams& p, std::ostream* os) {
+  *os << "n" << p.n << "_k" << p.k << "_t" << p.t << "_gap" << p.gap
+      << (p.expect_stable ? "_stable" : "_unstable");
+}
 
 class GapRotisserieFrontier
     : public ::testing::TestWithParam<FrontierParams> {};
@@ -88,6 +98,10 @@ struct StarverParams {
   int k;
   int t;
 };
+
+void PrintTo(const StarverParams& p, std::ostream* os) {
+  *os << "n" << p.n << "_k" << p.k << "_t" << p.t;
+}
 
 class KSubsetStarverFrontier
     : public ::testing::TestWithParam<StarverParams> {};

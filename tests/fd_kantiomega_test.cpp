@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "src/fd/property.h"
 #include "src/sched/enforcer.h"
@@ -183,6 +184,14 @@ struct SweepParams {
   int crashes;
   std::uint64_t seed;
 };
+
+// gtest prints GetParam() with PrintTo, and gtest_discover_tests names
+// each ctest case by that printout: without it, the case name is a raw
+// byte dump of the struct (padding bytes included).
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << "n" << p.n << "_k" << p.k << "_t" << p.t << "_crashes" << p.crashes
+      << "_seed" << p.seed;
+}
 
 class KAntiOmegaSweep : public ::testing::TestWithParam<SweepParams> {};
 
