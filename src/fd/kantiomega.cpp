@@ -23,13 +23,20 @@ KAntiOmega::KAntiOmega(shm::IMemory& mem, Params params)
   const std::int64_t sets = ranker_.count();
   heartbeat_base_ = mem.alloc_array("Heartbeat", params.n);
   counter_base_ = mem.alloc_array("Counter", sets * params.n);
-  views_.assign(static_cast<std::size_t>(params.n), View{});
+  const auto un = static_cast<std::size_t>(params.n);
+  const auto us = static_cast<std::size_t>(sets);
+  // A task's locals: prev_heartbeat and row (n each), timeout and timer
+  // (one per set), and the cnt matrix (sets x n).
+  task_words_ = 2 * un + 2 * us + us * un;
+  buffer_.assign(un * un + un * task_words_, 0);
+  views_.assign(un, View{});
   // Initial fdOutput: any set of n-k processes (paper's initialisation);
   // use the complement of the rank-0 subset.
-  for (auto& v : views_) {
+  for (std::size_t p = 0; p < un; ++p) {
+    View& v = views_[p];
     v.winnerset = subsets_[0];
     v.fd_output = subsets_[0].complement(params.n);
-    v.last_excluded.assign(static_cast<std::size_t>(params.n), 0);
+    v.last_excluded = std::span<std::int64_t>(buffer_).subspan(p * un, un);
   }
 }
 
@@ -53,6 +60,8 @@ shm::Prog KAntiOmega::run(Pid p) {
   // Validate eagerly: a coroutine body only runs at first resume, so
   // contract checks inside it would fire at the first step, not here.
   SETLIB_EXPECTS(p >= 0 && p < params_.n);
+  SETLIB_EXPECTS(!tasks_started_.contains(p));
+  tasks_started_ = tasks_started_.with(p);
   return run_impl(p);
 }
 
@@ -64,12 +73,14 @@ shm::Prog KAntiOmega::run_impl(Pid p) {
   const std::int64_t sets = ranker_.count();
   View& view = views_[static_cast<std::size_t>(p)];
 
-  // Local variables (per the figure's declarations), carved from one
-  // buffer so a detector task allocates once.
+  // Local variables (per the figure's declarations): p's slice of the
+  // detector's buffer, behind every process's last_excluded.
   std::int64_t my_hb = 0;
   const auto un = static_cast<std::size_t>(n);
   const auto us = static_cast<std::size_t>(sets);
-  std::vector<std::int64_t> locals(2 * un + 2 * us + us * un, 0);
+  const std::span<std::int64_t> locals =
+      std::span<std::int64_t>(buffer_).subspan(
+          un * un + static_cast<std::size_t>(p) * task_words_, task_words_);
   const std::span<std::int64_t> prev_heartbeat(locals.data(), un);
   const std::span<std::int64_t> row(prev_heartbeat.data() + un, un);
   const std::span<std::int64_t> timeout(row.data() + un, us);

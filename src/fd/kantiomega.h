@@ -21,7 +21,9 @@
 #ifndef SETLIB_FD_KANTIOMEGA_H
 #define SETLIB_FD_KANTIOMEGA_H
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/shm/memory.h"
@@ -59,17 +61,23 @@ class KAntiOmega {
     /// last_excluded[c]: the latest iteration whose winnerset did NOT
     /// contain c (0 = never excluded so far). Drives the abstract
     /// k-anti-Omega property check: c is "eventually trusted" by this
-    /// process if it has not been excluded for a trailing window.
-    std::vector<std::int64_t> last_excluded;
+    /// process if it has not been excluded for a trailing window. A
+    /// slice of the detector's buffer.
+    std::span<std::int64_t> last_excluded;
   };
 
   KAntiOmega(shm::IMemory& mem, Params params);
+  // Views and tasks point into buffer_.
+  KAntiOmega(const KAntiOmega&) = delete;
+  KAntiOmega& operator=(const KAntiOmega&) = delete;
 
   const Params& params() const noexcept { return params_; }
   const SubsetRanker& ranker() const noexcept { return ranker_; }
 
   /// The Figure 2 infinite loop for process p; add as a task to p's
-  /// ProcessRuntime. The KAntiOmega object must outlive the run.
+  /// ProcessRuntime. The KAntiOmega object must outlive the run, and
+  /// each process gets one task: its local variables are p's slice of
+  /// the detector's buffer.
   shm::Prog run(Pid p);
 
   const View& view(Pid p) const;
@@ -104,6 +112,11 @@ class KAntiOmega {
   shm::RegisterId heartbeat_base_;
   shm::RegisterId counter_base_;
   std::vector<View> views_;
+  // One allocation for every process's last_excluded (n words each)
+  // followed by every task's local variables (task_words_ each).
+  std::vector<std::int64_t> buffer_;
+  std::size_t task_words_ = 0;
+  ProcSet tasks_started_;
 };
 
 }  // namespace setlib::fd

@@ -1,5 +1,6 @@
 #include "src/sched/enforcer.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/assert.h"
@@ -113,6 +114,10 @@ Pid EnforcedGenerator::next() {
 }
 
 void EnforcedGenerator::fill(std::span<Pid> out) {
+  if (states_.size() == 1) {
+    fill_lone(out);
+    return;
+  }
   std::size_t done = 0;
   std::int64_t rejected = 0;  // crashed base picks for step out[done]
   while (done < out.size()) {
@@ -129,6 +134,71 @@ void EnforcedGenerator::fill(std::span<Pid> out) {
         out[done++] = enforce(alive_.min());
         rejected = 0;
       }
+    }
+  }
+}
+
+// enforce() for one constraint, with its state in locals from one crash
+// point to the next. A lone constraint substitutes at most once a step
+// and never re-checks (its substitutes are in P), so the substitution
+// is a select on `sub` rather than a branch.
+void EnforcedGenerator::fill_lone(std::span<Pid> out) {
+  State& st = states_.front();
+  std::size_t done = 0;
+  std::int64_t rejected = 0;  // crashed base picks for step out[done]
+  while (done < out.size()) {
+    const std::span<Pid> pulled = out.subspan(done);
+    base_->fill(pulled);
+    std::size_t read = 0;
+    while (read < pulled.size()) {
+      refresh_alive();
+      // Each pick emits at most one step, so these picks all fall
+      // before the next crash point.
+      const std::size_t end =
+          read + static_cast<std::size_t>(std::min<std::int64_t>(
+                     static_cast<std::int64_t>(pulled.size() - read),
+                     alive_until_ - emitted_));
+      const std::uint64_t alive = alive_.mask();
+      const Pid fallback = alive_.min();
+      const std::uint64_t timely = st.timely;
+      const std::uint64_t q_only = st.q_only;
+      const std::uint64_t avail = st.avail;
+      const std::uint64_t enforceable = avail != 0 ? 1 : 0;
+      const std::int64_t trigger = st.trigger;
+      std::int64_t q_steps = st.q_steps_since_p;
+      Pid cursor = st.cursor;
+      std::int64_t subs = 0;
+      std::int64_t drops = 0;
+      const std::size_t first = done;
+      for (; read < end; ++read) {
+        Pid p = pulled[read];
+        SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
+        if ((alive >> p & 1) == 0) {
+          if (++rejected != kMaxPulls) continue;
+          p = fallback;
+        }
+        rejected = 0;
+        const std::uint64_t hit =
+            (q_only >> p & 1) & static_cast<std::uint64_t>(q_steps >= trigger);
+        const std::uint64_t sub = hit & enforceable;
+        drops += static_cast<std::int64_t>(hit ^ sub);
+        subs += static_cast<std::int64_t>(sub);
+        // The member after `cursor`, wrapping to the first.
+        const std::uint64_t later = avail & (~std::uint64_t{1} << cursor);
+        const Pid after = std::countr_zero(later != 0 ? later : avail);
+        const Pid emit = sub != 0 ? cursor : p;
+        cursor = sub != 0 ? after : cursor;
+        const auto in_p = static_cast<std::int64_t>(timely >> emit & 1);
+        const auto in_q = static_cast<std::int64_t>(q_only >> emit & 1);
+        q_steps = (q_steps + in_q) & (in_p - 1);
+        out[done++] = emit;
+      }
+      st.q_steps_since_p = q_steps;
+      st.cursor = cursor;
+      st.rotate += subs;
+      substitutions_ += subs;
+      dropped_ += drops;
+      emitted_ += static_cast<std::int64_t>(done - first);
     }
   }
 }

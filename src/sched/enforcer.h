@@ -11,7 +11,10 @@
 // constraint keeps its word masks and, cached between the crash plan's
 // crash steps, its alive timely members and round-robin cursor, so a
 // step costs a few mask tests and a branch-free counter update per
-// constraint.
+// constraint. fill() with a lone constraint (every serving batch and
+// enforced census) runs the same rule without its branches: between
+// two crash points the window counter, cursor and substitution counts
+// live in locals, and a substitution is a select.
 //
 // With several overlapping constraints the enforcer is best-effort
 // (constraints are applied in order, and a substitution for one may feed
@@ -57,7 +60,8 @@ class EnforcedGenerator final : public ScheduleGenerator {
   int n() const override { return base_->n(); }
   Pid next() override;
   /// Pulls from the base in blocks of exactly the steps still owed, so
-  /// the base is consumed in the same order as by next() calls.
+  /// the base is consumed in the same order as by next() calls. The
+  /// pull cap counts a step's crashed picks across those blocks.
   void fill(std::span<Pid> out) override;
 
   /// Number of substituted steps so far (how often the enforcer had to
@@ -96,6 +100,8 @@ class EnforcedGenerator final : public ScheduleGenerator {
   /// The rule: emits `candidate` (an alive base pick) or a substitute,
   /// and advances the window counters.
   Pid enforce(Pid candidate);
+  /// fill() for a lone constraint: the rule without its branches.
+  void fill_lone(std::span<Pid> out);
 
   std::unique_ptr<ScheduleGenerator> base_;
   std::vector<State> states_;

@@ -3,16 +3,19 @@
 // A generator models an infinite schedule: each next() call yields the
 // pid of the next step. Deterministic generators (round-robin, Figure 1)
 // reproduce the paper's constructions exactly; stochastic ones are
-// seeded. The Simulator pulls from a generator one step at a time, so
-// adversaries can react to execution state: the generators in
-// generators.h and families.h are oblivious (pure functions of params
-// and seed), while the ReactiveGenerators in reactive.h consume the
-// ObservationFeed (observations.h) the executor publishes each step.
+// seeded. The generators in generators.h and families.h are oblivious
+// (pure functions of params and seed), while the ReactiveGenerators in
+// reactive.h consume the ObservationFeed (observations.h) the executor
+// publishes each step.
 //
-// Bulk consumers (generate(), PackedSchedule's generator constructor)
-// pull through fill() instead: one virtual call per block, and the
+// Consumers pull through fill(): one virtual call per block, and the
 // oblivious generators override it with a loop the compiler can see
-// through. fill() never changes the stream, only the cost of reading it.
+// through. fill() never changes the stream, only the cost of reading
+// it. The Simulator pulls blocks of at most 64 picks that end where its
+// next check falls, and one pick at a time when an ObservationFeed is
+// attached, so a reactive adversary sees every step before its next
+// pick. Bulk consumers (generate(), PackedSchedule's generator
+// constructor) fill whole buffers.
 #ifndef SETLIB_SCHED_GENERATOR_H
 #define SETLIB_SCHED_GENERATOR_H
 

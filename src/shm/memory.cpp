@@ -10,6 +10,10 @@ RegisterId RegisterNames::add(std::string_view name, std::int64_t count,
                               bool array) {
   SETLIB_EXPECTS(count >= 1);
   SETLIB_EXPECTS(chars_.size() + name.size() <= UINT32_MAX);
+  if (blocks_.capacity() == 0) {
+    blocks_.reserve(kFirstBlocks);
+    chars_.reserve(kFirstChars);
+  }
   const RegisterId base = count_;
   blocks_.push_back(Block{base, static_cast<std::uint32_t>(chars_.size()),
                           static_cast<std::uint32_t>(name.size()), array});
@@ -32,14 +36,22 @@ std::string RegisterNames::name(RegisterId reg) const {
   return out;
 }
 
+void SimMemory::grow(std::int64_t count) {
+  SETLIB_EXPECTS(count >= 1);
+  const auto more = static_cast<std::size_t>(count);
+  if (cells_.capacity() == 0) {
+    cells_.reserve(std::max(kFirstRegisters, more));
+  }
+  cells_.resize(cells_.size() + more);
+}
+
 RegisterId SimMemory::alloc(std::string_view name) {
-  cells_.emplace_back();
+  grow(1);
   return names_.add(name, 1, false);
 }
 
 RegisterId SimMemory::alloc_array(std::string_view name, std::int64_t count) {
-  SETLIB_EXPECTS(count >= 1);
-  cells_.resize(cells_.size() + static_cast<std::size_t>(count));
+  grow(count);
   return names_.add(name, count, true);
 }
 

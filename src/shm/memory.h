@@ -87,7 +87,9 @@ class RegisterName {
 
 /// Register names, one entry per alloc()/alloc_array() call. Shared by
 /// the IMemory implementations; ids are dense and allocated in order.
-/// All names share one character buffer.
+/// All names share one character buffer. The first registration
+/// reserves room for the names of a serving batch of up to about 40
+/// slots, so set-up does not regrow the table.
 class RegisterNames {
  public:
   /// Name the next `count` register ids; returns the first. `array`
@@ -97,6 +99,9 @@ class RegisterNames {
   std::string name(RegisterId reg) const;
 
  private:
+  static constexpr std::size_t kFirstBlocks = 128;
+  static constexpr std::size_t kFirstChars = 2048;
+
   struct Block {
     RegisterId base;
     std::uint32_t offset;  // into chars_
@@ -108,7 +113,9 @@ class RegisterNames {
   std::int64_t count_ = 0;
 };
 
-/// Deterministic single-threaded memory.
+/// Deterministic single-threaded memory. The first registration
+/// reserves kFirstRegisters registers, so a sweep cell's or serving
+/// batch's set-up takes its storage in one allocation.
 class SimMemory final : public IMemory {
  public:
   SimMemory() = default;
@@ -126,6 +133,11 @@ class SimMemory final : public IMemory {
   const Value& peek(RegisterId reg) const;
 
  private:
+  static constexpr std::size_t kFirstRegisters = 256;
+
+  /// Appends `count` bottom registers.
+  void grow(std::int64_t count);
+
   std::vector<Value> cells_;
   RegisterNames names_;
   std::int64_t reads_ = 0;

@@ -1,6 +1,7 @@
 #include "src/shm/simulator.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/util/assert.h"
 
@@ -63,24 +64,22 @@ void Simulator::maybe_crash_per_source() {
   requested.for_each([this](Pid p) { crash(p); });
 }
 
-bool Simulator::maybe_crash_per_plan() {
+void Simulator::maybe_crash_per_plan() {
   const std::int64_t now = steps_taken();
-  if (now < next_plan_crash_) return false;
-  bool any = false;
+  if (now < next_plan_crash_) return;
   for (Pid p = 0; p < n_; ++p) {
     if (!crashed_.contains(p) &&
         plan_crash_steps_[static_cast<std::size_t>(p)] <= now) {
       crash(p);
-      any = true;
     }
   }
   update_next_plan_crash();
-  return any;
 }
 
-bool Simulator::execute(Pid p) {
+// Inline: run_until's block loop is this call per pick.
+inline bool Simulator::execute(Pid p) {
   SETLIB_EXPECTS(p >= 0 && p < n_);
-  if (crashed_.contains(p)) return false;
+  if ((crashed_.mask() >> p & 1) != 0) return false;
   procs_[static_cast<std::size_t>(p)].step(mem_);
   executed_.append(p);
   if (feed_ != nullptr) feed_->record_step(p);
@@ -107,21 +106,40 @@ std::int64_t Simulator::run_until(sched::ScheduleGenerator& gen,
   // One allocation covers a short run's executed schedule; longer runs
   // regrow from there.
   if (executed_.empty()) executed_.reserve(std::min(max_steps, kFirstReserve));
+  const ProcSet everyone = ProcSet::universe(n_);
+  // Reactive adversaries read the feed and may request a crash after
+  // any step, so they are pulled one pick at a time.
+  const std::int64_t block_cap =
+      feed_ != nullptr || crash_source_ ? 1 : kBlock;
+  std::array<Pid, kBlock> block;
   std::int64_t executed = 0;
+  std::int64_t until_check = check_every;
   // A pull landing on a crashed process is skipped without executing;
   // cap total pulls so a generator that only schedules crashed pids
   // cannot livelock the run.
   std::int64_t pulls = 0;
   const std::int64_t max_pulls = 16 * max_steps + 1024;
   while (executed < max_steps && pulls < max_pulls) {
-    maybe_crash_per_plan();
-    maybe_crash_per_source();
-    if (crashed_.size() == n_) break;
-    const Pid p = gen.next();
-    ++pulls;
-    if (!execute(p)) continue;
-    ++executed;
-    if (executed % check_every == 0 && stop()) break;
+    if (steps_taken() >= next_plan_crash_) maybe_crash_per_plan();
+    if (crash_source_) maybe_crash_per_source();
+    if (crashed_ == everyone) break;
+    // Each pick executes at most one step, so a block that ends at the
+    // next stop check, plan crash, max_steps and max_pulls has none of
+    // them inside it: every pick pulled is consumed.
+    const std::int64_t picks =
+        std::min({block_cap, until_check, max_steps - executed,
+                  max_pulls - pulls, next_plan_crash_ - steps_taken()});
+    const std::span<Pid> pulled(block.data(), static_cast<std::size_t>(picks));
+    gen.fill(pulled);
+    pulls += picks;
+    std::int64_t ran = 0;
+    for (const Pid p : pulled) ran += execute(p) ? 1 : 0;
+    executed += ran;
+    until_check -= ran;
+    if (until_check == 0) {
+      until_check = check_every;
+      if (stop()) break;
+    }
   }
   return executed;
 }

@@ -1,11 +1,20 @@
 // The deterministic step-driven simulator.
 //
 // Pulls pids from a ScheduleGenerator and executes one step of the
-// corresponding ProcessRuntime per pull, recording the *executed*
+// corresponding ProcessRuntime per pick, recording the *executed*
 // schedule (which experiments cross-check with the timeliness analyzer —
 // the executed schedule, not the generator's intent, is what Definition
-// 1 is evaluated on). Crashed processes take no further steps; pulls
+// 1 is evaluated on). Crashed processes take no further steps; picks
 // that land on a crashed process are skipped without being recorded.
+//
+// Picks are pulled with fill() in blocks of at most kBlock. A block
+// ends at the next stop check, the next crash-plan step, max_steps and
+// the pull cap, so no check falls inside one and the generator is read
+// exactly as far as the run consumes: after run_until, an oblivious
+// generator stands where the same number of next() calls leaves it.
+// A run with an ObservationFeed or a crash source attached (reactive
+// adversaries) pulls one pick at a time, because the adversary reads
+// the feed, and may request a crash, after every step.
 #ifndef SETLIB_SHM_SIMULATOR_H
 #define SETLIB_SHM_SIMULATOR_H
 
@@ -41,7 +50,7 @@ class Simulator {
   void use_crash_plan(const sched::CrashPlan& plan);
 
   /// Mirror an adversary's crash decisions (ReactiveGenerator::
-  /// crashes_requested): the source is polled once per pull, and any
+  /// crashes_requested): the source is polled once per pick, and any
   /// newly requested process is crashed before the next step executes,
   /// so the validator's faulty accounting matches the adversary's
   /// budget spending.
@@ -63,7 +72,10 @@ class Simulator {
   std::int64_t run(sched::ScheduleGenerator& gen, std::int64_t steps);
 
   /// Run until stop() returns true (checked every `check_every` steps)
-  /// or max_steps executed. Returns executed steps.
+  /// or max_steps executed. Returns executed steps. Pulls at most
+  /// 16 * max_steps + 1024 picks, and no pick past the last one it
+  /// executes or skips (a program that throws mid-block is the one
+  /// exception: the rest of its block is dropped).
   std::int64_t run_until(sched::ScheduleGenerator& gen,
                          std::int64_t max_steps,
                          const std::function<bool()>& stop,
@@ -75,8 +87,10 @@ class Simulator {
  private:
   /// Executed-schedule capacity taken at the first run_until (steps).
   static constexpr std::int64_t kFirstReserve = 1024;
+  /// Most picks run_until pulls with one fill().
+  static constexpr std::int64_t kBlock = 64;
 
-  bool maybe_crash_per_plan();
+  void maybe_crash_per_plan();
   void update_next_plan_crash();
   void maybe_crash_per_source();
   bool execute(Pid p);

@@ -239,6 +239,60 @@ std::int64_t multishot_batch(int k, std::uint64_t seed) {
   return steps;
 }
 
+// A serving batch's register set-up (slots of one Paxos instance over
+// n = 4, behind the detector's two arrays): storage, block table and
+// name characters are each reserved once, at the first registration.
+// A 40-slot batch fits; the 64-slot cap outgrows each reservation once.
+TEST(SetupAllocTest, SimMemoryReservesAtTheFirstRegistration) {
+  for (const auto& [slots, want] : {std::pair{40, 3}, std::pair{64, 6}}) {
+    const std::int64_t allocs = allocations_in([slots = slots] {
+      SimMemory mem;
+      mem.alloc_array("Heartbeat", 4);
+      mem.alloc_array("Counter", 16);
+      for (int s = 0; s < slots; ++s) {
+        mem.alloc_array(RegisterName("ms.slot", s, ".inst", 0, ".R"), 4);
+        mem.alloc(RegisterName("ms.slot", s, ".inst", 0, ".D"));
+      }
+      EXPECT_EQ(mem.register_count(), 4 + 16 + slots * 5);
+    });
+    EXPECT_EQ(allocs, want) << slots << " slots";
+  }
+}
+
+// The detector's views and every task's local variables come from one
+// buffer: building it and running each process through its first loop
+// iteration allocates the buffer, the views and the k-subsets, and
+// nothing per process.
+TEST(SetupAllocTest, DetectorCarvesViewsAndLocalsFromOneBuffer) {
+  constexpr int kN = 5;
+  const auto build_and_run = [] {
+    SimMemory mem;
+    mem.alloc("warm");  // the memory's own reservation, counted elsewhere
+    std::int64_t allocs = 0;
+    allocs += allocations_in([&] {
+      fd::KAntiOmega detector(mem, fd::KAntiOmega::Params{kN, 2, 2, 1});
+      ProcessRuntime procs[kN] = {ProcessRuntime(0), ProcessRuntime(1),
+                                  ProcessRuntime(2), ProcessRuntime(3),
+                                  ProcessRuntime(4)};
+      for (Pid p = 0; p < kN; ++p) {
+        procs[p].add_task(detector.run(p), "fd");
+      }
+      // One iteration: 50 counter reads, a heartbeat write, 5 heartbeat
+      // reads and at most 10 counter writes.
+      for (int step = 0; step < 66; ++step) {
+        for (Pid p = 0; p < kN; ++p) procs[p].step(mem);
+      }
+      for (Pid p = 0; p < kN; ++p) {
+        EXPECT_GE(detector.view(p).iterations, 1);
+      }
+    });
+    return allocs;
+  };
+  build_and_run();  // first run of the shape: frames come from the heap
+  // Buffer, views, subsets; then one task table per process.
+  EXPECT_EQ(build_and_run(), 3 + kN);
+}
+
 TEST(ShmAllocTest, MultiShotBatchLoopAllocatesNoFramesAfterTheFirst) {
   for (const int k : {1, 2}) {
     multishot_batch(k, 1);

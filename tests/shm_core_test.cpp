@@ -2,11 +2,15 @@
 // programs, process runtimes, and the simulator.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/sched/enforcer.h"
 #include "src/sched/generators.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
@@ -605,6 +609,204 @@ TEST(SimulatorTest, StepAccountingMatchesMemoryCounters) {
   sched::RoundRobinGenerator gen(2);
   sim.run(gen, 120);
   EXPECT_EQ(mem.read_count() + mem.write_count(), 120);
+}
+
+// The pull contract of run_until: the simulator pulls picks with
+// fill() in blocks, and must never read the generator past the last
+// pick it executes or skips. Each case runs the block-pulled simulator
+// next to the per-pick reference loop below, on a fresh copy of the
+// same generator, and checks the executed schedules, the picks pulled,
+// and the generator's next picks afterwards.
+
+// Forwards to `inner` (its own fill() included) and counts the picks.
+class CountingGenerator final : public sched::ScheduleGenerator {
+ public:
+  explicit CountingGenerator(std::unique_ptr<sched::ScheduleGenerator> inner)
+      : inner_(std::move(inner)) {}
+  int n() const override { return inner_->n(); }
+  Pid next() override {
+    ++pulled_;
+    return inner_->next();
+  }
+  void fill(std::span<Pid> out) override {
+    pulled_ += static_cast<std::int64_t>(out.size());
+    inner_->fill(out);
+  }
+  std::int64_t pulled() const noexcept { return pulled_; }
+
+ private:
+  std::unique_ptr<sched::ScheduleGenerator> inner_;
+  std::int64_t pulled_ = 0;
+};
+
+using GeneratorFactory =
+    std::function<std::unique_ptr<sched::ScheduleGenerator>()>;
+
+struct PullCase {
+  int n = 3;
+  std::vector<std::int64_t> crash_at;  // per process; empty = none
+  std::vector<std::int64_t> runs;      // max_steps of successive calls
+  std::int64_t check_every = 64;
+  std::int64_t stop_at = -1;  // stop once the counter reaches it
+};
+
+// One simulator with n incrementer processes on one counter.
+struct PullRig {
+  SimMemory mem;
+  RegisterId reg;
+  Simulator sim;
+  explicit PullRig(int n) : reg(mem.alloc("r")), sim(mem, n) {
+    for (Pid p = 0; p < n; ++p) {
+      sim.process(p).add_task(incrementer(reg, 1'000'000), "inc");
+    }
+  }
+  bool stopped(std::int64_t stop_at) const {
+    return stop_at >= 0 && mem.peek(reg).as_int_or(0) >= stop_at;
+  }
+};
+
+// The per-pick loop run_until implements: plan crashes fire before a
+// pull, a pick on a crashed process is skipped, stop() is checked every
+// check_every executed steps, and pulls are capped at 16 * max + 1024.
+std::int64_t reference_run(PullRig& rig, sched::ScheduleGenerator& gen,
+                           const PullCase& c, std::int64_t max_steps) {
+  std::int64_t executed = 0;
+  std::int64_t pulls = 0;
+  while (executed < max_steps && pulls < 16 * max_steps + 1024) {
+    for (Pid p = 0; p < c.n && !c.crash_at.empty(); ++p) {
+      if (!rig.sim.crashed(p) &&
+          c.crash_at[static_cast<std::size_t>(p)] <= rig.sim.steps_taken()) {
+        rig.sim.crash(p);
+      }
+    }
+    if (rig.sim.crashed_set() == ProcSet::universe(c.n)) break;
+    const Pid p = gen.next();
+    ++pulls;
+    if (rig.sim.crashed(p)) continue;
+    rig.sim.step_once(p);
+    ++executed;
+    if (executed % c.check_every == 0 && rig.stopped(c.stop_at)) break;
+  }
+  return executed;
+}
+
+void expect_pull_contract(const PullCase& c, const GeneratorFactory& make,
+                          const std::string& what) {
+  PullRig blocked(c.n);
+  PullRig reference(c.n);
+  if (!c.crash_at.empty()) {
+    sched::CrashPlan plan(c.n);
+    for (Pid p = 0; p < c.n; ++p) {
+      const std::int64_t at = c.crash_at[static_cast<std::size_t>(p)];
+      if (at != sched::CrashPlan::kNever) plan.set_crash(p, at);
+    }
+    blocked.sim.use_crash_plan(plan);
+  }
+  CountingGenerator gen(make());
+  CountingGenerator want(make());
+  for (const std::int64_t max_steps : c.runs) {
+    const std::int64_t ran = blocked.sim.run_until(
+        gen, max_steps, [&] { return blocked.stopped(c.stop_at); },
+        c.check_every);
+    EXPECT_EQ(ran, reference_run(reference, want, c, max_steps)) << what;
+    EXPECT_EQ(gen.pulled(), want.pulled()) << what;
+  }
+  EXPECT_EQ(blocked.sim.executed().steps(), reference.sim.executed().steps())
+      << what;
+  EXPECT_EQ(blocked.sim.crashed_set(), reference.sim.crashed_set()) << what;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(gen.next(), want.next()) << what << ", pick " << i;
+  }
+}
+
+std::vector<std::pair<std::string, GeneratorFactory>> pull_generators(
+    int n) {
+  return {
+      {"uniform",
+       [n] { return std::make_unique<sched::UniformRandomGenerator>(n, 5); }},
+      {"enforced",
+       [n] {
+         return sched::EnforcedGenerator::single(
+             std::make_unique<sched::UniformRandomGenerator>(n, 9),
+             sched::TimelinessConstraint(ProcSet::of(0),
+                                         ProcSet::universe(n), 2));
+       }},
+      {"round-robin",
+       [n] { return std::make_unique<sched::RoundRobinGenerator>(n); }},
+  };
+}
+
+TEST(SimulatorPullTest, StopInTheMiddleOfABlock) {
+  // The stop check at 100 executed steps falls inside the second
+  // 64-pick block a run without stop checks would pull.
+  PullCase c;
+  c.runs = {100'000};
+  c.check_every = 100;
+  c.stop_at = 150;
+  for (const auto& [name, make] : pull_generators(c.n)) {
+    expect_pull_contract(c, make, name);
+  }
+}
+
+TEST(SimulatorPullTest, MaxStepsNotAMultipleOfTheBlock) {
+  PullCase c;
+  c.runs = {1'000};
+  for (const auto& [name, make] : pull_generators(c.n)) {
+    expect_pull_contract(c, make, name);
+  }
+}
+
+TEST(SimulatorPullTest, CrashPlanSkips) {
+  // Process 1 crashes mid-block, process 2 later; picks on them are
+  // skipped, so blocks execute fewer steps than they pull.
+  PullCase c;
+  c.n = 4;
+  c.crash_at = {sched::CrashPlan::kNever, 37, 300, sched::CrashPlan::kNever};
+  c.runs = {1'000};
+  c.check_every = 50;
+  c.stop_at = 700;
+  for (const auto& [name, make] : pull_generators(c.n)) {
+    expect_pull_contract(c, make, name);
+  }
+}
+
+TEST(SimulatorPullTest, PullCapWithOnlyCrashedPicks) {
+  // Every pick lands on a crashed process: the run executes nothing and
+  // stops at exactly 16 * max_steps + 1024 pulls.
+  PullCase c;
+  c.n = 4;
+  c.crash_at = {sched::CrashPlan::kNever, 0, 0, 0};
+  c.runs = {10, 3};
+  const GeneratorFactory only_crashed = [] {
+    return std::make_unique<sched::WeightedRandomGenerator>(
+        std::vector<double>{0.0, 1.0, 2.0, 1.0}, 3);
+  };
+  expect_pull_contract(c, only_crashed, "weighted");
+
+  PullRig rig(c.n);
+  rig.sim.use_crash_plan(sched::CrashPlan::at(4, ProcSet::of({1, 2, 3}), 0));
+  CountingGenerator gen(only_crashed());
+  EXPECT_EQ(rig.sim.run(gen, 10), 0);
+  EXPECT_EQ(gen.pulled(), 16 * 10 + 1024);
+}
+
+TEST(SimulatorPullTest, BackToBackRunsEqualOneLongerRun) {
+  for (const auto& [name, make] : pull_generators(3)) {
+    PullRig split(3);
+    PullRig whole(3);
+    CountingGenerator split_gen(make());
+    CountingGenerator whole_gen(make());
+    split.sim.run_until(split_gen, 300, [] { return false; });
+    split.sim.run_until(split_gen, 701, [] { return false; });
+    whole.sim.run_until(whole_gen, 1'001, [] { return false; });
+    EXPECT_EQ(split.sim.executed().steps(), whole.sim.executed().steps())
+        << name;
+    EXPECT_EQ(split_gen.pulled(), 1'001) << name;
+    EXPECT_EQ(whole_gen.pulled(), 1'001) << name;
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(split_gen.next(), whole_gen.next()) << name << ", pick " << i;
+    }
+  }
 }
 
 }  // namespace
