@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -209,6 +211,77 @@ TEST(ServiceHarnessTest, StabilizedDetectorNamesAKSetWinnerset) {
                                   report.validity_ok);
   }
   EXPECT_GT(stabilized, 0u);  // the check above is not vacuous
+}
+
+/// FNV-1a over `text`, continuing from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash, const std::string& text) {
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+TEST(ServiceHarnessTest, DecidedButJudgedFailedBatchesArePinned) {
+  // bench_serving's default stream (1M requests, seed 1). Batches 0
+  // and 706 decide every slot, yet the detector verdict reads false:
+  // batch 0 decides before any process finishes a detector iteration,
+  // and batch 706's winnerset changes inside the judging window.
+  const ServiceHarness harness{ServiceConfig{}};
+  const AdmissionPlan plan = harness.plan();
+  ASSERT_EQ(plan.batches.size(), 35'884u);
+
+  const BatchOutcome first = harness.run_batch(plan, 0);
+  EXPECT_EQ(first.decisions.size(), 1u);
+  EXPECT_EQ(first.steps, 128);
+  EXPECT_TRUE(first.success);
+  EXPECT_FALSE(first.detector.abstract_ok);
+  EXPECT_EQ(first.detector.min_iterations, 0);
+  EXPECT_EQ(first.witness_bound, 3);
+
+  const BatchOutcome late = harness.run_batch(plan, 706);
+  EXPECT_EQ(late.decisions.size(), 29u);
+  EXPECT_EQ(late.steps, 2'368);
+  EXPECT_TRUE(late.success);
+  EXPECT_FALSE(late.detector.abstract_ok);
+  EXPECT_EQ(late.detector.min_iterations, 11);
+  EXPECT_EQ(late.detector.total_winnerset_changes, 4);
+  EXPECT_EQ(late.witness_bound, 3);
+}
+
+TEST(ServiceHarnessTest, ClosedLoopRowsAndDecisionsArePinned) {
+  // Every row fact but schedule_hash, every annotation, and the
+  // request -> decision map of small_config()'s closed loop.
+  RunnerOptions options;
+  options.threads = 2;
+  auto [report, doc] = serve(small_config(), options);
+  JsonValue facts = strip_timing_keys(doc);
+  for (auto& [key, value] : facts.members()) {
+    if (key != "sections") continue;
+    for (JsonValue& section : value.items()) {
+      for (auto& [field, rows] : section.members()) {
+        if (field != "rows") continue;
+        for (JsonValue& row : rows.items()) {
+          auto& members = row.members();
+          std::erase_if(members, [](const JsonValue::Member& member) {
+            return member.first == "schedule_hash";
+          });
+        }
+      }
+    }
+  }
+  std::uint64_t decisions = kFnvBasis;
+  for (const auto& [id, value] : report.decisions) {
+    decisions = fnv1a(decisions, std::to_string(id) + ":" +
+                                     std::to_string(value) + ";");
+  }
+  const std::string rows = canonical_json(facts);
+  EXPECT_EQ(rows.find("schedule_hash"), std::string::npos);
+  EXPECT_NE(rows.find("\"witness_bound\""), std::string::npos);
+  EXPECT_EQ(report.decisions.size(), 2'000u);
+  EXPECT_EQ(fnv1a(kFnvBasis, rows), 0xb916f49768e5e10fULL);
+  EXPECT_EQ(decisions, 0xc649fdf1ff33610aULL);
 }
 
 TEST(SloReportTest, PercentilesMatchAReferenceNearestRankSort) {
