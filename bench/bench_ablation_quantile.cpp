@@ -123,7 +123,7 @@ int print_ablation(int n, int k, int t, core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "ablation_quantile");
+      core::parse_cli_or_exit(argc, argv, "ablation_quantile");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   const int contradictions = print_ablation(5, 2, 2, runner, json) +

@@ -216,7 +216,7 @@ int print_frontier_map(core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "adversary_frontier");
+      core::parse_cli_or_exit(argc, argv, "adversary_frontier");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_family_grid(runner, json);

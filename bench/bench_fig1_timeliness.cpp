@@ -166,7 +166,7 @@ void print_family_sweep(core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "fig1_timeliness");
+      core::parse_cli_or_exit(argc, argv, "fig1_timeliness");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_figure1_table(runner, json);

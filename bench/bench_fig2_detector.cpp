@@ -276,7 +276,7 @@ void print_largen_membership(core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "fig2_detector");
+      core::parse_cli_or_exit(argc, argv, "fig2_detector");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_convergence_table(runner, json);

@@ -67,7 +67,7 @@ void print_rt_table(core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "runtime_threads");
+      core::parse_cli_or_exit(argc, argv, "runtime_threads");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_rt_table(runner, json);

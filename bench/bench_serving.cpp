@@ -5,7 +5,7 @@
 // decisions) are virtual-tick facts, bit-identical at any --threads
 // and across --cells=LO..HI unions.
 //
-// Serving flags (stripped before the shared runner flags):
+// Serving flags (consumed ahead of the shared runner flags):
 //   --requests=N    request stream length (default 1e6)
 //   --batch=B       max requests per agreement batch
 //   --queue-cap=N   bounded admission queue depth
@@ -20,6 +20,7 @@
 #include "src/core/runner.h"
 #include "src/core/service.h"
 #include "src/core/sweep_cli.h"
+#include "src/util/assert.h"
 
 namespace {
 
@@ -27,28 +28,25 @@ using namespace setlib;
 
 core::ServiceConfig g_config;  // NOLINT: CLI-configured before main runs
 
-void strip_serving_flags(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    long requests = 0;
-    int batch = 0;
-    long queue_cap = 0;
-    if (core::consume_long_flag(arg, "--requests=", &requests)) {
-      g_config.requests = requests;
-      continue;
-    }
-    if (core::consume_int_flag(arg, "--batch=", &batch)) {
-      g_config.batch = batch;
-      continue;
-    }
-    if (core::consume_long_flag(arg, "--queue-cap=", &queue_cap)) {
-      g_config.queue_cap = queue_cap;
-      continue;
-    }
-    argv[out++] = argv[i];
+/// Consumes a serving flag into g_config; false for any other argument.
+bool serving_flag(const std::string& arg) {
+  long value = 0;
+  int batch = 0;
+  if (core::consume_long_flag(arg, "--requests=", &value)) {
+    g_config.requests = value;
+  } else if (core::consume_int_flag(arg, "--batch=", &batch)) {
+    g_config.batch = batch;
+  } else if (core::consume_long_flag(arg, "--queue-cap=", &value)) {
+    g_config.queue_cap = value;
+  } else {
+    return false;
   }
-  *argc = out;
+  try {
+    g_config.validate();  // an out-of-range value is a usage error too
+  } catch (const ContractViolation& e) {
+    throw ContractViolation("'" + arg + "': " + e.what());
+  }
+  return true;
 }
 
 void run_serving(core::ExperimentRunner& runner, core::JsonSink& json) {
@@ -84,9 +82,8 @@ void run_serving(core::ExperimentRunner& runner, core::JsonSink& json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  strip_serving_flags(&argc, argv);
   const auto options =
-      setlib::core::parse_runner_options(argc, argv, "serving");
+      setlib::core::parse_cli_or_exit(argc, argv, "serving", serving_flag);
   setlib::core::ExperimentRunner runner(options);
   setlib::core::JsonSink json = runner.json_sink();
   run_serving(runner, json);

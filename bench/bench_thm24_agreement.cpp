@@ -137,7 +137,7 @@ void print_seed_sweep(core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "thm24_agreement");
+      core::parse_cli_or_exit(argc, argv, "thm24_agreement");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_agreement_table(runner, json);

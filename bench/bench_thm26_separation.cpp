@@ -206,7 +206,7 @@ int print_detector_defeat(core::ExperimentRunner& runner,
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "thm26_separation");
+      core::parse_cli_or_exit(argc, argv, "thm26_separation");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   int contradictions = print_part1_possibility(runner, json);

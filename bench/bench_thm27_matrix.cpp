@@ -59,7 +59,7 @@ int print_matrices(core::ExperimentRunner& runner, core::JsonSink& json) {
 
 int main(int argc, char** argv) {
   const auto options =
-      core::parse_runner_options(argc, argv, "thm27_matrix");
+      core::parse_cli_or_exit(argc, argv, "thm27_matrix");
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   const int mismatches = print_matrices(runner, json);

@@ -57,16 +57,12 @@ int main(int argc, char** argv) {
 
   // Positionals out, flags left for the shared parser.
   std::vector<std::string> args;
-  int flag_count = 1;
-  for (int a = 1; a < argc; ++a) {
-    if (std::string(argv[a]).rfind("--", 0) == 0) {
-      argv[flag_count++] = argv[a];
-    } else {
-      args.emplace_back(argv[a]);
-    }
-  }
-  const auto options = core::parse_runner_options(flag_count, argv,
-                                                   "solvability_explorer");
+  const auto options = core::parse_cli_or_exit(
+      argc, argv, "solvability_explorer", [&](const std::string& arg) {
+        if (arg.rfind("--", 0) == 0) return false;
+        args.push_back(arg);
+        return true;
+      });
   const auto arg = [&](std::size_t index, const char* name) {
     return core::parse_int_value(args[index], name);
   };

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace setlib;
 
   const auto options =
-      core::parse_runner_options(argc, argv, "threaded_agreement");
+      core::parse_cli_or_exit(argc, argv, "threaded_agreement");
   core::ExperimentRunner runner(options);
 
   runtime::RtRunConfig cfg;

@@ -7,11 +7,14 @@ Checks that the document and every section carry a "timing" object,
 that the closed_loop section is a well-formed grid section (rows match
 the cell count) carrying the full admission/SLO annotation set, that
 the kSame keys are declared in same_keys so shard merges enforce them,
-and that the admission accounting is internally consistent
+that every row's schedule_hash is 16 lowercase hex digits and not all
+zeros (each batch is an engine run, so its executed schedule is
+hashed), and that the admission accounting is internally consistent
 (accepted + shed == offered, decided_ok <= batch_requests). Fatal on
 any mismatch — CI runs this against the smoke run's output.
 """
 import json
+import re
 import sys
 
 SAME_KEYS = [
@@ -24,6 +27,7 @@ SAME_KEYS = [
 SUM_KEYS = ["batch_requests", "decided_ok"]
 ROW_KEYS = {"index", "success", "detector_ok", "distinct", "steps",
             "witness_bound", "schedule_hash"}
+HASH = re.compile(r"[0-9a-f]{16}")
 
 
 def fail(message):
@@ -54,6 +58,12 @@ def main():
     for row in rows:
         if set(row) != ROW_KEYS:
             fail(f"row keys {sorted(row)} != expected {sorted(ROW_KEYS)}")
+        digest = row["schedule_hash"]
+        if not isinstance(digest, str) or not HASH.fullmatch(digest):
+            fail(f"row {row['index']}: schedule_hash {digest!r} is not "
+                 f"16 lowercase hex digits")
+        if digest == "0" * 16:
+            fail(f"row {row['index']}: schedule_hash is all zeros")
 
     for key in SAME_KEYS + SUM_KEYS:
         if key not in closed:

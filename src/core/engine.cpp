@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/agreement/kset.h"
+#include "src/agreement/multishot.h"
 #include "src/agreement/trivial.h"
 #include "src/agreement/validator.h"
 #include "src/fd/kantiomega.h"
@@ -178,8 +179,10 @@ FamilySetup make_reactive_setup(const RunConfig& cfg) {
   return setup;
 }
 
-}  // namespace
-
+/// The detector's "eventually forever" verdict on a finite run:
+/// fd::check_kantiomega over `correct` on a trailing window of
+/// max(stabilization_window, min_iterations / 3) iterations, so slow
+/// oscillation on long runs is not mistaken for convergence.
 DetectorReport detector_verdict(const fd::KAntiOmega& detector,
                                 ProcSet correct,
                                 std::int64_t stabilization_window) {
@@ -206,6 +209,8 @@ DetectorReport detector_verdict(const fd::KAntiOmega& detector,
   return report;
 }
 
+}  // namespace
+
 RunReport run_agreement(const RunConfig& cfg) {
   // One-off convenience path (tests, tools): a run-local arena with
   // the standard reserve, so the counters mean the same thing as on
@@ -223,6 +228,8 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
   const int k = cfg.spec.k;
   const int t = cfg.spec.t;
 
+  const bool multishot = !cfg.slot_commands.empty();
+  SETLIB_EXPECTS(!multishot || (k <= t && cfg.proposals.empty()));
   std::vector<std::int64_t> proposals = cfg.proposals;
   if (proposals.empty()) {
     for (Pid p = 0; p < n; ++p) proposals.push_back(100 + p);
@@ -266,9 +273,33 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
   RunReport report;
   report.timely_set = setup.timely_set;
   report.observed_set = setup.observed_set;
-  report.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
+  report.decisions.resize(multishot ? cfg.slot_commands.size()
+                                    : static_cast<std::size_t>(n));
 
   const ProcSet planned_correct = setup.plan.faulty().complement(n);
+
+  // Runs until every correct process decided or the budget is spent.
+  // Each stop check (every 64 steps) publishes decision proximity for
+  // reactive adversaries: decided flags and detector iterations.
+  const auto run = [&](const auto& decided, const fd::KAntiOmega* detector) {
+    report.steps_executed =
+        sim.run_until(*setup.generator, cfg.max_steps, [&] {
+          if (setup.feed != nullptr) {
+            for (Pid p = 0; p < n; ++p) {
+              if (detector != nullptr) {
+                setup.feed->publish_progress(p, detector->view(p).iterations);
+              }
+              if (decided(p)) setup.feed->publish_decided(p);
+            }
+          }
+          if (cfg.run_full_budget) return false;
+          bool all = true;
+          sim.crashed_set().complement(n).for_each(
+              [&](Pid p) { all = all && decided(p); });
+          return all;
+        });
+  };
+  agreement::AgreementVerdict verdict;  // the multi-shot fold fills it
 
   if (k > t) {
     // Corollary 25's trivial regime: solvable under full asynchrony.
@@ -282,23 +313,8 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
                    &outs[static_cast<std::size_t>(p)]),
           "trivial");
     }
-    auto all_correct_decided = [&] {
-      if (setup.feed != nullptr) {
-        for (Pid p = 0; p < n; ++p) {
-          if (outs[static_cast<std::size_t>(p)].decided) {
-            setup.feed->publish_decided(p);
-          }
-        }
-      }
-      if (cfg.run_full_budget) return false;
-      bool all = true;
-      sim.crashed_set().complement(n).for_each([&](Pid p) {
-        all = all && outs[static_cast<std::size_t>(p)].decided;
-      });
-      return all;
-    };
-    report.steps_executed =
-        sim.run_until(*setup.generator, cfg.max_steps, all_correct_decided);
+    run([&](Pid p) { return outs[static_cast<std::size_t>(p)].decided; },
+        nullptr);
     for (Pid p = 0; p < n; ++p) {
       if (outs[static_cast<std::size_t>(p)].decided) {
         report.decisions[static_cast<std::size_t>(p)] =
@@ -306,37 +322,58 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
       }
     }
   } else {
-    report.algorithm = "kanti-omega+paxos";
     fd::KAntiOmega detector(mem, fd::KAntiOmega::Params{n, k, t, 1});
-    agreement::KSetAgreement kset(mem,
-                                  agreement::KSetAgreement::Params{n, k, t},
-                                  &detector);
-    for (Pid p = 0; p < n; ++p) {
-      sim.process(p).add_task(detector.run(p), "kanti-omega");
-      kset.install(sim.process(p), p,
-                   proposals[static_cast<std::size_t>(p)]);
-    }
-    auto all_correct_decided = [&] {
-      if (setup.feed != nullptr) {
-        // Decision proximity for reactive adversaries: detector
-        // iterations plus decided flags, straight from deterministic
-        // protocol state (published every stop-check, i.e. every 64
-        // executed steps).
-        for (Pid p = 0; p < n; ++p) {
-          setup.feed->publish_progress(p, detector.view(p).iterations);
-          if (kset.decided(p)) setup.feed->publish_decided(p);
+    if (!multishot) {
+      report.algorithm = "kanti-omega+paxos";
+      agreement::KSetAgreement kset(
+          mem, agreement::KSetAgreement::Params{n, k, t}, &detector);
+      for (Pid p = 0; p < n; ++p) {
+        sim.process(p).add_task(detector.run(p), "kanti-omega");
+        kset.install(sim.process(p), p,
+                     proposals[static_cast<std::size_t>(p)]);
+      }
+      run([&](Pid p) { return kset.decided(p); }, &detector);
+      for (Pid p = 0; p < n; ++p) {
+        if (kset.decided(p)) {
+          report.decisions[static_cast<std::size_t>(p)] =
+              kset.outcome(p).value;
         }
       }
-      if (cfg.run_full_budget) return false;
-      return kset.all_decided(sim.crashed_set().complement(n));
-    };
-    report.steps_executed =
-        sim.run_until(*setup.generator, cfg.max_steps, all_correct_decided);
-    for (Pid p = 0; p < n; ++p) {
-      if (kset.decided(p)) {
-        report.decisions[static_cast<std::size_t>(p)] =
-            kset.outcome(p).value;
+    } else {
+      report.algorithm = "kanti-omega+multishot";
+      const std::vector<std::int64_t>& commands = cfg.slot_commands;
+      const int slots = static_cast<int>(commands.size());
+      agreement::MultiShotAgreement log(
+          mem, agreement::MultiShotAgreement::Params{n, k, t, slots},
+          &detector);
+      for (Pid p = 0; p < n; ++p) {
+        sim.process(p).add_task(detector.run(p), "kanti-omega");
+        log.install(sim.process(p), p, commands);
       }
+      run([&](Pid p) { return log.decided_prefix(p) == slots; }, &detector);
+      // The Section 3 properties per slot, read off the decision
+      // tallies. The command is the only value any process proposes
+      // for its slot, so it is the only valid decision.
+      verdict.agreement_ok = verdict.validity_ok = true;
+      for (int s = 0; s < slots; ++s) {
+        const auto tally = log.slot_tally(s, ProcSet::universe(n));
+        const bool decided_command =
+            tally.distinct == 1 &&
+            tally.smallest == commands[static_cast<std::size_t>(s)];
+        verdict.distinct_values =
+            std::max(verdict.distinct_values, tally.distinct);
+        verdict.agreement_ok = verdict.agreement_ok && tally.distinct <= k;
+        verdict.validity_ok =
+            verdict.validity_ok && (tally.distinct == 0 || decided_command);
+        if (tally.distinct > 0) {
+          report.decisions[static_cast<std::size_t>(s)] = tally.smallest;
+        }
+      }
+      verdict.termination_ok =
+          log.all_decided(sim.crashed_set().complement(n));
+      verdict.ok =
+          verdict.termination_ok && verdict.agreement_ok && verdict.validity_ok;
+      verdict.detail = "slots=" + std::to_string(slots);
     }
     report.detector = detector_verdict(
         detector, sim.crashed_set().complement(n), cfg.stabilization_window);
@@ -349,8 +386,10 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
                                  : ProcSet());
   SETLIB_ASSERT(report.faulty.subset_of(allowed_faulty));
 
-  const auto verdict = agreement::validate_agreement(
-      t, k, n, proposals, report.decisions, report.faulty);
+  if (!multishot) {
+    verdict = agreement::validate_agreement(t, k, n, proposals,
+                                            report.decisions, report.faulty);
+  }
   report.terminated = verdict.termination_ok;
   report.agreement_ok = verdict.agreement_ok;
   report.validity_ok = verdict.validity_ok;

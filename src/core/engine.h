@@ -32,10 +32,6 @@
 #include "src/util/arena.h"
 #include "src/util/procset.h"
 
-namespace setlib::fd {
-class KAntiOmega;
-}  // namespace setlib::fd
-
 namespace setlib::core {
 
 enum class ScheduleFamily {
@@ -87,6 +83,13 @@ struct RunConfig {
   /// Initial values; default proposals[p] = 100 + p.
   std::vector<std::int64_t> proposals;
 
+  /// Per-slot commands. Non-empty selects the multi-shot stack: the
+  /// detector leads a MultiShotAgreement log with one slot per command,
+  /// and every process proposes slot_commands[s] for slot s, so the
+  /// command is the slot's only valid decision. Requires k <= t and no
+  /// `proposals`.
+  std::vector<std::int64_t> slot_commands;
+
   /// Run the full step budget even after every correct process decided
   /// (so detector telemetry reflects the long-run behaviour; used by
   /// the Theorem 27 matrix, where early lucky decisions must not
@@ -115,13 +118,14 @@ struct RunReport {
   bool agreement_ok = false; // <= k distinct decisions
   bool validity_ok = false;
   bool success = false;      // conjunction
-  int distinct_decisions = 0;
+  int distinct_decisions = 0;  // multi-shot: the most in any slot
+  /// Per process; for multi-shot, per slot (its smallest decided value).
   std::vector<std::optional<std::int64_t>> decisions;
 
   // Run facts.
   std::int64_t steps_executed = 0;
   ProcSet faulty;
-  std::string algorithm;  // "trivial" or "kanti-omega+paxos"
+  std::string algorithm;  // "trivial", "kanti-omega+paxos"/"+multishot"
 
   // Witness cross-check: measured min bound of (P, Q) on the executed
   // schedule (the ground-truth S^i_{j,n} membership evidence).
@@ -147,16 +151,6 @@ struct RunReport {
   DetectorReport detector;
   std::string detail;
 };
-
-/// The detector's "eventually forever" verdict on a finite run:
-/// fd::check_kantiomega over the processes in `correct`, judged on a
-/// trailing window of max(stabilization_window, min_iterations / 3)
-/// iterations, so slow oscillation on long runs is not mistaken for
-/// convergence. Every detector-backed run (sweep cells and serving
-/// batches) is judged by this one rule.
-DetectorReport detector_verdict(const fd::KAntiOmega& detector,
-                                ProcSet correct,
-                                std::int64_t stabilization_window);
 
 RunReport run_agreement(const RunConfig& config);
 /// Same run, with the analysis phase's packed schedule and scan

@@ -244,13 +244,15 @@ std::vector<MatrixCell> thm27_matrix(
     cell.family = family_name(rc.family);
     cell.detector_property = report.detector.abstract_ok;
     cell.solver_success = report.success;
-    // Frontier check: on solvable cells the detector property and
-    // the solver must both come through; on unsolvable cells the
+    // Frontier check: every cell keeps agreement and validity (safety
+    // holds on every schedule). On solvable cells the detector property
+    // and the solver must both come through; on unsolvable cells the
     // adversary must defeat the detector property (a lucky solver
     // decision on an oblivious schedule is possible and allowed).
-    cell.matches = cell.predicted_solvable
-                       ? (cell.detector_property && cell.solver_success)
-                       : !cell.detector_property;
+    cell.matches = report.agreement_ok && report.validity_ok &&
+                   (cell.predicted_solvable
+                        ? (cell.detector_property && cell.solver_success)
+                        : !cell.detector_property);
     cell.detail = report.detail;
     cells.push_back(cell);
   }

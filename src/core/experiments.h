@@ -119,6 +119,8 @@ DetectorRunResult run_detector_convergence(const DetectorRunConfig& cfg);
 // cells an oblivious schedule may still let the solver decide (the
 // impossibility quantifies over adaptive adversaries — see
 // EXPERIMENTS.md), which does not count against the frontier check.
+// A safety violation (more than k values, or an invalid one) does, in
+// every cell.
 struct MatrixCell {
   int i = 0;
   int j = 0;

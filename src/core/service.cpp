@@ -3,14 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <optional>
 
-#include "src/agreement/multishot.h"
-#include "src/fd/kantiomega.h"
-#include "src/sched/analyzer.h"
-#include "src/sched/enforcer.h"
-#include "src/shm/memory.h"
-#include "src/shm/simulator.h"
 #include "src/util/assert.h"
 
 namespace setlib::core {
@@ -179,80 +173,42 @@ AdmissionPlan ServiceHarness::plan() const {
   return plan;
 }
 
-BatchOutcome ServiceHarness::run_batch(const AdmissionPlan& plan,
+RunConfig ServiceHarness::batch_config(const AdmissionPlan& plan,
                                        std::size_t index) const {
   SETLIB_EXPECTS(index < plan.batches.size());
   const AdmissionPlan::Batch& batch = plan.batches[index];
-  const int n = config_.spec.n;
-  const int k = config_.spec.k;
-  const int t = config_.spec.t;
-  const int slots = batch.size;
-  SETLIB_EXPECTS(slots >= 1);
-  std::vector<std::int64_t> commands;
-  commands.reserve(static_cast<std::size_t>(slots));
-  for (int s = 0; s < slots; ++s) {
-    commands.push_back(
+  RunConfig config;
+  config.spec = config_.spec;
+  config.system =  // (P, Q) = (first k, first t+1)
+      SystemSpec{config_.spec.k, config_.spec.t + 1, config_.spec.n};
+  config.family = ScheduleFamily::kEnforcedRandom;
+  config.seed = derive_cell_seed(config_.seed, index);
+  config.timeliness_bound = config_.timeliness_bound;
+  config.max_steps =
+      config_.max_steps_per_slot * static_cast<std::int64_t>(batch.size);
+  config.stabilization_window = config_.stabilization_window;
+  // Every replica proposes the client's command for its slot, so Paxos
+  // validity pins the decision to the command: B=1 and B=64 agree.
+  config.slot_commands.reserve(static_cast<std::size_t>(batch.size));
+  for (int s = 0; s < batch.size; ++s) {
+    config.slot_commands.push_back(
         plan.admitted[batch.first_admitted + static_cast<std::size_t>(s)]
             .command);
   }
+  return config;
+}
 
-  shm::SimMemory mem;
-  shm::Simulator sim(mem, n);
-  fd::KAntiOmega detector(mem, fd::KAntiOmega::Params{n, k, t, 1});
-  agreement::MultiShotAgreement log(
-      mem, agreement::MultiShotAgreement::Params{n, k, t, slots},
-      &detector);
-  for (Pid p = 0; p < n; ++p) {
-    sim.process(p).add_task(detector.run(p), "kanti-omega");
-    // Every replica proposes the client's command for each slot, so
-    // Paxos validity pins the decision to the command itself — which
-    // is what makes B=1 and B=64 decide identically.
-    log.install(sim.process(p), p, commands);
-  }
-
-  const ProcSet timely = ProcSet::range(0, k);
-  const ProcSet observed = ProcSet::range(0, t + 1);
-  auto base = std::make_unique<sched::UniformRandomGenerator>(
-      n, derive_cell_seed(config_.seed, index));
-  std::vector<sched::TimelinessConstraint> constraints;
-  constraints.emplace_back(timely, observed, config_.timeliness_bound);
-  sched::EnforcedGenerator gen(std::move(base), std::move(constraints),
-                               sched::CrashPlan::none(n));
-
-  const ProcSet everyone = ProcSet::universe(n);
-  const std::int64_t budget =
-      config_.max_steps_per_slot * static_cast<std::int64_t>(slots);
+BatchOutcome ServiceHarness::run_batch(const AdmissionPlan& plan,
+                                       std::size_t index) const {
+  // An arena reserve is zero-filled when acquired: a batch-sized one
+  // (2,000 steps pack into about 1 KB) spares the 8 MB default's fill.
+  util::ArenaAllocator arena(std::size_t{64} << 10);
   BatchOutcome out;
-  out.steps = sim.run_until(gen, budget,
-                            [&] { return log.all_decided(everyone); });
-
-  // The Section 3 properties per slot, read off the decision tallies.
-  // The command is the only value any replica proposes for its slot,
-  // so it is the only valid decision.
-  out.terminated = log.all_decided(everyone);
-  out.agreement_ok = true;
-  out.validity_ok = true;
-  out.decisions.assign(static_cast<std::size_t>(slots), -1);
-  for (int s = 0; s < slots; ++s) {
-    const auto tally = log.slot_tally(s, everyone);
-    const bool decided_command =
-        tally.distinct == 1 &&
-        tally.smallest == commands[static_cast<std::size_t>(s)];
-    out.distinct_decisions = std::max(out.distinct_decisions, tally.distinct);
-    out.agreement_ok = out.agreement_ok && tally.distinct <= k;
-    out.validity_ok =
-        out.validity_ok && (tally.distinct == 0 || decided_command);
-    if (decided_command) ++out.decided_ok;
-    if (tally.distinct > 0) {
-      out.decisions[static_cast<std::size_t>(s)] = tally.smallest;
-    }
+  out.report = run_agreement(batch_config(plan, index), arena);
+  out.steps = out.report.steps_executed;
+  for (const std::optional<std::int64_t>& decision : out.report.decisions) {
+    out.decisions.push_back(decision.value_or(-1));
   }
-  out.success = out.terminated && out.agreement_ok && out.validity_ok;
-
-  out.detector =
-      detector_verdict(detector, everyone, config_.stabilization_window);
-  out.witness_bound =
-      sched::min_timeliness_bound(sim.executed(), timely, observed);
   return out;
 }
 
@@ -262,62 +218,45 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
   ClosedLoopReport out;
   out.plan = plan();
   const AdmissionPlan& admission = out.plan;
-  const std::size_t total = admission.batches.size();
 
+  // Folds each batch's row into the request -> decision map, in batch
+  // order.
+  struct DecisionSink final : ReportSink {
+    ClosedLoopReport* out = nullptr;
+    void cell(const SweepCell& cell, const RunReport& report,
+              double) override {
+      const AdmissionPlan::Batch& batch = out->plan.batches[cell.index];
+      for (int s = 0; s < batch.size; ++s) {
+        const Request& request =
+            out->plan.admitted[batch.first_admitted +
+                               static_cast<std::size_t>(s)];
+        const std::optional<std::int64_t> decision =
+            report.decisions[static_cast<std::size_t>(s)];
+        out->decisions.emplace_back(request.id, decision.value_or(-1));
+        if (decision == request.command) ++out->shard_decided_ok;
+      }
+      out->shard_requests += batch.size;
+      ++out->batches_run;
+    }
+  } folded;
+  folded.out = &out;
   std::vector<ReportSink*> all_sinks = sinks;
+  all_sinks.push_back(&folded);
   if (json != nullptr) all_sinks.push_back(json);
 
-  // One synthesized grid cell per batch, so the sinks (and the
-  // shard-merge path behind them) see a normal sweep section.
-  const auto batch_cell = [&](std::size_t index) {
-    SweepCell cell;
-    cell.index = index;
-    cell.config.spec = config_.spec;
-    cell.config.system =
-        SystemSpec{config_.spec.k, config_.spec.t + 1, config_.spec.n};
-    cell.config.family = ScheduleFamily::kEnforcedRandom;
-    cell.config.seed = derive_cell_seed(config_.seed, index);
-    cell.config.timeliness_bound = config_.timeliness_bound;
-    cell.config.max_steps =
-        config_.max_steps_per_slot *
-        static_cast<std::int64_t>(admission.batches[index].size);
-    cell.config.stabilization_window = config_.stabilization_window;
-    return cell;
-  };
-  const auto range = runner.shard_range(total);
-  const std::size_t begin = range.first;
-  std::vector<BatchOutcome> outcomes(range.second - begin);
-  const auto run_cell = [&](const SweepCell& cell, util::ArenaAllocator&) {
-    BatchOutcome& outcome = outcomes[cell.index - begin];
-    outcome = run_batch(admission, cell.index);
-    RunReport report;
-    report.terminated = outcome.terminated;
-    report.agreement_ok = outcome.agreement_ok;
-    report.validity_ok = outcome.validity_ok;
-    report.success = outcome.success;
-    report.distinct_decisions = outcome.distinct_decisions;
-    report.steps_executed = outcome.steps;
-    report.witness_bound = outcome.witness_bound;
-    report.algorithm = "kanti-omega+multishot";
-    report.detector = outcome.detector;
-    return report;
-  };
-  out.section = runner.run_section("closed_loop", total, 1, all_sinks,
-                                   batch_cell, run_cell);
-
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {  // batch order
-    const AdmissionPlan::Batch& batch = admission.batches[begin + i];
-    for (int s = 0; s < batch.size; ++s) {
-      const Request& request =
-          admission
-              .admitted[batch.first_admitted + static_cast<std::size_t>(s)];
-      out.decisions.emplace_back(
-          request.id, outcomes[i].decisions[static_cast<std::size_t>(s)]);
-    }
-    out.shard_requests += batch.size;
-    out.shard_decided_ok += outcomes[i].decided_ok;
-  }
-  out.batches_run = outcomes.size();
+  // One grid cell per batch, so the sinks (and the shard-merge path
+  // behind them) see a normal sweep section.
+  out.section = runner.run_section(
+      "closed_loop", admission.batches.size(), 1, all_sinks,
+      [&](std::size_t index) {
+        SweepCell cell;
+        cell.index = index;
+        cell.config = batch_config(admission, index);
+        return cell;
+      },
+      [](const SweepCell& cell, util::ArenaAllocator& arena) {
+        return run_agreement(cell.config, arena);
+      });
 
   if (json != nullptr) {
     // Global plan invariants: every shard computes the identical

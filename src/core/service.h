@@ -4,10 +4,10 @@
 // server: a LoadGen request stream is admitted through a bounded FIFO
 // queue (overflow is shed, never silently dropped from the accounting),
 // admitted requests are grouped into batches of up to B, and each batch
-// is decided by ONE schedule-enforcer pass — a MultiShotAgreement log
-// with B slots (detector + k Paxos instances per slot) run under an
-// S^k_{t+1,n}-enforced schedule — so the detector-stabilization cost is
-// amortized over the whole batch instead of paid per request.
+// is ONE engine run (run_agreement with the commands as slot_commands):
+// a MultiShotAgreement log with B slots (detector + k Paxos instances
+// per slot) run under an S^k_{t+1,n}-enforced schedule — so the
+// detector-stabilization cost is amortized over the whole batch.
 //
 // Arrivals, admission, batching, and per-request latency all live in
 // *virtual ticks*. The admission plan — a single-server discrete-event
@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/engine.h"
 #include "src/core/loadgen.h"
 #include "src/core/report.h"
 #include "src/core/runner.h"
@@ -132,20 +133,11 @@ struct AdmissionPlan {
   SloReport slo;                  // over latency_ticks
 };
 
-/// Measured outcome of one executed batch (one enforcer pass). The
-/// outcome facts come from the per-slot decision tallies; the batch's
-/// grid row reports them as its RunReport outcome.
+/// One executed batch: its engine run and per-slot decisions.
 struct BatchOutcome {
-  std::int64_t steps = 0;
-  bool terminated = false;    // every replica decided every slot
-  bool agreement_ok = false;  // every slot decided <= k distinct values
-  bool validity_ok = false;   // every decided value is its slot's command
-  bool success = false;       // the conjunction
-  int distinct_decisions = 0;  // max distinct values over the slots
-  std::int64_t decided_ok = 0;  // slots decided with the command
-  DetectorReport detector;      // core::detector_verdict of the batch
-  std::int64_t witness_bound = 0;
+  std::int64_t steps = 0;               // report.steps_executed
   std::vector<std::int64_t> decisions;  // per slot (-1 = undecided)
+  RunReport report;                     // the batch's run_agreement
 };
 
 struct ClosedLoopReport {
@@ -153,6 +145,7 @@ struct ClosedLoopReport {
   SectionStats section;  // this shard's batch grid section
   std::size_t batches_run = 0;      // this shard
   std::int64_t shard_requests = 0;  // requests in this shard's batches
+  /// Requests whose slot's (smallest) decided value is the command.
   std::int64_t shard_decided_ok = 0;
   /// (request id, decided value) per request in this shard's batches,
   /// in admitted order — the batching-equivalence observable.
@@ -168,11 +161,15 @@ class ServiceHarness {
   /// The deterministic admission/batching plan (closed loop).
   AdmissionPlan plan() const;
 
-  /// Executes batch `index` of `plan`: decides its commands (one slot
-  /// each) with one detector + MultiShotAgreement stack under the
-  /// enforced schedule seeded from derive_cell_seed(config.seed,
-  /// index). Pure function of (config, plan, index) — safe to fan out
-  /// across pool workers.
+  /// Batch `index` of `plan` as an engine run: its commands as
+  /// slot_commands under the enforced family, seeded from
+  /// derive_cell_seed(config.seed, index).
+  RunConfig batch_config(const AdmissionPlan& plan,
+                         std::size_t index) const;
+
+  /// Executes batch `index` of `plan`: run_agreement(batch_config(...))
+  /// on a run-local arena, the run run_closed_loop gives the batch.
+  /// Pure function of (config, plan, index).
   BatchOutcome run_batch(const AdmissionPlan& plan,
                          std::size_t index) const;
 

@@ -3,7 +3,9 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <iostream>
 #include <optional>
+#include <vector>
 
 #include "src/util/assert.h"
 
@@ -101,10 +103,25 @@ RunnerOptions parse_runner_options(int argc, const char* const* argv,
       SETLIB_EXPECTS(!options.json_path.empty());
       continue;
     }
-    throw ContractViolation(name + ": unrecognized argument '" + arg +
-                            "'");
+    throw ContractViolation("unrecognized argument '" + arg + "'");
   }
   return options;
+}
+
+RunnerOptions parse_cli_or_exit(
+    int argc, const char* const* argv, const std::string& name,
+    const std::function<bool(const std::string&)>& own_flag) {
+  try {
+    std::vector<const char*> shared{argv[0]};  // argv[argc] is null
+    for (int i = 1; i < argc; ++i) {
+      if (!own_flag || !own_flag(argv[i])) shared.push_back(argv[i]);
+    }
+    return parse_runner_options(static_cast<int>(shared.size()),
+                                shared.data(), name);
+  } catch (const ContractViolation& e) {
+    std::cerr << name << ": usage error: " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 }  // namespace setlib::core

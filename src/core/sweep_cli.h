@@ -13,12 +13,13 @@
 //                  `--cells=K..K+1/N` is the K-th of N equal slices.
 //   --json[=path]  write BENCH_<name>.json (sections, throughput,
 //                  per-cell latency percentiles and rows)
-// Any other argument is an error: a caller with arguments of its own
-// strips them before the call, so a misspelt flag (`--thread=4`,
-// `--jsn=x.json`) fails instead of running with the defaults.
+// Any other argument is an error, so a misspelt flag (`--thread=4`,
+// `--jsn=x.json`) fails instead of running with the defaults; in a
+// main (parse_cli_or_exit) it is a usage error with exit status 2.
 #ifndef SETLIB_CORE_SWEEP_CLI_H
 #define SETLIB_CORE_SWEEP_CLI_H
 
+#include <functional>
 #include <string>
 
 #include "src/core/runner.h"
@@ -29,6 +30,14 @@ namespace setlib::core {
 /// ContractViolation naming the first argument that is not one of them.
 RunnerOptions parse_runner_options(int argc, const char* const* argv,
                                    const std::string& name);
+
+/// parse_runner_options for a program's main. `own_flag`, when given,
+/// sees each argument first and consumes the program's own flags
+/// (returning true). Any ContractViolation is a usage error: the message
+/// goes to stderr and the process exits 2, as schedule_fuzzer does.
+RunnerOptions parse_cli_or_exit(
+    int argc, const char* const* argv, const std::string& name,
+    const std::function<bool(const std::string&)>& own_flag = {});
 
 /// Strict base-10 parse of a flag value. Rejects empty values,
 /// trailing garbage ("8x"), and out-of-range magnitudes (strtol's

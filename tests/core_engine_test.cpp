@@ -33,6 +33,37 @@ TEST(EngineTest, TrivialRegimeUsesTrivialAlgorithm) {
   EXPECT_FALSE(report.detector.used);
 }
 
+TEST(EngineTest, SlotCommandsRunTheMultiShotLog) {
+  RunConfig cfg;
+  cfg.spec = {2, 1, 4};
+  cfg.system = matching_system(cfg.spec);
+  cfg.seed = 5;
+  cfg.slot_commands = {70, 71, 70, 72};
+  const RunReport report = run_agreement(cfg);
+  EXPECT_EQ(report.algorithm, "kanti-omega+multishot");
+  EXPECT_TRUE(report.success) << report.detail;
+  EXPECT_TRUE(report.detector.used);
+  EXPECT_EQ(report.distinct_decisions, 1);
+  EXPECT_NE(report.schedule_hash, 0u);
+  // One decision per slot, and validity pins it to the slot's command.
+  ASSERT_EQ(report.decisions.size(), cfg.slot_commands.size());
+  for (std::size_t s = 0; s < cfg.slot_commands.size(); ++s) {
+    EXPECT_EQ(report.decisions[s], cfg.slot_commands[s]) << "slot " << s;
+  }
+}
+
+TEST(EngineTest, SlotCommandsNeedTheDetectorStackAndNoProposals) {
+  RunConfig cfg;
+  cfg.spec = {1, 2, 4};  // k > t: the trivial algorithm has no log
+  cfg.system = {4, 4, 4};
+  cfg.slot_commands = {1, 2};
+  EXPECT_ANY_THROW(run_agreement(cfg));
+  cfg.spec = {2, 1, 4};
+  cfg.system = matching_system(cfg.spec);
+  cfg.proposals = {1, 2, 3, 4};
+  EXPECT_ANY_THROW(run_agreement(cfg));
+}
+
 TEST(EngineTest, FriendlyWithCrashes) {
   RunConfig cfg;
   cfg.spec = {2, 1, 4};

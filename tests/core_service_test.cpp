@@ -2,8 +2,9 @@
 // stats are bit-identical at any thread count and across shard merges,
 // backpressure sheds exactly what the bounded queue cannot hold,
 // batching never changes what gets decided (B=1 and B=64 produce the
-// same request -> decision map), and the SLO percentile math matches a
-// reference nearest-rank sort.
+// same request -> decision map), the SLO percentile math matches a
+// reference nearest-rank sort, and every batch is an engine run whose
+// row facts and schedule_hash are pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,6 +199,8 @@ TEST(ServiceHarnessTest, StabilizedDetectorNamesAKSetWinnerset) {
   for (std::size_t b = 0; b < rows.reports().size(); ++b) {
     const RunReport& report = rows.reports()[b];
     EXPECT_TRUE(report.detector.used);
+    EXPECT_EQ(report.algorithm, "kanti-omega+multishot");
+    EXPECT_NE(report.schedule_hash, 0u) << "batch " << b;
     if (report.detector.stabilized) {
       ++stabilized;
       EXPECT_EQ(report.detector.winnerset.size(), config.spec.k)
@@ -235,19 +238,21 @@ TEST(ServiceHarnessTest, DecidedButJudgedFailedBatchesArePinned) {
   const BatchOutcome first = harness.run_batch(plan, 0);
   EXPECT_EQ(first.decisions.size(), 1u);
   EXPECT_EQ(first.steps, 128);
-  EXPECT_TRUE(first.success);
-  EXPECT_FALSE(first.detector.abstract_ok);
-  EXPECT_EQ(first.detector.min_iterations, 0);
-  EXPECT_EQ(first.witness_bound, 3);
+  EXPECT_TRUE(first.report.success);
+  EXPECT_FALSE(first.report.detector.abstract_ok);
+  EXPECT_EQ(first.report.detector.min_iterations, 0);
+  EXPECT_EQ(first.report.witness_bound, 3);
+  EXPECT_EQ(first.report.schedule_hash, 0xfffe3937f8e80655ULL);
 
   const BatchOutcome late = harness.run_batch(plan, 706);
   EXPECT_EQ(late.decisions.size(), 29u);
   EXPECT_EQ(late.steps, 2'368);
-  EXPECT_TRUE(late.success);
-  EXPECT_FALSE(late.detector.abstract_ok);
-  EXPECT_EQ(late.detector.min_iterations, 11);
-  EXPECT_EQ(late.detector.total_winnerset_changes, 4);
-  EXPECT_EQ(late.witness_bound, 3);
+  EXPECT_TRUE(late.report.success);
+  EXPECT_FALSE(late.report.detector.abstract_ok);
+  EXPECT_EQ(late.report.detector.min_iterations, 11);
+  EXPECT_EQ(late.report.detector.total_winnerset_changes, 4);
+  EXPECT_EQ(late.report.witness_bound, 3);
+  EXPECT_EQ(late.report.schedule_hash, 0xa28c3bae66f132f2ULL);
 }
 
 TEST(ServiceHarnessTest, ClosedLoopRowsAndDecisionsArePinned) {

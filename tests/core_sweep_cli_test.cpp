@@ -163,6 +163,48 @@ TEST(SweepCliTest, CliAndMergeShareOneRangeRule) {
   }
 }
 
+TEST(SweepCliTest, OwnFlagsAreConsumedBeforeTheSharedParse) {
+  std::vector<std::string> args = {"prog", "--mine=3", "--threads=2",
+                                   "pos"};
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  std::vector<std::string> own;
+  const RunnerOptions options = parse_cli_or_exit(
+      static_cast<int>(argv.size()), argv.data(), "cli_test",
+      [&](const std::string& arg) {
+        if (arg.rfind("--threads=", 0) == 0) return false;
+        own.push_back(arg);
+        return true;
+      });
+  EXPECT_EQ(options.threads, 2);
+  EXPECT_EQ(own, (std::vector<std::string>{"--mine=3", "pos"}));
+}
+
+TEST(SweepCliDeathTest, BadFlagsAreAUsageErrorNotAnAbort) {
+  const auto run = [](std::vector<std::string> args) {
+    std::vector<const char*> argv = {"prog"};
+    for (const std::string& arg : args) argv.push_back(arg.c_str());
+    parse_cli_or_exit(static_cast<int>(argv.size()), argv.data(),
+                      "cli_test");
+  };
+  EXPECT_EXIT(run({"--no-such-flag"}), ::testing::ExitedWithCode(2),
+              "cli_test: usage error: unrecognized argument "
+              "'--no-such-flag'");
+  EXPECT_EXIT(run({"--threads=x"}), ::testing::ExitedWithCode(2),
+              "--threads=");
+  EXPECT_EXIT(run({"--threads=-2"}), ::testing::ExitedWithCode(2),
+              "options.threads >= 0");
+  // An own-flag handler's ContractViolation is a usage error too.
+  std::vector<const char*> argv = {"prog", "--mine=x"};
+  EXPECT_EXIT(parse_cli_or_exit(2, argv.data(), "cli_test",
+                                [](const std::string& arg) {
+                                  int value = 0;
+                                  return consume_int_flag(arg, "--mine=",
+                                                          &value);
+                                }),
+              ::testing::ExitedWithCode(2), "--mine=");
+}
+
 TEST(SweepCliTest, NegativeCountsAreRejected) {
   EXPECT_THROW(parse({"--threads=-1"}), ContractViolation);
   EXPECT_THROW(parse({"--repeat=0"}), ContractViolation);
