@@ -27,7 +27,7 @@ MultiShotAgreement::MultiShotAgreement(shm::IMemory& mem, Params params,
   }
   log_.assign(static_cast<std::size_t>(params.n) *
                   static_cast<std::size_t>(params.slots),
-              std::nullopt);
+              Entry{});
 }
 
 PaxosConsensus& MultiShotAgreement::instance(int slot, int m) {
@@ -38,17 +38,25 @@ PaxosConsensus& MultiShotAgreement::instance(int slot, int m) {
                     static_cast<std::size_t>(m)];
 }
 
+std::size_t MultiShotAgreement::at(Pid p, int slot) const {
+  return static_cast<std::size_t>(p) *
+             static_cast<std::size_t>(params_.slots) +
+         static_cast<std::size_t>(slot);
+}
+
 void MultiShotAgreement::install(shm::ProcessRuntime& proc, Pid p,
-                                 std::vector<std::int64_t> commands) {
+                                 std::span<const std::int64_t> commands) {
   SETLIB_EXPECTS(p >= 0 && p < params_.n);
   SETLIB_EXPECTS(proc.pid() == p);
   SETLIB_EXPECTS(commands.size() ==
                  static_cast<std::size_t>(params_.slots));
-  proc.add_task(driver(p, std::move(commands)), "multishot");
+  for (int s = 0; s < params_.slots; ++s) {
+    log_[at(p, s)].command = commands[static_cast<std::size_t>(s)];
+  }
+  proc.add_task(driver(p), "multishot");
 }
 
-shm::Prog MultiShotAgreement::driver(Pid p,
-                                     std::vector<std::int64_t> commands) {
+shm::Prog MultiShotAgreement::driver(Pid p) {
   const int k = params_.k;
   // Per-slot race state, reset (not reallocated) at each slot.
   std::vector<PaxosConsensus::Status> statuses(static_cast<std::size_t>(k));
@@ -68,14 +76,12 @@ shm::Prog MultiShotAgreement::driver(Pid p,
       };
       statuses[static_cast<std::size_t>(m)] = PaxosConsensus::Status{};
       kids.push_back(instance(slot, m).run(
-          p, commands[static_cast<std::size_t>(slot)], leader,
+          p, log_[at(p, slot)].command, leader,
           &statuses[static_cast<std::size_t>(m)]));
     }
     const std::size_t won = co_await shm::first_of(kids);
     SETLIB_ASSERT(statuses[won].decided);
-    log_[static_cast<std::size_t>(p) *
-             static_cast<std::size_t>(params_.slots) +
-         static_cast<std::size_t>(slot)] = statuses[won].value;
+    log_[at(p, slot)].decided = statuses[won].value;
   }
 }
 
@@ -83,9 +89,7 @@ std::optional<std::int64_t> MultiShotAgreement::log_at(Pid p,
                                                        int slot) const {
   SETLIB_EXPECTS(p >= 0 && p < params_.n);
   SETLIB_EXPECTS(slot >= 0 && slot < params_.slots);
-  return log_[static_cast<std::size_t>(p) *
-                  static_cast<std::size_t>(params_.slots) +
-              static_cast<std::size_t>(slot)];
+  return log_[at(p, slot)].decided;
 }
 
 int MultiShotAgreement::decided_prefix(Pid p) const {

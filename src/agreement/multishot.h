@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/agreement/paxos.h"
@@ -41,9 +42,10 @@ class MultiShotAgreement {
                      const fd::KAntiOmega* detector);
 
   /// Install the driver task for process p. `commands[s]` is p's
-  /// proposal for slot s (commands.size() == slots).
+  /// proposal for slot s (commands.size() == slots); they are copied
+  /// into the log's own table, so the caller's storage may go.
   void install(shm::ProcessRuntime& proc, Pid p,
-               std::vector<std::int64_t> commands);
+               std::span<const std::int64_t> commands);
 
   /// p's decided value for slot s (nullopt = not yet decided locally).
   std::optional<std::int64_t> log_at(Pid p, int slot) const;
@@ -67,14 +69,20 @@ class MultiShotAgreement {
   const Params& params() const noexcept { return params_; }
 
  private:
-  shm::Prog driver(Pid p, std::vector<std::int64_t> commands);
+  struct Entry {
+    std::int64_t command = 0;             // p's proposal for the slot
+    std::optional<std::int64_t> decided;  // nullopt = not yet decided
+  };
+
+  shm::Prog driver(Pid p);
   PaxosConsensus& instance(int slot, int m);
+  std::size_t at(Pid p, int slot) const;  // index into log_
 
   Params params_;
   const fd::KAntiOmega* detector_;
   std::vector<PaxosConsensus> instances_;  // [slot*k + m]
-  // log_[p * slots + s]: p's decision for slot s.
-  std::vector<std::optional<std::int64_t>> log_;
+  // log_[p * slots + s]: p's command and decision for slot s.
+  std::vector<Entry> log_;
 };
 
 }  // namespace setlib::agreement

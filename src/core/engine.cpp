@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -41,7 +42,7 @@ FamilySetup make_friendly(const RunConfig& cfg) {
   FamilySetup setup(n);
   setup.timely_set = ProcSet::range(0, cfg.system.i);
   setup.observed_set = ProcSet::range(0, cfg.system.j);
-  setup.plan = cfg.crashes.value_or(sched::CrashPlan::none(n));
+  if (cfg.crashes) setup.plan = *cfg.crashes;  // else none, as constructed
   SETLIB_EXPECTS(setup.plan.n() == n);
   auto base =
       std::make_unique<sched::UniformRandomGenerator>(n, cfg.seed);
@@ -230,11 +231,16 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
 
   const bool multishot = !cfg.slot_commands.empty();
   SETLIB_EXPECTS(!multishot || (k <= t && cfg.proposals.empty()));
-  std::vector<std::int64_t> proposals = cfg.proposals;
-  if (proposals.empty()) {
-    for (Pid p = 0; p < n; ++p) proposals.push_back(100 + p);
+  // A multi-shot run proposes its slot commands: it builds no
+  // per-process proposals.
+  std::vector<std::int64_t> proposals;
+  if (!multishot) {
+    proposals = cfg.proposals;
+    if (proposals.empty()) {
+      for (Pid p = 0; p < n; ++p) proposals.push_back(100 + p);
+    }
+    SETLIB_EXPECTS(proposals.size() == static_cast<std::size_t>(n));
   }
-  SETLIB_EXPECTS(proposals.size() == static_cast<std::size_t>(n));
 
   FamilySetup setup = [&] {
     switch (cfg.family) {
@@ -282,22 +288,25 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
   // Each stop check (every 64 steps) publishes decision proximity for
   // reactive adversaries: decided flags and detector iterations.
   const auto run = [&](const auto& decided, const fd::KAntiOmega* detector) {
-    report.steps_executed =
-        sim.run_until(*setup.generator, cfg.max_steps, [&] {
-          if (setup.feed != nullptr) {
-            for (Pid p = 0; p < n; ++p) {
-              if (detector != nullptr) {
-                setup.feed->publish_progress(p, detector->view(p).iterations);
-              }
-              if (decided(p)) setup.feed->publish_decided(p);
-            }
+    const auto stop = [&] {
+      if (setup.feed != nullptr) {
+        for (Pid p = 0; p < n; ++p) {
+          if (detector != nullptr) {
+            setup.feed->publish_progress(p, detector->view(p).iterations);
           }
-          if (cfg.run_full_budget) return false;
-          bool all = true;
-          sim.crashed_set().complement(n).for_each(
-              [&](Pid p) { all = all && decided(p); });
-          return all;
-        });
+          if (decided(p)) setup.feed->publish_decided(p);
+        }
+      }
+      if (cfg.run_full_budget) return false;
+      bool all = true;
+      sim.crashed_set().complement(n).for_each(
+          [&](Pid p) { all = all && decided(p); });
+      return all;
+    };
+    // Through std::ref: a std::function holding a reference_wrapper
+    // stores it in place, while these captures would take a heap box.
+    report.steps_executed =
+        sim.run_until(*setup.generator, cfg.max_steps, std::ref(stop));
   };
   agreement::AgreementVerdict verdict;  // the multi-shot fold fills it
 
@@ -398,7 +407,8 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
 
   {
     // Analysis phase: pack the executed schedule once on the cell
-    // arena and run the witness check on the packed form. The counter
+    // arena and run the witness check on the packed form; the replay
+    // hash was streamed by the simulator as the steps ran. The counter
     // deltas across this frame are the run's allocation account —
     // zero when the packed words + scan scratch fit the reserve.
     const std::int64_t allocs_before = arena.allocs();
@@ -407,7 +417,7 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
     const sched::PackedSchedule packed(sim.executed(), arena);
     report.witness_bound =
         packed.bound_for(setup.timely_set, setup.observed_set);
-    report.schedule_hash = sched::schedule_hash(sim.executed());
+    report.schedule_hash = sim.executed_hash();
     report.allocs_per_op = arena.allocs() - allocs_before;
     report.bytes_per_op = arena.bytes() - bytes_before;
   }

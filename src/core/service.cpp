@@ -200,8 +200,7 @@ RunConfig ServiceHarness::batch_config(const AdmissionPlan& plan,
 
 BatchOutcome ServiceHarness::run_batch(const AdmissionPlan& plan,
                                        std::size_t index) const {
-  // An arena reserve is zero-filled when acquired: a batch-sized one
-  // (2,000 steps pack into about 1 KB) spares the 8 MB default's fill.
+  // A batch-sized reserve: 2,000 steps pack into about 1 KB.
   util::ArenaAllocator arena(std::size_t{64} << 10);
   BatchOutcome out;
   out.report = run_agreement(batch_config(plan, index), arena);

@@ -1,7 +1,6 @@
 #include "src/sched/schedule.h"
 
 #include "src/util/assert.h"
-#include "src/util/rng.h"
 
 namespace setlib::sched {
 
@@ -62,21 +61,9 @@ Schedule Schedule::slice(std::int64_t from, std::int64_t to) const {
 }
 
 std::uint64_t schedule_hash(const Schedule& s) noexcept {
-  // Chain the stream through splitmix64's mixer, feeding each mixed
-  // output back into the state: the next fold is added to a value that
-  // already depends nonlinearly on everything before it, so step ORDER
-  // (not just the multiset of pids) shapes the hash. Folding in n and
-  // the length first keeps e.g. (n=2, "010") distinct from (n=3, "010").
-  std::uint64_t state = 0x5e741a11u;  // arbitrary fixed chain seed
-  state += static_cast<std::uint64_t>(s.n());
-  state = splitmix64(state);
-  state += static_cast<std::uint64_t>(s.size());
-  state = splitmix64(state);
-  for (Pid p : s.steps()) {
-    state += static_cast<std::uint64_t>(p) + 1;
-    state = splitmix64(state);
-  }
-  return state;
+  ScheduleHasher hasher;
+  for (const Pid p : s.steps()) hasher.add(p);
+  return hasher.finish(s.n());
 }
 
 std::string hash_hex(std::uint64_t hash) {

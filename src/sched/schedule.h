@@ -7,12 +7,14 @@
 #ifndef SETLIB_SCHED_SCHEDULE_H
 #define SETLIB_SCHED_SCHEDULE_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/util/assert.h"
 #include "src/util/procset.h"
+#include "src/util/rng.h"
 
 namespace setlib::sched {
 
@@ -70,7 +72,53 @@ class Schedule {
   std::vector<Pid> steps_;
 };
 
-/// Replay hash: a splitmix64 chain over (n, length, step stream). Two
+/// The replay hash, fed one step at a time: the simulator adds each
+/// step as it executes, so a finished run's hash costs no second walk
+/// over its schedule. Step i goes to lane i mod 4, and each lane is its
+/// own splitmix64 chain (state += pid + 1, then mix), so the four
+/// chains are independent and their mixes overlap instead of queueing
+/// behind one another. Within a lane the mixed output feeds the next
+/// fold, so step ORDER, not just the multiset of pids, shapes the hash;
+/// steps swapped across lanes land in different chains. finish(n)
+/// chains n, the four lanes in lane order, and the length last, which
+/// keeps e.g. (n=2, "010") distinct from (n=3, "010").
+class ScheduleHasher {
+ public:
+  void add(Pid p) noexcept {
+    std::uint64_t& lane = lanes_[length_ & 3];
+    lane += static_cast<std::uint64_t>(p) + 1;
+    lane = splitmix64(lane);
+    ++length_;
+  }
+
+  std::uint64_t finish(int n) const noexcept {
+    std::uint64_t state = kChainSeed + static_cast<std::uint64_t>(n);
+    state = splitmix64(state);
+    for (const std::uint64_t lane : lanes_) {
+      state += lane;
+      state = splitmix64(state);
+    }
+    state += length_;
+    return splitmix64(state);
+  }
+
+ private:
+  static constexpr std::uint64_t kChainSeed = 0x5e741a11u;  // arbitrary
+
+  // Lane seeds: the first four outputs of a splitmix64 stream from
+  // kChainSeed, so no two lanes start equal.
+  static constexpr std::array<std::uint64_t, 4> seeds() noexcept {
+    std::uint64_t state = kChainSeed;
+    std::array<std::uint64_t, 4> out{};
+    for (std::uint64_t& seed : out) seed = splitmix64(state);
+    return out;
+  }
+
+  std::array<std::uint64_t, 4> lanes_ = seeds();
+  std::uint64_t length_ = 0;
+};
+
+/// Replay hash of a whole schedule: ScheduleHasher over its steps. Two
 /// schedules collide only if the hash does; equal hashes over the same
 /// generator version mean bit-identical executions, which is what the
 /// fuzzer corpus and the merged bench rows pin across reruns and shards.

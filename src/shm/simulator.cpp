@@ -82,6 +82,7 @@ inline bool Simulator::execute(Pid p) {
   if ((crashed_.mask() >> p & 1) != 0) return false;
   procs_[static_cast<std::size_t>(p)].step(mem_);
   executed_.append(p);
+  hasher_.add(p);
   if (feed_ != nullptr) feed_->record_step(p);
   return true;
 }

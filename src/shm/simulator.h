@@ -4,8 +4,9 @@
 // corresponding ProcessRuntime per pick, recording the *executed*
 // schedule (which experiments cross-check with the timeliness analyzer —
 // the executed schedule, not the generator's intent, is what Definition
-// 1 is evaluated on). Crashed processes take no further steps; picks
-// that land on a crashed process are skipped without being recorded.
+// 1 is evaluated on) and streaming its replay hash. Crashed processes
+// take no further steps; picks that land on a crashed process are
+// skipped without being recorded or hashed.
 //
 // Picks are pulled with fill() in blocks of at most kBlock. A block
 // ends at the next stop check, the next crash-plan step, max_steps and
@@ -83,6 +84,9 @@ class Simulator {
 
   const sched::Schedule& executed() const noexcept { return executed_; }
   std::int64_t steps_taken() const noexcept { return executed_.size(); }
+  /// schedule_hash(executed()), streamed: each step is hashed as it
+  /// executes, so reading it walks no schedule.
+  std::uint64_t executed_hash() const noexcept { return hasher_.finish(n_); }
 
  private:
   /// Executed-schedule capacity taken at the first run_until (steps).
@@ -100,6 +104,7 @@ class Simulator {
   std::vector<ProcessRuntime> procs_;
   ProcSet crashed_;
   sched::Schedule executed_;
+  sched::ScheduleHasher hasher_;  // fed with every step of executed_
   std::array<std::int64_t, kMaxProcs> plan_crash_steps_;  // first n_ used
   // Least plan crash step of a process not yet crashed (kNever if none):
   // before it, maybe_crash_per_plan has nothing to do.

@@ -16,7 +16,10 @@ std::size_t align_up(std::size_t value, std::size_t align) noexcept {
 
 ArenaAllocator::Block ArenaAllocator::make_block(std::size_t size) {
   Block block;
-  block.data = std::make_unique<std::byte[]>(size + kMaxAlign);
+  // Not zero-filled: every consumer writes arena memory before it
+  // reads it, and a fill would cost a memset of the whole block and
+  // make an untouched reserve resident.
+  block.data = std::make_unique_for_overwrite<std::byte[]>(size + kMaxAlign);
   // The address feeds only this block's private base adjustment; no
   // ordering, hashing, or counter ever sees it, so ASLR cannot leak
   // into any reported fact.

@@ -4,13 +4,6 @@
 
 namespace setlib {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 FixedBound::FixedBound(std::uint64_t bound)
     : bound_(bound), power_of_two_((bound & (bound - 1)) == 0) {
   SETLIB_EXPECTS(bound > 0);

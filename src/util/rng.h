@@ -16,7 +16,13 @@
 namespace setlib {
 
 /// SplitMix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// Inline: the schedule hash runs it once per executed step.
+constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// A bound fixed for many Rng::next_below draws, with both of
 /// next_below's divisions paid once here: the rejection threshold, and

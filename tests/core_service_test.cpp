@@ -242,7 +242,7 @@ TEST(ServiceHarnessTest, DecidedButJudgedFailedBatchesArePinned) {
   EXPECT_FALSE(first.report.detector.abstract_ok);
   EXPECT_EQ(first.report.detector.min_iterations, 0);
   EXPECT_EQ(first.report.witness_bound, 3);
-  EXPECT_EQ(first.report.schedule_hash, 0xfffe3937f8e80655ULL);
+  EXPECT_EQ(first.report.schedule_hash, 0x37cd105d8ce2adbfULL);
 
   const BatchOutcome late = harness.run_batch(plan, 706);
   EXPECT_EQ(late.decisions.size(), 29u);
@@ -252,7 +252,7 @@ TEST(ServiceHarnessTest, DecidedButJudgedFailedBatchesArePinned) {
   EXPECT_EQ(late.report.detector.min_iterations, 11);
   EXPECT_EQ(late.report.detector.total_winnerset_changes, 4);
   EXPECT_EQ(late.report.witness_bound, 3);
-  EXPECT_EQ(late.report.schedule_hash, 0xa28c3bae66f132f2ULL);
+  EXPECT_EQ(late.report.schedule_hash, 0xb833e589c5e05aceULL);
 }
 
 TEST(ServiceHarnessTest, ClosedLoopRowsAndDecisionsArePinned) {

@@ -590,17 +590,17 @@ TEST(GeneratorFillTest, PinnedScheduleHashes) {
   };
   const std::vector<Pin> pins = {
       {"enforced census", [] { return census_enforced(11); }, 40'000,
-       "c54b9aaf2742ad6c"},
+       "1c986350614058d7"},
       {"starver census",
        [] {
          return std::make_unique<KSubsetStarverGenerator>(
              24, ProcSet::universe(24), 2, 64);
        },
-       40'000, "8f5bfedcbe368d5c"},
+       40'000, "54a70de57a145dc5"},
       {"3 constraints + crashes", [] { return crashing_enforced(2024, 3); },
-       5'000, "4aea284e5b9ab475"},
+       5'000, "01e1d87a50f51a17"},
       {"chained constraints", [] { return chained_enforced(); }, 3'000,
-       "87a1967a4a9d46c7"},
+       "8857937ce35b2f1f"},
   };
   for (const Pin& pin : pins) {
     auto filled = pin.make();

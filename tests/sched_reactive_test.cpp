@@ -182,57 +182,59 @@ Schedule generate_published(ReactiveGenerator& gen, std::int64_t steps) {
 // schedule_hash of 3,000 generated steps for every reactive kind over
 // n x victims x stretch x crash budget x publication, in loop order.
 // Captured before the reactive adversaries lost their per-step
-// allocations and divisions; they pin the streams bit for bit and must
-// never be re-pinned to make a change pass.
+// allocations and divisions, and re-pinned only when schedule_hash
+// itself was redefined (four lanes), after the same streams still
+// matched the old constants under the old hash. They pin the streams
+// bit for bit and must never be re-pinned to make a change pass.
 constexpr std::uint64_t kPinnedStreams[] = {
-    0xa7a765ba75d8f962ull, 0xa7a765ba75d8f962ull, 0xa7a765ba75d8f962ull,
-    0xa7a765ba75d8f962ull, 0xb20b117e813dfa04ull, 0xb20b117e813dfa04ull,
-    0xb20b117e813dfa04ull, 0xb20b117e813dfa04ull, 0xa7a765ba75d8f962ull,
-    0xa7a765ba75d8f962ull, 0xa7a765ba75d8f962ull, 0xa7a765ba75d8f962ull,
-    0xb20b117e813dfa04ull, 0xb20b117e813dfa04ull, 0xb20b117e813dfa04ull,
-    0xb20b117e813dfa04ull, 0x2b65d28006178f31ull, 0x2b65d28006178f31ull,
-    0x2b65d28006178f31ull, 0x2b65d28006178f31ull, 0xe0bc44f54ad6f322ull,
-    0xe0bc44f54ad6f322ull, 0xe0bc44f54ad6f322ull, 0xe0bc44f54ad6f322ull,
-    0x3113117b211f6afbull, 0x270a7472bd591cd8ull, 0x79630c903bc9919eull,
-    0x153084b6d9540a9eull, 0x533bca90d92c382cull, 0x7ec7bdb094bda003ull,
-    0x8ce1d5ecc0cb69f3ull, 0x72bc5518f09e01faull, 0xce5035ee78f11833ull,
-    0xce5035ee78f11833ull, 0xce5035ee78f11833ull, 0xce5035ee78f11833ull,
-    0x5ef3d904adf530dcull, 0x5ef3d904adf530dcull, 0x5ef3d904adf530dcull,
-    0x5ef3d904adf530dcull, 0x63d7f092908bb452ull, 0xce395b235ce6fbaeull,
-    0xcbb67f6a6a11ff8bull, 0x094cdf9273824139ull, 0x64af24f18220e0a0ull,
-    0x79ff752ee31c8660ull, 0xf05e281ead6191ebull, 0xbbb9a6d4ab39c4c6ull,
-    0x8a7d3a6b1274c736ull, 0x384b12a5b2206d24ull, 0x56840a9874efc788ull,
-    0xbda3b540a3fecb79ull, 0x12db13aad61e29f9ull, 0x89bb0c1017ea1dd3ull,
-    0x2bc260d65fedf0acull, 0x96808f14cafef922ull, 0x295b49e814f9ee63ull,
-    0xa6ab73a4564886bcull, 0x295b49e814f9ee63ull, 0xa6ab73a4564886bcull,
-    0x1d5fd687d47e5636ull, 0xa6117eb90a5a8578ull, 0x1d5fd687d47e5636ull,
-    0xa6117eb90a5a8578ull, 0xb377d4b89bf2f3bfull, 0x9e997a4c5537cbb1ull,
-    0x294bb9f7ccf5da37ull, 0x362df53bcc9f82dcull, 0x02796cb71913d6ffull,
-    0x760469c63e4a73b1ull, 0x6c75c36daa5cb432ull, 0xfede0f825ef97494ull,
-    0x2faf9ba8ec459b5eull, 0xb3399a468154fd2dull, 0x37d5f04bcbf1cf8dull,
-    0x2f430be1808337faull, 0x5ff2fabd33a01afdull, 0xe013446ac3232ab6ull,
-    0x78a636ecc621e2c3ull, 0x5941bd4a79b3d064ull, 0xd751bc899e018930ull,
-    0xb1ed3a2e592baafdull, 0xdf6f54b6d6bbb3faull, 0x09d2ff931dafe61aull,
-    0xea1fbf24ff65ca9bull, 0x147907004bdedd28ull, 0xde84f86ce4f09a19ull,
-    0x290acee5a4672936ull, 0x04fa6641ef97c31aull, 0x3cd24fea95559bbdull,
-    0x5393a856c556d8e5ull, 0xb3562223ad62e0a2ull, 0x043649fae7a9e123ull,
-    0xd8d540825c2cf4d0ull, 0x19d51dc694e9bc27ull, 0x089b8df5f0d4062aull,
-    0xc39cbd7422302ae3ull, 0x4f0e4bf36ef8b6adull, 0x93bf24051242a92cull,
-    0xe4ec051c00941f8full, 0x87cdd0938ee7e6c6ull, 0xd4011c94d0a68083ull,
-    0xda434ae587d67554ull, 0xee13a2784c2acc7eull, 0x633c84e23b0ecfc5ull,
-    0xa744f53b9b4d4aebull, 0x3c338fe1e50bb52eull, 0xa965bccfcdd70058ull,
-    0x14aff8400b6e6908ull, 0x137bccdbb725bc52ull, 0x9f4d81ce49e53395ull,
-    0x80a37d101fe4048bull, 0x2c99afb3a74dc3faull, 0x98b23f6772dbdfbaull,
-    0xa234105ebf1e1e3cull, 0x24cfe1267f722f7aull, 0x13a43d6aa1f1f4dbull,
-    0x2486b14faa69d9edull, 0xb86bb93f13747776ull, 0x599db60d6e189989ull,
-    0x38638fe9dc32115dull, 0xb8fa492b174dfa8bull, 0xe4c54a298b250518ull,
-    0xb0bec5f0ec0d138full, 0x3ce5a9a2903ef988ull, 0xeedfd6431ee5dc5dull,
-    0x795f02f3c80655eeull, 0xe10875f046ecb593ull, 0xcd74c8f93dc54c3bull,
-    0x31d14d0a47380317ull, 0xdcab10807ff2f465ull, 0xa265637790bed325ull,
-    0x9d751d9ec56d6972ull, 0x3c0921e6066241b1ull, 0xcf5c23d3d9da4715ull,
-    0xc4a19950cb47f2dbull, 0x238fea0a1bcc3035ull, 0x3aa0b166c699fe03ull,
-    0xe62e6ae3100df7bcull, 0x3d967129badf7910ull, 0x3af92a74bdbc0d4full,
-    0xd2ad5e7651283724ull, 0x058c3baad89d30e9ull, 0x800c89e1d9c90b13ull,
+    0xd62de68b58ca18feull, 0xd62de68b58ca18feull, 0xd62de68b58ca18feull,
+    0xd62de68b58ca18feull, 0xb8f07ab671014ed5ull, 0xb8f07ab671014ed5ull,
+    0xb8f07ab671014ed5ull, 0xb8f07ab671014ed5ull, 0xd62de68b58ca18feull,
+    0xd62de68b58ca18feull, 0xd62de68b58ca18feull, 0xd62de68b58ca18feull,
+    0xb8f07ab671014ed5ull, 0xb8f07ab671014ed5ull, 0xb8f07ab671014ed5ull,
+    0xb8f07ab671014ed5ull, 0x4913807a2620e035ull, 0x4913807a2620e035ull,
+    0x4913807a2620e035ull, 0x4913807a2620e035ull, 0xab575d9b8732c25full,
+    0xab575d9b8732c25full, 0xab575d9b8732c25full, 0xab575d9b8732c25full,
+    0xbe251110f3a04e29ull, 0xdcd157596231c3cfull, 0xe92a7a1ce5896985ull,
+    0xe50b0690da078112ull, 0x8d16043ef02c32ebull, 0xebc88b303da4833cull,
+    0xcc72470fa413fa55ull, 0xaa3534a92663860aull, 0x076b597389807c89ull,
+    0x076b597389807c89ull, 0x076b597389807c89ull, 0x076b597389807c89ull,
+    0x536cccffa784cd1cull, 0x536cccffa784cd1cull, 0x536cccffa784cd1cull,
+    0x536cccffa784cd1cull, 0x08c4d8d0a3b945acull, 0xa14a9e256a9685edull,
+    0xc7d152804624f0b1ull, 0x8e2ee92cb511af06ull, 0xb8c409c2e86f31e5ull,
+    0xf7f7650428f95265ull, 0x569db1e3424d7c8dull, 0x8f7b141b36e9065eull,
+    0x92ffdcc23b7607e4ull, 0xb8b7eab67c12f90full, 0x94eaa3fa9fbe98c2ull,
+    0x04f15a8d4f537b26ull, 0x3767f3ac4a7da341ull, 0x51736525b9c279c9ull,
+    0x98f3b66222e0879dull, 0x2bf89f187ed09f82ull, 0x48191123ac462aabull,
+    0xd4ee5f7a46710003ull, 0x48191123ac462aabull, 0xd4ee5f7a46710003ull,
+    0xa3f544ce90b0babeull, 0x1e194f994ea099a6ull, 0xa3f544ce90b0babeull,
+    0x1e194f994ea099a6ull, 0xb806ed2b56bfe04eull, 0xf02670d25e6ed9aeull,
+    0x7657c5deab162f50ull, 0x686b14f06fb46c0cull, 0xa399a0dd34c76d27ull,
+    0x6b3d12bcdd6ea182ull, 0x5feef6d0dac25163ull, 0x626f46abd37c4e56ull,
+    0xc5d8eed8cce3b958ull, 0xd278bdb2d3e6b2f9ull, 0x2103b3a57bdc71bfull,
+    0xff4cb53978991b52ull, 0x3f86e1878a4b77a0ull, 0x26ed8476b68e7cbdull,
+    0xb2c4e910d9e69603ull, 0xe766e42f71a084edull, 0xc66f6de26f6816e8ull,
+    0x6f61dfe3f9e3fe43ull, 0x7008e9d50102f709ull, 0x71a99b8b2ab2bfbbull,
+    0x7dd5f04ef374683eull, 0x677a911d44823a10ull, 0x59520cf005d72cbfull,
+    0x0b28b9b7e4d8df52ull, 0xb2563cdc6dee5e34ull, 0x2420e448a9356a7eull,
+    0x8c66e47a9febf15cull, 0x199c360d545be2a3ull, 0x407cfaa352361adfull,
+    0x6a53512123778cc5ull, 0x7a0747fd235cfc95ull, 0x63cd8feb99db082aull,
+    0xa8b5a5a041b541cbull, 0x8fc79331bb9ce78eull, 0xc6b841f35bd5b3c1ull,
+    0x3dc0e85cdc952148ull, 0x6aac4da07317f84cull, 0xa9f45830a577f26aull,
+    0x04078206e9705e0bull, 0xb03f5b310a0c6fc4ull, 0x735ea25cfffc2c23ull,
+    0xe0cc442c3a0410c5ull, 0x20f051806f497012ull, 0x97b659c048d008b3ull,
+    0x0d16de1350a9f97aull, 0x39026418cd4255d4ull, 0x199dae1398ceadecull,
+    0x343fb144b3c61a39ull, 0x2764b00a386da789ull, 0xbfff8fda7823bc39ull,
+    0x0cd844fea6ed9e0full, 0xf7321f73f9ad1895ull, 0xa99156cb0f700c68ull,
+    0xd63fc0aa7e0ed948ull, 0x975066f7c0a5b914ull, 0x619e8d985e3720c6ull,
+    0x60962b936d3487c4ull, 0x1a0006749c897c28ull, 0x2a035232f13e6d02ull,
+    0x55028659782e9c0cull, 0x772bbba40e18072cull, 0xcebe4404c407339dull,
+    0xf5b3da897a240fd5ull, 0x039d027afd73d136ull, 0x8a705fec51cfd55eull,
+    0xeada41ea42f39878ull, 0x2f80ab84d3ad9c3eull, 0x8ae996e92f8abf0dull,
+    0xf5246e34a6a4f36aull, 0xc491156afe755763ull, 0xc897bf378b915c7full,
+    0x27483f16e2737e0cull, 0x0bc600c9537456ebull, 0xa3562ced5b719fc3ull,
+    0xbbeb07d39b93cd2aull, 0x3db679b9e07efba8ull, 0xb335e1da4473f38aull,
+    0xbbdaa3c173d16423ull, 0x5afd4c9d18647077ull, 0x91ae16bc793831adull,
 };
 
 TEST(ReactivePinnedTest, StreamsMatchTheirPinnedHashes) {

@@ -12,6 +12,8 @@
 
 #include "src/sched/enforcer.h"
 #include "src/sched/generators.h"
+#include "src/sched/observations.h"
+#include "src/sched/schedule.h"
 #include "src/shm/memory.h"
 #include "src/shm/process.h"
 #include "src/shm/program.h"
@@ -494,6 +496,72 @@ TEST(SimulatorTest, RecordsExecutedSchedule) {
   for (Pid p = 0; p < 3; ++p) EXPECT_EQ(sim.executed().count(p), 10);
 }
 
+// The simulator hashes each step as it executes; the streamed hash
+// must be the whole-schedule hash on every way a step reaches it.
+TEST(SimulatorTest, StreamedHashEqualsScheduleHash) {
+  const auto expect_streamed = [](const Simulator& sim, const char* what) {
+    EXPECT_EQ(sim.executed_hash(), sched::schedule_hash(sim.executed()))
+        << what;
+  };
+  {
+    // Nothing executed yet: the empty schedule's hash.
+    SimMemory mem;
+    const Simulator sim(mem, 3);
+    expect_streamed(sim, "empty");
+    EXPECT_EQ(sim.executed_hash(), sched::schedule_hash(sched::Schedule(3)));
+  }
+  {
+    // Block-pulled: fill() blocks cut by stop checks, and a second run
+    // on the same simulator.
+    SimMemory mem;
+    const RegisterId r = mem.alloc("r");
+    Simulator sim(mem, 3);
+    for (Pid p = 0; p < 3; ++p) {
+      sim.process(p).add_task(incrementer(r, 1'000'000), "inc");
+    }
+    sched::UniformRandomGenerator gen(3, 17);
+    sim.run_until(gen, 1'001, [] { return false; }, 50);
+    sim.run(gen, 333);
+    EXPECT_EQ(sim.steps_taken(), 1'334);
+    expect_streamed(sim, "block-pulled");
+  }
+  {
+    // Per-pick: an observation feed and a crash source attached.
+    SimMemory mem;
+    const RegisterId r = mem.alloc("r");
+    Simulator sim(mem, 4);
+    for (Pid p = 0; p < 4; ++p) {
+      sim.process(p).add_task(incrementer(r, 1'000'000), "inc");
+    }
+    sched::ObservationFeed feed(4);
+    sim.publish_observations(&feed);
+    sim.use_crash_source([&feed] {
+      return feed.total_steps() >= 200 ? ProcSet::of({2}) : ProcSet();
+    });
+    sched::UniformRandomGenerator gen(4, 23);
+    sim.run(gen, 900);
+    EXPECT_TRUE(sim.crashed(2));
+    expect_streamed(sim, "per-pick");
+  }
+  {
+    // Picks on crashed processes are skipped, neither recorded nor
+    // hashed.
+    SimMemory mem;
+    const RegisterId r = mem.alloc("r");
+    Simulator sim(mem, 4);
+    for (Pid p = 0; p < 4; ++p) {
+      sim.process(p).add_task(incrementer(r, 1'000'000), "inc");
+    }
+    sim.use_crash_plan(sched::CrashPlan::at(4, ProcSet::of({1, 3}), 37));
+    sim.crash(0);
+    sched::UniformRandomGenerator gen(4, 29);
+    EXPECT_EQ(sim.run(gen, 500), 500);
+    EXPECT_EQ(sim.executed().count(0), 0);
+    EXPECT_EQ(sim.executed().count(1, 37, sim.steps_taken()), 0);
+    expect_streamed(sim, "crash skips");
+  }
+}
+
 TEST(SimulatorTest, CrashStopsSteps) {
   SimMemory mem;
   const RegisterId r = mem.alloc("r");
@@ -712,6 +780,9 @@ void expect_pull_contract(const PullCase& c, const GeneratorFactory& make,
     EXPECT_EQ(gen.pulled(), want.pulled()) << what;
   }
   EXPECT_EQ(blocked.sim.executed().steps(), reference.sim.executed().steps())
+      << what;
+  EXPECT_EQ(blocked.sim.executed_hash(),
+            sched::schedule_hash(blocked.sim.executed()))
       << what;
   EXPECT_EQ(blocked.sim.crashed_set(), reference.sim.crashed_set()) << what;
   for (int i = 0; i < 200; ++i) {

@@ -7,6 +7,10 @@
 // next, where local computation lands between steps) moves at least
 // one of these hashes, so a refactor of the coroutine plumbing that
 // keeps every constant here has kept every schedule bit-identical.
+// The executed schedule is folded in through sched::schedule_hash, so
+// redefining that hash moves every constant here without any trace
+// changing; the four-lane redefinition was re-pinned only after the
+// old constants still held under the old hash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -129,15 +133,15 @@ std::uint64_t multishot_trace(int n, int k, int t, int slots,
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK1) {
-  EXPECT_EQ(multishot_trace(4, 1, 2, 5, 11), 0xf89a8697be6f09fbULL);
+  EXPECT_EQ(multishot_trace(4, 1, 2, 5, 11), 0x0982d7bbe0b676abULL);
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK2) {
-  EXPECT_EQ(multishot_trace(5, 2, 2, 4, 12), 0xfa577a10fdf7791eULL);
+  EXPECT_EQ(multishot_trace(5, 2, 2, 4, 12), 0x99a9b18c813b25a1ULL);
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK3) {
-  EXPECT_EQ(multishot_trace(5, 3, 3, 3, 13), 0x12d6de070ca177dcULL);
+  EXPECT_EQ(multishot_trace(5, 3, 3, 3, 13), 0x7f3ce6e660a32b63ULL);
 }
 
 TEST(ShmTraceGoldenTest, KSetAgreement) {
@@ -161,7 +165,7 @@ TEST(ShmTraceGoldenTest, KSetAgreement) {
   }
   mem.fold_detector(detector, n);
   mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0xaf36c48ba5359403ULL);
+  EXPECT_EQ(mem.hash(), 0x04b229ca9a1e63e8ULL);
 }
 
 Prog snapshot_client(AtomicSnapshot* snap, Pid p, int rounds,
@@ -190,7 +194,7 @@ TEST(ShmTraceGoldenTest, SnapshotScanAndUpdate) {
     for (const std::int64_t v : scan) mem.fold(static_cast<std::uint64_t>(v));
   }
   mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0xc75d3a2896e6731fULL);
+  EXPECT_EQ(mem.hash(), 0xbe047d7632446641ULL);
 }
 
 TEST(ShmTraceGoldenTest, CommitAdopt) {
@@ -212,7 +216,7 @@ TEST(ShmTraceGoldenTest, CommitAdopt) {
     mem.fold(static_cast<std::uint64_t>(o.value));
   }
   mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0x36e565bee89409b0ULL);
+  EXPECT_EQ(mem.hash(), 0x767f8704a35ccc08ULL);
 }
 
 TEST(ShmTraceGoldenTest, BGSimulation) {
@@ -234,7 +238,7 @@ TEST(ShmTraceGoldenTest, BGSimulation) {
   }
   mem.fold(sched::schedule_hash(bgsim.simulated_schedule()));
   mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0x0a72d5c64c72ad34ULL);
+  EXPECT_EQ(mem.hash(), 0x79eaa4dccd456a18ULL);
 }
 
 }  // namespace
