@@ -128,6 +128,6 @@ int main(int argc, char** argv) {
   core::JsonSink json = runner.json_sink();
   const int contradictions = print_ablation(5, 2, 2, runner, json) +
                              print_ablation(6, 2, 3, runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return contradictions == 0 ? 0 : 1;
 }

@@ -221,6 +221,6 @@ int main(int argc, char** argv) {
   core::JsonSink json = runner.json_sink();
   print_family_grid(runner, json);
   const int mismatches = print_frontier_map(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return mismatches == 0 ? 0 : 1;
 }

@@ -172,6 +172,6 @@ int main(int argc, char** argv) {
   print_figure1_table(runner, json);
   print_series_speedup(runner, json);
   print_family_sweep(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return 0;
 }

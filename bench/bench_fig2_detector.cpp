@@ -283,6 +283,6 @@ int main(int argc, char** argv) {
   print_bound_sensitivity(runner, json);
   print_gst_series(runner, json);
   print_largen_membership(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return 0;
 }

@@ -71,6 +71,6 @@ int main(int argc, char** argv) {
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_rt_table(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return 0;
 }

@@ -87,6 +87,6 @@ int main(int argc, char** argv) {
   setlib::core::ExperimentRunner runner(options);
   setlib::core::JsonSink json = runner.json_sink();
   run_serving(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return 0;
 }

@@ -143,6 +143,6 @@ int main(int argc, char** argv) {
   print_agreement_table(runner, json);
   print_bound_series(runner, json);
   print_seed_sweep(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return 0;
 }

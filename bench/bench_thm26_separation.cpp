@@ -212,6 +212,6 @@ int main(int argc, char** argv) {
   int contradictions = print_part1_possibility(runner, json);
   print_bg_properties(runner, json);
   contradictions += print_detector_defeat(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return contradictions == 0 ? 0 : 1;
 }

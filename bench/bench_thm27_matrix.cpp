@@ -63,6 +63,6 @@ int main(int argc, char** argv) {
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   const int mismatches = print_matrices(runner, json);
-  json.write_if_requested();
+  if (!json.write_if_requested()) return 1;
   return mismatches == 0 ? 0 : 1;
 }

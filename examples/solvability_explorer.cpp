@@ -15,7 +15,9 @@
 // `--threads=N` / `--cells=LO..HI` (anywhere among the positional args)
 // shard the empirical matrix cells — and the scan's P-rank chunks —
 // across the ExperimentRunner's persistent pool. Every positional must
-// be a base-10 integer; a malformed one fails naming its argument.
+// be a base-10 integer; a malformed one is a usage error naming its
+// argument, and so is a value out of range (exit 2).
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "src/core/runner.h"
 #include "src/core/solvability.h"
 #include "src/core/sweep_cli.h"
+#include "src/util/assert.h"
 #include "src/util/table.h"
 
 namespace {
@@ -50,6 +53,19 @@ void print_predicate_matrix(const core::AgreementSpec& spec) {
             << table.render() << "\n";
 }
 
+/// Returns parse(); a ContractViolation from it is a usage error (exit
+/// 2), as a malformed flag is: a non-integer positional, named, or a
+/// spec outside its ranges (t >= n, i > j, ...).
+template <typename Parse>
+auto or_usage_error(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const ContractViolation& e) {
+    std::cerr << "solvability_explorer: usage error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -64,25 +80,35 @@ int main(int argc, char** argv) {
         return true;
       });
   const auto arg = [&](std::size_t index, const char* name) {
-    return core::parse_int_value(args[index], name);
+    return or_usage_error(
+        [&] { return core::parse_int_value(args[index], name); });
+  };
+  const auto checked = [](const auto& spec) {
+    return or_usage_error([&] {
+      spec.validate();
+      return spec;
+    });
   };
 
   if (!args.empty() && args[0] == "scan") {
     if (args.size() < 4) {
-      std::cout << "usage: solvability_explorer scan n i j [cap]\n";
-      return 1;
+      std::cerr << "usage: solvability_explorer scan n i j [cap]\n";
+      return 2;
     }
     const int n = arg(1, "n");
     const int i = arg(2, "i");
     const int j = arg(3, "j");
-    const std::int64_t cap =
-        args.size() > 4 ? core::parse_long_value(args[4], "cap") : 3;
+    std::int64_t cap = 3;
+    if (args.size() > 4) {
+      cap = or_usage_error(
+          [&] { return core::parse_long_value(args[4], "cap"); });
+    }
     if (n < 2 || n > kMaxProcs || i < 1 || i > n || j < 1 || j > n ||
         cap < 1) {
-      std::cout << "usage: solvability_explorer scan n i j [cap]\n"
+      std::cerr << "usage: solvability_explorer scan n i j [cap]\n"
                    "  with 2 <= n <= " << kMaxProcs
                 << ", 1 <= i, j <= n, cap >= 1\n";
-      return 1;
+      return 2;
     }
     core::ExperimentRunner runner(options);
     std::cout << "S^" << i << "_{" << j << "," << n
@@ -117,8 +143,10 @@ int main(int argc, char** argv) {
   }
 
   if (args.size() == 5) {
-    const core::AgreementSpec spec{arg(0, "t"), arg(1, "k"), arg(2, "n")};
-    const core::SystemSpec sys{arg(3, "i"), arg(4, "j"), spec.n};
+    const auto spec =
+        checked(core::AgreementSpec{arg(0, "t"), arg(1, "k"), arg(2, "n")});
+    const auto sys =
+        checked(core::SystemSpec{arg(3, "i"), arg(4, "j"), spec.n});
     const bool answer = core::solvable(spec, sys);
     std::cout << spec.to_string() << " in " << sys.to_string() << ": "
               << (answer ? "SOLVABLE" : "UNSOLVABLE") << "\n";
@@ -129,7 +157,8 @@ int main(int argc, char** argv) {
   }
 
   if (args.size() == 3) {
-    const core::AgreementSpec spec{arg(0, "t"), arg(1, "k"), arg(2, "n")};
+    const auto spec =
+        checked(core::AgreementSpec{arg(0, "t"), arg(1, "k"), arg(2, "n")});
     print_predicate_matrix(spec);
     if (spec.k <= spec.t) {
       std::cout << "Running the empirical matrix (detector frontier + "

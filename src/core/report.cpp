@@ -373,12 +373,17 @@ std::string JsonSink::render() const {
   return os.str();
 }
 
-void JsonSink::write_if_requested() const {
-  if (!config_.enabled) return;
+bool JsonSink::write_if_requested() const {
+  if (!config_.enabled) return true;
   std::ofstream file(config_.path);
-  SETLIB_EXPECTS(file.good());
   file << render();
+  file.close();
+  if (!file) {
+    std::cerr << "error: cannot write the --json file " << config_.path << "\n";
+    return false;
+  }
   std::cout << "wrote " << config_.path << "\n";
+  return true;
 }
 
 // ---------------------------------------------------------------------

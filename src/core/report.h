@@ -271,8 +271,10 @@ class JsonSink : public ReportSink {
   /// The JSON document (also what write_if_requested persists).
   std::string render() const;
 
-  /// Writes the JSON file when --json was requested; prints the path.
-  void write_if_requested() const;
+  /// Writes the JSON file when --json was requested and prints its
+  /// path. Returns false, after naming the path on stderr, when the
+  /// file cannot be written; a bench's main then exits 1.
+  [[nodiscard]] bool write_if_requested() const;
 
  private:
   using Facts = std::vector<std::pair<std::string, double>>;

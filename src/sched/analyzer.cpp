@@ -18,6 +18,27 @@ namespace {
 // inside them) lives in src/sched/simd.h as walk_word/WalkState so the
 // vector kernels and this on-the-fly packer share one definition.
 
+// Below the AVX2 width a kernel call per column costs more than the
+// ORs it does, so shorter ranges are ORed word by word inline.
+constexpr std::int64_t kInlineWords = 4;
+
+// out[k] = the OR over the columns of `s` of word from + k, for k in
+// [0, count); cols[x] is process x's packed timeline.
+void or_column_words(const std::uint64_t* const* cols, ProcSet s,
+                     std::int64_t from, std::int64_t count,
+                     const simd::Kernels& kernels, std::uint64_t* out) {
+  if (count < kInlineWords) {
+    for (std::int64_t k = 0; k < count; ++k) {
+      std::uint64_t word = 0;
+      s.for_each([&](Pid x) { word |= cols[x][from + k]; });
+      out[k] = word;
+    }
+    return;
+  }
+  std::fill_n(out, static_cast<std::size_t>(count), std::uint64_t{0});
+  s.for_each([&](Pid x) { kernels.or_into(out, cols[x] + from, count); });
+}
+
 // Packs steps [from, to) of `steps` into (P, Q) words on the fly and
 // feeds them to the window walk, continuing whatever state `scan`
 // carries. Branch-free packing: each step contributes one mask-test
@@ -220,20 +241,6 @@ const std::uint64_t* PackedSchedule::column(Pid p) const {
          static_cast<std::size_t>(p) * static_cast<std::size_t>(words_);
 }
 
-void PackedSchedule::or_columns(ProcSet s,
-                                std::vector<std::uint64_t>& out) const {
-  out.assign(static_cast<std::size_t>(words_), 0);
-  or_columns(s, out.data());
-}
-
-void PackedSchedule::or_columns(ProcSet s, std::uint64_t* out) const {
-  std::fill_n(out, static_cast<std::size_t>(words_), std::uint64_t{0});
-  const simd::Kernels& kernels = simd::active_kernels();
-  (s & ProcSet::universe(n_)).for_each([&](Pid p) {
-    kernels.or_into(out, column(p), words_);
-  });
-}
-
 std::int64_t PackedSchedule::bound_for(ProcSet p, ProcSet q) const {
   const ProcSet pu = p & ProcSet::universe(n_);
   const ProcSet qu = q & ProcSet::universe(n_);
@@ -287,10 +294,10 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
                              ? std::numeric_limits<std::int64_t>::max()
                              : bound_cap;
   const simd::Kernels& kernels = simd::active_kernels();
-  // Scratch: the shared per-P OR buffer (words) plus one Q chunk. The
-  // Q side is built chunk by chunk, the first chunk one word and each
-  // later one twice the last up to kQChunk, so a pair pruned in its
-  // first words pays for those words only.
+  // Scratch: the per-P OR buffer (words) plus one Q chunk. A pair is
+  // walked chunk by chunk, the first chunk one word and each later one
+  // twice the last up to kQChunk, so a pair pruned in its first words
+  // pays for those words only, on the P side as on the Q side.
   constexpr std::int64_t kQChunk = 64;
   std::optional<util::FrameScope> frame;
   std::vector<std::uint64_t> fallback;
@@ -313,27 +320,33 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
   // Steps < size() of the last word (1 to 64 of them).
   const std::uint64_t tail_mask = low_word_mask(
       static_cast<int>(packed_->size() - (words - 1) * kBitsPerWord));
+  const std::uint64_t* cols[kMaxProcs];
+  for (Pid x = 0; x < n; ++x) cols[x] = packed_->column(x);
   // Rank order is colex order: both sides start at their first rank
   // and step by successor.
   ProcSet p = p_ranker_.unrank(p_begin);
   const ProcSet q_first = q_ranker_.unrank(0);
   const std::int64_t q_total = q_ranker_.count();
   for (std::int64_t pr = p_begin; pr < p_end; ++pr, p = next_colex(p)) {
-    packed_->or_columns(p, pwords);  // shared by every observer below
+    // pwords[0, p_ready) hold this P's timeline, built only as far as
+    // its observer walks have read, each word once.
+    std::int64_t p_ready = 0;
     ProcSet q = q_first;
     for (std::int64_t qr = 0; qr < q_total; ++qr, q = next_colex(q)) {
       ++out.pairs;
       const ProcSet built = complement ? universe - q : q;
-      // Chunked Q-column OR + window walk, aborted at the prune cap.
+      // Chunked column ORs + window walk, aborted at the prune cap.
       simd::WalkState window;
       bool pruned = false;
       std::int64_t chunk = 1;
       for (std::int64_t w = 0; w < words && !pruned;) {
         const std::int64_t c = std::min(chunk, words - w);
-        std::fill_n(qbuf, static_cast<std::size_t>(c), std::uint64_t{0});
-        built.for_each([&](Pid x) {
-          kernels.or_into(qbuf, packed_->column(x) + w, c);
-        });
+        if (w + c > p_ready) {
+          or_column_words(cols, p, p_ready, w + c - p_ready, kernels,
+                          pwords + p_ready);
+          p_ready = w + c;
+        }
+        or_column_words(cols, built, w, c, kernels, qbuf);
         if (complement) {
           for (std::int64_t k = 0; k < c; ++k) qbuf[k] = ~qbuf[k];
           if (w + c == words) qbuf[c - 1] &= tail_mask;

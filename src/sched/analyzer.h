@@ -30,14 +30,16 @@
 //     member when i == j, which the paper uses to identify S^i_{i,n}
 //     with the asynchronous system.)
 //   - RankedPairScan batches all C(n,i) x C(n,j) pairs through a
-//     shared scan: each P's packed timeline is OR'd once and reused by
-//     every observer set, a bound cap aborts an observer as soon as
-//     one window already exceeds it, and enumeration follows
+//     shared scan: each P's packed timeline is OR'd at most once and
+//     reused by every observer set, a bound cap aborts an observer as
+//     soon as one window already exceeds it, and enumeration follows
 //     SubsetRanker (combinadic) order so results — including argmin
 //     tie-breaks — are identical to the exhaustive nested loops. The
-//     scan is prune-first: an observer's timeline is built in chunks
-//     that start at one word and double up to 64, so a pair pruned in
-//     its first words reads only those words; an observer set larger
+//     scan is prune-first on both sides: a pair is walked in chunks
+//     that start at one word and double up to 64, its observer
+//     timeline is built chunk by chunk, and P's timeline only as far
+//     as the deepest walk of its observers has read, so a pair pruned
+//     in its first words reads only those words; an observer set larger
 //     than half the universe is built as the complement of the OR of
 //     the columns outside it; and observer sets advance by colex
 //     successor (next_colex) instead of being unranked per pair.
@@ -178,12 +180,6 @@ class PackedSchedule {
   /// zero).
   const std::uint64_t* column(Pid p) const;
 
-  /// OR of the member columns of `s` (members >= n() are ignored) into
-  /// `out`, resized to words(). The packed form of "a step of the set".
-  void or_columns(ProcSet s, std::vector<std::uint64_t>& out) const;
-  /// Same, into a caller-owned buffer of words() words (overwritten).
-  void or_columns(ProcSet s, std::uint64_t* out) const;
-
   /// min_timeliness_bound(s, p, q) over the packed prefix.
   std::int64_t bound_for(ProcSet p, ProcSet q) const;
 
@@ -215,12 +211,13 @@ struct TimelyPair {
 
 /// Batched scan of every (P, Q) pair with |P| = i, |Q| = j over one
 /// packed prefix. P-subsets enumerate in SubsetRanker (combinadic)
-/// order; each P's OR'd timeline is computed once and shared by all
-/// C(n,j) observer sets; observer scans fuse the Q-column OR with the
-/// window walk, chunk by chunk (1, 2, 4, ... up to 64 words; for
-/// 2j > n, the inverted OR of the n - j columns outside Q), and abort
-/// as soon as one P-free window reaches the bound cap, so a pruned
-/// pair costs the words up to its prune point. The [p_begin, p_end)
+/// order; each P's OR'd timeline is built lazily, only as far as its
+/// observer walks read, and shared by all C(n,j) observer sets;
+/// observer scans fuse the Q-column OR with the window walk, chunk by
+/// chunk (1, 2, 4, ... up to 64 words; for 2j > n, the inverted OR of
+/// the n - j columns outside Q), and abort as soon as one P-free
+/// window reaches the bound cap, so a pruned pair costs the words up
+/// to its prune point on both sides. The [p_begin, p_end)
 /// rank ranges let callers shard the
 /// P-space (e.g. across an ExperimentRunner pool): results over a
 /// partition of [0, p_count()) compose to the full-range result.

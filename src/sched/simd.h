@@ -1,7 +1,8 @@
 // SIMD kernels for the word-packed timeliness analysis.
 //
 // Two kernels cover the pair-scan hot loop: or_into (multi-word OR,
-// the Q-column accumulation) and window_walk (the fused P-free-window
+// the P- and Q-column accumulation of chunks of four words or more;
+// shorter chunks OR inline) and window_walk (the fused P-free-window
 // popcount walk with prune abort). Three implementations share one
 // table layout: AVX2 (x86-64, runtime-detected), NEON (aarch64
 // baseline), and a portable scalar fallback. All of them compute on
@@ -30,6 +31,10 @@
 // 4, ... 64 words), carrying the state from call to call, and a pair
 // prunes in some chunk iff its whole-timeline max_q reaches prune_q,
 // so counts, members and witnesses match a single whole-length walk.
+// The scan builds both sides of a chunk just before walking it (P's
+// words only the first time any of its observers reaches them), so a
+// pair pruned in chunk c has read, and caused to be built, nothing
+// past c.
 #ifndef SETLIB_SCHED_SIMD_H
 #define SETLIB_SCHED_SIMD_H
 

@@ -112,25 +112,27 @@ TEST(PackedScheduleTest, ColumnsPartitionTheTimeline) {
   Rng rng(5);
   const Schedule s = random_schedule(rng, 6, 500);
   const PackedSchedule packed(s);
-  // Each step sets exactly one column bit; the OR of all columns is
-  // the all-steps timeline.
-  std::vector<std::uint64_t> all;
-  packed.or_columns(ProcSet::universe(6), all);
+  // Each step sets exactly one column bit, so the columns are
+  // pairwise disjoint and their OR is the all-steps timeline.
+  ASSERT_EQ(packed.words(), (s.size() + kBitsPerWord - 1) / kBitsPerWord);
+  for (std::int64_t w = 0; w < packed.words(); ++w) {
+    std::uint64_t all = 0;
+    for (Pid p = 0; p < 6; ++p) {
+      const std::uint64_t word = packed.column(p)[w];
+      EXPECT_EQ(all & word, 0u) << "word " << w << " column " << p;
+      all |= word;
+    }
+    const std::int64_t steps = std::min<std::int64_t>(
+        kBitsPerWord, s.size() - w * kBitsPerWord);
+    // Bits past size() stay zero (the window scan relies on it).
+    EXPECT_EQ(all, low_word_mask(static_cast<int>(steps))) << "word " << w;
+  }
   for (std::int64_t t = 0; t < s.size(); ++t) {
     for (Pid p = 0; p < 6; ++p) {
       const bool bit =
           (packed.column(p)[t / kBitsPerWord] >> (t % kBitsPerWord)) & 1;
       EXPECT_EQ(bit, s[t] == p);
     }
-    EXPECT_TRUE((all[static_cast<std::size_t>(t / kBitsPerWord)] >>
-                 (t % kBitsPerWord)) &
-                1);
-  }
-  // Bits past size() stay zero (the window scan relies on it).
-  if (s.size() % kBitsPerWord != 0) {
-    EXPECT_EQ(all.back() & ~low_word_mask(static_cast<int>(
-                               s.size() % kBitsPerWord)),
-              0u);
   }
 }
 

@@ -16,14 +16,15 @@
 // parallel but admitted in trial order). --verify replays every corpus
 // entry from its recorded step stream, recomputing the hash and the
 // bound with both the packed and the reference analyzer; --replay does
-// the same for one entry — the one-line repro for any regression the
-// fuzzer ever found.
+// the same for every entry carrying one hash — the one-line repro for
+// any regression the fuzzer ever found.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fuzz.h"
@@ -133,15 +134,20 @@ int run(int argc, char** argv) {
   const FuzzerCli cli = parse_cli(argc, argv);
 
   if (!cli.replay_hash.empty()) {
-    const auto entries = load_corpus(cli.corpus_dir);
-    for (const CorpusEntry& entry : entries) {
+    // One minimized schedule can regress several cells, so every entry
+    // carrying the hash is verified.
+    std::vector<CorpusEntry> matches;
+    for (CorpusEntry& entry : load_corpus(cli.corpus_dir)) {
       if (setlib::sched::hash_hex(entry.hash) == cli.replay_hash) {
-        return verify_entries({entry});
+        matches.push_back(std::move(entry));
       }
     }
-    std::cerr << "no corpus entry with hash " << cli.replay_hash << " in "
-              << cli.corpus_dir << "\n";
-    return 1;
+    if (matches.empty()) {
+      std::cerr << "no corpus entry with hash " << cli.replay_hash
+                << " in " << cli.corpus_dir << "\n";
+      return 1;
+    }
+    return verify_entries(matches);
   }
 
   if (cli.verify) {
