@@ -17,8 +17,8 @@
 // across the ExperimentRunner's persistent pool. Every positional must
 // be a base-10 integer; a malformed one is a usage error naming its
 // argument, and so is a value out of range (exit 2).
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,19 +53,6 @@ void print_predicate_matrix(const core::AgreementSpec& spec) {
             << table.render() << "\n";
 }
 
-/// Returns parse(); a ContractViolation from it is a usage error (exit
-/// 2), as a malformed flag is: a non-integer positional, named, or a
-/// spec outside its ranges (t >= n, i > j, ...).
-template <typename Parse>
-auto or_usage_error(Parse&& parse) {
-  try {
-    return parse();
-  } catch (const ContractViolation& e) {
-    std::cerr << "solvability_explorer: usage error: " << e.what() << "\n";
-    std::exit(2);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,29 +66,42 @@ int main(int argc, char** argv) {
         args.push_back(arg);
         return true;
       });
-  const auto arg = [&](std::size_t index, const char* name) {
-    return or_usage_error(
-        [&] { return core::parse_int_value(args[index], name); });
-  };
-  const auto checked = [](const auto& spec) {
-    return or_usage_error([&] {
-      spec.validate();
-      return spec;
-    });
-  };
+  // Every positional parse and spec check sits in this one block: a
+  // ContractViolation from it is a usage error (exit 2), as a malformed
+  // flag is, naming the non-integer argument or the broken range.
+  const bool scan = !args.empty() && args[0] == "scan";
+  int n = 0;
+  int i = 0;
+  int j = 0;
+  std::int64_t cap = 3;
+  std::optional<core::AgreementSpec> spec;
+  std::optional<core::SystemSpec> sys;
+  try {
+    const auto arg = [&](std::size_t index, const char* name) {
+      return core::parse_int_value(args[index], name);
+    };
+    if (scan && args.size() >= 4) {
+      n = arg(1, "n");
+      i = arg(2, "i");
+      j = arg(3, "j");
+      if (args.size() > 4) cap = core::parse_long_value(args[4], "cap");
+    } else if (!scan && (args.size() == 3 || args.size() == 5)) {
+      spec = core::AgreementSpec{arg(0, "t"), arg(1, "k"), arg(2, "n")};
+      spec->validate();
+      if (args.size() == 5) {
+        sys = core::SystemSpec{arg(3, "i"), arg(4, "j"), spec->n};
+        sys->validate();
+      }
+    }
+  } catch (const ContractViolation& e) {
+    std::cerr << "solvability_explorer: usage error: " << e.what() << "\n";
+    return 2;
+  }
 
-  if (!args.empty() && args[0] == "scan") {
+  if (scan) {
     if (args.size() < 4) {
       std::cerr << "usage: solvability_explorer scan n i j [cap]\n";
       return 2;
-    }
-    const int n = arg(1, "n");
-    const int i = arg(2, "i");
-    const int j = arg(3, "j");
-    std::int64_t cap = 3;
-    if (args.size() > 4) {
-      cap = or_usage_error(
-          [&] { return core::parse_long_value(args[4], "cap"); });
     }
     if (n < 2 || n > kMaxProcs || i < 1 || i > n || j < 1 || j > n ||
         cap < 1) {
@@ -142,32 +142,26 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (args.size() == 5) {
-    const auto spec =
-        checked(core::AgreementSpec{arg(0, "t"), arg(1, "k"), arg(2, "n")});
-    const auto sys =
-        checked(core::SystemSpec{arg(3, "i"), arg(4, "j"), spec.n});
-    const bool answer = core::solvable(spec, sys);
-    std::cout << spec.to_string() << " in " << sys.to_string() << ": "
+  if (sys) {
+    const bool answer = core::solvable(*spec, *sys);
+    std::cout << spec->to_string() << " in " << sys->to_string() << ": "
               << (answer ? "SOLVABLE" : "UNSOLVABLE") << "\n";
-    const auto match = core::matching_system(spec);
+    const auto match = core::matching_system(*spec);
     std::cout << "matching system (Theorem 24): " << match.to_string()
               << "\n";
     return 0;
   }
 
-  if (args.size() == 3) {
-    const auto spec =
-        checked(core::AgreementSpec{arg(0, "t"), arg(1, "k"), arg(2, "n")});
-    print_predicate_matrix(spec);
-    if (spec.k <= spec.t) {
+  if (spec) {
+    print_predicate_matrix(*spec);
+    if (spec->k <= spec->t) {
       std::cout << "Running the empirical matrix (detector frontier + "
                    "solver) ...\n\n";
       core::ExperimentRunner runner(options);
       core::MatrixConfig cfg;
-      cfg.spec = spec;
+      cfg.spec = *spec;
       cfg.max_steps = 900'000;
-      std::cout << core::render_matrix(spec,
+      std::cout << core::render_matrix(*spec,
                                        core::thm27_matrix(cfg, runner));
     }
     return 0;

@@ -18,25 +18,18 @@ namespace {
 // inside them) lives in src/sched/simd.h as walk_word/WalkState so the
 // vector kernels and this on-the-fly packer share one definition.
 
-// Below the AVX2 width a kernel call per column costs more than the
-// ORs it does, so shorter ranges are ORed word by word inline.
-constexpr std::int64_t kInlineWords = 4;
-
 // out[k] = the OR over the columns of `s` of word from + k, for k in
-// [0, count); cols[x] is process x's packed timeline.
+// [0, count); cols[x] is process x's packed timeline. Nearly every
+// range a census builds is one to three words long, too short for a
+// kernel call per column to pay off, so every range is ORed inline.
 void or_column_words(const std::uint64_t* const* cols, ProcSet s,
                      std::int64_t from, std::int64_t count,
-                     const simd::Kernels& kernels, std::uint64_t* out) {
-  if (count < kInlineWords) {
-    for (std::int64_t k = 0; k < count; ++k) {
-      std::uint64_t word = 0;
-      s.for_each([&](Pid x) { word |= cols[x][from + k]; });
-      out[k] = word;
-    }
-    return;
+                     std::uint64_t* out) {
+  for (std::int64_t k = 0; k < count; ++k) {
+    std::uint64_t word = 0;
+    s.for_each([&](Pid x) { word |= cols[x][from + k]; });
+    out[k] = word;
   }
-  std::fill_n(out, static_cast<std::size_t>(count), std::uint64_t{0});
-  s.for_each([&](Pid x) { kernels.or_into(out, cols[x] + from, count); });
 }
 
 // Packs steps [from, to) of `steps` into (P, Q) words on the fly and
@@ -342,11 +335,11 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
       for (std::int64_t w = 0; w < words && !pruned;) {
         const std::int64_t c = std::min(chunk, words - w);
         if (w + c > p_ready) {
-          or_column_words(cols, p, p_ready, w + c - p_ready, kernels,
+          or_column_words(cols, p, p_ready, w + c - p_ready,
                           pwords + p_ready);
           p_ready = w + c;
         }
-        or_column_words(cols, built, w, c, kernels, qbuf);
+        or_column_words(cols, built, w, c, qbuf);
         if (complement) {
           for (std::int64_t k = 0; k < c; ++k) qbuf[k] = ~qbuf[k];
           if (w + c == words) qbuf[c - 1] &= tail_mask;
