@@ -20,8 +20,9 @@ namespace {
 
 // out[k] = the OR over the columns of `s` of word from + k, for k in
 // [0, count); cols[x] is process x's packed timeline. Nearly every
-// range a census builds is one to three words long, too short for a
-// kernel call per column to pay off, so every range is ORed inline.
+// range a census builds is one word long. Inline ORs on every range
+// beat a kernels.or_into call per column on ranges of four words or
+// more in ten census pairs (docs/MEMORY.md).
 void or_column_words(const std::uint64_t* const* cols, ProcSet s,
                      std::int64_t from, std::int64_t count,
                      std::uint64_t* out) {

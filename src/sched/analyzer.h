@@ -13,8 +13,8 @@
 // Pid as a bit column (64 steps per word, one timeline per process), so
 // a P-free-window scan is branch-free word operations — OR the columns
 // of P and Q, then split each word at its P-bits with mask/popcount.
-// The batched pair scan runs its OR+walk inner loop through the
-// runtime-dispatched SIMD kernel layer (src/sched/simd.h: AVX2 / NEON /
+// The batched pair scan ORs its column words inline and runs the
+// window walk through the runtime-dispatched SIMD kernel layer (src/sched/simd.h: AVX2 / NEON /
 // portable scalar, bit-identical by construction, forced-scalar via
 // SETLIB_FORCE_SCALAR for differential runs) and keeps its scratch on
 // a caller-supplied arena (src/util/arena.h) so steady-state scans

@@ -1,9 +1,9 @@
 // SIMD kernels for the word-packed timeliness analysis.
 //
-// Two kernels cover the pair-scan hot loop: or_into (multi-word OR,
-// the P- and Q-column accumulation of chunks of four words or more;
-// shorter chunks OR inline) and window_walk (the fused P-free-window
-// popcount walk with prune abort). Three implementations share one
+// Two kernels share the table: or_into (multi-word OR; the pair scan
+// ORs its column words inline and no longer calls it) and window_walk
+// (the fused P-free-window popcount walk with prune abort, the
+// pair-scan hot loop). Three implementations share one
 // table layout: AVX2 (x86-64, runtime-detected), NEON (aarch64
 // baseline), and a portable scalar fallback. All of them compute on
 // 64-bit integers only, so they are bit-identical by construction —
