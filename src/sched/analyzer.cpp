@@ -16,13 +16,12 @@ namespace {
 
 // The per-word window walk (P-bits delimit windows, Q-bits count
 // inside them) lives in src/sched/simd.h as walk_word/WalkState so the
-// vector kernels and this on-the-fly packer share one definition.
+// dispatched window walk and this on-the-fly packer share one
+// definition.
 
 // out[k] = the OR over the columns of `s` of word from + k, for k in
 // [0, count); cols[x] is process x's packed timeline. Nearly every
-// range a census builds is one word long. Inline ORs on every range
-// beat a kernels.or_into call per column on ranges of four words or
-// more in ten census pairs (docs/MEMORY.md).
+// range a census builds is one word long.
 void or_column_words(const std::uint64_t* const* cols, ProcSet s,
                      std::int64_t from, std::int64_t count,
                      std::uint64_t* out) {
@@ -94,11 +93,6 @@ std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
 std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
                                             ProcSet q) {
   return min_timeliness_bound_reference(s, p, q, 0, s.size());
-}
-
-bool is_timely(const Schedule& s, ProcSet p, ProcSet q, std::int64_t bound) {
-  SETLIB_EXPECTS(bound >= 1);
-  return min_timeliness_bound(s, p, q) <= bound;
 }
 
 std::vector<std::int64_t> bound_series(const Schedule& s, ProcSet p, ProcSet q,
@@ -359,10 +353,6 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
             prune_q = bound - 1;
           }
           break;
-        case Mode::kWitness:
-          out.best = TimelyPair{p, q, bound};
-          out.members = 1;
-          return out;
         case Mode::kCount:
           ++out.members;
           if (!out.best) out.best = TimelyPair{p, q, bound};
@@ -381,41 +371,11 @@ TimelyPair RankedPairScan::best_pair(std::int64_t p_begin,
                     std::numeric_limits<std::int64_t>::max()};
 }
 
-std::optional<TimelyPair> RankedPairScan::find_witness(
-    std::int64_t bound_cap, std::int64_t p_begin, std::int64_t p_end) const {
-  SETLIB_EXPECTS(bound_cap >= 1);
-  // A pair is a witness iff its worst window stays below the cap:
-  // max_q <= cap - 1, i.e. the scan finishes without reaching prune_q
-  // = cap.
-  return scan(p_begin, p_end, bound_cap, Mode::kWitness).best;
-}
-
 RankedPairScan::MemberCount RankedPairScan::count_members(
     std::int64_t bound_cap, std::int64_t p_begin, std::int64_t p_end) const {
   SETLIB_EXPECTS(bound_cap >= 1);
   const ScanOutcome out = scan(p_begin, p_end, bound_cap, Mode::kCount);
   return MemberCount{out.pairs, out.members, out.best};
-}
-
-SystemMembership::SystemMembership(const Schedule& s)
-    : n_(s.n()), len_(s.size()), packed_(s) {}
-
-std::int64_t SystemMembership::bound_for(ProcSet p, ProcSet q) const {
-  return packed_.bound_for(p, q);
-}
-
-TimelyPair SystemMembership::best_pair(int i, int j) const {
-  SETLIB_EXPECTS(1 <= i && i <= n_);
-  SETLIB_EXPECTS(1 <= j && j <= n_);
-  return RankedPairScan(packed_, i, j).best_pair();
-}
-
-std::optional<TimelyPair> SystemMembership::find_witness(
-    int i, int j, std::int64_t bound_cap) const {
-  SETLIB_EXPECTS(1 <= i && i <= n_);
-  SETLIB_EXPECTS(1 <= j && j <= n_);
-  SETLIB_EXPECTS(bound_cap >= 1);
-  return RankedPairScan(packed_, i, j).find_witness(bound_cap);
 }
 
 }  // namespace setlib::sched

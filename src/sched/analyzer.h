@@ -13,26 +13,26 @@
 // Pid as a bit column (64 steps per word, one timeline per process), so
 // a P-free-window scan is branch-free word operations — OR the columns
 // of P and Q, then split each word at its P-bits with mask/popcount.
-// The batched pair scan ORs its column words inline and runs the
-// window walk through the runtime-dispatched SIMD kernel layer (src/sched/simd.h: AVX2 / NEON /
-// portable scalar, bit-identical by construction, forced-scalar via
-// SETLIB_FORCE_SCALAR for differential runs) and keeps its scratch on
-// a caller-supplied arena (src/util/arena.h) so steady-state scans
-// allocate nothing.
+// The batched pair scan ORs its column words inline, runs the window
+// walk through src/sched/simd.h (one integer walk, compiled for popcnt
+// where the host has it), and keeps its scratch on a caller-supplied
+// arena (src/util/arena.h) so steady-state scans allocate nothing.
 // Three surfaces build on it:
 //   - min_timeliness_bound / bound_series: one-shot and per-prefix
 //     bounds. BoundTracker extends a bound incrementally by ΔS steps in
 //     O(Δ), so a growing-prefix series costs O(len) total instead of
 //     the O(len^2) of recomputing each cut from scratch.
-//   - SystemMembership implements "S in S^i_{j,n}" on a prefix: does
-//     some (P, Q) pair with |P| = i, |Q| = j satisfy the bound?
-//     (Observation 5's degenerate case P = Q makes any schedule a
-//     member when i == j, which the paper uses to identify S^i_{i,n}
-//     with the asynchronous system.)
-//   - RankedPairScan batches all C(n,i) x C(n,j) pairs through a
-//     shared scan: each P's packed timeline is OR'd at most once and
-//     reused by every observer set, a bound cap aborts an observer as
-//     soon as one window already exceeds it, and enumeration follows
+//   - PackedSchedule::bound_for: one pair's bound on a packed prefix.
+//   - RankedPairScan answers "S in S^i_{j,n}" on a prefix: does some
+//     (P, Q) pair with |P| = i, |Q| = j meet the bound cap?
+//     count_members(cap).first is the earliest such pair. (Observation
+//     5's degenerate case P = Q makes any schedule a member when
+//     i == j, which the paper uses to identify S^i_{i,n} with the
+//     asynchronous system.) It batches all C(n,i) x C(n,j) pairs
+//     through a shared scan: each P's packed timeline is OR'd at most
+//     once and reused by every observer set, a bound cap aborts an
+//     observer as soon as one window already exceeds it, and
+//     enumeration follows
 //     SubsetRanker (combinadic) order so results — including argmin
 //     tie-breaks — are identical to the exhaustive nested loops. The
 //     scan is prune-first on both sides: a pair is walked in chunks
@@ -76,9 +76,6 @@ std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
                                             std::int64_t to);
 std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
                                             ProcSet q);
-
-/// Definition 1 on the prefix: is P timely w.r.t. Q with the given bound?
-bool is_timely(const Schedule& s, ProcSet p, ProcSet q, std::int64_t bound);
 
 /// Per-phase bound series: bounds of growing prefixes cut at the given
 /// offsets. Used by the Figure 1 harness to show divergence vs.
@@ -129,7 +126,7 @@ class BoundTracker {
 /// Word-packed step representation: one bit timeline per process, 64
 /// steps per word. Column p has bit t set iff step t is taken by p.
 /// Built once, a PackedSchedule serves every pair scan over the same
-/// prefix (SystemMembership, RankedPairScan) with pure word ops.
+/// prefix (bound_for, RankedPairScan) with pure word ops.
 ///
 /// Pack-once ownership contract (docs/MEMORY.md): whoever executes a
 /// schedule packs it exactly once — on its per-cell arena when it has
@@ -245,15 +242,6 @@ class RankedPairScan {
   TimelyPair best_pair(std::int64_t p_begin, std::int64_t p_end) const;
   TimelyPair best_pair() const { return best_pair(0, p_count()); }
 
-  /// First pair in enumeration order with bound <= bound_cap among
-  /// P-ranks [p_begin, p_end), if any.
-  std::optional<TimelyPair> find_witness(std::int64_t bound_cap,
-                                         std::int64_t p_begin,
-                                         std::int64_t p_end) const;
-  std::optional<TimelyPair> find_witness(std::int64_t bound_cap) const {
-    return find_witness(bound_cap, 0, p_count());
-  }
-
   struct MemberCount {
     std::int64_t pairs = 0;    // pairs scanned
     std::int64_t members = 0;  // pairs with bound <= cap
@@ -270,7 +258,7 @@ class RankedPairScan {
   }
 
  private:
-  enum class Mode { kBest, kWitness, kCount };
+  enum class Mode { kBest, kCount };
 
   struct ScanOutcome {
     std::optional<TimelyPair> best;
@@ -287,37 +275,6 @@ class RankedPairScan {
   util::ArenaAllocator* arena_;  // scratch home; nullptr = heap
   SubsetRanker p_ranker_;
   SubsetRanker q_ranker_;
-};
-
-class SystemMembership {
- public:
-  /// Packs the prefix once (O(len) time, n * len / 64 words of space);
-  /// every per-pair query afterwards runs on word operations.
-  explicit SystemMembership(const Schedule& s);
-
-  int n() const noexcept { return n_; }
-
-  const PackedSchedule& packed() const noexcept { return packed_; }
-
-  /// Minimal bound for a specific pair (same value as
-  /// min_timeliness_bound, but O(words * (|P| + |Q|)) word ops on the
-  /// shared packed prefix).
-  std::int64_t bound_for(ProcSet p, ProcSet q) const;
-
-  /// The pair of sizes (i, j) with the smallest bound over the prefix;
-  /// exhaustive over C(n,i) * C(n,j) pairs via RankedPairScan (shared
-  /// per-P timelines + best-bound pruning).
-  TimelyPair best_pair(int i, int j) const;
-
-  /// Membership in S^i_{j,n} at the given bound cap: exists (P, Q) with
-  /// |P| = i, |Q| = j and bound <= cap. Early-exits on first witness.
-  std::optional<TimelyPair> find_witness(int i, int j,
-                                         std::int64_t bound_cap) const;
-
- private:
-  int n_;
-  std::int64_t len_;
-  PackedSchedule packed_;
 };
 
 }  // namespace setlib::sched

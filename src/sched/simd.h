@@ -1,40 +1,29 @@
-// SIMD kernels for the word-packed timeliness analysis.
+// The window walk of the word-packed timeliness analysis, the pair
+// scan's hot loop: the P-free-window popcount walk with a prune abort.
 //
-// Two kernels share the table: or_into (multi-word OR; the pair scan
-// ORs its column words inline and no longer calls it) and window_walk
-// (the fused P-free-window popcount walk with prune abort, the
-// pair-scan hot loop). Three implementations share one
-// table layout: AVX2 (x86-64, runtime-detected), NEON (aarch64
-// baseline), and a portable scalar fallback. All of them compute on
-// 64-bit integers only, so they are bit-identical by construction —
-// the vector paths merely batch the all-P-bits-zero fast case that
-// dominates real schedules (a window boundary appears once per ~bound
-// Q-steps, so most words of most columns are P-free).
-//
-// Dispatch: active_kernels() picks the best table for the host once
-// (AVX2 when __builtin_cpu_supports says so, NEON on aarch64, scalar
-// otherwise). Setting SETLIB_FORCE_SCALAR in the environment pins the
-// scalar table — the differential CI job runs the whole suite under
-// it and diffs against the vector run. set_kernels_for_testing()
-// overrides the choice programmatically for in-process differential
-// tests and the scalar-baseline benches.
+// One integer body, compiled twice: a target("popcnt") entry, chosen
+// on x86-64 when __builtin_cpu_supports("popcnt") says the host has
+// the instruction, and a portable entry everywhere else (on aarch64
+// std::popcount is already inline). Without the target attribute an
+// x86-64 build lowers std::popcount to a libgcc __popcountdi2 call,
+// which cost the census about 1.3x in latency; hand-written AVX2 and
+// NEON walks bought nothing beyond the popcnt instruction
+// (docs/MEMORY.md). Both entries run the same source on 64-bit
+// integers, so every bound, count and member is bit-identical between
+// them.
 //
 // Prune contract: window_walk returns true as soon as state->max_q
-// reaches prune_q. Implementations may check at chunk granularity, so
-// a pruned return's state is unspecified beyond max_q >= prune_q —
-// callers must treat pruned walks as "bound exceeds cap" and discard
-// the state (RankedPairScan does). Completed walks (false) leave
-// identical state in every implementation: max_q is monotone, so a
-// walk that never reaches prune_q runs every word in all of them.
-// The same monotonicity makes the split of a timeline into calls
-// irrelevant: RankedPairScan walks one pair in growing chunks (1, 2,
-// 4, ... 64 words), carrying the state from call to call, and a pair
-// prunes in some chunk iff its whole-timeline max_q reaches prune_q,
-// so counts, members and witnesses match a single whole-length walk.
-// The scan builds both sides of a chunk just before walking it (P's
-// words only the first time any of its observers reaches them), so a
-// pair pruned in chunk c has read, and caused to be built, nothing
-// past c.
+// reaches prune_q, checked after every word; a pruned return means
+// "bound exceeds cap" and callers discard the state (RankedPairScan
+// does). A completed walk (false) has run every word. max_q is
+// monotone, so the split of a timeline into calls is irrelevant:
+// RankedPairScan walks one pair in growing chunks (1, 2, 4, ... 64
+// words), carrying the state from call to call, and a pair prunes in
+// some chunk iff its whole-timeline max_q reaches prune_q, so counts
+// and members match a single whole-length walk. The scan builds both
+// sides of a chunk just before walking it (P's words only the first
+// time any of its observers reaches them), so a pair pruned in chunk c
+// has read, and caused to be built, nothing past c.
 #ifndef SETLIB_SCHED_SIMD_H
 #define SETLIB_SCHED_SIMD_H
 
@@ -56,8 +45,8 @@ struct WalkState {
 /// One packed word of the walk (pw: P-bits, qw: Q-bits). A step in
 /// both P and Q is a window boundary (the P-reset wins, matching the
 /// reference scan): boundary positions are excluded from every counted
-/// span by the mask arithmetic. Shared by every kernel implementation
-/// and by the analyzer's on-the-fly packer.
+/// span by the mask arithmetic. Shared by window_walk and by the
+/// analyzer's on-the-fly packer.
 inline void walk_word(std::uint64_t pw, std::uint64_t qw,
                       WalkState& state) noexcept {
   if (pw == 0) {
@@ -78,12 +67,9 @@ inline void walk_word(std::uint64_t pw, std::uint64_t qw,
   if (state.current > state.max_q) state.max_q = state.current;
 }
 
-/// A dispatchable kernel table.
+/// The dispatched window walk.
 struct Kernels {
-  const char* name;  // "avx2", "neon", "scalar"
-  /// out[w] |= src[w] for w in [0, words).
-  void (*or_into)(std::uint64_t* out, const std::uint64_t* src,
-                  std::int64_t words);
+  const char* name;  // "popcnt" or "portable"
   /// Walks words [0, words) of (p, q); returns true when the walk
   /// aborted because state->max_q reached prune_q (see the prune
   /// contract above). prune_q == INT64_MAX never aborts.
@@ -92,18 +78,8 @@ struct Kernels {
                       WalkState* state);
 };
 
-/// The portable table — also the forced-scalar differential baseline.
-const Kernels& scalar_kernels() noexcept;
-
-/// The table scans run on: best-for-host, scalar when
-/// SETLIB_FORCE_SCALAR is set in the environment (checked once), or
-/// whatever set_kernels_for_testing installed.
+/// The walk scans run on, chosen for the host once.
 const Kernels& active_kernels() noexcept;
-
-/// Installs `k` as the active table (nullptr restores the dispatched
-/// default). For differential tests and scalar-baseline benches; not
-/// for concurrent use with running scans.
-void set_kernels_for_testing(const Kernels* k) noexcept;
 
 }  // namespace setlib::sched::simd
 

@@ -130,12 +130,17 @@ namespace {
                        ": " + what);
 }
 
+// The parser recurses once per array or object level, so an unbounded
+// nesting depth would let a hostile document exhaust the stack. The
+// deepest document the repo writes nests 6 levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue value = parse_value();
+    JsonValue value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail(pos_, "trailing content");
     return value;
@@ -169,14 +174,18 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  // `depth` counts the containers enclosing this value.
+  JsonValue parse_value(int depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      fail(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+    }
     switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"':
         return JsonValue::of(parse_string());
       case 't':
@@ -193,7 +202,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(int depth) {
     expect('{');
     JsonValue out = JsonValue::object();
     skip_ws();
@@ -206,7 +215,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      out.set(key, parse_value());
+      out.set(key, parse_value(depth));
       skip_ws();
       const char next = peek();
       ++pos_;
@@ -215,7 +224,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(int depth) {
     expect('[');
     std::vector<JsonValue> items;
     skip_ws();
@@ -224,7 +233,7 @@ class Parser {
       return JsonValue::array(std::move(items));
     }
     for (;;) {
-      items.push_back(parse_value());
+      items.push_back(parse_value(depth));
       skip_ws();
       const char next = peek();
       ++pos_;

@@ -37,10 +37,11 @@ TEST(ApiContracts, ScheduleLayer) {
   EXPECT_THROW(sched::min_timeliness_bound(s, ProcSet::of(0),
                                            ProcSet::of(1), 0, 3),
                ContractViolation);
-  const sched::SystemMembership membership(s);
-  EXPECT_THROW(membership.best_pair(0, 1), ContractViolation);
-  EXPECT_THROW(membership.best_pair(1, 3), ContractViolation);
-  EXPECT_THROW(membership.find_witness(1, 1, 0), ContractViolation);
+  const sched::PackedSchedule packed(s);
+  EXPECT_THROW(sched::RankedPairScan(packed, 0, 1), ContractViolation);
+  EXPECT_THROW(sched::RankedPairScan(packed, 1, 3), ContractViolation);
+  EXPECT_THROW(sched::RankedPairScan(packed, 1, 1).count_members(0),
+               ContractViolation);
 }
 
 TEST(ApiContracts, EnforcerLayer) {

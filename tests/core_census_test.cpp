@@ -5,8 +5,7 @@
 // the 2-subset starver), plus two small-n censuses with a generous cap
 // whose members walk the whole 40k-step prefix. Every value was
 // captured before the pair scan built its P timelines lazily, and each
-// census must reproduce it at pool widths 1 and 2 under both the
-// dispatched and the scalar kernel table.
+// census must reproduce it at pool widths 1 and 2.
 #include "src/core/experiments.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 
 #include "src/core/runner.h"
 #include "src/core/sweep.h"
-#include "src/sched/simd.h"
 
 namespace setlib::core {
 namespace {
@@ -31,37 +29,22 @@ struct PinnedCensus {
   std::int64_t first_bound;
 };
 
-/// Runs `census` at pool widths 1 and 2 under the dispatched and the
-/// scalar kernel table, and requires the pinned result every time.
+/// Runs `census` at pool widths 1 and 2 and requires the pinned result
+/// every time.
 void expect_pinned(const PinnedCensus& census, const std::string& name) {
-  struct Table {
-    const char* label;
-    const sched::simd::Kernels* kernels;  // nullptr = dispatched
-  };
-  for (const Table table : {Table{"dispatched", nullptr},
-                            Table{"scalar", &sched::simd::scalar_kernels()}}) {
-    // Restores the dispatched table even when an assertion returns.
-    struct Install {
-      explicit Install(const sched::simd::Kernels* k) {
-        sched::simd::set_kernels_for_testing(k);
-      }
-      ~Install() { sched::simd::set_kernels_for_testing(nullptr); }
-    } install(table.kernels);
-    for (const int threads : {1, 2}) {
-      SCOPED_TRACE(name + " under the " + table.label + " table at " +
-                   std::to_string(threads) + " threads");
-      RunnerOptions options;
-      options.threads = threads;
-      ExperimentRunner runner(options);
-      const PairScanResult got = ranked_pair_scan(census.config, runner);
-      EXPECT_EQ(got.pairs, census.pairs);
-      EXPECT_EQ(got.members, census.members);
-      ASSERT_EQ(got.found, census.members > 0);
-      if (got.found) {
-        EXPECT_EQ(got.first.timely_set, census.first_p);
-        EXPECT_EQ(got.first.observed_set, census.first_q);
-        EXPECT_EQ(got.first.bound, census.first_bound);
-      }
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(name + " at " + std::to_string(threads) + " threads");
+    RunnerOptions options;
+    options.threads = threads;
+    ExperimentRunner runner(options);
+    const PairScanResult got = ranked_pair_scan(census.config, runner);
+    EXPECT_EQ(got.pairs, census.pairs);
+    EXPECT_EQ(got.members, census.members);
+    ASSERT_EQ(got.found, census.members > 0);
+    if (got.found) {
+      EXPECT_EQ(got.first.timely_set, census.first_p);
+      EXPECT_EQ(got.first.observed_set, census.first_q);
+      EXPECT_EQ(got.first.bound, census.first_bound);
     }
   }
 }

@@ -46,11 +46,17 @@ TEST(MinBoundTest, PNeverSteppingDiverges) {
 }
 
 TEST(IsTimelyTest, ThresholdSemantics) {
+  // Definition 1 on the prefix: P is timely w.r.t. Q with bound b iff
+  // the minimal bound is at most b, i.e. iff (P, Q) is a member at cap
+  // b. Here the minimal bound is 3.
   const Schedule s(2, {1, 1, 0, 1, 1, 0});
-  EXPECT_TRUE(is_timely(s, ProcSet::of(0), ProcSet::of(1), 3));
-  EXPECT_FALSE(is_timely(s, ProcSet::of(0), ProcSet::of(1), 2));
-  EXPECT_THROW(is_timely(s, ProcSet::of(0), ProcSet::of(1), 0),
-               ContractViolation);
+  EXPECT_EQ(min_timeliness_bound(s, ProcSet::of(0), ProcSet::of(1)), 3);
+  const PackedSchedule packed(s);
+  const RankedPairScan scan(packed, 1, 1);
+  // Pairs in rank order: ({0},{0}), ({0},{1}), ({1},{0}), ({1},{1}).
+  EXPECT_EQ(scan.count_members(3).members, 4);
+  EXPECT_EQ(scan.count_members(2).members, 3);  // ({0},{1}) needs 3
+  EXPECT_THROW(scan.count_members(0), ContractViolation);
 }
 
 TEST(BoundSeriesTest, MatchesPerPrefixBounds) {
@@ -90,23 +96,7 @@ TEST(Figure1ClaimTest, PaperExampleBounds) {
   EXPECT_EQ(bu, 2);
 }
 
-TEST(SystemMembershipTest, BoundForMatchesDirectAnalyzer) {
-  Rng rng(21);
-  for (int trial = 0; trial < 10; ++trial) {
-    UniformRandomGenerator gen(5, rng.next_u64());
-    const Schedule s = generate(gen, 500);
-    const SystemMembership membership(s);
-    for (const ProcSet p : k_subsets(5, 2)) {
-      for (const ProcSet q : k_subsets(5, 3)) {
-        EXPECT_EQ(membership.bound_for(p, q),
-                  min_timeliness_bound(s, p, q))
-            << p.to_string() << " vs " << q.to_string();
-      }
-    }
-  }
-}
-
-TEST(SystemMembershipTest, BestPairFindsEnforcedWitness) {
+TEST(PairMembershipTest, BestPairFindsEnforcedWitness) {
   // Enforce {0,1} timely w.r.t. {2,3,4} at bound 3 over random noise;
   // the analyzer's best (2,3)-pair must be at most that bound.
   auto base = std::make_unique<UniformRandomGenerator>(5, 77);
@@ -114,38 +104,39 @@ TEST(SystemMembershipTest, BestPairFindsEnforcedWitness) {
       std::move(base),
       TimelinessConstraint(ProcSet::of({0, 1}), ProcSet::of({2, 3, 4}), 3));
   const Schedule s = generate(*gen, 20'000);
-  const SystemMembership membership(s);
-  const TimelyPair best = membership.best_pair(2, 3);
+  const PackedSchedule packed(s);
+  const TimelyPair best = RankedPairScan(packed, 2, 3).best_pair();
   EXPECT_LE(best.bound, 3);
 }
 
-TEST(SystemMembershipTest, FindWitnessEarlyExit) {
+TEST(PairMembershipTest, FirstMemberIsTheWitness) {
   RoundRobinGenerator gen(4);
   const Schedule s = generate(gen, 400);
-  const SystemMembership membership(s);
+  const PackedSchedule packed(s);
   // Round-robin: every singleton is timely w.r.t. everything with
   // bound <= n.
-  const auto witness = membership.find_witness(1, 4, 4);
+  const auto witness = RankedPairScan(packed, 1, 4).count_members(4).first;
   ASSERT_TRUE(witness.has_value());
   EXPECT_LE(witness->bound, 4);
   // A starved process never qualifies as the timely side of a pair with
   // an active observer (only the degenerate P == Q witness remains —
   // Observation 5's asynchrony witness).
   const Schedule starved(2, std::vector<Pid>(64, 1));
-  const SystemMembership sm2(starved);
-  EXPECT_EQ(sm2.bound_for(ProcSet::of(0), ProcSet::of(1)), 65);
-  const auto degenerate = sm2.find_witness(1, 1, 2);
+  const PackedSchedule starved_packed(starved);
+  EXPECT_EQ(starved_packed.bound_for(ProcSet::of(0), ProcSet::of(1)), 65);
+  const auto degenerate =
+      RankedPairScan(starved_packed, 1, 1).count_members(2).first;
   ASSERT_TRUE(degenerate.has_value());
   EXPECT_EQ(degenerate->timely_set, degenerate->observed_set);
 }
 
-TEST(SystemMembershipTest, ObservationFiveAsynchronyWitness) {
+TEST(PairMembershipTest, ObservationFiveAsynchronyWitness) {
   // In any schedule, i == j membership holds with bound 1 (P = Q).
   UniformRandomGenerator gen(4, 123);
   const Schedule s = generate(gen, 2'000);
-  const SystemMembership membership(s);
+  const PackedSchedule packed(s);
   for (int i = 1; i <= 4; ++i) {
-    const auto witness = membership.find_witness(i, i, 1);
+    const auto witness = RankedPairScan(packed, i, i).count_members(1).first;
     ASSERT_TRUE(witness.has_value()) << "i=" << i;
     EXPECT_EQ(witness->bound, 1);
   }

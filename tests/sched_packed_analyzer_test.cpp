@@ -15,7 +15,6 @@
 
 #include "src/sched/enforcer.h"
 #include "src/sched/generators.h"
-#include "src/sched/simd.h"
 #include "src/util/arena.h"
 #include "src/util/assert.h"
 #include "src/util/rng.h"
@@ -331,7 +330,7 @@ TEST(RankedPairScanTest, WitnessMatchesFirstInEnumerationOrder) {
       }
       if (expected) break;
     }
-    const auto got = RankedPairScan(packed, i, j).find_witness(cap);
+    const auto got = RankedPairScan(packed, i, j).count_members(cap).first;
     ASSERT_EQ(got.has_value(), expected.has_value());
     if (got) {
       EXPECT_EQ(got->timely_set, expected->timely_set);
@@ -346,8 +345,8 @@ TEST(RankedPairScanTest, WitnessMatchesFirstInEnumerationOrder) {
 // ones (2j > n: the complement's columns are OR'd and inverted); the
 // lengths cover a one-step schedule, the last-word tail mask on either
 // side of a word boundary, and 9,000 steps (141 words), which runs
-// through every chunk size from 1 to 64 words. Both kernel tables must
-// give the reference's counts and first member.
+// through every chunk size from 1 to 64 words. The scan must give the
+// reference's counts and first member.
 TEST(RankedPairScanTest, CountMembersMatchesExhaustiveOracle) {
   struct Case {
     Schedule s;
@@ -373,50 +372,38 @@ TEST(RankedPairScanTest, CountMembersMatchesExhaustiveOracle) {
       }
     }
   }
-  const auto check_all = [&cases](const char* table) {
-    for (const Case& c : cases) {
-      const PackedSchedule packed(c.s);
-      const RankedPairScan scan(packed, c.i, c.j);
-      const std::vector<ProcSet> ps = k_subsets(c.s.n(), c.i);
-      const std::vector<ProcSet> qs = k_subsets(c.s.n(), c.j);
-      for (std::int64_t cap = 1; cap <= 4; ++cap) {
-        RankedPairScan::MemberCount want;
-        for (std::size_t k = 0; k < c.bounds.size(); ++k) {
-          ++want.pairs;
-          if (c.bounds[k] > cap) continue;
-          ++want.members;
-          if (!want.first) {
-            want.first = TimelyPair{ps[k / qs.size()], qs[k % qs.size()],
-                                    c.bounds[k]};
-          }
-        }
-        const auto got = scan.count_members(cap);
-        const std::string where =
-            std::string(table) + " n " + std::to_string(c.s.n()) +
-            " len " + std::to_string(c.s.size()) + " i " +
-            std::to_string(c.i) + " j " + std::to_string(c.j) + " cap " +
-            std::to_string(cap);
-        ASSERT_EQ(got.pairs, want.pairs) << where;
-        ASSERT_EQ(got.members, want.members) << where;
-        ASSERT_EQ(got.first.has_value(), want.first.has_value()) << where;
-        if (got.first) {
-          EXPECT_EQ(got.first->timely_set, want.first->timely_set) << where;
-          EXPECT_EQ(got.first->observed_set, want.first->observed_set)
-              << where;
-          EXPECT_EQ(got.first->bound, want.first->bound) << where;
+  for (const Case& c : cases) {
+    const PackedSchedule packed(c.s);
+    const RankedPairScan scan(packed, c.i, c.j);
+    const std::vector<ProcSet> ps = k_subsets(c.s.n(), c.i);
+    const std::vector<ProcSet> qs = k_subsets(c.s.n(), c.j);
+    for (std::int64_t cap = 1; cap <= 4; ++cap) {
+      RankedPairScan::MemberCount want;
+      for (std::size_t k = 0; k < c.bounds.size(); ++k) {
+        ++want.pairs;
+        if (c.bounds[k] > cap) continue;
+        ++want.members;
+        if (!want.first) {
+          want.first = TimelyPair{ps[k / qs.size()], qs[k % qs.size()],
+                                  c.bounds[k]};
         }
       }
+      const auto got = scan.count_members(cap);
+      const std::string where =
+          "n " + std::to_string(c.s.n()) + " len " +
+          std::to_string(c.s.size()) + " i " + std::to_string(c.i) +
+          " j " + std::to_string(c.j) + " cap " + std::to_string(cap);
+      ASSERT_EQ(got.pairs, want.pairs) << where;
+      ASSERT_EQ(got.members, want.members) << where;
+      ASSERT_EQ(got.first.has_value(), want.first.has_value()) << where;
+      if (got.first) {
+        EXPECT_EQ(got.first->timely_set, want.first->timely_set) << where;
+        EXPECT_EQ(got.first->observed_set, want.first->observed_set)
+            << where;
+        EXPECT_EQ(got.first->bound, want.first->bound) << where;
+      }
     }
-  };
-  {
-    // Restores the dispatched table even when an assertion returns.
-    struct ForceScalar {
-      ForceScalar() { simd::set_kernels_for_testing(&simd::scalar_kernels()); }
-      ~ForceScalar() { simd::set_kernels_for_testing(nullptr); }
-    } force_scalar;
-    check_all("scalar");
   }
-  check_all(simd::active_kernels().name);
 }
 
 TEST(RankedPairScanTest, RangeSplitsCompose) {
@@ -455,8 +442,9 @@ TEST(RankedPairScanTest, LargeNWitnessSmoke) {
       TimelinessConstraint(ProcSet::range(0, 2), ProcSet::range(0, 23),
                            3));
   const Schedule good = generate(*enforced, 20'000);
-  const SystemMembership membership(good);
-  const auto witness = membership.find_witness(2, 23, 3);
+  const PackedSchedule good_packed(good);
+  const auto witness =
+      RankedPairScan(good_packed, 2, 23).count_members(3).first;
   ASSERT_TRUE(witness.has_value());
   EXPECT_LE(witness->bound, 3);
   EXPECT_EQ(min_timeliness_bound_reference(good, witness->timely_set,

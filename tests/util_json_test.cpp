@@ -67,6 +67,12 @@ TEST(JsonParseTest, StrictnessRejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("1 2"), JsonParseError);
   EXPECT_THROW(JsonValue::parse("{\"a\" 1}"), JsonParseError);
   EXPECT_THROW(JsonValue::parse("\"bad\\escape\""), JsonParseError);
+  // Nesting past the depth cap (256) is refused, not recursed into.
+  EXPECT_THROW(JsonValue::parse(std::string(200'000, '[') +
+                                std::string(200'000, ']')),
+               JsonParseError);
+  EXPECT_NO_THROW(
+      JsonValue::parse(std::string(256, '[') + std::string(256, ']')));
 }
 
 TEST(JsonParseTest, UnicodeEscapesDecode) {
