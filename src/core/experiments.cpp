@@ -1,6 +1,7 @@
 #include "src/core/experiments.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -86,10 +87,15 @@ PairScanResult ranked_pair_scan(const PairScanConfig& cfg,
     gen = std::make_unique<sched::KSubsetStarverGenerator>(
         cfg.n, ProcSet::universe(cfg.n), cfg.i, 64);
   }
-  // Pack-once: the shared packed prefix is built on the submitting
-  // thread, straight from the generator (no Schedule is materialized),
-  // and borrowed read-only by every worker's scan.
-  const sched::PackedSchedule packed(*gen, cfg.len);
+  // Pack-once, straight from the generator (no Schedule is
+  // materialized); every scan borrows the words read-only. The
+  // submitting thread packs the first pull block, the census horizon,
+  // and the first pool job packs the rest while the chunks scan their
+  // pairs as far as the horizon.
+  sched::PackedSchedule packed(cfg.n, cfg.len);
+  const std::int64_t horizon =
+      std::min(sched::PackedSchedule::kPullWords, packed.words());
+  packed.pack(*gen, horizon);
   const std::int64_t p_count = SubsetRanker(cfg.n, cfg.i).count();
 
   // Fixed-size P-rank chunks: the chunk space (not the thread count)
@@ -97,26 +103,65 @@ PairScanResult ranked_pair_scan(const PairScanConfig& cfg,
   // pool width and shards slice the chunk space contiguously. Each
   // chunk scans through an arena-backed RankedPairScan on its worker's
   // arena — the scan scratch never hits the heap, and the arena use is
-  // race-free because a worker slot runs one chunk at a time.
+  // race-free because a worker slot runs one index at a time.
   constexpr std::int64_t kChunk = 8;
-  const std::int64_t chunks = (p_count + kChunk - 1) / kChunk;
-  using Chunk = sched::RankedPairScan::MemberCount;
-  const std::vector<Chunk> parts = runner.map<Chunk>(
-      static_cast<std::size_t>(chunks), [&](std::size_t c) {
-        const std::int64_t begin = static_cast<std::int64_t>(c) * kChunk;
-        const std::int64_t end = std::min(begin + kChunk, p_count);
-        const sched::RankedPairScan scan(packed, cfg.i, cfg.j,
-                                         &runner.worker_arena());
-        return scan.count_members(cfg.bound_cap, begin, end);
-      });
+  const auto [first_chunk, end_chunk] = runner.shard_range(
+      static_cast<std::size_t>((p_count + kChunk - 1) / kChunk));
+  struct ChunkScan {
+    sched::RankedPairScan::MemberCount count;
+    std::vector<sched::RankedPairScan::Survivor> survivors;
+  };
+  std::vector<ChunkScan> parts(end_chunk - first_chunk);
+  // One job: index 0 packs words [horizon, words()), which no scan of
+  // this job reads, and index c + 1 scans chunk c up to the horizon.
+  // The pool's completion barrier orders the pack before the finish.
+  const auto pack_or_scan = [&](std::size_t idx) {
+    if (idx == 0) {
+      packed.pack(*gen, packed.words());
+      return;
+    }
+    ChunkScan& part = parts[idx - 1];
+    const auto begin =
+        static_cast<std::int64_t>(first_chunk + idx - 1) * kChunk;
+    const std::int64_t end = std::min(begin + kChunk, p_count);
+    const sched::RankedPairScan scan(packed, cfg.i, cfg.j,
+                                     &runner.worker_arena(), horizon);
+    part.count =
+        scan.count_members(cfg.bound_cap, begin, end, &part.survivors);
+  };
+  // std::ref: the pool's std::function holds a pointer to the closure
+  // instead of copying it to the heap.
+  if (!parts.empty()) {
+    runner.pool().for_each(parts.size() + 1, std::ref(pack_or_scan));
+  }
+  // The pairs still unpruned at the horizon finish on the whole
+  // prefix, over the chunk range that holds them, so a census where
+  // many pairs survive (every P = Q pair when i == j) stays parallel.
+  std::size_t lo = parts.size();
+  std::size_t hi = 0;
+  for (std::size_t c = 0; c < parts.size(); ++c) {
+    if (parts[c].survivors.empty()) continue;
+    lo = std::min(lo, c);
+    hi = c + 1;
+  }
+  const auto finish = [&](std::size_t idx) {
+    ChunkScan& part = parts[lo + idx];
+    const sched::RankedPairScan scan(packed, cfg.i, cfg.j,
+                                     &runner.worker_arena());
+    const sched::RankedPairScan::MemberCount done =
+        scan.finish(cfg.bound_cap, part.survivors);
+    part.count.members += done.members;
+    if (!part.count.first) part.count.first = done.first;
+  };
+  if (lo < hi) runner.pool().for_each(hi - lo, std::ref(finish));
 
   PairScanResult out;
-  for (const Chunk& part : parts) {  // rank order: first = earliest
-    out.pairs += part.pairs;
-    out.members += part.members;
-    if (!out.found && part.first) {
+  for (const ChunkScan& part : parts) {  // rank order: first = earliest
+    out.pairs += part.count.pairs;
+    out.members += part.count.members;
+    if (!out.found && part.count.first) {
       out.found = true;
-      out.first = *part.first;
+      out.first = *part.count.first;
     }
   }
   return out;

@@ -66,9 +66,15 @@ struct PairScanResult {
 };
 
 /// Runs the census through the runner: the P-rank space is split into
-/// fixed-size chunks (independent of thread count), runner.map scans
-/// this shard's chunks on the pool, and the per-chunk counts fold in
-/// rank order. Shard unions sum to the unsharded census.
+/// fixed-size chunks (independent of thread count), and the per-chunk
+/// counts fold in rank order. Shard unions sum to the unsharded census.
+/// The scan overlaps the schedule's packing: the submitting thread
+/// packs the first pull block (PackedSchedule::kPullWords words, the
+/// horizon), then one pool job packs the rest on its index 0 while
+/// every other index scans one of this shard's chunks as far as the
+/// horizon. A second pool pass, skipped when nothing survived,
+/// finishes the pairs still unpruned at the horizon, over the chunk
+/// range that holds them.
 PairScanResult ranked_pair_scan(const PairScanConfig& cfg,
                                 ExperimentRunner& runner);
 

@@ -55,6 +55,96 @@ void scan_step_range(const std::vector<Pid>& steps, std::uint64_t pmask,
   }
 }
 
+// The one chunk-walk body behind every pair RankedPairScan judges. A
+// pair is walked chunk by chunk, the first chunk one word and each
+// later one twice the last up to kMaxChunk, so a pair pruned in its
+// first words pays for those words only, on the P side as on the Q
+// side: the observer chunk is ORed from its columns just before the
+// walk reads it, and the current P's timeline is built only as far as
+// some walk of that P has read, each word once. A large observer set
+// is built as the complement of the OR of the columns outside it:
+// every step has exactly one pid, so within the steps < size() the two
+// agree, and the complement reads n - j columns instead of j.
+class PairWalker {
+ public:
+  using Survivor = RankedPairScan::Survivor;
+
+  PairWalker(const PackedSchedule& packed, int j,
+             util::ArenaAllocator* arena)
+      : words_(packed.words()),
+        kernels_(simd::active_kernels()),
+        complement_(2 * j > packed.n()),
+        universe_(ProcSet::universe(packed.n())),
+        // Steps < size() of the last word (1 to 64 of them).
+        tail_mask_(low_word_mask(static_cast<int>(
+            packed.size() - (packed.words() - 1) * kBitsPerWord))) {
+    // Scratch: P's timeline (words) plus one observer chunk.
+    if (arena != nullptr) {
+      frame_.emplace(*arena);
+      pwords_ = arena->alloc_array<std::uint64_t>(words_ + kMaxChunk);
+    } else {
+      fallback_.resize(static_cast<std::size_t>(words_ + kMaxChunk));
+      pwords_ = fallback_.data();
+    }
+    qbuf_ = pwords_ + words_;
+    for (Pid x = 0; x < packed.n(); ++x) cols_[x] = packed.column(x);
+  }
+
+  // The scratch lives in the arena frame this object holds.
+  PairWalker(const PairWalker&) = delete;
+  PairWalker& operator=(const PairWalker&) = delete;
+
+  /// Makes `p` the timely set of the walks that follow; its timeline
+  /// is built on demand from word `from` on.
+  void start(ProcSet p, std::int64_t from) noexcept {
+    p_ = p;
+    p_ready_ = from;
+  }
+
+  /// Walks `pair` (whose P is the started one) on from pair.word until
+  /// it prunes at prune_q (returns true) or reaches word `stop`.
+  bool walk(Survivor& pair, std::int64_t stop, std::int64_t prune_q) {
+    const ProcSet built = complement_ ? universe_ - pair.q : pair.q;
+    while (pair.word < stop) {
+      const std::int64_t w = pair.word;
+      const std::int64_t c = std::min(pair.chunk, stop - w);
+      if (w + c > p_ready_) {
+        or_column_words(cols_, p_, p_ready_, w + c - p_ready_,
+                        pwords_ + p_ready_);
+        p_ready_ = w + c;
+      }
+      or_column_words(cols_, built, w, c, qbuf_);
+      if (complement_) {
+        for (std::int64_t k = 0; k < c; ++k) qbuf_[k] = ~qbuf_[k];
+        if (w + c == words_) qbuf_[c - 1] &= tail_mask_;
+      }
+      pair.word = w + c;
+      pair.chunk = std::min(2 * pair.chunk, kMaxChunk);
+      if (kernels_.window_walk(pwords_ + w, qbuf_, c, prune_q,
+                               &pair.window)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static constexpr std::int64_t kMaxChunk = 64;
+
+  std::int64_t words_;
+  const simd::Kernels& kernels_;
+  bool complement_;
+  ProcSet universe_;
+  std::uint64_t tail_mask_;
+  const std::uint64_t* cols_[kMaxProcs];
+  std::optional<util::FrameScope> frame_;
+  std::vector<std::uint64_t> fallback_;
+  std::uint64_t* pwords_ = nullptr;
+  std::uint64_t* qbuf_ = nullptr;
+  ProcSet p_;
+  std::int64_t p_ready_ = 0;  // pwords_[from, p_ready_) hold P's words
+};
+
 }  // namespace
 
 std::int64_t min_timeliness_bound(const Schedule& s, ProcSet p, ProcSet q,
@@ -156,21 +246,31 @@ PackedSchedule::PackedSchedule(const Schedule& s,
   repack(s);
 }
 
-PackedSchedule::PackedSchedule(ScheduleGenerator& gen, std::int64_t steps) {
+PackedSchedule::PackedSchedule(int n, std::int64_t steps) {
+  SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   SETLIB_EXPECTS(steps >= 0);
-  reset(gen.n(), steps);
-  // 16 blocks per fill() call: the batch stays in L1, and the per-call
-  // cost is spread over 1,024 steps.
-  constexpr std::int64_t kPullSteps = 16 * kBitsPerWord;
-  Pid pulled[kPullSteps];
-  for (std::int64_t t0 = 0; t0 < len_; t0 += kPullSteps) {
-    const std::int64_t count = std::min(kPullSteps, len_ - t0);
+  reset(n, steps);
+}
+
+PackedSchedule::PackedSchedule(ScheduleGenerator& gen, std::int64_t steps)
+    : PackedSchedule(gen.n(), steps) {
+  pack(gen, words_);
+}
+
+void PackedSchedule::pack(ScheduleGenerator& gen, std::int64_t upto) {
+  SETLIB_EXPECTS(packed_ <= upto && upto <= words_);
+  SETLIB_EXPECTS(gen.n() == n_);
+  Pid pulled[kPullWords * kBitsPerWord];
+  for (std::int64_t w0 = packed_; w0 < upto; w0 += kPullWords) {
+    const std::int64_t w_end = std::min(w0 + kPullWords, upto);
+    const std::int64_t count =
+        std::min(w_end * kBitsPerWord, len_) - w0 * kBitsPerWord;
     gen.fill(std::span<Pid>(pulled, static_cast<std::size_t>(count)));
-    for (std::int64_t t = 0; t < count; t += kBitsPerWord) {
-      const std::int64_t w = (t0 + t) / kBitsPerWord;
-      pack_block(pulled + t, block_steps(w), w);
+    for (std::int64_t w = w0; w < w_end; ++w) {
+      pack_block(pulled + (w - w0) * kBitsPerWord, block_steps(w), w);
     }
   }
+  packed_ = upto;
 }
 
 void PackedSchedule::repack(const Schedule& s) {
@@ -179,12 +279,14 @@ void PackedSchedule::repack(const Schedule& s) {
   for (std::int64_t w = 0; w < words_; ++w) {
     pack_block(steps + w * kBitsPerWord, block_steps(w), w);
   }
+  packed_ = words_;
 }
 
 void PackedSchedule::reset(int n, std::int64_t len) {
   n_ = n;
   len_ = len;
   words_ = (len_ + kBitsPerWord - 1) / kBitsPerWord;
+  packed_ = 0;
   const std::size_t total =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(words_);
   // No zero fill: pack_block writes every word.
@@ -230,6 +332,7 @@ const std::uint64_t* PackedSchedule::column(Pid p) const {
 }
 
 std::int64_t PackedSchedule::bound_for(ProcSet p, ProcSet q) const {
+  SETLIB_EXPECTS(packed_ == words_);
   const ProcSet pu = p & ProcSet::universe(n_);
   const ProcSet qu = q & ProcSet::universe(n_);
   simd::WalkState scan;
@@ -246,15 +349,18 @@ std::int64_t PackedSchedule::bound_for(ProcSet p, ProcSet q) const {
 }
 
 RankedPairScan::RankedPairScan(const PackedSchedule& packed, int i, int j,
-                               util::ArenaAllocator* arena)
+                               util::ArenaAllocator* arena,
+                               std::int64_t horizon)
     : packed_(&packed),
       i_(i),
       j_(j),
       arena_(arena),
+      horizon_(horizon),
       p_ranker_(packed.n(), i),
       q_ranker_(packed.n(), j) {
   SETLIB_EXPECTS(1 <= i && i <= packed.n());
   SETLIB_EXPECTS(1 <= j && j <= packed.n());
+  SETLIB_EXPECTS(horizon >= 0);
 }
 
 std::int64_t RankedPairScan::p_count() const noexcept {
@@ -265,86 +371,43 @@ std::int64_t RankedPairScan::q_count() const noexcept {
   return q_ranker_.count();
 }
 
-RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
-                                                 std::int64_t p_end,
-                                                 std::int64_t bound_cap,
-                                                 Mode mode) const {
+RankedPairScan::ScanOutcome RankedPairScan::scan(
+    std::int64_t p_begin, std::int64_t p_end, std::int64_t bound_cap,
+    Mode mode, std::vector<Survivor>* survivors) const {
   SETLIB_EXPECTS(0 <= p_begin && p_begin <= p_end &&
                  p_end <= p_ranker_.count());
   const std::int64_t words = packed_->words();
+  const std::int64_t stop = std::min(horizon_, words);
+  SETLIB_EXPECTS(stop == words || survivors != nullptr);
   ScanOutcome out;
   if (p_begin == p_end) return out;
   // Q-counts at or above prune_q cannot improve the outcome, so an
-  // observer scan aborts the moment one P-free window reaches it. For
+  // observer walk aborts the moment one P-free window reaches it. For
   // the exhaustive best-pair mode the cap tightens as the best bound
   // drops.
   std::int64_t prune_q = mode == Mode::kBest
                              ? std::numeric_limits<std::int64_t>::max()
                              : bound_cap;
-  const simd::Kernels& kernels = simd::active_kernels();
-  // Scratch: the per-P OR buffer (words) plus one Q chunk. A pair is
-  // walked chunk by chunk, the first chunk one word and each later one
-  // twice the last up to kQChunk, so a pair pruned in its first words
-  // pays for those words only, on the P side as on the Q side.
-  constexpr std::int64_t kQChunk = 64;
-  std::optional<util::FrameScope> frame;
-  std::vector<std::uint64_t> fallback;
-  std::uint64_t* pwords = nullptr;
-  if (arena_ != nullptr) {
-    frame.emplace(*arena_);
-    pwords = arena_->alloc_array<std::uint64_t>(words + kQChunk);
-  } else {
-    fallback.resize(static_cast<std::size_t>(words + kQChunk));
-    pwords = fallback.data();
-  }
-  std::uint64_t* const qbuf = pwords + words;
-  // A large observer set is built as the complement of the OR of the
-  // columns outside it: every step has exactly one pid, so within the
-  // steps < size() the two agree, and the complement reads n - j
-  // columns instead of j.
-  const int n = packed_->n();
-  const bool complement = 2 * j_ > n;
-  const ProcSet universe = ProcSet::universe(n);
-  // Steps < size() of the last word (1 to 64 of them).
-  const std::uint64_t tail_mask = low_word_mask(
-      static_cast<int>(packed_->size() - (words - 1) * kBitsPerWord));
-  const std::uint64_t* cols[kMaxProcs];
-  for (Pid x = 0; x < n; ++x) cols[x] = packed_->column(x);
+  PairWalker walker(*packed_, j_, arena_);
   // Rank order is colex order: both sides start at their first rank
   // and step by successor.
   ProcSet p = p_ranker_.unrank(p_begin);
   const ProcSet q_first = q_ranker_.unrank(0);
   const std::int64_t q_total = q_ranker_.count();
   for (std::int64_t pr = p_begin; pr < p_end; ++pr, p = next_colex(p)) {
-    // pwords[0, p_ready) hold this P's timeline, built only as far as
-    // its observer walks have read, each word once.
-    std::int64_t p_ready = 0;
+    walker.start(p, 0);
     ProcSet q = q_first;
     for (std::int64_t qr = 0; qr < q_total; ++qr, q = next_colex(q)) {
       ++out.pairs;
-      const ProcSet built = complement ? universe - q : q;
-      // Chunked column ORs + window walk, aborted at the prune cap.
-      simd::WalkState window;
-      bool pruned = false;
-      std::int64_t chunk = 1;
-      for (std::int64_t w = 0; w < words && !pruned;) {
-        const std::int64_t c = std::min(chunk, words - w);
-        if (w + c > p_ready) {
-          or_column_words(cols, p, p_ready, w + c - p_ready,
-                          pwords + p_ready);
-          p_ready = w + c;
-        }
-        or_column_words(cols, built, w, c, qbuf);
-        if (complement) {
-          for (std::int64_t k = 0; k < c; ++k) qbuf[k] = ~qbuf[k];
-          if (w + c == words) qbuf[c - 1] &= tail_mask;
-        }
-        pruned = kernels.window_walk(pwords + w, qbuf, c, prune_q, &window);
-        w += c;
-        chunk = std::min(2 * chunk, kQChunk);
+      Survivor pair;
+      pair.p = p;
+      pair.q = q;
+      if (walker.walk(pair, stop, prune_q)) continue;
+      if (pair.word < words) {  // unpruned at the horizon
+        survivors->push_back(pair);
+        continue;
       }
-      if (pruned) continue;
-      const std::int64_t bound = window.max_q + 1;
+      const std::int64_t bound = pair.window.max_q + 1;
       switch (mode) {
         case Mode::kBest:
           if (!out.best || bound < out.best->bound) {
@@ -365,17 +428,43 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(std::int64_t p_begin,
 
 TimelyPair RankedPairScan::best_pair(std::int64_t p_begin,
                                      std::int64_t p_end) const {
-  const ScanOutcome out = scan(p_begin, p_end, 0, Mode::kBest);
+  SETLIB_EXPECTS(horizon_ == kNoHorizon);
+  const ScanOutcome out = scan(p_begin, p_end, 0, Mode::kBest, nullptr);
   if (out.best) return *out.best;
   return TimelyPair{ProcSet(), ProcSet(),
                     std::numeric_limits<std::int64_t>::max()};
 }
 
 RankedPairScan::MemberCount RankedPairScan::count_members(
-    std::int64_t bound_cap, std::int64_t p_begin, std::int64_t p_end) const {
+    std::int64_t bound_cap, std::int64_t p_begin, std::int64_t p_end,
+    std::vector<Survivor>* survivors) const {
   SETLIB_EXPECTS(bound_cap >= 1);
-  const ScanOutcome out = scan(p_begin, p_end, bound_cap, Mode::kCount);
+  const ScanOutcome out =
+      scan(p_begin, p_end, bound_cap, Mode::kCount, survivors);
   return MemberCount{out.pairs, out.members, out.best};
+}
+
+RankedPairScan::MemberCount RankedPairScan::finish(
+    std::int64_t bound_cap, std::span<const Survivor> survivors) const {
+  SETLIB_EXPECTS(bound_cap >= 1);
+  SETLIB_EXPECTS(packed_->packed_words() == packed_->words());
+  MemberCount out;
+  if (survivors.empty()) return out;
+  PairWalker walker(*packed_, j_, arena_);
+  for (std::size_t k = 0; k < survivors.size(); ++k) {
+    Survivor pair = survivors[k];
+    SETLIB_EXPECTS(pair.p.size() == i_ && pair.q.size() == j_);
+    if (k == 0 || pair.p != survivors[k - 1].p ||
+        pair.word != survivors[k - 1].word) {
+      walker.start(pair.p, pair.word);
+    }
+    if (walker.walk(pair, packed_->words(), bound_cap)) continue;
+    ++out.members;
+    if (!out.first) {
+      out.first = TimelyPair{pair.p, pair.q, pair.window.max_q + 1};
+    }
+  }
+  return out;
 }
 
 }  // namespace setlib::sched

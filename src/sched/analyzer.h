@@ -42,7 +42,11 @@
 //     in its first words reads only those words; an observer set larger
 //     than half the universe is built as the complement of the OR of
 //     the columns outside it; and observer sets advance by colex
-//     successor (next_colex) instead of being unranked per pair.
+//     successor (next_colex) instead of being unranked per pair. In
+//     count mode a scan can stop every walk at a horizon word and hand
+//     back the pairs still unpruned there; finish() resumes them once
+//     the rest of the prefix is packed, which lets the census scan
+//     while it packs.
 //
 // min_timeliness_bound_reference is the original per-step scan, kept
 // as the executable specification: the randomized equivalence tests
@@ -51,11 +55,14 @@
 #define SETLIB_SCHED_ANALYZER_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/sched/generator.h"
 #include "src/sched/schedule.h"
+#include "src/sched/simd.h"
 #include "src/util/arena.h"
 #include "src/util/procset.h"
 
@@ -133,12 +140,14 @@ class BoundTracker {
 /// one — and every downstream consumer (engine report, pair scans,
 /// frontier checks) borrows that instance read-only. A consumer that
 /// never reads the steps themselves (the membership census) packs
-/// straight from the generator and never materializes a Schedule.
-/// repack() recycles the word storage across schedules, so a loop
-/// that analyzes many schedules (the fuzzer's minimization evals, the
-/// frontier's cell loop) allocates its words once. Every constructor
-/// and repack() share one block packer: 64 steps become one word of
-/// every column.
+/// straight from the generator and never materializes a Schedule;
+/// it may pack in steps (a sized constructor, then pack() up to a
+/// word), and readers then borrow only the words packed before they
+/// started. repack() recycles the word storage across schedules, so
+/// a loop that analyzes many schedules (the fuzzer's minimization
+/// evals, the frontier's cell loop) allocates its words once. Every
+/// constructor, pack() and repack() share one block packer: 64 steps
+/// become one word of every column.
 class PackedSchedule {
  public:
   /// Empty (n = 0, size = 0): a repack target for reuse loops.
@@ -149,10 +158,13 @@ class PackedSchedule {
   /// frame discipline governs the storage — repack() on an
   /// arena-backed instance bumps fresh words from the arena.
   PackedSchedule(const Schedule& s, util::ArenaAllocator& arena);
+  /// Sized for `steps` steps of an n-process schedule with no word
+  /// packed yet: pack() fills the words from a generator, in one call
+  /// or several. The word storage is the only allocation.
+  PackedSchedule(int n, std::int64_t steps);
   /// Packs the next `steps` steps of `gen` straight into the words:
-  /// pulled through gen.fill() 1,024 at a time into a stack buffer and
-  /// packed one 64-step block at a time. No Schedule is materialized,
-  /// and the words are the only allocation. The columns equal
+  /// PackedSchedule(gen.n(), steps) followed by pack(gen, words()).
+  /// No Schedule is materialized. The columns equal
   /// PackedSchedule(generate(gen, steps)), and `gen` is left exactly
   /// `steps` steps further on.
   PackedSchedule(ScheduleGenerator& gen, std::int64_t steps);
@@ -168,21 +180,41 @@ class PackedSchedule {
   /// pointers.
   void repack(const Schedule& s);
 
+  /// Steps pack() pulls from a generator per fill() call, in words:
+  /// 16 blocks of 64 steps, a batch that stays in L1 and spreads the
+  /// per-call cost over 1,024 steps. It is also the census horizon
+  /// (core::ranked_pair_scan): the words packed before its pool job.
+  static constexpr std::int64_t kPullWords = 16;
+
+  /// The one generator pack loop: pulls the next steps of `gen` and
+  /// packs them into words [packed_words(), upto), kPullWords words
+  /// per fill() call. Requires packed_words() <= upto <= words() and
+  /// gen.n() == n(). Packing in several calls gives the columns and
+  /// leaves `gen` where one call would. Words below packed_words() are
+  /// never written again, so other threads may read them while a later
+  /// call packs the rest.
+  void pack(ScheduleGenerator& gen, std::int64_t upto);
+
   int n() const noexcept { return n_; }
   std::int64_t size() const noexcept { return len_; }
   /// Words per column: ceil(size() / 64).
   std::int64_t words() const noexcept { return words_; }
+  /// Words packed so far: words() except between a sized constructor
+  /// and the pack() call that reaches words().
+  std::int64_t packed_words() const noexcept { return packed_; }
 
   /// Process p's packed timeline (words() words; bits past size() are
-  /// zero).
+  /// zero; words at or past packed_words() are unspecified).
   const std::uint64_t* column(Pid p) const;
 
-  /// min_timeliness_bound(s, p, q) over the packed prefix.
+  /// min_timeliness_bound(s, p, q) over the packed prefix. Requires
+  /// every word packed.
   std::int64_t bound_for(ProcSet p, ProcSet q) const;
 
  private:
-  /// Sizes the word storage for n processes x len steps. Contents are
-  /// left unspecified: pack_block writes every word of its block.
+  /// Sizes the word storage for n processes x len steps, none packed.
+  /// Contents are left unspecified: pack_block writes every word of
+  /// its block.
   void reset(int n, std::int64_t len);
   /// Steps in block w (64, or fewer in the last block).
   int block_steps(std::int64_t w) const noexcept;
@@ -193,6 +225,7 @@ class PackedSchedule {
   int n_ = 0;
   std::int64_t len_ = 0;
   std::int64_t words_ = 0;
+  std::int64_t packed_ = 0;  // words [0, packed_) are packed
   // Column-major words: [p * words_ + w]. data_ points into owned_
   // (heap-backed) or into arena_ storage (arena-backed).
   std::vector<std::uint64_t> owned_;
@@ -218,16 +251,30 @@ struct TimelyPair {
 /// rank ranges let callers shard the
 /// P-space (e.g. across an ExperimentRunner pool): results over a
 /// partition of [0, p_count()) compose to the full-range result.
+///
+/// Count mode can stop at a horizon, so a census can scan the words
+/// already packed while the rest is still being packed: every pair is
+/// walked over words [0, horizon) only, and a pair still unpruned
+/// there becomes a Survivor that finish() resumes with the same chunk
+/// walk once the whole prefix is packed. Horizon counts plus the
+/// finish of their survivors equal the count without a horizon.
 class RankedPairScan {
  public:
+  /// No horizon: every walk may read the whole prefix.
+  static constexpr std::int64_t kNoHorizon =
+      std::numeric_limits<std::int64_t>::max();
+
   /// With an arena, per-call scratch (the shared P OR-buffer and the
   /// 64-word Q chunk buffer) is bump-allocated inside a FrameScope per
   /// scan call instead of hitting the heap. The arena is mutated by
   /// the (const) scan calls, so a scan object with an arena belongs to
   /// one thread — pool consumers build one RankedPairScan per worker
-  /// over the shared PackedSchedule.
+  /// over the shared PackedSchedule. With a `horizon` (>= 0), the scan
+  /// reads words [0, horizon) only, which must be packed; it serves
+  /// count_members only.
   RankedPairScan(const PackedSchedule& packed, int i, int j,
-                 util::ArenaAllocator* arena = nullptr);
+                 util::ArenaAllocator* arena = nullptr,
+                 std::int64_t horizon = kNoHorizon);
 
   int i() const noexcept { return i_; }
   int j() const noexcept { return j_; }
@@ -238,7 +285,7 @@ class RankedPairScan {
 
   /// The pair with the smallest bound among P-ranks [p_begin, p_end)
   /// (ties: first in enumeration order) — exhaustive, with the running
-  /// best bound as the prune cap.
+  /// best bound as the prune cap. Requires a scan without a horizon.
   TimelyPair best_pair(std::int64_t p_begin, std::int64_t p_end) const;
   TimelyPair best_pair() const { return best_pair(0, p_count()); }
 
@@ -248,14 +295,38 @@ class RankedPairScan {
     std::optional<TimelyPair> first;  // earliest member, if any
   };
 
+  /// One pair's walk in progress: its window-walk state, the next word
+  /// to walk and the size of the next chunk. A horizon count hands out
+  /// the pairs still unpruned at the horizon in this form.
+  struct Survivor {
+    ProcSet p;
+    ProcSet q;
+    simd::WalkState window;
+    std::int64_t word = 0;
+    std::int64_t chunk = 1;
+  };
+
   /// Count of pairs with bound <= bound_cap among P-ranks
   /// [p_begin, p_end) — the exhaustive membership census behind the
-  /// large-n detector sweeps.
+  /// large-n detector sweeps. When the horizon cuts the prefix, a pair
+  /// still unpruned at the horizon is counted in `pairs` but not yet
+  /// judged: it is appended to *survivors (required then) in rank
+  /// order, and finish() completes it. A horizon count judges either
+  /// every pair (the prefix fits under the horizon) or none that
+  /// survives, so its `first` is never later than finish()'s.
   MemberCount count_members(std::int64_t bound_cap, std::int64_t p_begin,
-                            std::int64_t p_end) const;
+                            std::int64_t p_end,
+                            std::vector<Survivor>* survivors = nullptr) const;
   MemberCount count_members(std::int64_t bound_cap) const {
     return count_members(bound_cap, 0, p_count());
   }
+
+  /// Walks `survivors` of a horizon count with the same bound_cap to
+  /// the end of the prefix, which must be packed by now: their
+  /// members and the earliest of them (pairs = 0, since the horizon
+  /// count counted them). Survivors of one P share its words.
+  MemberCount finish(std::int64_t bound_cap,
+                     std::span<const Survivor> survivors) const;
 
  private:
   enum class Mode { kBest, kCount };
@@ -267,12 +338,14 @@ class RankedPairScan {
   };
 
   ScanOutcome scan(std::int64_t p_begin, std::int64_t p_end,
-                   std::int64_t bound_cap, Mode mode) const;
+                   std::int64_t bound_cap, Mode mode,
+                   std::vector<Survivor>* survivors) const;
 
   const PackedSchedule* packed_;
   int i_;
   int j_;
   util::ArenaAllocator* arena_;  // scratch home; nullptr = heap
+  std::int64_t horizon_;
   SubsetRanker p_ranker_;
   SubsetRanker q_ranker_;
 };

@@ -20,7 +20,9 @@
 // RankedPairScan walks one pair in growing chunks (1, 2, 4, ... 64
 // words), carrying the state from call to call, and a pair prunes in
 // some chunk iff its whole-timeline max_q reaches prune_q, so counts
-// and members match a single whole-length walk. The scan builds both
+// and members match a single whole-length walk, also when a count-mode
+// horizon cuts a chunk short and RankedPairScan::finish resumes the
+// walk from the carried state later. The scan builds both
 // sides of a chunk just before walking it (P's words only the first
 // time any of its observers reaches them), so a pair pruned in chunk c
 // has read, and caused to be built, nothing past c.

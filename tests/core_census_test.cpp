@@ -5,7 +5,8 @@
 // the 2-subset starver), plus two small-n censuses with a generous cap
 // whose members walk the whole 40k-step prefix. Every value was
 // captured before the pair scan built its P timelines lazily, and each
-// census must reproduce it at pool widths 1 and 2.
+// census must reproduce it at pool widths 1, 2 and 4, and as the union
+// of three shards.
 #include "src/core/experiments.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/core/report.h"
 #include "src/core/runner.h"
 #include "src/core/sweep.h"
 
@@ -29,24 +31,45 @@ struct PinnedCensus {
   std::int64_t first_bound;
 };
 
-/// Runs `census` at pool widths 1 and 2 and requires the pinned result
-/// every time.
+void expect_result(const PairScanResult& got, const PinnedCensus& census) {
+  EXPECT_EQ(got.pairs, census.pairs);
+  EXPECT_EQ(got.members, census.members);
+  ASSERT_EQ(got.found, census.members > 0);
+  if (got.found) {
+    EXPECT_EQ(got.first.timely_set, census.first_p);
+    EXPECT_EQ(got.first.observed_set, census.first_q);
+    EXPECT_EQ(got.first.bound, census.first_bound);
+  }
+}
+
+/// Runs `census` at pool widths 1, 2 and 4, and as three uneven shards
+/// folded in shard order (counts summed, the first shard's member
+/// first), and requires the pinned result every time.
 void expect_pinned(const PinnedCensus& census, const std::string& name) {
-  for (const int threads : {1, 2}) {
+  for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(name + " at " + std::to_string(threads) + " threads");
     RunnerOptions options;
     options.threads = threads;
     ExperimentRunner runner(options);
-    const PairScanResult got = ranked_pair_scan(census.config, runner);
-    EXPECT_EQ(got.pairs, census.pairs);
-    EXPECT_EQ(got.members, census.members);
-    ASSERT_EQ(got.found, census.members > 0);
-    if (got.found) {
-      EXPECT_EQ(got.first.timely_set, census.first_p);
-      EXPECT_EQ(got.first.observed_set, census.first_q);
-      EXPECT_EQ(got.first.bound, census.first_bound);
+    expect_result(ranked_pair_scan(census.config, runner), census);
+  }
+  SCOPED_TRACE(name + " in three shards");
+  PairScanResult folded;
+  for (const ShardSpec shard : {ShardSpec{0, 3, 10}, ShardSpec{3, 4, 10},
+                                ShardSpec{4, 10, 10}}) {
+    RunnerOptions options;
+    options.threads = 2;
+    options.shard = shard;
+    ExperimentRunner runner(options);
+    const PairScanResult part = ranked_pair_scan(census.config, runner);
+    folded.pairs += part.pairs;
+    folded.members += part.members;
+    if (!folded.found && part.found) {
+      folded.found = true;
+      folded.first = part.first;
     }
   }
+  expect_result(folded, census);
 }
 
 TEST(CensusPinTest, PerfbenchCensusesKeepTheirCounts) {

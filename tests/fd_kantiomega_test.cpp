@@ -227,6 +227,25 @@ TEST_P(KAntiOmegaSweep, PropertyHoldsInMatchingSystem) {
                         << " :: " << check.detail;
 }
 
+// k = n - 1 is anti-Omega (the paper's footnote 2): every correct
+// process eventually outputs the same single process, the one outside
+// the stabilized winnerset.
+TEST(AntiOmegaTest, OutputsSingleExcludedProcess) {
+  const int n = 4;
+  shm::SimMemory mem;
+  KAntiOmega det(mem, {n, n - 1, n - 1, 1});
+  shm::Simulator sim(mem, n);
+  for (Pid p = 0; p < n; ++p) sim.process(p).add_task(det.run(p), "fd");
+  sched::RoundRobinGenerator gen(n);
+  const ProcSet all = ProcSet::universe(n);
+  sim.run_until(gen, 600'000, [&] { return det.stabilized(all, 8); });
+  ASSERT_TRUE(det.stabilized(all, 8));
+  const ProcSet excluded = det.view(0).fd_output;
+  ASSERT_EQ(excluded.size(), 1);
+  for (Pid p = 1; p < n; ++p) EXPECT_EQ(det.view(p).fd_output, excluded);
+  EXPECT_FALSE(det.common_winnerset(all).intersects(excluded));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, KAntiOmegaSweep,
     ::testing::Values(SweepParams{3, 1, 1, 0, 1}, SweepParams{3, 1, 1, 1, 2},

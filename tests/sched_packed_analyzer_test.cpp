@@ -178,6 +178,47 @@ TEST(PackedScheduleTest, GeneratorFedMatchesMaterialized) {
   }
 }
 
+TEST(PackedScheduleTest, IncrementalPackMatchesOnePack) {
+  for (const bool enforced : {true, false}) {
+    for (const std::int64_t len : {0, 1, 63, 64, 65, 1'025, 40'001}) {
+      const std::string what = std::string(enforced ? "enforced" : "starver") +
+                               " len " + std::to_string(len);
+      auto whole_gen = census_generator(enforced);
+      auto step_gen = census_generator(enforced);
+      const PackedSchedule whole(*whole_gen, len);
+      PackedSchedule stepped(step_gen->n(), len);
+      ASSERT_EQ(stepped.words(), whole.words()) << what;
+      EXPECT_EQ(stepped.packed_words(), 0) << what;
+      // Stops off and on the pull block, a repeated stop, the end.
+      for (const std::int64_t upto :
+           {std::int64_t{1}, std::int64_t{1}, std::int64_t{3},
+            PackedSchedule::kPullWords, std::int64_t{40}, whole.words()}) {
+        stepped.pack(*step_gen, std::clamp(upto, stepped.packed_words(),
+                                           stepped.words()));
+      }
+      EXPECT_EQ(stepped.packed_words(), stepped.words()) << what;
+      expect_same_columns(stepped, whole, what);
+      for (int k = 0; k < 100; ++k) {
+        ASSERT_EQ(step_gen->next(), whole_gen->next()) << what << " pick " << k;
+      }
+    }
+  }
+}
+
+TEST(PackedScheduleTest, PackRejectsAStopOutsideTheUnpackedWords) {
+  auto gen = census_generator(true);
+  PackedSchedule packed(gen->n(), 1'000);  // 16 words
+  EXPECT_THROW(packed.pack(*gen, packed.words() + 1), ContractViolation);
+  EXPECT_THROW(packed.pack(*gen, -1), ContractViolation);
+  packed.pack(*gen, 5);
+  EXPECT_THROW(packed.pack(*gen, 4), ContractViolation);
+  EXPECT_EQ(packed.packed_words(), 5);
+  KSubsetStarverGenerator other_n(7, ProcSet::universe(7), 2, 64);
+  EXPECT_THROW(packed.pack(other_n, 6), ContractViolation);
+  packed.pack(*gen, packed.words());
+  EXPECT_THROW(packed.pack(*gen, packed.words() + 1), ContractViolation);
+}
+
 TEST(PackedScheduleTest, RepackOverwritesRecycledWords) {
   Rng rng(23);
   PackedSchedule heap;
@@ -404,6 +445,124 @@ TEST(RankedPairScanTest, CountMembersMatchesExhaustiveOracle) {
       }
     }
   }
+}
+
+// A count cut at `horizon` plus the finish of its survivors, merged
+// the way the census merges them; `survivors` reports how many there
+// were.
+RankedPairScan::MemberCount count_through_horizon(
+    const PackedSchedule& packed, int i, int j, std::int64_t cap,
+    std::int64_t horizon, util::ArenaAllocator* arena,
+    std::int64_t& survivors) {
+  std::vector<RankedPairScan::Survivor> cut;
+  const RankedPairScan scan(packed, i, j, arena, horizon);
+  RankedPairScan::MemberCount out =
+      scan.count_members(cap, 0, scan.p_count(), &cut);
+  survivors = static_cast<std::int64_t>(cut.size());
+  if (!cut.empty()) {
+    EXPECT_TRUE(!out.first && out.members == 0);
+  }
+  const RankedPairScan::MemberCount done =
+      RankedPairScan(packed, i, j, arena).finish(cap, cut);
+  EXPECT_EQ(done.pairs, 0);
+  out.members += done.members;
+  if (!out.first) out.first = done.first;
+  return out;
+}
+
+// The census horizon: counting each pair only as far as a horizon and
+// then finishing the pairs still unpruned there must equal the count
+// without a horizon, over uniform, enforced and starver schedules,
+// every length class around a word and a pull block, i == j (where
+// every P = Q pair survives any horizon) and 2j > n (complement
+// observer sets), horizons inside and past the prefix, and caps that
+// prune at different depths.
+TEST(RankedPairScanTest, HorizonCountPlusFinishEqualsFullCount) {
+  struct Shape {
+    int n;
+    int i;
+    int j;
+  };
+  const std::vector<Shape> shapes = {
+      {3, 1, 1}, {3, 1, 2}, {5, 2, 2}, {5, 2, 3}, {8, 2, 2},
+      {8, 2, 5}, {13, 12, 12}, {13, 1, 12}, {24, 1, 1}, {24, 2, 23}};
+  std::int64_t survivors_seen = 0;
+  util::ArenaAllocator arena;
+  for (const char* family : {"uniform", "enforced", "starver"}) {
+    for (const Shape& shape : shapes) {
+      for (const std::int64_t len :
+           {0, 1, 63, 64, 65, 1'023, 1'025, 40'000}) {
+        std::unique_ptr<ScheduleGenerator> gen;
+        const std::string f = family;
+        if (f == "uniform") {
+          gen = std::make_unique<UniformRandomGenerator>(shape.n, 5);
+        } else if (f == "enforced") {
+          gen = EnforcedGenerator::single(
+              std::make_unique<UniformRandomGenerator>(shape.n, 7),
+              TimelinessConstraint(ProcSet::range(0, shape.i),
+                                   ProcSet::range(0, shape.j), 3));
+        } else {
+          gen = std::make_unique<KSubsetStarverGenerator>(
+              shape.n, ProcSet::universe(shape.n),
+              std::min(shape.i, shape.n - 1), 16);
+        }
+        const PackedSchedule packed(*gen, len);
+        const RankedPairScan full(packed, shape.i, shape.j);
+        for (const std::int64_t cap : {1, 3, 8}) {
+          const RankedPairScan::MemberCount want = full.count_members(cap);
+          for (const std::int64_t horizon :
+               {std::int64_t{1}, std::int64_t{2}, PackedSchedule::kPullWords,
+                packed.words(), packed.words() + 5}) {
+            const std::string where =
+                f + " n " + std::to_string(shape.n) + " i " +
+                std::to_string(shape.i) + " j " + std::to_string(shape.j) +
+                " len " + std::to_string(len) + " cap " +
+                std::to_string(cap) + " horizon " + std::to_string(horizon);
+            std::int64_t survivors = 0;
+            const RankedPairScan::MemberCount got = count_through_horizon(
+                packed, shape.i, shape.j, cap, horizon,
+                horizon % 2 == 0 ? &arena : nullptr, survivors);
+            survivors_seen += survivors;
+            if (horizon >= packed.words()) {
+              EXPECT_EQ(survivors, 0) << where;
+            }
+            ASSERT_EQ(got.pairs, want.pairs) << where;
+            ASSERT_EQ(got.members, want.members) << where;
+            ASSERT_EQ(got.first.has_value(), want.first.has_value())
+                << where;
+            if (want.first) {
+              EXPECT_EQ(got.first->timely_set, want.first->timely_set)
+                  << where;
+              EXPECT_EQ(got.first->observed_set, want.first->observed_set)
+                  << where;
+              EXPECT_EQ(got.first->bound, want.first->bound) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The finish path ran: the P = Q pairs alone survive every cut.
+  EXPECT_GT(survivors_seen, 0);
+}
+
+TEST(RankedPairScanTest, HorizonIsCountModeOnly) {
+  auto gen = census_generator(true);
+  const PackedSchedule packed(*gen, 5'000);  // 79 words
+  const RankedPairScan cut(packed, 2, 23, nullptr, 16);
+  EXPECT_THROW(cut.best_pair(), ContractViolation);
+  // A cut without a survivor sink would drop pairs.
+  EXPECT_THROW(cut.count_members(3), ContractViolation);
+  const RankedPairScan past_the_end(packed, 2, 23, nullptr,
+                                    packed.words() + 5);
+  EXPECT_THROW(past_the_end.best_pair(), ContractViolation);
+  EXPECT_EQ(past_the_end.count_members(3).pairs, 276 * 24);
+  EXPECT_THROW(RankedPairScan(packed, 2, 23, nullptr, -1), ContractViolation);
+  // finish() needs the whole prefix packed.
+  PackedSchedule partial(24, 5'000);
+  partial.pack(*gen, 16);
+  EXPECT_THROW(RankedPairScan(partial, 2, 23).finish(3, {}),
+               ContractViolation);
 }
 
 TEST(RankedPairScanTest, RangeSplitsCompose) {

@@ -8,7 +8,8 @@
 // frame of its suspended stack. So does the census generation
 // contract: the enforcer's next() and fill() allocate nothing, and
 // packing straight from a generator allocates its words and nothing
-// else. And the reactive adversaries' per-step contract: once built,
+// else, and a whole census allocates no more than it did before it
+// overlapped its scan with its packing. And the reactive adversaries' per-step contract: once built,
 // their next() allocates nothing while the feed is published into.
 #include <gtest/gtest.h>
 
@@ -20,6 +21,9 @@
 #include <vector>
 
 #include "src/agreement/multishot.h"
+#include "src/core/experiments.h"
+#include "src/core/runner.h"
+#include "src/core/sweep.h"
 #include "src/fd/kantiomega.h"
 #include "src/sched/analyzer.h"
 #include "src/sched/enforcer.h"
@@ -345,6 +349,42 @@ TEST(CensusAllocTest, GeneratorFedPackAllocatesOnlyItsWords) {
     });
     EXPECT_EQ(allocs, 1);
     EXPECT_EQ(words, 625);
+  }
+}
+
+// One whole n = 24 census through core::ranked_pair_scan, the first
+// two perfbench censuses (seed derive_cell_seed(1, op)), at pool widths
+// 1 and 2 on a warm runner. Before the census scanned its pairs while
+// the rest of the schedule was still being packed, the enforced census
+// made 10 and 11 allocations and the starver 13 and 14; overlapping
+// the two may cost at most one more, for the survivor storage. The
+// census now hands the pool its closures by reference instead of
+// copying two of them to the heap, which pays for the enforced
+// census's survivor vector (its member pair) and its finish pass's
+// error slot; the starver has no survivor and no finish pass.
+TEST(CensusAllocTest, WholeCensusAllocatesAsBefore) {
+  struct Pin {
+    std::uint64_t op;
+    int threads;
+    std::int64_t before;
+    std::int64_t now;
+  };
+  for (const Pin pin : {Pin{0, 1, 10, 10}, Pin{0, 2, 11, 11},
+                        Pin{1, 1, 13, 11}, Pin{1, 2, 14, 12}}) {
+    core::RunnerOptions options;
+    options.threads = pin.threads;
+    core::ExperimentRunner runner(options);
+    core::PairScanConfig cfg;
+    cfg.seed = core::derive_cell_seed(1, pin.op);
+    cfg.enforced_bound = pin.op % 2 == 0 ? 3 : 0;
+    core::ranked_pair_scan(cfg, runner);  // warm
+    core::PairScanResult got;
+    const std::int64_t allocs = allocations_in(
+        [&] { got = core::ranked_pair_scan(cfg, runner); });
+    EXPECT_EQ(got.pairs, 276 * 24);
+    EXPECT_EQ(allocs, pin.now) << "op " << pin.op << " at " << pin.threads
+                               << " threads";
+    EXPECT_LE(allocs, pin.before + 1);
   }
 }
 
