@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
             << " (k = " << cfg.k << ")\n";
   std::cout << "pacer steps:     " << report.pacer_steps << "\n";
   std::cout << "witness bound:   " << report.witness_bound
-            << " (measured on the pacer's serialized schedule)\n";
+            << " (measured on the linearization the pacer logged)\n";
   std::cout << "elapsed:         " << report.elapsed.count() << " ms\n";
   std::cout << "detector:        "
             << (report.detector_stabilized ? "stabilized" : "oscillating")

@@ -6,7 +6,7 @@
 
 namespace setlib::runtime {
 
-ThreadedExecutor::ThreadedExecutor(RtMemory& mem, int n)
+ThreadedExecutor::ThreadedExecutor(shm::IMemory& mem, int n)
     : mem_(mem),
       n_(n),
       crash_after_(static_cast<std::size_t>(n),
@@ -39,6 +39,7 @@ void ThreadedExecutor::thread_main(Pid p, Pacer& pacer,
                                    const Options& options) {
   auto& proc = procs_[static_cast<std::size_t>(p)];
   const std::int64_t crash_at = crash_after_[static_cast<std::size_t>(p)];
+  const std::function<void()> body = [&] { proc.step(mem_); };
   std::int64_t ops = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     if (ops >= crash_at) {
@@ -47,11 +48,10 @@ void ThreadedExecutor::thread_main(Pid p, Pacer& pacer,
       break;
     }
     if (ops >= options.max_ops_per_process) break;
-    if (!pacer.step(p)) break;
-    proc.step(mem_);
+    if (!pacer.step(p, body)) break;
     ++ops;
     total_ops_.fetch_add(1, std::memory_order_relaxed);
-    if (options.local_done && ops % options.poll_every == 0 &&
+    if (options.local_done && ops % kPollEvery == 0 &&
         !done_[static_cast<std::size_t>(p)].load(
             std::memory_order_relaxed) &&
         options.local_done(p)) {
@@ -75,7 +75,6 @@ void ThreadedExecutor::thread_main(Pid p, Pacer& pacer,
 
 ThreadedExecutor::RunStats ThreadedExecutor::run(Pacer& pacer,
                                                  const Options& options) {
-  mem_.freeze();
   const auto start = std::chrono::steady_clock::now();
 
   {

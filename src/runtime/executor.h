@@ -1,13 +1,16 @@
 // The threaded executor: the same coroutine algorithms the simulator
 // runs, driven by real std::jthreads.
 //
-// Each process thread loops: gate one step through the Pacer, then
-// execute one pending register operation of the process's next task
-// against the (thread-safe) RtMemory. Crash injection stops a thread
-// after a configured number of operations. Thread-owned state keeps the
-// algorithm objects race-free: a process's tasks run only on its own
-// thread; cross-thread coordination goes through RtMemory registers,
-// the Pacer, and the executor's atomics.
+// Each process thread loops: hand one step to the Pacer, which runs it
+// (one pending register operation of the process's next task) inside
+// its gate. The memory is a plain shm::IMemory — the gate holder is the
+// only thread that ever touches it, so it needs no lock of its own, and
+// the pacer's step log is the order of the register operations. Crash
+// injection stops a thread after a configured number of operations.
+// Thread-owned state keeps the algorithm objects race-free: a process's
+// tasks run only on its own thread; cross-thread coordination goes
+// through the registers (inside the gate), the Pacer, and the
+// executor's atomics.
 #ifndef SETLIB_RUNTIME_EXECUTOR_H
 #define SETLIB_RUNTIME_EXECUTOR_H
 
@@ -22,7 +25,7 @@
 #include <vector>
 
 #include "src/runtime/pacer.h"
-#include "src/runtime/rt_memory.h"
+#include "src/shm/memory.h"
 #include "src/shm/process.h"
 #include "src/util/procset.h"
 #include "src/util/sync.h"
@@ -37,13 +40,15 @@ class ThreadedExecutor {
     std::int64_t max_ops_per_process = 2'000'000;
     /// Wall-clock cap for the whole run.
     std::chrono::milliseconds max_wall{10'000};
-    /// Evaluated by each process's own thread every `poll_every` ops;
+    /// Evaluated by each process's own thread every kPollEvery ops;
     /// when it returns true the process counts as locally done. The
     /// run ends when every non-crashed process is done (or budgets
     /// expire). Must only touch state owned by that process.
     std::function<bool(Pid)> local_done;
-    std::int64_t poll_every = 32;
   };
+
+  /// Operations between two local_done polls of one process.
+  static constexpr std::int64_t kPollEvery = 32;
 
   struct RunStats {
     bool all_done = false;        // every non-crashed process reported done
@@ -52,7 +57,9 @@ class ThreadedExecutor {
     std::chrono::milliseconds elapsed{0};
   };
 
-  ThreadedExecutor(RtMemory& mem, int n);
+  /// `mem` is set up before run() and then touched only by steps run
+  /// inside the pacer's gate.
+  ThreadedExecutor(shm::IMemory& mem, int n);
 
   shm::ProcessRuntime& process(Pid p);
 
@@ -72,7 +79,7 @@ class ThreadedExecutor {
  private:
   void thread_main(Pid p, Pacer& pacer, const Options& options);
 
-  RtMemory& mem_;
+  shm::IMemory& mem_;
   int n_;
   std::vector<shm::ProcessRuntime> procs_;
   std::vector<std::int64_t> crash_after_;

@@ -4,9 +4,8 @@
 
 namespace setlib::runtime {
 
-Pacer::Pacer(int n, std::vector<sched::TimelinessConstraint> constraints,
-             bool record_schedule)
-    : n_(n), active_(ProcSet::universe(n)), record_(record_schedule) {
+Pacer::Pacer(int n, std::vector<sched::TimelinessConstraint> constraints)
+    : n_(n), active_(ProcSet::universe(n)) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   const ProcSet universe = ProcSet::universe(n);
   for (const auto& c : constraints) {
@@ -40,14 +39,15 @@ void Pacer::apply_locked(Pid pid) {
     }
   }
   ++steps_;
-  if (record_) log_.push_back(pid);
+  log_.push_back(pid);
 }
 
-bool Pacer::step(Pid pid) {
+bool Pacer::step(Pid pid, const std::function<void()>& body) {
   SETLIB_EXPECTS(pid >= 0 && pid < n_);
   const util::MutexLock lock(mu_);
   while (!stop_ && !allowed_locked(pid)) cv_.wait(mu_);
   if (stop_) return false;
+  body();
   apply_locked(pid);
   // A step by a P member unblocks Q waiters; wake them.
   cv_.notify_all();

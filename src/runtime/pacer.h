@@ -2,12 +2,13 @@
 //
 // The threaded runtime cannot choose the schedule — the OS does — so
 // timeliness is enforced with a gate instead: every process thread
-// calls step(pid) before each register operation. For each configured
+// hands each of its steps to step(pid, body). For each configured
 // constraint (P timely w.r.t. Q, bound b), a thread in Q \ P is blocked
-// (condition-variable wait with predicate, CP.42) whenever b - 1 steps
-// of Q have already passed since the last P step; it resumes once a P
-// member steps. The pacer's serialization order (its internal step
-// log, optional) is the schedule the analyzer checks.
+// (condition-variable wait, CP.42) whenever b - 1 steps of Q have
+// already passed since the last P step; it resumes once a P member
+// steps. The body (one register operation) runs and is logged under
+// the gate's one mutex, so the step log is the linearization of the
+// register operations, and it is the schedule the analyzer checks.
 //
 // Liveness guards: if every member of some constraint's P has
 // deactivated (crashed/finished), the constraint is dropped (counted),
@@ -16,6 +17,7 @@
 #define SETLIB_RUNTIME_PACER_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -29,14 +31,14 @@ namespace setlib::runtime {
 
 class Pacer {
  public:
-  /// `record_schedule`: keep the serialized step log (costs memory
-  /// proportional to the run; on for experiments, off for benches).
-  Pacer(int n, std::vector<sched::TimelinessConstraint> constraints,
-        bool record_schedule = true);
+  Pacer(int n, std::vector<sched::TimelinessConstraint> constraints);
 
-  /// Gate one step of `pid`. Blocks while any constraint forbids it.
-  /// Returns false if the pacer was stopped while waiting.
-  bool step(Pid pid);
+  /// Gate one step of `pid`: blocks while any constraint forbids it,
+  /// then runs `body` and logs pid, both under the gate's mutex, so no
+  /// other step runs between them. `body` must not call back into the
+  /// pacer. Returns false, without running `body`, if the pacer was
+  /// stopped while waiting.
+  bool step(Pid pid, const std::function<void()>& body);
 
   /// The thread of `pid` will take no further steps (crash or finish);
   /// waiting threads blocked on pid's set are re-evaluated.
@@ -57,8 +59,8 @@ class Pacer {
   /// dropped_constraints. nullopt while every constraint is live.
   std::optional<std::int64_t> first_drop_step() const;
 
-  /// The serialized schedule (requires record_schedule; empty
-  /// otherwise). Call after threads have quiesced.
+  /// Every step in the order its body ran: the linearization of the
+  /// run's register operations. Call after threads have quiesced.
   sched::Schedule recorded_schedule() const;
 
  private:
@@ -80,7 +82,6 @@ class Pacer {
   std::int64_t steps_ SETLIB_GUARDED_BY(mu_) = 0;
   std::int64_t dropped_ SETLIB_GUARDED_BY(mu_) = 0;
   std::optional<std::int64_t> first_drop_step_ SETLIB_GUARDED_BY(mu_);
-  const bool record_;  // set at construction, immutable afterwards
   std::vector<Pid> log_ SETLIB_GUARDED_BY(mu_);
 };
 

@@ -9,7 +9,6 @@
 #include "src/fd/property.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/pacer.h"
-#include "src/runtime/rt_memory.h"
 #include "src/sched/analyzer.h"
 #include "src/util/assert.h"
 
@@ -34,7 +33,7 @@ RtRunReport run_kset_threaded(const RtRunConfig& cfg) {
   }
   SETLIB_EXPECTS(proposals.size() == static_cast<std::size_t>(n));
 
-  RtMemory mem;
+  shm::SimMemory mem;
   fd::KAntiOmega detector(mem,
                           fd::KAntiOmega::Params{n, cfg.k, cfg.t, 1});
   agreement::KSetAgreement kset(
@@ -60,7 +59,7 @@ RtRunReport run_kset_threaded(const RtRunConfig& cfg) {
   const ProcSet q_set = ProcSet::range(0, std::min(cfg.t + 1, n));
   std::vector<sched::TimelinessConstraint> constraints;
   constraints.emplace_back(p_set, q_set, cfg.bound);
-  Pacer pacer(n, std::move(constraints), /*record_schedule=*/true);
+  Pacer pacer(n, std::move(constraints));
 
   ThreadedExecutor::Options options;
   options.max_ops_per_process = cfg.max_ops_per_process;
@@ -98,18 +97,25 @@ RtRunReport run_kset_threaded(const RtRunConfig& cfg) {
   report.detector_stabilized = prop.stabilized;
   report.detector_abstract_ok = prop.abstract_ok;
 
-  const sched::Schedule schedule = pacer.recorded_schedule();
+  report.detector_iterations.reserve(static_cast<std::size_t>(n));
+  for (Pid p = 0; p < n; ++p) {
+    report.detector_iterations.push_back(detector.view(p).iterations);
+  }
+
+  report.schedule = pacer.recorded_schedule();
   const std::int64_t paced =
-      std::min<std::int64_t>(report.pacer_steps, schedule.size());
+      std::min<std::int64_t>(report.pacer_steps, report.schedule.size());
   report.witness_bound =
       paced == 0 ? 0
-                 : sched::min_timeliness_bound(schedule, p_set, q_set, 0,
-                                               paced);
+                 : sched::min_timeliness_bound(report.schedule, p_set,
+                                               q_set, 0, paced);
   std::ostringstream os;
   os << verdict.detail << " pacer_steps=" << report.pacer_steps
      << " witness_bound=" << report.witness_bound
      << " elapsed_ms=" << report.elapsed.count();
   report.detail = os.str();
+  // The stack's references to mem go unused from here on.
+  report.memory = std::move(mem);
   return report;
 }
 

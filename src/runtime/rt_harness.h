@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/sched/schedule.h"
+#include "src/shm/memory.h"
 #include "src/util/procset.h"
 
 namespace setlib::runtime {
@@ -60,6 +62,15 @@ struct RtRunReport {
   bool detector_stabilized = false;
   bool detector_abstract_ok = false;
   std::string detail;
+
+  /// Every step in the order it ran, the unpaced tail included: the
+  /// linearization of the run's register operations. Replaying it
+  /// through shm::Simulator from the same proposals reproduces
+  /// `memory`, `detector_iterations` and `decisions`. (Empty until a
+  /// run fills it.)
+  sched::Schedule schedule{1};
+  shm::SimMemory memory;  // the registers as the run left them
+  std::vector<std::int64_t> detector_iterations;  // per process
 };
 
 RtRunReport run_kset_threaded(const RtRunConfig& cfg);

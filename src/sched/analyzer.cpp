@@ -404,6 +404,15 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(
       pair.q = q;
       if (walker.walk(pair, stop, prune_q)) continue;
       if (pair.word < words) {  // unpruned at the horizon
+        // Past its first survivor, a call reserves room for every pair
+        // it has left instead of regrowing by doubling; a census with
+        // one survivor per chunk keeps its one-slot vector.
+        if (!survivors->empty() &&
+            survivors->size() == survivors->capacity()) {
+          survivors->reserve(survivors->size() +
+                             static_cast<std::size_t>(
+                                 (p_end - pr) * q_total - qr));
+        }
         survivors->push_back(pair);
         continue;
       }

@@ -1,17 +1,16 @@
 // Shared memory: the register set Xi.
 //
-// IMemory is the single algorithm-facing interface; SimMemory is the
-// deterministic single-threaded implementation used by the Simulator,
-// and runtime/rt_memory.h provides the mutex-protected implementation
-// used by the threaded executor. Registers are allocated by name during
-// a setup phase (before any step executes); reads of never-written
+// IMemory is the single algorithm-facing interface; SimMemory is its
+// deterministic implementation, used by the Simulator and by the
+// threaded executor alike. Registers are allocated by name during a
+// setup phase (before any step executes); reads of never-written
 // registers return the bottom Value.
 //
 // Threading model: SimMemory is single-threaded by construction — it
-// only ever runs inside the Simulator's step loop, which serializes
-// every process step on one thread. It therefore owns no locks and no
-// thread-safety annotations; concurrent access goes through
-// runtime::RtMemory instead.
+// is only touched by one step at a time, inside the Simulator's step
+// loop or inside the threaded runtime's pacer gate, which runs every
+// process step under its one mutex. It therefore owns no locks and no
+// thread-safety annotations.
 #ifndef SETLIB_SHM_MEMORY_H
 #define SETLIB_SHM_MEMORY_H
 

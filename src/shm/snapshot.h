@@ -19,8 +19,8 @@
 // Threading model: this class holds no locks — its atomicity argument
 // is the protocol above, executed as register steps through IMemory.
 // Under the Simulator those steps are serialized on one thread; under
-// the threaded executor each wrapper instance is thread-owned and the
-// registers themselves synchronize via runtime::RtMemory.
+// the threaded executor each wrapper instance is thread-owned and every
+// register step runs inside the pacer's gate, one at a time.
 #ifndef SETLIB_SHM_SNAPSHOT_H
 #define SETLIB_SHM_SNAPSHOT_H
 

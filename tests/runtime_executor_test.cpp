@@ -7,8 +7,8 @@
 
 #include "src/runtime/executor.h"
 #include "src/runtime/pacer.h"
-#include "src/runtime/rt_memory.h"
 #include "src/sched/analyzer.h"
+#include "src/shm/memory.h"
 #include "src/shm/program.h"
 
 namespace setlib::runtime {
@@ -27,13 +27,13 @@ shm::Prog finite(shm::RegisterId reg, int ops) {
 }
 
 TEST(ExecutorTest, WallClockExpiryEndsRun) {
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r0 = mem.alloc("r0");
   const auto r1 = mem.alloc("r1");
   ThreadedExecutor exec(mem, 2);
   exec.process(0).add_task(spin(r0), "spin");
   exec.process(1).add_task(spin(r1), "spin");
-  Pacer pacer(2, {}, /*record_schedule=*/false);
+  Pacer pacer(2, {});
   ThreadedExecutor::Options options;
   options.max_wall = std::chrono::milliseconds(50);
   const auto stats = exec.run(pacer, options);
@@ -43,14 +43,14 @@ TEST(ExecutorTest, WallClockExpiryEndsRun) {
 }
 
 TEST(ExecutorTest, CrashAfterZeroOpsMeansNoSteps) {
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r0 = mem.alloc("r0");
   const auto r1 = mem.alloc("r1");
   ThreadedExecutor exec(mem, 2);
   exec.process(0).add_task(finite(r0, 5), "fin");
   exec.process(1).add_task(spin(r1), "spin");
   exec.crash_after(1, 0);
-  Pacer pacer(2, {}, /*record_schedule=*/true);
+  Pacer pacer(2, {});
   ThreadedExecutor::Options options;
   options.max_wall = std::chrono::milliseconds(2'000);
   const auto stats = exec.run(pacer, options);
@@ -62,11 +62,11 @@ TEST(ExecutorTest, CrashAfterZeroOpsMeansNoSteps) {
 }
 
 TEST(ExecutorTest, HaltedProcessCountsAsDone) {
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r = mem.alloc("r");
   ThreadedExecutor exec(mem, 1);
   exec.process(0).add_task(finite(r, 10), "fin");
-  Pacer pacer(1, {}, false);
+  Pacer pacer(1, {});
   ThreadedExecutor::Options options;
   options.max_wall = std::chrono::milliseconds(2'000);
   const auto stats = exec.run(pacer, options);
@@ -75,17 +75,16 @@ TEST(ExecutorTest, HaltedProcessCountsAsDone) {
 }
 
 TEST(ExecutorTest, LocalDonePredicateEvaluatedByOwnThread) {
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r0 = mem.alloc("r0");
   const auto r1 = mem.alloc("r1");
   ThreadedExecutor exec(mem, 2);
   exec.process(0).add_task(spin(r0), "spin");
   exec.process(1).add_task(spin(r1), "spin");
   std::atomic<int> calls{0};
-  Pacer pacer(2, {}, false);
+  Pacer pacer(2, {});
   ThreadedExecutor::Options options;
   options.max_wall = std::chrono::milliseconds(3'000);
-  options.poll_every = 8;
   options.local_done = [&](Pid p) {
     calls.fetch_add(1);
     (void)p;
@@ -102,13 +101,13 @@ TEST(ExecutorTest, MaxOpsExitEndsRunWithoutWaitingForMaxWall) {
   // neither done nor crashed, and the monitor used to spin until
   // max_wall (10 s default) even though every thread had returned.
   // With exited-thread tracking the run must end in milliseconds.
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r0 = mem.alloc("r0");
   const auto r1 = mem.alloc("r1");
   ThreadedExecutor exec(mem, 2);
   exec.process(0).add_task(spin(r0), "spin");
   exec.process(1).add_task(spin(r1), "spin");
-  Pacer pacer(2, {}, false);
+  Pacer pacer(2, {});
   ThreadedExecutor::Options options;
   options.max_ops_per_process = 200;
   options.max_wall = std::chrono::milliseconds(10'000);
@@ -121,11 +120,11 @@ TEST(ExecutorTest, MaxOpsExitEndsRunWithoutWaitingForMaxWall) {
 }
 
 TEST(ExecutorTest, MaxOpsBudgetStopsThreads) {
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r = mem.alloc("r");
   ThreadedExecutor exec(mem, 1);
   exec.process(0).add_task(spin(r), "spin");
-  Pacer pacer(1, {}, false);
+  Pacer pacer(1, {});
   ThreadedExecutor::Options options;
   options.max_ops_per_process = 1'000;
   options.max_wall = std::chrono::milliseconds(5'000);
@@ -139,17 +138,16 @@ TEST(ExecutorTest, PendingCrashKeepsTheRunAliveUntilItFires) {
   // scheduled after 500 ops. The old monitor would end the run at the
   // first poll (all done), racing the crash out of existence; now the
   // run must not settle until the crash has fired.
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r0 = mem.alloc("r0");
   const auto r1 = mem.alloc("r1");
   ThreadedExecutor exec(mem, 2);
   exec.process(0).add_task(spin(r0), "spin");
   exec.process(1).add_task(spin(r1), "spin");
   exec.crash_after(1, 500);
-  Pacer pacer(2, {}, /*record_schedule=*/true);
+  Pacer pacer(2, {});
   ThreadedExecutor::Options options;
   options.max_wall = std::chrono::milliseconds(5'000);
-  options.poll_every = 8;
   options.local_done = [](Pid) { return true; };
   const auto stats = exec.run(pacer, options);
   EXPECT_TRUE(stats.all_done);
@@ -162,7 +160,7 @@ TEST(ExecutorTest, PendingCrashKeepsTheRunAliveUntilItFires) {
 TEST(ExecutorTest, PacerScheduleSatisfiesConstraintUnderThreads) {
   // Two spinning threads under a tight constraint: the recorded
   // schedule must satisfy it even though the OS interleaving is wild.
-  RtMemory mem;
+  shm::SimMemory mem;
   const auto r0 = mem.alloc("r0");
   const auto r1 = mem.alloc("r1");
   ThreadedExecutor exec(mem, 2);
@@ -170,8 +168,7 @@ TEST(ExecutorTest, PacerScheduleSatisfiesConstraintUnderThreads) {
   exec.process(1).add_task(spin(r1), "spin");
   Pacer pacer(2,
               {sched::TimelinessConstraint(ProcSet::of(0), ProcSet::of(1),
-                                           2)},
-              /*record_schedule=*/true);
+                                           2)});
   ThreadedExecutor::Options options;
   options.max_wall = std::chrono::milliseconds(80);
   exec.run(pacer, options);

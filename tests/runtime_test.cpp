@@ -1,87 +1,43 @@
-// The threaded runtime: RtMemory linearizable registers, Pacer
-// semantics, the ThreadedExecutor, and the end-to-end threaded
-// Theorem 24 stack.
+// The threaded runtime: Pacer semantics, the ThreadedExecutor, the
+// end-to-end threaded Theorem 24 stack, and the replay of its recorded
+// linearization through the simulator.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <ostream>
+#include <sstream>
+#include <string>
 #include <thread>
 
+#include "src/agreement/kset.h"
+#include "src/fd/kantiomega.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/pacer.h"
 #include "src/runtime/rt_harness.h"
-#include "src/runtime/rt_memory.h"
 #include "src/sched/analyzer.h"
-#include "src/util/assert.h"
+#include "src/sched/generators.h"
+#include "src/shm/simulator.h"
 
 namespace setlib::runtime {
 namespace {
-
-TEST(RtMemoryTest, BasicReadWrite) {
-  RtMemory mem;
-  const shm::RegisterId r = mem.alloc("r");
-  EXPECT_TRUE(mem.read(r).is_nil());
-  mem.write(r, shm::Value::of(3));
-  EXPECT_EQ(mem.read(r).as_int_or(0), 3);
-  EXPECT_EQ(mem.read_count(), 2);
-  EXPECT_EQ(mem.write_count(), 1);
-}
-
-TEST(RtMemoryTest, FreezeForbidsAlloc) {
-  RtMemory mem;
-  mem.alloc("a");
-  mem.freeze();
-  EXPECT_THROW(mem.alloc("b"), ContractViolation);
-}
-
-TEST(RtMemoryTest, ConcurrentReadersWritersKeepValuesIntact) {
-  // Writers store multi-word values; readers must never observe a torn
-  // tuple (each register is mutex-protected).
-  RtMemory mem;
-  const shm::RegisterId r = mem.alloc("r");
-  mem.write(r, shm::Value::of(0, 0));
-  mem.freeze();
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  {
-    std::vector<std::jthread> workers;
-    for (int w = 0; w < 2; ++w) {
-      workers.emplace_back([&, w] {
-        for (std::int64_t x = 1; !stop.load(); ++x) {
-          mem.write(r, shm::Value::of(x + w * 1'000'000,
-                                      x + w * 1'000'000));
-        }
-      });
-    }
-    for (int rd = 0; rd < 2; ++rd) {
-      workers.emplace_back([&] {
-        while (!stop.load()) {
-          const shm::Value v = mem.read(r);
-          if (v.at(0) != v.at(1)) torn.fetch_add(1);
-        }
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    stop.store(true);
-  }
-  EXPECT_EQ(torn.load(), 0);
-}
 
 TEST(PacerTest, AllowsUpToBoundThenBlocks) {
   // Constraint: {0} timely w.r.t. {1} at bound 3. Thread for pid 1 can
   // take 2 steps, then must wait until pid 0 steps.
   Pacer pacer(2, {sched::TimelinessConstraint(ProcSet::of(0),
                                               ProcSet::of(1), 3)});
-  EXPECT_TRUE(pacer.step(1));
-  EXPECT_TRUE(pacer.step(1));
+  EXPECT_TRUE(pacer.step(1, [] {}));
+  EXPECT_TRUE(pacer.step(1, [] {}));
   std::atomic<bool> third_done{false};
   std::jthread q_thread([&] {
-    EXPECT_TRUE(pacer.step(1));  // blocks until pid 0 steps
+    EXPECT_TRUE(pacer.step(1, [] {}));  // blocks until pid 0 steps
     third_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(third_done.load());
-  EXPECT_TRUE(pacer.step(0));
+  EXPECT_TRUE(pacer.step(0, [] {}));
   q_thread.join();
   EXPECT_TRUE(third_done.load());
   EXPECT_EQ(pacer.steps_taken(), 4);
@@ -94,10 +50,10 @@ TEST(PacerTest, AllowsUpToBoundThenBlocks) {
 TEST(PacerTest, DeactivatingTimelySetDropsConstraint) {
   Pacer pacer(2, {sched::TimelinessConstraint(ProcSet::of(0),
                                               ProcSet::of(1), 2)});
-  EXPECT_TRUE(pacer.step(1));
+  EXPECT_TRUE(pacer.step(1, [] {}));
   std::atomic<bool> second_done{false};
   std::jthread q_thread([&] {
-    EXPECT_TRUE(pacer.step(1));
+    EXPECT_TRUE(pacer.step(1, [] {}));
     second_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -114,7 +70,7 @@ TEST(PacerTest, RequestStopReleasesWaiters) {
   std::atomic<bool> returned_false{false};
   std::jthread q_thread([&] {
     // bound 1: pid 1 (in Q \ P) can never step before pid 0.
-    if (!pacer.step(1)) returned_false.store(true);
+    if (!pacer.step(1, [] {})) returned_false.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   pacer.request_stop();
@@ -223,6 +179,109 @@ INSTANTIATE_TEST_SUITE_P(Grid, RtSweep,
                                            std::tuple{4, 2, 2},
                                            std::tuple{5, 2, 3},
                                            std::tuple{6, 3, 3}));
+
+// One bench_runtime_threads row: (t, k, n) and its tail crashes, each
+// after 2,000 operations.
+struct RtRow {
+  int t;
+  int k;
+  int n;
+  int crashes;
+};
+
+void PrintTo(const RtRow& row, std::ostream* os) {
+  *os << "(" << row.t << "," << row.k << "," << row.n << ") crashes "
+      << row.crashes;
+}
+
+// Replays `report`'s recorded schedule through shm::Simulator on the
+// stack run_kset_threaded builds, from the same proposals. Returns the
+// first difference from the threaded run's end state, or "" if the
+// simulator reached the same decisions, detector iterations, register
+// contents and read/write counts.
+std::string replay_difference(const RtRunConfig& cfg,
+                              const RtRunReport& report) {
+  const int n = cfg.n;
+  shm::SimMemory mem;
+  fd::KAntiOmega detector(mem,
+                          fd::KAntiOmega::Params{n, cfg.k, cfg.t, 1});
+  agreement::KSetAgreement kset(
+      mem, agreement::KSetAgreement::Params{n, cfg.k, cfg.t}, &detector);
+  shm::Simulator sim(mem, n);
+  for (Pid p = 0; p < n; ++p) {
+    sim.process(p).add_task(detector.run(p), "kanti-omega");
+    kset.install(sim.process(p), p, 100 + p);
+  }
+  sched::ReplayGenerator replay(report.schedule);
+  const std::int64_t steps = report.schedule.size();
+  std::ostringstream diff;
+  if (sim.run(replay, steps) != steps) diff << "replay stopped early; ";
+  for (Pid p = 0; p < n; ++p) {
+    const auto at = static_cast<std::size_t>(p);
+    const std::optional<std::int64_t> decision =
+        kset.decided(p) ? std::optional(kset.outcome(p).value)
+                        : std::nullopt;
+    if (decision != report.decisions[at]) {
+      diff << "p" << p << " decision; ";
+    }
+    if (detector.view(p).iterations != report.detector_iterations[at]) {
+      diff << "p" << p << " detector iterations "
+           << detector.view(p).iterations << " vs "
+           << report.detector_iterations[at] << "; ";
+    }
+  }
+  if (mem.register_count() != report.memory.register_count()) {
+    diff << "register count; ";
+  } else {
+    for (shm::RegisterId r = 0; r < mem.register_count(); ++r) {
+      if (!(mem.peek(r) == report.memory.peek(r))) {
+        diff << "register " << mem.name(r) << "; ";
+        break;
+      }
+    }
+  }
+  if (mem.read_count() != report.memory.read_count() ||
+      mem.write_count() != report.memory.write_count()) {
+    diff << "read/write counts; ";
+  }
+  return diff.str();
+}
+
+class RtReplayTest : public ::testing::TestWithParam<RtRow> {};
+
+// The differential between the two runtimes: the threaded run's
+// recorded schedule is the linearization of its register operations,
+// so the simulator, fed that schedule, must end where the threads did.
+TEST_P(RtReplayTest, RecordedScheduleReplaysInTheSimulator) {
+  const RtRow row = GetParam();
+  constexpr int kRounds = 20;
+  int divergent = 0;
+  std::string first;
+  for (int round = 0; round < kRounds; ++round) {
+    RtRunConfig cfg;
+    cfg.n = row.n;
+    cfg.k = row.k;
+    cfg.t = row.t;
+    cfg.crash_count = row.crashes;
+    cfg.crash_ops = 2'000;
+    const RtRunReport report = run_kset_threaded(cfg);
+    EXPECT_TRUE(report.success) << "round " << round << ": "
+                                << report.detail;
+    ASSERT_GE(report.schedule.size(), report.pacer_steps);
+    const std::string diff = replay_difference(cfg, report);
+    if (diff.empty()) continue;
+    if (divergent++ == 0) first = "round " + std::to_string(round) + ": " + diff;
+  }
+  EXPECT_EQ(divergent, 0) << "of " << kRounds << " rounds; first " << first;
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, RtReplayTest,
+                         ::testing::Values(RtRow{1, 1, 3, 0},
+                                           RtRow{2, 1, 4, 1},
+                                           RtRow{2, 2, 5, 2},
+                                           RtRow{3, 2, 6, 2},
+                                           RtRow{3, 3, 6, 3},
+                                           RtRow{4, 2, 8, 3}));
 
 }  // namespace
 }  // namespace setlib::runtime

@@ -9,8 +9,10 @@
 // contract: the enforcer's next() and fill() allocate nothing, and
 // packing straight from a generator allocates its words and nothing
 // else, and a whole census allocates no more than it did before it
-// overlapped its scan with its packing. And the reactive adversaries' per-step contract: once built,
-// their next() allocates nothing while the feed is published into.
+// overlapped its scan with its packing, nor regrows its survivor
+// vectors by doubling. And the reactive adversaries' per-step
+// contract: once built, their next() allocates nothing while the feed
+// is published into.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -385,6 +387,36 @@ TEST(CensusAllocTest, WholeCensusAllocatesAsBefore) {
     EXPECT_EQ(allocs, pin.now) << "op " << pin.op << " at " << pin.threads
                                << " threads";
     EXPECT_LE(allocs, pin.before + 1);
+  }
+}
+
+// A census where most pairs survive the horizon: the n = 8, i = 2,
+// j = 3, cap 16 census of CensusPinTest.LongLivedMembersKeepTheirCounts
+// (945 of its 1,568 pairs are members). While its four chunks' survivor
+// vectors regrew by doubling it made 48 allocations at width 1 and 50
+// at width 2; past its first survivor each chunk now reserves its
+// remaining pairs at once.
+TEST(CensusAllocTest, ManySurvivorsReserveOncePerChunk) {
+  struct Pin {
+    int threads;
+    std::int64_t allocs;
+  };
+  for (const Pin pin : {Pin{1, 17}, Pin{2, 19}}) {
+    core::RunnerOptions options;
+    options.threads = pin.threads;
+    core::ExperimentRunner runner(options);
+    core::PairScanConfig cfg;
+    cfg.n = 8;
+    cfg.i = 2;
+    cfg.j = 3;
+    cfg.bound_cap = 16;
+    cfg.seed = core::derive_cell_seed(1, 0);
+    core::ranked_pair_scan(cfg, runner);  // warm
+    core::PairScanResult got;
+    const std::int64_t allocs = allocations_in(
+        [&] { got = core::ranked_pair_scan(cfg, runner); });
+    EXPECT_EQ(got.members, 945);
+    EXPECT_EQ(allocs, pin.allocs) << "at " << pin.threads << " threads";
   }
 }
 
