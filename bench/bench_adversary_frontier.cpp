@@ -158,12 +158,12 @@ int print_frontier_map(core::ExperimentRunner& runner,
           reactives[cell.family - families.size()].kind, params, seed);
       s = sched::generate_observed(*gen, kFrontierLen);
     }
-    // Pack and scan on this worker's pool arena: the frame rewinds the
-    // cell's footprint on exit, so long frontier maps stay within the
-    // arena reserve instead of churning the heap per cell.
+    // Scan with this worker's pool arena as scratch: the frame rewinds
+    // the scan's footprint on exit, so long frontier maps stay within
+    // the arena reserve instead of churning the heap per cell.
+    const sched::PackedSchedule packed(s);
     util::ArenaAllocator& arena = runner.worker_arena();
     const util::FrameScope frame(arena);
-    const sched::PackedSchedule packed(s, arena);
     const sched::TimelyPair best =
         sched::RankedPairScan(packed, cell.i, cell.j, &arena).best_pair();
     cell.best_bound = best.bound;

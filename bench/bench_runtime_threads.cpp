@@ -5,7 +5,16 @@
 // Each table row spawns its own n jthreads, so the default sweep width
 // is 1; `--threads=N` runs N rows' jthread groups concurrently
 // (oversubscription is safe — the pacer serializes inside a row).
+//
+// The solo-run columns measure the pacer's hand-off: a solo run is a
+// maximal stretch of consecutive steps by one process in the order the
+// steps ran (RtRunReport::schedule), so long runs mean a thread that
+// leaves the pacer's gate mostly takes it straight back.
+#include <algorithm>
+#include <cstdint>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 
 #include "src/core/runner.h"
 #include "src/core/sweep_cli.h"
@@ -15,6 +24,28 @@
 namespace {
 
 using namespace setlib;
+
+struct SoloRuns {
+  std::int64_t longest = 0;
+  double mean = 0.0;  // steps per run
+};
+
+SoloRuns solo_runs(const sched::Schedule& s) {
+  SoloRuns out;
+  std::int64_t runs = 0;
+  std::int64_t length = 0;
+  Pid last = -1;
+  for (const Pid p : s.steps()) {
+    if (p != last) {
+      ++runs;
+      length = 0;
+      last = p;
+    }
+    out.longest = std::max(out.longest, ++length);
+  }
+  if (runs > 0) out.mean = static_cast<double>(s.size()) / runs;
+  return out;
+}
 
 void print_rt_table(core::ExperimentRunner& runner,
                     core::JsonSink& json) {
@@ -41,7 +72,8 @@ void print_rt_table(core::ExperimentRunner& runner,
   const double wall = timer.seconds();
 
   TextTable table({"(t,k,n)", "crashes", "success", "distinct",
-                   "pacer steps", "elapsed ms", "witness bound"});
+                   "pacer steps", "elapsed ms", "witness bound",
+                   "longest solo run", "mean solo run"});
   for (std::size_t idx = 0; idx < reports.size(); ++idx) {
     const Row& row = rows[first + idx];
     const auto& report = reports[idx];
@@ -49,6 +81,9 @@ void print_rt_table(core::ExperimentRunner& runner,
     spec.append(std::to_string(row.t)).append(",");
     spec.append(std::to_string(row.k)).append(",");
     spec.append(std::to_string(row.n)).append(")");
+    const SoloRuns solo = solo_runs(report.schedule);
+    std::ostringstream mean;
+    mean << std::fixed << std::setprecision(2) << solo.mean;
     table.row()
         .cell(spec)
         .cell(row.crashes)
@@ -56,7 +91,9 @@ void print_rt_table(core::ExperimentRunner& runner,
         .cell(report.distinct_decisions)
         .cell(report.pacer_steps)
         .cell(report.elapsed.count())
-        .cell(report.witness_bound);
+        .cell(report.witness_bound)
+        .cell(solo.longest)
+        .cell(mean.str());
   }
   std::cout << "EXP-RT: threaded Theorem 24 stack (jthreads + pacer)\n"
             << table.render() << "\n";

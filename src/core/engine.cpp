@@ -11,7 +11,6 @@
 #include "src/agreement/validator.h"
 #include "src/fd/kantiomega.h"
 #include "src/fd/property.h"
-#include "src/sched/analyzer.h"
 #include "src/sched/enforcer.h"
 #include "src/sched/families.h"
 #include "src/sched/reactive.h"
@@ -213,14 +212,6 @@ DetectorReport detector_verdict(const fd::KAntiOmega& detector,
 }  // namespace
 
 RunReport run_agreement(const RunConfig& cfg) {
-  // One-off convenience path (tests, tools): a run-local arena with
-  // the standard reserve, so the counters mean the same thing as on
-  // the runner's per-worker arenas.
-  util::ArenaAllocator arena;
-  return run_agreement(cfg, arena);
-}
-
-RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
   cfg.spec.validate();
   cfg.system.validate();
   SETLIB_EXPECTS(cfg.spec.n == cfg.system.n);
@@ -267,6 +258,7 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
   shm::SimMemory mem;
   shm::Simulator sim(mem, n);
   sim.use_crash_plan(setup.plan);
+  sim.watch(setup.timely_set, setup.observed_set);
   if (setup.feed != nullptr) sim.publish_observations(setup.feed.get());
   if (setup.reactive != nullptr) {
     // Mirror the adversary's budget spending into the simulator so the
@@ -405,22 +397,10 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
   report.distinct_decisions = verdict.distinct_values;
   report.success = verdict.ok;
 
-  {
-    // Analysis phase: pack the executed schedule once on the cell
-    // arena and run the witness check on the packed form; the replay
-    // hash was streamed by the simulator as the steps ran. The counter
-    // deltas across this frame are the run's allocation account —
-    // zero when the packed words + scan scratch fit the reserve.
-    const std::int64_t allocs_before = arena.allocs();
-    const std::int64_t bytes_before = arena.bytes();
-    const util::FrameScope frame(arena);
-    const sched::PackedSchedule packed(sim.executed(), arena);
-    report.witness_bound =
-        packed.bound_for(setup.timely_set, setup.observed_set);
-    report.schedule_hash = sim.executed_hash();
-    report.allocs_per_op = arena.allocs() - allocs_before;
-    report.bytes_per_op = arena.bytes() - bytes_before;
-  }
+  // The simulator streamed both as the steps ran: nothing packs or
+  // rescans the executed schedule.
+  report.witness_bound = sim.witness_bound();
+  report.schedule_hash = sim.executed_hash();
 
   std::string& detail = report.detail;
   detail.reserve(verdict.detail.size() + 96);
@@ -438,6 +418,10 @@ RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator& arena) {
     }
   }
   return report;
+}
+
+RunReport run_agreement(const RunConfig& cfg, util::ArenaAllocator&) {
+  return run_agreement(cfg);
 }
 
 }  // namespace setlib::core

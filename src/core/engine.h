@@ -1,6 +1,7 @@
 // The run engine: one call assembles schedule family + simulator +
-// detector + agreement stack, executes, validates, and cross-checks the
-// executed schedule's timeliness with the analyzer.
+// detector + agreement stack, executes, validates, and reports the
+// executed schedule's timeliness bound for the witness pair, which the
+// simulator streams as the steps run (shm::Simulator::watch).
 //
 // Two schedule families cover both sides of the Theorem 27 frontier:
 //
@@ -128,7 +129,8 @@ struct RunReport {
   std::string algorithm;  // "trivial", "kanti-omega+paxos"/"+multishot"
 
   // Witness cross-check: measured min bound of (P, Q) on the executed
-  // schedule (the ground-truth S^i_{j,n} membership evidence).
+  // schedule (the ground-truth S^i_{j,n} membership evidence), streamed
+  // by the simulator step by step.
   ProcSet timely_set;
   ProcSet observed_set;
   std::int64_t witness_bound = 0;
@@ -138,13 +140,11 @@ struct RunReport {
   /// merges. Rendered as a 16-hex-digit string in JSON rows.
   std::uint64_t schedule_hash = 0;
 
-  // Allocation accounting of the analysis phase (packing + witness
-  // bound), measured as the run's delta on its cell arena: upstream
-  // blocks acquired beyond the arena reserve, and their bytes. Zero is
-  // the steady state — the pack-once pipeline's no-heap-traffic claim,
-  // pinned by util_arena_test and shm_alloc_test and read by
-  // perfbench's util.arena.allocs_per_op layer. Deterministic facts
-  // (pure function of config + reserve size).
+  // Arena allocation account of the run: upstream blocks its cell
+  // arena acquired, and their bytes. The run packs nothing and takes
+  // no arena scratch (the simulator streams the witness bound and the
+  // hash), so both read 0; they stay for readers of the report, such
+  // as perfbench's util.arena.allocs_per_op layer.
   std::int64_t allocs_per_op = 0;
   std::int64_t bytes_per_op = 0;
 
@@ -153,11 +153,9 @@ struct RunReport {
 };
 
 RunReport run_agreement(const RunConfig& config);
-/// Same run, with the analysis phase's packed schedule and scan
-/// scratch placed on `arena` (inside a FrameScope; the arena's frame
-/// position is restored before returning). The report's
-/// allocs_per_op / bytes_per_op are the arena's counter deltas across
-/// the analysis. The no-arena overload uses a run-local arena.
+/// The same run for callers that hold a cell arena (the runner's
+/// per-worker arenas): the run takes nothing from it, so the report is
+/// run_agreement(config)'s, allocs_per_op and bytes_per_op 0 included.
 RunReport run_agreement(const RunConfig& config, util::ArenaAllocator& arena);
 
 }  // namespace setlib::core

@@ -93,8 +93,8 @@ SectionStats ExperimentRunner::run(const SweepGrid& grid,
   return run_section(
       name, grid.size(), grid.repeats(), sinks,
       [&grid](std::size_t i) { return grid.cell(i); },
-      [](const SweepCell& cell, util::ArenaAllocator& arena) {
-        return run_agreement(cell.config, arena);
+      [](const SweepCell& cell, util::ArenaAllocator&) {
+        return run_agreement(cell.config);
       });
 }
 

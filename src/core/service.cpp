@@ -200,10 +200,8 @@ RunConfig ServiceHarness::batch_config(const AdmissionPlan& plan,
 
 BatchOutcome ServiceHarness::run_batch(const AdmissionPlan& plan,
                                        std::size_t index) const {
-  // A batch-sized reserve: 2,000 steps pack into about 1 KB.
-  util::ArenaAllocator arena(std::size_t{64} << 10);
   BatchOutcome out;
-  out.report = run_agreement(batch_config(plan, index), arena);
+  out.report = run_agreement(batch_config(plan, index));
   out.steps = out.report.steps_executed;
   for (const std::optional<std::int64_t>& decision : out.report.decisions) {
     out.decisions.push_back(decision.value_or(-1));
@@ -253,8 +251,8 @@ ClosedLoopReport ServiceHarness::run_closed_loop(
         cell.config = batch_config(admission, index);
         return cell;
       },
-      [](const SweepCell& cell, util::ArenaAllocator& arena) {
-        return run_agreement(cell.config, arena);
+      [](const SweepCell& cell, util::ArenaAllocator&) {
+        return run_agreement(cell.config);
       });
 
   if (json != nullptr) {

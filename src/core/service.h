@@ -167,8 +167,8 @@ class ServiceHarness {
   RunConfig batch_config(const AdmissionPlan& plan,
                          std::size_t index) const;
 
-  /// Executes batch `index` of `plan`: run_agreement(batch_config(...))
-  /// on a run-local arena, the run run_closed_loop gives the batch.
+  /// Executes batch `index` of `plan`: run_agreement(batch_config(...)),
+  /// the run run_closed_loop gives the batch.
   /// Pure function of (config, plan, index).
   BatchOutcome run_batch(const AdmissionPlan& plan,
                          std::size_t index) const;

@@ -217,18 +217,6 @@ std::vector<std::int64_t> bound_series(const Schedule& s, ProcSet p, ProcSet q,
   return out;
 }
 
-BoundTracker::BoundTracker(ProcSet p, ProcSet q) noexcept : p_(p), q_(q) {}
-
-void BoundTracker::step(Pid pid) noexcept {
-  if (p_.mask() >> pid & 1u) {
-    current_ = 0;
-  } else if (q_.mask() >> pid & 1u) {
-    ++current_;
-    if (current_ > max_q_) max_q_ = current_;
-  }
-  ++position_;
-}
-
 void BoundTracker::extend(const Schedule& s, std::int64_t upto) {
   SETLIB_EXPECTS(position_ <= upto && upto <= s.size());
   simd::WalkState scan{current_, max_q_};
@@ -239,12 +227,6 @@ void BoundTracker::extend(const Schedule& s, std::int64_t upto) {
 }
 
 PackedSchedule::PackedSchedule(const Schedule& s) { repack(s); }
-
-PackedSchedule::PackedSchedule(const Schedule& s,
-                               util::ArenaAllocator& arena)
-    : arena_(&arena) {
-  repack(s);
-}
 
 PackedSchedule::PackedSchedule(int n, std::int64_t steps) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
@@ -289,14 +271,10 @@ void PackedSchedule::reset(int n, std::int64_t len) {
   packed_ = 0;
   const std::size_t total =
       static_cast<std::size_t>(n_) * static_cast<std::size_t>(words_);
-  // No zero fill: pack_block writes every word.
-  if (arena_ != nullptr) {
-    data_ = arena_->alloc_array<std::uint64_t>(
-        static_cast<std::int64_t>(total));
-  } else {
-    if (owned_.size() < total) owned_.resize(total);  // grow-only
-    data_ = owned_.data();
-  }
+  // Grow-only; recycled words need no clearing, pack_block writes
+  // every word.
+  if (owned_.size() < total) owned_.resize(total);
+  data_ = owned_.data();
 }
 
 int PackedSchedule::block_steps(std::int64_t w) const noexcept {

@@ -54,6 +54,7 @@
 #ifndef SETLIB_SCHED_ANALYZER_H
 #define SETLIB_SCHED_ANALYZER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -97,10 +98,13 @@ std::vector<std::int64_t> bound_series(const Schedule& s, ProcSet p, ProcSet q,
 /// steps as they are produced and read the minimal bound of the prefix
 /// consumed so far at any moment. extend() by ΔS steps costs O(Δ) —
 /// the bound of every growing prefix of a length-L schedule costs O(L)
-/// total, where recomputation costs O(L^2).
+/// total, where recomputation costs O(L^2). step() is the streaming
+/// rule itself: shm::Simulator feeds it every executed step to report
+/// the run's witness bound.
 class BoundTracker {
  public:
-  BoundTracker(ProcSet p, ProcSet q) noexcept;
+  BoundTracker(ProcSet p, ProcSet q) noexcept
+      : p_(p), q_(q), counted_((q - p).mask()) {}
 
   ProcSet timely_set() const noexcept { return p_; }
   ProcSet observed_set() const noexcept { return q_; }
@@ -112,8 +116,17 @@ class BoundTracker {
   /// min_timeliness_bound(s, p, q, 0, position()).
   std::int64_t bound() const noexcept { return max_q_ + 1; }
 
-  /// Feed one step.
-  void step(Pid pid) noexcept;
+  /// Feed one step: a P-step closes the window, a (Q \ P)-step counts
+  /// in it (a step in both is a P-step, as in the reference scan).
+  /// Branch-free, since it runs once per simulated step.
+  void step(Pid pid) noexcept {
+    const std::int64_t counted =
+        current_ + static_cast<std::int64_t>(counted_ >> pid & 1);
+    const auto in_p = static_cast<std::int64_t>(p_.mask() >> pid & 1);
+    max_q_ = std::max(max_q_, counted);
+    current_ = counted & (in_p - 1);
+    ++position_;
+  }
 
   /// Consume s's steps [position(), upto) — requires position() <= upto
   /// <= s.size() and that the already-consumed prefix came from the
@@ -125,6 +138,7 @@ class BoundTracker {
  private:
   ProcSet p_;
   ProcSet q_;
+  std::uint64_t counted_;     // Q \ P: the steps a window counts
   std::int64_t position_ = 0;
   std::int64_t current_ = 0;  // Q-steps since the last P-step
   std::int64_t max_q_ = 0;    // largest P-free-window Q-count seen
@@ -135,17 +149,18 @@ class BoundTracker {
 /// Built once, a PackedSchedule serves every pair scan over the same
 /// prefix (bound_for, RankedPairScan) with pure word ops.
 ///
-/// Pack-once ownership contract (docs/MEMORY.md): whoever executes a
-/// schedule packs it exactly once — on its per-cell arena when it has
-/// one — and every downstream consumer (engine report, pair scans,
-/// frontier checks) borrows that instance read-only. A consumer that
-/// never reads the steps themselves (the membership census) packs
-/// straight from the generator and never materializes a Schedule;
-/// it may pack in steps (a sized constructor, then pack() up to a
-/// word), and readers then borrow only the words packed before they
-/// started. repack() recycles the word storage across schedules, so
-/// a loop that analyzes many schedules (the fuzzer's minimization
-/// evals, the frontier's cell loop) allocates its words once. Every
+/// Pack-once ownership contract (docs/MEMORY.md): whoever scans a
+/// schedule's pairs packs it exactly once, and every downstream
+/// consumer (pair scans, frontier checks) borrows that instance
+/// read-only. The engine packs nothing: its one pair's bound is
+/// streamed by the simulator (BoundTracker::step per executed step).
+/// A consumer that never reads the steps themselves (the membership
+/// census) packs straight from the generator and never materializes a
+/// Schedule; it may pack in steps (a sized constructor, then pack()
+/// up to a word), and readers then borrow only the words packed before
+/// they started. The words are always heap-owned; repack() recycles
+/// them across schedules, so a loop that analyzes many schedules (the
+/// fuzzer's minimization evals) allocates its words once. Every
 /// constructor, pack() and repack() share one block packer: 64 steps
 /// become one word of every column.
 class PackedSchedule {
@@ -153,11 +168,6 @@ class PackedSchedule {
   /// Empty (n = 0, size = 0): a repack target for reuse loops.
   PackedSchedule() noexcept = default;
   explicit PackedSchedule(const Schedule& s);
-  /// Words live on `arena` (no heap traffic when the arena's reserve
-  /// covers them). The arena must outlive the object, and the caller's
-  /// frame discipline governs the storage — repack() on an
-  /// arena-backed instance bumps fresh words from the arena.
-  PackedSchedule(const Schedule& s, util::ArenaAllocator& arena);
   /// Sized for `steps` steps of an n-process schedule with no word
   /// packed yet: pack() fills the words from a generator, in one call
   /// or several. The word storage is the only allocation.
@@ -174,10 +184,8 @@ class PackedSchedule {
   PackedSchedule(const PackedSchedule&) = delete;
   PackedSchedule& operator=(const PackedSchedule&) = delete;
 
-  /// Re-packs `s` into this instance, recycling the word storage:
-  /// heap-backed instances reuse their vector capacity (grow-only),
-  /// arena-backed ones bump a fresh span. Invalidates column()
-  /// pointers.
+  /// Re-packs `s` into this instance, recycling the word storage (its
+  /// capacity only grows). Invalidates column() pointers.
   void repack(const Schedule& s);
 
   /// Steps pack() pulls from a generator per fill() call, in words:
@@ -226,10 +234,8 @@ class PackedSchedule {
   std::int64_t len_ = 0;
   std::int64_t words_ = 0;
   std::int64_t packed_ = 0;  // words [0, packed_) are packed
-  // Column-major words: [p * words_ + w]. data_ points into owned_
-  // (heap-backed) or into arena_ storage (arena-backed).
+  // Column-major words: [p * words_ + w], data_ == owned_.data().
   std::vector<std::uint64_t> owned_;
-  util::ArenaAllocator* arena_ = nullptr;
   std::uint64_t* data_ = nullptr;
 };
 

@@ -53,10 +53,26 @@ void EnforcedGenerator::recompute_alive() {
   alive_until_ = plan_.next_crash_after(emitted_);
   SETLIB_ASSERT(!alive_.empty());
   for (State& st : states_) {
-    st.avail = st.timely & alive_.mask();
-    if (st.avail == 0) continue;
-    const ProcSet avail(st.avail);
-    st.cursor = avail.nth(static_cast<int>(st.rotate % avail.size()));
+    const std::uint64_t avail = st.timely & alive_.mask();
+    st.ring_size = 0;
+    for_each_set_bit(avail, [&st](Pid x) {
+      st.ring[static_cast<std::size_t>(st.ring_size++)] =
+          static_cast<std::uint8_t>(x);
+    });
+    const std::uint64_t counted = st.q_only & alive_.mask();
+    const std::uint64_t replaceable = st.ring_size != 0 ? counted : 0;
+    for (Pid x = 0; x < kMaxProcs; ++x) {
+      const auto bit = [x](std::uint64_t set) {
+        return static_cast<std::int8_t>(-static_cast<int>(set >> x & 1));
+      };
+      PickMasks& m = st.masks[static_cast<std::size_t>(x)];
+      m.live = bit(alive_.mask());
+      m.counts = bit(counted);
+      m.keeps_window = static_cast<std::int8_t>(~bit(avail));
+      m.stays = static_cast<std::int8_t>(~bit(replaceable));
+    }
+    if (st.ring_size == 0) continue;
+    st.cursor = static_cast<int>(st.rotate % st.ring_size);
   }
 }
 
@@ -73,7 +89,7 @@ inline Pid EnforcedGenerator::enforce(Pid candidate) {
           st.q_steps_since_p < st.trigger) {
         continue;
       }
-      if (st.avail == 0) {
+      if (st.ring_size == 0) {
         ++dropped_;
         continue;  // constraint no longer enforceable
       }
@@ -83,11 +99,9 @@ inline Pid EnforcedGenerator::enforce(Pid candidate) {
     if (hit == nullptr) break;
     // Substitute member rotate % |P ∩ alive|, then advance the cursor
     // to the next member, wrapping to the first.
-    candidate = hit->cursor;
+    candidate = hit->ring[static_cast<std::size_t>(hit->cursor)];
     ++hit->rotate;
-    const std::uint64_t later =
-        hit->avail & (~std::uint64_t{1} << hit->cursor);
-    hit->cursor = std::countr_zero(later != 0 ? later : hit->avail);
+    hit->cursor = hit->cursor + 1 == hit->ring_size ? 0 : hit->cursor + 1;
     ++substitutions_;
     if (states_.size() == 1) break;
   }
@@ -140,8 +154,15 @@ void EnforcedGenerator::fill(std::span<Pid> out) {
 
 // enforce() for one constraint, with its state in locals from one crash
 // point to the next. A lone constraint substitutes at most once a step
-// and never re-checks (its substitutes are in P), so the substitution
-// is a select on `sub` rather than a branch.
+// and never re-checks (its substitutes are in P), so a step is mask
+// arithmetic: the pick's tests are State::masks lookups, the substitute
+// is ring[at], and `at` moves one member on per substitution, wrapping
+// to 0. Masks, not ternaries: written as `sub != 0 ? cursor : p`, the
+// substitution was compiled by GCC into a test-and-jump, which
+// mispredicts on the substituted steps (about a quarter of an enforced
+// census). The loop carries two chains, the window counter and the ring
+// index, of four operations a step each; everything else a step needs
+// comes from the pick.
 void EnforcedGenerator::fill_lone(std::span<Pid> out) {
   State& st = states_.front();
   std::size_t done = 0;
@@ -152,52 +173,51 @@ void EnforcedGenerator::fill_lone(std::span<Pid> out) {
     std::size_t read = 0;
     while (read < pulled.size()) {
       refresh_alive();
+      if (rejected == kMaxPulls - 1) {
+        // This pick ends the step's pulls: it runs, or the pull cap
+        // emits the smallest alive pid.
+        const Pid p = pulled[read++];
+        out[done++] = enforce(alive_.contains(p) ? p : alive_.min());
+        rejected = 0;
+        continue;
+      }
       // Each pick emits at most one step, so these picks all fall
-      // before the next crash point.
+      // before the next crash point, and none of them reaches the
+      // pull cap.
       const std::size_t end =
-          read + static_cast<std::size_t>(std::min<std::int64_t>(
-                     static_cast<std::int64_t>(pulled.size() - read),
-                     alive_until_ - emitted_));
-      const std::uint64_t alive = alive_.mask();
-      const Pid fallback = alive_.min();
-      const std::uint64_t timely = st.timely;
-      const std::uint64_t q_only = st.q_only;
-      const std::uint64_t avail = st.avail;
-      const std::uint64_t enforceable = avail != 0 ? 1 : 0;
+          read + static_cast<std::size_t>(std::min(
+                     {static_cast<std::int64_t>(pulled.size() - read),
+                      alive_until_ - emitted_, kMaxPulls - 1 - rejected}));
+      const auto ring_size = static_cast<std::int64_t>(st.ring_size);
       const std::int64_t trigger = st.trigger;
+      auto at = static_cast<std::int64_t>(st.cursor);
       std::int64_t q_steps = st.q_steps_since_p;
-      Pid cursor = st.cursor;
-      std::int64_t subs = 0;
-      std::int64_t drops = 0;
+      std::int64_t hits = 0;  // counted steps that find the window full
       const std::size_t first = done;
       for (; read < end; ++read) {
-        Pid p = pulled[read];
+        const Pid p = pulled[read];
         SETLIB_EXPECTS(p >= 0 && p < kMaxProcs);
-        if ((alive >> p & 1) == 0) {
-          if (++rejected != kMaxPulls) continue;
-          p = fallback;
-        }
-        rejected = 0;
-        const std::uint64_t hit =
-            (q_only >> p & 1) & static_cast<std::uint64_t>(q_steps >= trigger);
-        const std::uint64_t sub = hit & enforceable;
-        drops += static_cast<std::int64_t>(hit ^ sub);
-        subs += static_cast<std::int64_t>(sub);
-        // The member after `cursor`, wrapping to the first.
-        const std::uint64_t later = avail & (~std::uint64_t{1} << cursor);
-        const Pid after = std::countr_zero(later != 0 ? later : avail);
-        const Pid emit = sub != 0 ? cursor : p;
-        cursor = sub != 0 ? after : cursor;
-        const auto in_p = static_cast<std::int64_t>(timely >> emit & 1);
-        const auto in_q = static_cast<std::int64_t>(q_only >> emit & 1);
-        q_steps = (q_steps + in_q) & (in_p - 1);
-        out[done++] = emit;
+        const PickMasks& m = st.masks[static_cast<std::size_t>(p)];
+        // -1 while the window holds fewer than `bound` Q-steps.
+        const std::int64_t short_of = (q_steps - trigger) >> 63;
+        const std::int64_t stays = short_of | m.stays;
+        hits -= m.counts & ~short_of;
+        q_steps = ((q_steps - m.counts) & m.keeps_window) & stays;
+        const Pid substitute = st.ring[static_cast<std::size_t>(at)];
+        out[done] = p ^ ((p ^ substitute) & static_cast<Pid>(~stays));
+        done -= static_cast<std::size_t>(m.live);
+        at -= ~stays;
+        at &= (at - ring_size) >> 63;
+        rejected = (rejected + 1) & ~std::int64_t{m.live};
       }
       st.q_steps_since_p = q_steps;
-      st.cursor = cursor;
-      st.rotate += subs;
-      substitutions_ += subs;
-      dropped_ += drops;
+      if (ring_size != 0) {
+        st.cursor = static_cast<int>(at);
+        st.rotate += hits;
+        substitutions_ += hits;
+      } else {
+        dropped_ += hits;
+      }
       emitted_ += static_cast<std::int64_t>(done - first);
     }
   }

@@ -12,9 +12,11 @@
 // crash steps, its alive timely members and round-robin cursor, so a
 // step costs a few mask tests and a branch-free counter update per
 // constraint. fill() with a lone constraint (every serving batch and
-// enforced census) runs the same rule without its branches: between
-// two crash points the window counter, cursor and substitution counts
-// live in locals, and a substitution is a select.
+// enforced census) runs the same rule without a branch on the picks:
+// between two crash points the window counter, the substitute's place
+// in an ascending array of P ∩ alive and the substitution counts live
+// in locals, and every choice (skip a crashed pick, substitute, reset
+// or count the window) is mask arithmetic.
 //
 // With several overlapping constraints the enforcer is best-effort
 // (constraints are applied in order, and a substitution for one may feed
@@ -23,6 +25,7 @@
 #ifndef SETLIB_SCHED_ENFORCER_H
 #define SETLIB_SCHED_ENFORCER_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -75,6 +78,16 @@ class EnforcedGenerator final : public ScheduleGenerator {
   const CrashPlan& plan() const noexcept { return plan_; }
 
  private:
+  // Per pid, 0 / -1 masks that fill_lone reads per pick in place of
+  // bit tests.
+  struct PickMasks {
+    std::int8_t live = 0;          // alive
+    std::int8_t counts = 0;        // alive, in Q \ P: a window counts it
+    std::int8_t keeps_window = 0;  // not in P ∩ alive: no window reset
+    std::int8_t stays = 0;         // never substituted: not counted, or
+                                   // P ∩ alive is empty
+  };
+
   struct State {
     std::uint64_t timely = 0;      // P
     std::uint64_t q_only = 0;      // Q \ P: the steps a window counts
@@ -83,11 +96,15 @@ class EnforcedGenerator final : public ScheduleGenerator {
     // Substitutions so far; the next substitute is member
     // rotate % |P ∩ alive| of P ∩ alive.
     std::int64_t rotate = 0;
-    // Cached by recompute_alive(): P ∩ alive and its member number
-    // rotate % |P ∩ alive| (`cursor`, as a pid), valid until the
-    // alive set changes; substitutions advance the cursor in step.
-    std::uint64_t avail = 0;
-    Pid cursor = 0;
+    // Cached by recompute_alive(), valid until the alive set changes:
+    // the members of P ∩ alive in ascending order (ring[0, ring_size)),
+    // the place in ring of member rotate % |P ∩ alive| (`cursor`),
+    // which every substitution advances by one, wrapping to 0, and the
+    // masks of every pid.
+    std::array<std::uint8_t, kMaxProcs> ring{};
+    int ring_size = 0;
+    int cursor = 0;
+    std::array<PickMasks, kMaxProcs> masks{};
   };
 
   /// Refreshes alive_ (and every constraint's cache) when emitted_ has
@@ -100,7 +117,7 @@ class EnforcedGenerator final : public ScheduleGenerator {
   /// The rule: emits `candidate` (an alive base pick) or a substitute,
   /// and advances the window counters.
   Pid enforce(Pid candidate);
-  /// fill() for a lone constraint: the rule without its branches.
+  /// fill() for a lone constraint: the rule as mask arithmetic.
   void fill_lone(std::span<Pid> out);
 
   std::unique_ptr<ScheduleGenerator> base_;

@@ -8,7 +8,7 @@
 namespace setlib::shm {
 
 Simulator::Simulator(IMemory& mem, int n)
-    : mem_(mem), n_(n), executed_(n) {
+    : mem_(mem), n_(n), executed_(n), tracker_(ProcSet(), ProcSet()) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   procs_.reserve(static_cast<std::size_t>(n));
   for (Pid p = 0; p < n; ++p) procs_.emplace_back(p);
@@ -83,8 +83,14 @@ inline bool Simulator::execute(Pid p) {
   procs_[static_cast<std::size_t>(p)].step(mem_);
   executed_.append(p);
   hasher_.add(p);
+  tracker_.step(p);
   if (feed_ != nullptr) feed_->record_step(p);
   return true;
+}
+
+void Simulator::watch(ProcSet p, ProcSet q) {
+  SETLIB_EXPECTS(steps_taken() == 0);
+  tracker_ = sched::BoundTracker(p, q);
 }
 
 void Simulator::step_once(Pid p) {

@@ -2,11 +2,13 @@
 //
 // Pulls pids from a ScheduleGenerator and executes one step of the
 // corresponding ProcessRuntime per pick, recording the *executed*
-// schedule (which experiments cross-check with the timeliness analyzer —
-// the executed schedule, not the generator's intent, is what Definition
-// 1 is evaluated on) and streaming its replay hash. Crashed processes
-// take no further steps; picks that land on a crashed process are
-// skipped without being recorded or hashed.
+// schedule (the executed schedule, not the generator's intent, is what
+// Definition 1 is evaluated on). Beside the record it streams two facts
+// as each step executes, so reading them walks no schedule: the replay
+// hash (sched::ScheduleHasher) and the witness bound of one watched
+// (P, Q) pair (sched::BoundTracker, the bound the engine reports).
+// Crashed processes take no further steps; picks that land on a crashed
+// process are skipped without being recorded, hashed or bounded.
 //
 // Picks are pulled with fill() in blocks of at most kBlock. A block
 // ends at the next stop check, the next crash-plan step, max_steps and
@@ -24,6 +26,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/sched/analyzer.h"
 #include "src/sched/generator.h"
 #include "src/sched/generators.h"
 #include "src/sched/observations.h"
@@ -64,6 +67,11 @@ class Simulator {
   /// state — so the ObservationFeed determinism contract holds.
   void publish_observations(sched::ObservationFeed* feed);
 
+  /// Streams min_timeliness_bound(executed(), p, q) from the next step
+  /// on; call before the first step. Until then the watched pair is
+  /// empty, whose bound is 1.
+  void watch(ProcSet p, ProcSet q);
+
   /// Execute exactly one step of process p (test hook).
   void step_once(Pid p);
 
@@ -87,6 +95,9 @@ class Simulator {
   /// schedule_hash(executed()), streamed: each step is hashed as it
   /// executes, so reading it walks no schedule.
   std::uint64_t executed_hash() const noexcept { return hasher_.finish(n_); }
+  /// min_timeliness_bound(executed(), p, q) of the watch()ed pair,
+  /// streamed like the hash.
+  std::int64_t witness_bound() const noexcept { return tracker_.bound(); }
 
  private:
   /// Executed-schedule capacity taken at the first run_until (steps).
@@ -105,6 +116,7 @@ class Simulator {
   ProcSet crashed_;
   sched::Schedule executed_;
   sched::ScheduleHasher hasher_;  // fed with every step of executed_
+  sched::BoundTracker tracker_;   // likewise
   std::array<std::int64_t, kMaxProcs> plan_crash_steps_;  // first n_ used
   // Least plan crash step of a process not yet crashed (kNever if none):
   // before it, maybe_crash_per_plan has nothing to do.

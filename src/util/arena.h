@@ -11,9 +11,9 @@
 // that starts from a reset arena is a pure function of (sequence,
 // reserve size) — independent of which worker thread ran the previous
 // cell, how many cells it ran, or what they allocated. The per-cell
-// counter deltas the engine reports (RunReport::allocs_per_op /
-// bytes_per_op) are therefore bit-identical at any thread count, like
-// every other deterministic per-cell fact.
+// counter deltas of the arena's consumers (the census's and the
+// frontier's pair scans) are therefore bit-identical at any thread
+// count, like every other deterministic per-cell fact.
 //
 // Counters: allocs() and bytes() count upstream acquisitions only —
 // overflow blocks grabbed beyond the reserve — and are cumulative and

@@ -5,13 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/experiments.h"
 #include "src/core/solvability.h"
 #include "src/core/sweep.h"
+#include "src/sched/analyzer.h"
+#include "src/sched/enforcer.h"
+#include "src/sched/families.h"
+#include "src/sched/reactive.h"
+#include "src/shm/memory.h"
+#include "src/shm/program.h"
+#include "src/shm/simulator.h"
 #include "src/util/arena.h"
+#include "src/util/assert.h"
 
 namespace setlib::core {
 namespace {
@@ -61,9 +71,10 @@ void expect_same_report(const RunReport& a, const RunReport& b,
 }
 
 // Arena memory is handed out without a zero fill, so every consumer
-// must write before it reads: a reserve full of poison bytes must give
-// the run a fresh arena gives, on a reserve the analysis fits in and on
-// one it overflows.
+// must write before it reads. The run takes nothing from the arena it
+// is handed (the simulator streams the witness bound), so a reserve
+// full of poison bytes must give the run a fresh arena gives, on the
+// default reserve and on a small one.
 TEST(EngineTest, PoisonedArenaGivesTheFreshArenaReport) {
   RunConfig friendly;
   friendly.spec = {2, 2, 5};
@@ -311,6 +322,172 @@ TEST(ExperimentsTest, DetectorConvergenceWithCrashes) {
   cfg.max_steps = 1'500'000;
   const auto result = run_detector_convergence(cfg);
   EXPECT_TRUE(result.property_ok);
+}
+
+shm::Prog count_up(shm::RegisterId reg) {
+  for (int idx = 0; idx < 1'000'000; ++idx) {
+    const shm::Value v = co_await shm::read(reg);
+    co_await shm::write(reg, shm::Value::of(v.as_int_or(0) + 1));
+  }
+}
+
+// One schedule family's generator, built the way run_agreement builds
+// it (small parameters), with the crash plan the simulator mirrors and,
+// for a reactive family, the adversary whose feed and crash requests
+// the simulator serves.
+struct FamilyRig {
+  std::unique_ptr<sched::ScheduleGenerator> gen;
+  sched::CrashPlan plan;
+  sched::ReactiveGenerator* reactive = nullptr;
+};
+
+constexpr int kRigN = 6;
+
+FamilyRig family_rig(ScheduleFamily family, std::uint64_t seed) {
+  FamilyRig rig{nullptr, sched::CrashPlan::none(kRigN)};
+  sched::FamilyParams params;
+  params.n = kRigN;
+  params.scale = 16;
+  params.crash_count = 2;
+  params.crash_horizon = 1'000;
+  params.gst = 400;
+  const auto randomized = [&](sched::FamilyKind kind) {
+    rig.gen = sched::make_family(kind, params, seed);
+  };
+  const auto reactive = [&](sched::ReactiveKind kind) {
+    sched::ReactiveParams reactive_params;
+    reactive_params.n = kRigN;
+    reactive_params.stretch = 16;
+    reactive_params.crash_budget = 2;
+    auto gen = sched::make_reactive(kind, reactive_params, seed);
+    rig.reactive = gen.get();
+    rig.gen = std::move(gen);
+  };
+  switch (family) {
+    case ScheduleFamily::kEnforcedRandom:
+      rig.plan.set_crash(5, 300);
+      rig.plan.set_crash(2, 900);
+      rig.gen = std::make_unique<sched::EnforcedGenerator>(
+          std::make_unique<sched::UniformRandomGenerator>(kRigN, seed),
+          std::vector<sched::TimelinessConstraint>{
+              {ProcSet::range(0, 2), ProcSet::range(0, 4), 2}},
+          rig.plan);
+      break;
+    case ScheduleFamily::kRotisserie:
+      rig.plan = sched::CrashPlan::at(kRigN, ProcSet::range(4, kRigN), 0);
+      rig.gen = std::make_unique<sched::RotatingStarverGenerator>(
+          kRigN, ProcSet::range(0, 4), ProcSet(), 16);
+      break;
+    case ScheduleFamily::kKSubsetStarver:
+      rig.gen = std::make_unique<sched::KSubsetStarverGenerator>(
+          kRigN, ProcSet::universe(kRigN), 2, 16);
+      break;
+    case ScheduleFamily::kBursty:
+      randomized(sched::FamilyKind::kBursty);
+      break;
+    case ScheduleFamily::kStarvation:
+      randomized(sched::FamilyKind::kStarvation);
+      break;
+    case ScheduleFamily::kCrashProne:
+      rig.plan = sched::crash_prone_plan(params, seed);
+      randomized(sched::FamilyKind::kCrashProne);
+      break;
+    case ScheduleFamily::kGst:
+      randomized(sched::FamilyKind::kGst);
+      break;
+    case ScheduleFamily::kWindowStretcher:
+      reactive(sched::ReactiveKind::kWindowStretcher);
+      break;
+    case ScheduleFamily::kDecisionChaser:
+      reactive(sched::ReactiveKind::kDecisionChaser);
+      break;
+    case ScheduleFamily::kBudgetCrasher:
+      reactive(sched::ReactiveKind::kBudgetCrasher);
+      break;
+  }
+  return rig;
+}
+
+// The simulator streams the witness bound as steps execute
+// (Simulator::watch), the bound run_agreement reports. It must equal
+// the reference scan of the executed schedule after every way a run
+// reaches it: block-pulled and one-pick (reactive) runs, crash plans
+// and crash sources, a stop check that ends a run early, a run of the
+// full budget, back-to-back run_until calls and step_once.
+TEST(WitnessBoundTest, StreamedBoundEqualsReferenceForEveryFamily) {
+  const ScheduleFamily families[] = {
+      ScheduleFamily::kEnforcedRandom,  ScheduleFamily::kRotisserie,
+      ScheduleFamily::kKSubsetStarver,  ScheduleFamily::kBursty,
+      ScheduleFamily::kStarvation,      ScheduleFamily::kCrashProne,
+      ScheduleFamily::kGst,             ScheduleFamily::kWindowStretcher,
+      ScheduleFamily::kDecisionChaser,  ScheduleFamily::kBudgetCrasher};
+  const std::pair<ProcSet, ProcSet> pairs[] = {
+      {ProcSet::range(0, 2), ProcSet::range(0, 4)},   // P inside Q
+      {ProcSet::of({1, 4}), ProcSet::of({0, 1, 2})},  // overlapping
+      {ProcSet::of({0, 3}), ProcSet::of({1, 2, 5})},  // disjoint
+  };
+  for (const ScheduleFamily family : families) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      for (const auto& [p, q] : pairs) {
+        const std::string what =
+            "family " + std::to_string(static_cast<int>(family)) + " seed " +
+            std::to_string(seed) + " P " + p.to_string() + " Q " +
+            q.to_string() + ", ";
+        shm::SimMemory mem;
+        const shm::RegisterId reg = mem.alloc("r");
+        shm::Simulator sim(mem, kRigN);
+        for (Pid x = 0; x < kRigN; ++x) {
+          sim.process(x).add_task(count_up(reg), "count");
+        }
+        FamilyRig rig = family_rig(family, seed);
+        sim.use_crash_plan(rig.plan);
+        if (rig.reactive != nullptr) {
+          sim.publish_observations(rig.reactive->feed_ptr().get());
+          sim.use_crash_source(
+              [r = rig.reactive] { return r->crashes_requested(); });
+        }
+        sim.watch(p, q);
+        const auto expect_reference = [&](const char* after) {
+          EXPECT_EQ(sim.witness_bound(),
+                    sched::min_timeliness_bound_reference(sim.executed(), p,
+                                                          q))
+              << what << after;
+        };
+        // Each stop check publishes progress, as the engine's does, so
+        // the reactive adversaries act (the budget crasher crashes).
+        const auto publish = [&] {
+          if (rig.reactive == nullptr) return;
+          sched::ObservationFeed& feed = *rig.reactive->feed_ptr();
+          for (Pid x = 0; x < kRigN; ++x) {
+            feed.publish_progress(x, feed.steps_of(x) / 8);
+          }
+        };
+        expect_reference("before any step");
+        const std::int64_t stopped = sim.run_until(*rig.gen, 2'000, [&] {
+          publish();
+          return sim.steps_taken() >= 700;
+        });
+        EXPECT_LT(stopped, 2'000) << what << "the stop check ends the run";
+        expect_reference("after an early stop");
+        sim.run_until(
+            *rig.gen, 1'501,
+            [&] {
+              publish();
+              return false;
+            },
+            50);
+        expect_reference("after a second, full-budget run");
+        if (family == ScheduleFamily::kBudgetCrasher) {
+          EXPECT_FALSE(sim.crashed_set().empty()) << what;
+        }
+        for (Pid x = 0; x < 40; ++x) sim.step_once(x % kRigN);
+        expect_reference("after step_once");
+        sim.run(*rig.gen, 777);
+        expect_reference("after a run past step_once");
+        EXPECT_THROW(sim.watch(p, q), ContractViolation) << what;
+      }
+    }
+  }
 }
 
 class MatrixSweep

@@ -221,19 +221,18 @@ TEST(PackedScheduleTest, PackRejectsAStopOutsideTheUnpackedWords) {
 
 TEST(PackedScheduleTest, RepackOverwritesRecycledWords) {
   Rng rng(23);
-  PackedSchedule heap;
-  util::ArenaAllocator arena;
-  PackedSchedule on_arena(random_schedule(rng, 5, 10), arena);
+  PackedSchedule empty;
+  PackedSchedule used(random_schedule(rng, 5, 10));
   for (const std::int64_t len : {40'001, 65, 0, 130, 64, 1'000}) {
     for (const int n : {7, 3}) {
       const Schedule s = random_schedule(rng, n, len);
-      heap.repack(s);
-      on_arena.repack(s);
+      empty.repack(s);
+      used.repack(s);
       const PackedSchedule fresh(s);
       const std::string what =
           "n " + std::to_string(n) + " len " + std::to_string(len);
-      expect_same_columns(heap, fresh, "heap " + what);
-      expect_same_columns(on_arena, fresh, "arena " + what);
+      expect_same_columns(empty, fresh, "from empty " + what);
+      expect_same_columns(used, fresh, "from used " + what);
     }
   }
 }

@@ -143,12 +143,11 @@ TEST(SimdDifferentialTest, ArenaBackedScanMatchesHeapBackedScan) {
     UniformRandomGenerator gen(n, rng.next_u64());
     const Schedule s = generate(gen, len);
     const util::FrameScope frame(arena);
-    const PackedSchedule packed(s, arena);
-    const PackedSchedule heap_packed(s);
+    const PackedSchedule packed(s);
     const std::int64_t cap = 1 + static_cast<std::int64_t>(rng.next_in(0, 6));
     const auto with_arena =
         RankedPairScan(packed, 2, 3, &arena).count_members(cap);
-    const auto on_heap = RankedPairScan(heap_packed, 2, 3).count_members(cap);
+    const auto on_heap = RankedPairScan(packed, 2, 3).count_members(cap);
     EXPECT_EQ(with_arena.pairs, on_heap.pairs) << "trial " << trial;
     EXPECT_EQ(with_arena.members, on_heap.members) << "trial " << trial;
     EXPECT_EQ(with_arena.first.has_value(), on_heap.first.has_value());
