@@ -15,19 +15,11 @@ Every check is fatal on failure:
      docs/EXPERIMENTS.md.
   4. Every example (examples/*.cpp) has a row in docs/EXPERIMENTS.md's
      example table, and every row names an existing example.
-  5. Every public core header (src/core/*.h) is mentioned by stem in
+  5. Every header of every layer (src/*/*.h) is mentioned by stem in
      docs/ARCHITECTURE.md — the layer map must not silently fall
-     behind the core surface.
-  6. Every runtime header (src/runtime/*.h) is mentioned by stem in
-     docs/ARCHITECTURE.md — same rule for the runtime layer (the
-     worker pool and the real-thread executor live there).
-  7. Every sched header (src/sched/*.h) is mentioned by stem in
-     docs/ARCHITECTURE.md — same rule for the model layer (the
-     observation feed and the reactive adversaries live there).
-  8. Every util header (src/util/*.h) is mentioned by stem in
-     docs/ARCHITECTURE.md — same rule for the foundation layer (the
-     arena allocator and the contract macros live there).
-  9. Every determinism-linter rule name (check_determinism.RULES,
+     behind any layer's surface, and a new layer directory is checked
+     without touching this script.
+  6. Every determinism-linter rule name (check_determinism.RULES,
      plus its ESCAPE_HATCH_RULES: allow-comment and stale-allowlist)
      is documented in
      docs/STATIC_ANALYSIS.md — the linter must not grow a rule the
@@ -138,10 +130,10 @@ def main():
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else default_root
     failures = (check_links(root) + check_benches(root) +
                 check_examples(root) +
-                check_headers(root, "core") +
-                check_headers(root, "runtime") +
-                check_headers(root, "sched") +
-                check_headers(root, "util") +
+                [failure
+                 for layer in sorted((root / "src").iterdir())
+                 if layer.is_dir()
+                 for failure in check_headers(root, layer.name)] +
                 check_linter_rules(root))
     for failure in failures:
         print(f"FAIL {failure}")

@@ -4,7 +4,7 @@
 
 namespace setlib::agreement {
 
-CommitAdopt::CommitAdopt(shm::IMemory& mem, int n, const std::string& name)
+CommitAdopt::CommitAdopt(shm::SimMemory& mem, int n, const std::string& name)
     : n_(n) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   phase1_base_ = mem.alloc_array(name + ".A", n);

@@ -31,7 +31,7 @@ class CommitAdopt {
   };
 
   /// One-shot object for up to n participants.
-  CommitAdopt(shm::IMemory& mem, int n, const std::string& name);
+  CommitAdopt(shm::SimMemory& mem, int n, const std::string& name);
 
   /// Process p proposes v; the result is deposited in *out (owned by
   /// the caller, must outlive the task).

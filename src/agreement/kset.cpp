@@ -7,7 +7,7 @@
 
 namespace setlib::agreement {
 
-KSetAgreement::KSetAgreement(shm::IMemory& mem, Params params,
+KSetAgreement::KSetAgreement(shm::SimMemory& mem, Params params,
                              const fd::KAntiOmega* detector)
     : params_(params), detector_(detector) {
   SETLIB_EXPECTS(params.n >= 2 && params.n <= kMaxProcs);

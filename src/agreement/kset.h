@@ -40,7 +40,7 @@ class KSetAgreement {
 
   /// `detector` must outlive this object and be driven by tasks
   /// installed alongside (Engine wires both).
-  KSetAgreement(shm::IMemory& mem, Params params,
+  KSetAgreement(shm::SimMemory& mem, Params params,
                 const fd::KAntiOmega* detector);
 
   /// Adds the k Paxos instance tasks for process p (proposal = p's

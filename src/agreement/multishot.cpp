@@ -7,7 +7,7 @@
 
 namespace setlib::agreement {
 
-MultiShotAgreement::MultiShotAgreement(shm::IMemory& mem, Params params,
+MultiShotAgreement::MultiShotAgreement(shm::SimMemory& mem, Params params,
                                        const fd::KAntiOmega* detector)
     : params_(params), detector_(detector) {
   SETLIB_EXPECTS(params.n >= 2 && params.n <= kMaxProcs);

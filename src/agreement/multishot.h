@@ -38,7 +38,7 @@ class MultiShotAgreement {
     int slots = 0;
   };
 
-  MultiShotAgreement(shm::IMemory& mem, Params params,
+  MultiShotAgreement(shm::SimMemory& mem, Params params,
                      const fd::KAntiOmega* detector);
 
   /// Install the driver task for process p. `commands[s]` is p's

@@ -14,7 +14,7 @@ constexpr std::size_t kVal = 2;
 constexpr std::size_t kHas = 3;
 }  // namespace
 
-PaxosConsensus::PaxosConsensus(shm::IMemory& mem, int n,
+PaxosConsensus::PaxosConsensus(shm::SimMemory& mem, int n,
                                std::string_view name)
     : n_(n) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);

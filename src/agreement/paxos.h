@@ -19,9 +19,10 @@
 // path performs a register operation and the task stays step-driven).
 //
 // Threading model: no locks here — safety is the ballot protocol over
-// single-writer register blocks, executed through IMemory. Each
-// PaxosProcess instance is owned by one (simulated or real) process;
-// concurrency control lives in the memory implementation.
+// single-writer register blocks, executed as register steps on the
+// SimMemory. Each PaxosProcess instance is owned by one (simulated or
+// real) process; the steps are serialized by the Simulator or by the
+// threaded runtime's pacer gate.
 #ifndef SETLIB_AGREEMENT_PAXOS_H
 #define SETLIB_AGREEMENT_PAXOS_H
 
@@ -48,7 +49,7 @@ class PaxosConsensus {
   };
 
   /// Registers: `name`.R[q] (the blocks) and `name`.D (the decision).
-  PaxosConsensus(shm::IMemory& mem, int n, std::string_view name);
+  PaxosConsensus(shm::SimMemory& mem, int n, std::string_view name);
 
   /// The per-process task. Terminates (task completes) once p observes
   /// a decision; on_decide (optional) fires at that local moment.

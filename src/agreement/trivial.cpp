@@ -4,7 +4,7 @@
 
 namespace setlib::agreement {
 
-TrivialAgreement::TrivialAgreement(shm::IMemory& mem, int n, int t)
+TrivialAgreement::TrivialAgreement(shm::SimMemory& mem, int n, int t)
     : n_(n), t_(t) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   SETLIB_EXPECTS(t >= 0 && t <= n - 1);

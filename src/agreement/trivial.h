@@ -26,7 +26,7 @@ class TrivialAgreement {
     Pid from = -1;  // the writer whose value was adopted
   };
 
-  TrivialAgreement(shm::IMemory& mem, int n, int t);
+  TrivialAgreement(shm::SimMemory& mem, int n, int t);
 
   /// Task for process p. Terminates once p decides.
   shm::Prog run(Pid p, std::int64_t proposal, Outcome* out);

@@ -6,7 +6,7 @@
 
 namespace setlib::bg {
 
-BGSimulation::BGSimulation(shm::IMemory& mem, Params params,
+BGSimulation::BGSimulation(shm::SimMemory& mem, Params params,
                            ThreadFactory factory)
     : params_(params), sim_schedule_(params.threads) {
   SETLIB_EXPECTS(params.simulators >= 1 &&

@@ -22,7 +22,7 @@
 //
 // Threading model: the simulation is a protocol expressed as register
 // steps; it owns no locks. All cross-simulator synchronization is the
-// safe-agreement objects' register protocol, executed through IMemory
+// safe-agreement objects' register protocol, executed on the SimMemory
 // (serialized by the Simulator, or by the threaded runtime's pacer).
 #ifndef SETLIB_BG_BG_SIM_H
 #define SETLIB_BG_BG_SIM_H
@@ -78,7 +78,7 @@ class BGSimulation {
     int horizon = 64;    // max simulated steps per thread
   };
 
-  BGSimulation(shm::IMemory& mem, Params params, ThreadFactory factory);
+  BGSimulation(shm::SimMemory& mem, Params params, ThreadFactory factory);
 
   /// Simulator i's main loop; install as the (single) task of process i.
   shm::Prog run(Pid sim);

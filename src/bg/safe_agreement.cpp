@@ -31,7 +31,7 @@ std::int64_t level_of(const shm::Value& cell) {
 }
 }  // namespace
 
-SafeAgreement::SafeAgreement(shm::IMemory& mem, int participants,
+SafeAgreement::SafeAgreement(shm::SimMemory& mem, int participants,
                              const std::string& name)
     : m_(participants) {
   SETLIB_EXPECTS(participants >= 1 && participants <= kMaxProcs);

@@ -21,8 +21,8 @@
 // frozen once any clean snapshot exists, so deciders agree.
 //
 // Threading model: lock-free by design — the levels protocol above IS
-// the synchronization, carried by single-writer registers through
-// IMemory. The class itself holds only thread-owned state and needs no
+// the synchronization, carried by single-writer registers of the
+// SimMemory. The class itself holds only thread-owned state and needs no
 // mutex or thread-safety annotations.
 #ifndef SETLIB_BG_SAFE_AGREEMENT_H
 #define SETLIB_BG_SAFE_AGREEMENT_H
@@ -44,7 +44,7 @@ class SafeAgreement {
     shm::Value value;
   };
 
-  SafeAgreement(shm::IMemory& mem, int participants,
+  SafeAgreement(shm::SimMemory& mem, int participants,
                 const std::string& name);
 
   /// Enter and (unless crashed mid-way) leave the unsafe zone with

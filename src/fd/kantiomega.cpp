@@ -7,7 +7,7 @@
 
 namespace setlib::fd {
 
-KAntiOmega::KAntiOmega(shm::IMemory& mem, Params params)
+KAntiOmega::KAntiOmega(shm::SimMemory& mem, Params params)
     : params_(params),
       ranker_(params.n, params.k),
       subsets_(k_subsets(params.n, params.k)) {

@@ -66,7 +66,7 @@ class KAntiOmega {
     std::span<std::int64_t> last_excluded;
   };
 
-  KAntiOmega(shm::IMemory& mem, Params params);
+  KAntiOmega(shm::SimMemory& mem, Params params);
   // Views and tasks point into buffer_.
   KAntiOmega(const KAntiOmega&) = delete;
   KAntiOmega& operator=(const KAntiOmega&) = delete;

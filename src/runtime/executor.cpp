@@ -6,7 +6,7 @@
 
 namespace setlib::runtime {
 
-ThreadedExecutor::ThreadedExecutor(shm::IMemory& mem, int n)
+ThreadedExecutor::ThreadedExecutor(shm::SimMemory& mem, int n)
     : mem_(mem),
       n_(n),
       crash_after_(static_cast<std::size_t>(n),

@@ -3,14 +3,16 @@
 //
 // Each process thread loops: hand one step to the Pacer, which runs it
 // (one pending register operation of the process's next task) inside
-// its gate. The memory is a plain shm::IMemory — the gate holder is the
-// only thread that ever touches it, so it needs no lock of its own, and
-// the pacer's step log is the order of the register operations. Crash
-// injection stops a thread after a configured number of operations.
-// Thread-owned state keeps the algorithm objects race-free: a process's
-// tasks run only on its own thread; cross-thread coordination goes
-// through the registers (inside the gate), the Pacer, and the
-// executor's atomics.
+// its gate. The memory is a plain shm::SimMemory — the gate holder is
+// the only thread that ever touches it, so it needs no lock of its
+// own, and the pacer's step log is the order of the register
+// operations. No StepObserver watches a threaded run: its step log,
+// which RtRunReport carries, replays through the simulator, where an
+// observer can be attached. Crash injection stops a thread after a
+// configured number of operations. Thread-owned state keeps the
+// algorithm objects race-free: a process's tasks run only on its own
+// thread; cross-thread coordination goes through the registers (inside
+// the gate), the Pacer, and the executor's atomics.
 #ifndef SETLIB_RUNTIME_EXECUTOR_H
 #define SETLIB_RUNTIME_EXECUTOR_H
 
@@ -59,7 +61,7 @@ class ThreadedExecutor {
 
   /// `mem` is set up before run() and then touched only by steps run
   /// inside the pacer's gate.
-  ThreadedExecutor(shm::IMemory& mem, int n);
+  ThreadedExecutor(shm::SimMemory& mem, int n);
 
   shm::ProcessRuntime& process(Pid p);
 
@@ -79,7 +81,7 @@ class ThreadedExecutor {
  private:
   void thread_main(Pid p, Pacer& pacer, const Options& options);
 
-  shm::IMemory& mem_;
+  shm::SimMemory& mem_;
   int n_;
   std::vector<shm::ProcessRuntime> procs_;
   std::vector<std::int64_t> crash_after_;

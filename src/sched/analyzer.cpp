@@ -14,10 +14,12 @@ namespace setlib::sched {
 
 namespace {
 
-// The per-word window walk (P-bits delimit windows, Q-bits count
-// inside them) lives in src/sched/simd.h as walk_word/WalkState so the
-// dispatched window walk and this on-the-fly packer share one
-// definition.
+// Steps [from, to) of `s`, which BoundTracker::step consumes one by one.
+std::span<const Pid> step_range(const Schedule& s, std::int64_t from,
+                                std::int64_t to) {
+  return std::span(s.steps()).subspan(static_cast<std::size_t>(from),
+                                      static_cast<std::size_t>(to - from));
+}
 
 // out[k] = the OR over the columns of `s` of word from + k, for k in
 // [0, count); cols[x] is process x's packed timeline. Nearly every
@@ -29,29 +31,6 @@ void or_column_words(const std::uint64_t* const* cols, ProcSet s,
     std::uint64_t word = 0;
     s.for_each([&](Pid x) { word |= cols[x][from + k]; });
     out[k] = word;
-  }
-}
-
-// Packs steps [from, to) of `steps` into (P, Q) words on the fly and
-// feeds them to the window walk, continuing whatever state `scan`
-// carries. Branch-free packing: each step contributes one mask-test
-// bit per side.
-void scan_step_range(const std::vector<Pid>& steps, std::uint64_t pmask,
-                     std::uint64_t qmask, std::int64_t from,
-                     std::int64_t to, simd::WalkState& scan) {
-  std::int64_t idx = from;
-  while (idx < to) {
-    const std::int64_t block_end = std::min(to, idx + kBitsPerWord);
-    std::uint64_t pw = 0;
-    std::uint64_t qw = 0;
-    for (std::int64_t t = idx; t < block_end; ++t) {
-      const int pid = steps[static_cast<std::size_t>(t)];
-      const std::uint64_t bit = std::uint64_t{1} << (t - idx);
-      pw |= ((pmask >> pid) & 1u) * bit;
-      qw |= ((qmask >> pid) & 1u) * bit;
-    }
-    simd::walk_word(pw, qw, scan);
-    idx = block_end;
   }
 }
 
@@ -150,9 +129,9 @@ class PairWalker {
 std::int64_t min_timeliness_bound(const Schedule& s, ProcSet p, ProcSet q,
                                   std::int64_t from, std::int64_t to) {
   SETLIB_EXPECTS(0 <= from && from <= to && to <= s.size());
-  simd::WalkState scan;
-  scan_step_range(s.steps(), p.mask(), q.mask(), from, to, scan);
-  return scan.max_q + 1;
+  BoundTracker tracker(p, q);
+  for (const Pid pid : step_range(s, from, to)) tracker.step(pid);
+  return tracker.bound();
 }
 
 std::int64_t min_timeliness_bound(const Schedule& s, ProcSet p, ProcSet q) {
@@ -219,11 +198,7 @@ std::vector<std::int64_t> bound_series(const Schedule& s, ProcSet p, ProcSet q,
 
 void BoundTracker::extend(const Schedule& s, std::int64_t upto) {
   SETLIB_EXPECTS(position_ <= upto && upto <= s.size());
-  simd::WalkState scan{current_, max_q_};
-  scan_step_range(s.steps(), p_.mask(), q_.mask(), position_, upto, scan);
-  current_ = scan.current;
-  max_q_ = scan.max_q;
-  position_ = upto;
+  for (const Pid pid : step_range(s, position_, upto)) step(pid);
 }
 
 PackedSchedule::PackedSchedule(const Schedule& s) { repack(s); }

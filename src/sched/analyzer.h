@@ -19,9 +19,11 @@
 // arena (src/util/arena.h) so steady-state scans allocate nothing.
 // Three surfaces build on it:
 //   - min_timeliness_bound / bound_series: one-shot and per-prefix
-//     bounds. BoundTracker extends a bound incrementally by ΔS steps in
-//     O(Δ), so a growing-prefix series costs O(len) total instead of
-//     the O(len^2) of recomputing each cut from scratch.
+//     bounds on an unpacked Schedule, both loops over BoundTracker::step
+//     (the one streaming rule, which the simulator also runs per
+//     executed step). BoundTracker extends a bound incrementally by ΔS
+//     steps in O(Δ), so a growing-prefix series costs O(len) total
+//     instead of the O(len^2) of recomputing each cut from scratch.
 //   - PackedSchedule::bound_for: one pair's bound on a packed prefix.
 //   - RankedPairScan answers "S in S^i_{j,n}" on a prefix: does some
 //     (P, Q) pair with |P| = i, |Q| = j meet the bound cap?

@@ -5,16 +5,16 @@
 // reproduce the paper's constructions exactly; stochastic ones are
 // seeded. The generators in generators.h and families.h are oblivious
 // (pure functions of params and seed), while the ReactiveGenerators in
-// reactive.h consume the ObservationFeed (observations.h) the executor
-// publishes each step.
+// reactive.h consume the ObservationFeed (observations.h), the step
+// observer the simulator reports each step to.
 //
 // Consumers pull through fill(): one virtual call per block, and the
 // oblivious generators override it with a loop the compiler can see
 // through. fill() never changes the stream, only the cost of reading
 // it. The Simulator pulls blocks of at most 64 picks that end where its
-// next check falls, and one pick at a time when an ObservationFeed is
-// attached, so a reactive adversary sees every step before its next
-// pick. Bulk consumers (generate(), PackedSchedule's generator
+// next check falls, and one pick at a time when a step observer (such
+// as an ObservationFeed) is attached, so a reactive adversary sees
+// every step before its next pick. Bulk consumers (generate(), PackedSchedule's generator
 // constructor) fill whole buffers.
 #ifndef SETLIB_SCHED_GENERATOR_H
 #define SETLIB_SCHED_GENERATOR_H

@@ -6,7 +6,10 @@
 // Simulator and engine publish into each step — per-process step
 // counts, window ages for candidate P-sets, crash/decision status and
 // decision proximity — and that ReactiveGenerators (reactive.h)
-// consume.
+// consume. The feed is a shm::StepObserver: the Simulator reports
+// steps and crashes to it through that seam (on_step forwards to
+// record_step, on_crash to record_crash), and the engine publishes
+// progress and decisions at its stop checks.
 //
 // Determinism contract: everything published here is derived from the
 // executed step stream and the engine's deterministic protocol state,
@@ -19,14 +22,18 @@
 #include <array>
 #include <cstdint>
 
+#include "src/shm/observer.h"
 #include "src/util/assert.h"
 #include "src/util/procset.h"
 
 namespace setlib::sched {
 
-class ObservationFeed {
+class ObservationFeed final : public shm::StepObserver {
  public:
   explicit ObservationFeed(int n);
+
+  void on_step(Pid p, shm::StepOp /*op*/) override { record_step(p); }
+  void on_crash(Pid p) override { record_crash(p); }
 
   int n() const noexcept { return n_; }
 

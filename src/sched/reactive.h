@@ -2,9 +2,10 @@
 //
 // The oblivious families (families.h) are pure functions of
 // (params, seed). The generators here additionally consume the
-// ObservationFeed (observations.h) that the executor publishes each
-// step, so they can aim their silencing and crashes at whatever the
-// run actually did:
+// ObservationFeed (observations.h), which the simulator feeds as its
+// step observer (or generate_observed, without a simulator), so they
+// can aim their silencing and crashes at whatever the run actually
+// did:
 //
 //   - window-stretcher: silences the processes that have been stepping
 //     (the ones whose next step would close the currently-aging P-free
@@ -185,8 +186,9 @@ std::unique_ptr<ReactiveGenerator> make_reactive(
 
 /// Pure-generation driver: materializes `steps` steps, publishing each
 /// emitted step back into the generator's feed — the closed loop the
-/// fuzzer and frontier map run without a Simulator. (The Simulator
-/// publishes the same stream itself via publish_observations.)
+/// fuzzer and frontier map run without a Simulator. (A Simulator
+/// feeds the same stream itself, with the feed attached as its step
+/// observer via publish_observations.)
 Schedule generate_observed(ReactiveGenerator& gen, std::int64_t steps);
 
 }  // namespace setlib::sched

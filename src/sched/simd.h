@@ -47,8 +47,8 @@ struct WalkState {
 /// One packed word of the walk (pw: P-bits, qw: Q-bits). A step in
 /// both P and Q is a window boundary (the P-reset wins, matching the
 /// reference scan): boundary positions are excluded from every counted
-/// span by the mask arithmetic. Shared by window_walk and by the
-/// analyzer's on-the-fly packer.
+/// span by the mask arithmetic. Shared by window_walk and by
+/// PackedSchedule::bound_for.
 inline void walk_word(std::uint64_t pw, std::uint64_t qw,
                       WalkState& state) noexcept {
   if (pw == 0) {

@@ -1,10 +1,12 @@
 // Shared memory: the register set Xi.
 //
-// IMemory is the single algorithm-facing interface; SimMemory is its
-// deterministic implementation, used by the Simulator and by the
-// threaded executor alike. Registers are allocated by name during a
+// SimMemory is the one memory every algorithm runs on, under the
+// Simulator and under the threaded executor alike; its register
+// operations are direct calls. Registers are allocated by name during a
 // setup phase (before any step executes); reads of never-written
-// registers return the bottom Value.
+// registers return the bottom Value. Nothing wraps the memory to watch
+// a run: a shm::StepObserver (observer.h) sees each step's operation
+// and reads its value with peek().
 //
 // Threading model: SimMemory is single-threaded by construction — it
 // is only touched by one step at a time, inside the Simulator's step
@@ -27,29 +29,6 @@
 namespace setlib::shm {
 
 using RegisterId = std::int64_t;
-
-class IMemory {
- public:
-  virtual ~IMemory() = default;
-
-  /// Allocate one register. Setup-phase only for threaded memories.
-  virtual RegisterId alloc(std::string_view name) = 0;
-
-  /// Allocate `count` registers with contiguous ids named
-  /// "name[0]".."name[count-1]"; returns the base id.
-  virtual RegisterId alloc_array(std::string_view name,
-                                 std::int64_t count) = 0;
-
-  virtual Value read(RegisterId reg) = 0;
-  virtual void write(RegisterId reg, Value v) = 0;
-
-  virtual std::int64_t register_count() const = 0;
-  virtual std::string name(RegisterId reg) const = 0;
-
-  /// Total reads/writes performed (for benchmarks and step accounting).
-  virtual std::int64_t read_count() const = 0;
-  virtual std::int64_t write_count() const = 0;
-};
 
 /// A register name assembled on the stack from string and integer
 /// pieces, so set-up code can name per-instance registers without a
@@ -84,8 +63,8 @@ class RegisterName {
   std::size_t size_ = 0;
 };
 
-/// Register names, one entry per alloc()/alloc_array() call. Shared by
-/// the IMemory implementations; ids are dense and allocated in order.
+/// Register names, one entry per alloc()/alloc_array() call; ids are
+/// dense and allocated in order.
 /// All names share one character buffer. The first registration
 /// reserves room for the names of a serving batch of up to about 40
 /// slots, so set-up does not regrow the table.
@@ -115,20 +94,26 @@ class RegisterNames {
 /// Deterministic single-threaded memory. The first registration
 /// reserves kFirstRegisters registers, so a sweep cell's or serving
 /// batch's set-up takes its storage in one allocation.
-class SimMemory final : public IMemory {
+class SimMemory {
  public:
   SimMemory() = default;
 
-  RegisterId alloc(std::string_view name) override;
-  RegisterId alloc_array(std::string_view name, std::int64_t count) override;
-  Value read(RegisterId reg) override;
-  void write(RegisterId reg, Value v) override;
-  std::int64_t register_count() const override;
-  std::string name(RegisterId reg) const override;
-  std::int64_t read_count() const override { return reads_; }
-  std::int64_t write_count() const override { return writes_; }
+  RegisterId alloc(std::string_view name);
 
-  /// Direct (non-step) inspection for tests/validators.
+  /// Allocate `count` registers with contiguous ids named
+  /// "name[0]".."name[count-1]"; returns the base id.
+  RegisterId alloc_array(std::string_view name, std::int64_t count);
+
+  Value read(RegisterId reg);
+  void write(RegisterId reg, Value v);
+  std::int64_t register_count() const;
+  std::string name(RegisterId reg) const;
+
+  /// Total reads/writes performed (for benchmarks and step accounting).
+  std::int64_t read_count() const noexcept { return reads_; }
+  std::int64_t write_count() const noexcept { return writes_; }
+
+  /// Direct (non-step) inspection for tests, validators and observers.
   const Value& peek(RegisterId reg) const;
 
  private:

@@ -38,17 +38,18 @@ ProcessRuntime::TaskCb* ProcessRuntime::next_live_task() {
   return nullptr;
 }
 
-bool ProcessRuntime::step(IMemory& mem) {
+StepOp ProcessRuntime::step(SimMemory& mem) {
   TaskCb* t = tasks_.empty() ? nullptr : next_live_task();
-  if (t == nullptr) return false;  // halted process: a scheduled no-op step
+  if (t == nullptr) return {};  // halted process: a scheduled no-op step
 
   if (!t->started) {
     t->started = true;
     t->prog.resume();  // run to the first operation request (or completion)
-    if (t->prog.done()) return false;  // purely local task
+    if (t->prog.done()) return {};  // purely local task
   }
 
   Op& op = t->prog.pending();
+  const StepOp performed{op.kind, op.reg};
   if (op.kind == Op::Kind::kRead) {
     op.value = mem.read(op.reg);
   } else {
@@ -56,7 +57,7 @@ bool ProcessRuntime::step(IMemory& mem) {
   }
   ++ops_;
   t->prog.resume();  // one resume: the leaf runs to its next op
-  return true;
+  return performed;
 }
 
 }  // namespace setlib::shm

@@ -7,7 +7,8 @@
 // executes exactly one pending register operation of the next live task.
 // Round-robin multiplexing preserves set timeliness up to the constant
 // factor #tasks — the same "bounded steps per loop iteration" argument
-// the paper uses in Lemma 9.
+// the paper uses in Lemma 9. A step reports the operation it performed
+// (kind and register), which the Simulator hands to its StepObserver.
 #ifndef SETLIB_SHM_PROCESS_H
 #define SETLIB_SHM_PROCESS_H
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/shm/memory.h"
+#include "src/shm/observer.h"
 #include "src/shm/program.h"
 #include "src/util/procset.h"
 
@@ -41,8 +43,9 @@ class ProcessRuntime {
   bool halted() const;
 
   /// Execute one step: one register operation of the next live task (or
-  /// nothing if halted). Returns true iff an operation was performed.
-  bool step(IMemory& mem);
+  /// nothing if halted). Returns the operation performed; it converts
+  /// to false when there was none.
+  StepOp step(SimMemory& mem);
 
   /// Total operations executed by this process.
   std::int64_t ops_executed() const noexcept { return ops_; }

@@ -4,11 +4,12 @@
 // `co_await shm::read(reg)` / `co_await shm::write(reg, v)` suspends
 // the coroutine with a pending register operation; an executor (the
 // deterministic Simulator or the threaded runtime, both through
-// ProcessRuntime) performs it against an IMemory and resumes. One
+// ProcessRuntime) performs it against the SimMemory and resumes. One
 // scheduled step = exactly one register operation plus the local
 // computation up to the next one — matching the model, where a step is
 // a read or write plus a state transition, and local computation is
-// free.
+// free. The operation's kind and register come back from the step as a
+// StepOp (observer.h), which is what a StepObserver sees.
 //
 // Algorithms therefore read like the paper's pseudocode:
 //
@@ -55,6 +56,7 @@
 #include <utility>
 
 #include "src/shm/memory.h"
+#include "src/shm/observer.h"
 #include "src/shm/value.h"
 #include "src/util/assert.h"
 
@@ -64,7 +66,7 @@ namespace setlib::shm {
 /// awaiter of `co_await read()/write()` itself, so it lives in the
 /// suspended frame until the executor performs it.
 struct Op {
-  enum class Kind : std::uint8_t { kRead, kWrite };
+  using Kind = StepOp::Kind;  // kRead or kWrite, never kNone
 
   Kind kind;
   RegisterId reg;

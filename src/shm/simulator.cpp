@@ -7,7 +7,7 @@
 
 namespace setlib::shm {
 
-Simulator::Simulator(IMemory& mem, int n)
+Simulator::Simulator(SimMemory& mem, int n)
     : mem_(mem), n_(n), executed_(n), tracker_(ProcSet(), ProcSet()) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);
   procs_.reserve(static_cast<std::size_t>(n));
@@ -22,8 +22,9 @@ ProcessRuntime& Simulator::process(Pid p) {
 
 void Simulator::crash(Pid p) {
   SETLIB_EXPECTS(p >= 0 && p < n_);
+  if (crashed_.contains(p)) return;
   crashed_ = crashed_.with(p);
-  if (feed_ != nullptr) feed_->record_crash(p);
+  if (observer_ != nullptr) observer_->on_crash(p);
 }
 
 bool Simulator::crashed(Pid p) const {
@@ -53,9 +54,8 @@ void Simulator::use_crash_source(std::function<ProcSet()> source) {
   crash_source_ = std::move(source);
 }
 
-void Simulator::publish_observations(sched::ObservationFeed* feed) {
-  SETLIB_EXPECTS(feed == nullptr || feed->n() == n_);
-  feed_ = feed;
+void Simulator::publish_observations(StepObserver* observer) {
+  observer_ = observer;
 }
 
 void Simulator::maybe_crash_per_source() {
@@ -80,11 +80,11 @@ void Simulator::maybe_crash_per_plan() {
 inline bool Simulator::execute(Pid p) {
   SETLIB_EXPECTS(p >= 0 && p < n_);
   if ((crashed_.mask() >> p & 1) != 0) return false;
-  procs_[static_cast<std::size_t>(p)].step(mem_);
+  const StepOp op = procs_[static_cast<std::size_t>(p)].step(mem_);
   executed_.append(p);
   hasher_.add(p);
   tracker_.step(p);
-  if (feed_ != nullptr) feed_->record_step(p);
+  if (observer_ != nullptr) observer_->on_step(p, op);
   return true;
 }
 
@@ -114,10 +114,11 @@ std::int64_t Simulator::run_until(sched::ScheduleGenerator& gen,
   // regrow from there.
   if (executed_.empty()) executed_.reserve(std::min(max_steps, kFirstReserve));
   const ProcSet everyone = ProcSet::universe(n_);
-  // Reactive adversaries read the feed and may request a crash after
-  // any step, so they are pulled one pick at a time.
+  // An observer sees each step before the next pick is pulled, and a
+  // crash source may request a crash after any step, so either pulls
+  // one pick at a time.
   const std::int64_t block_cap =
-      feed_ != nullptr || crash_source_ ? 1 : kBlock;
+      observer_ != nullptr || crash_source_ ? 1 : kBlock;
   std::array<Pid, kBlock> block;
   std::int64_t executed = 0;
   std::int64_t until_check = check_every;

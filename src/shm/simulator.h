@@ -8,16 +8,19 @@
 // hash (sched::ScheduleHasher) and the witness bound of one watched
 // (P, Q) pair (sched::BoundTracker, the bound the engine reports).
 // Crashed processes take no further steps; picks that land on a crashed
-// process are skipped without being recorded, hashed or bounded.
+// process are skipped without being recorded, hashed or bounded. An
+// attached StepObserver (observer.h) sees every executed step, after
+// its register operation, and every crash, once per process.
 //
 // Picks are pulled with fill() in blocks of at most kBlock. A block
 // ends at the next stop check, the next crash-plan step, max_steps and
 // the pull cap, so no check falls inside one and the generator is read
 // exactly as far as the run consumes: after run_until, an oblivious
 // generator stands where the same number of next() calls leaves it.
-// A run with an ObservationFeed or a crash source attached (reactive
-// adversaries) pulls one pick at a time, because the adversary reads
-// the feed, and may request a crash, after every step.
+// A run with an observer or a crash source attached pulls one pick at
+// a time, so the observer has seen each step before the next pick is
+// pulled: a reactive adversary reads its ObservationFeed (an observer),
+// and may request a crash, after every step.
 #ifndef SETLIB_SHM_SIMULATOR_H
 #define SETLIB_SHM_SIMULATOR_H
 
@@ -29,9 +32,9 @@
 #include "src/sched/analyzer.h"
 #include "src/sched/generator.h"
 #include "src/sched/generators.h"
-#include "src/sched/observations.h"
 #include "src/sched/schedule.h"
 #include "src/shm/memory.h"
+#include "src/shm/observer.h"
 #include "src/shm/process.h"
 #include "src/util/procset.h"
 
@@ -39,12 +42,13 @@ namespace setlib::shm {
 
 class Simulator {
  public:
-  Simulator(IMemory& mem, int n);
+  Simulator(SimMemory& mem, int n);
 
   int n() const noexcept { return n_; }
   ProcessRuntime& process(Pid p);
 
-  /// Mark p crashed from now on (takes no further steps).
+  /// Mark p crashed from now on (takes no further steps). The observer
+  /// hears of it the first time only.
   void crash(Pid p);
   bool crashed(Pid p) const;
   ProcSet crashed_set() const noexcept { return crashed_; }
@@ -60,12 +64,12 @@ class Simulator {
   /// budget spending.
   void use_crash_source(std::function<ProcSet()> source);
 
-  /// Publish every executed step (and every crash) into `feed`, the
-  /// read-only view reactive adversaries consume. The feed must
-  /// outlive the simulator; pass nullptr to detach. Publication is
-  /// part of the deterministic step loop — no wall-clock, no thread
-  /// state — so the ObservationFeed determinism contract holds.
-  void publish_observations(sched::ObservationFeed* feed);
+  /// Report every executed step and every crash to `observer` (for a
+  /// reactive adversary, its sched::ObservationFeed). It must outlive
+  /// the simulator; pass nullptr to detach. Observation is part of the
+  /// deterministic step loop — no wall-clock, no thread state — so the
+  /// ObservationFeed determinism contract holds.
+  void publish_observations(StepObserver* observer);
 
   /// Streams min_timeliness_bound(executed(), p, q) from the next step
   /// on; call before the first step. Until then the watched pair is
@@ -110,7 +114,7 @@ class Simulator {
   void maybe_crash_per_source();
   bool execute(Pid p);
 
-  IMemory& mem_;
+  SimMemory& mem_;
   int n_;
   std::vector<ProcessRuntime> procs_;
   ProcSet crashed_;
@@ -122,7 +126,7 @@ class Simulator {
   // before it, maybe_crash_per_plan has nothing to do.
   std::int64_t next_plan_crash_ = sched::CrashPlan::kNever;
   std::function<ProcSet()> crash_source_;
-  sched::ObservationFeed* feed_ = nullptr;
+  StepObserver* observer_ = nullptr;
 };
 
 }  // namespace setlib::shm

@@ -4,7 +4,7 @@
 
 namespace setlib::shm {
 
-AtomicSnapshot::AtomicSnapshot(IMemory& mem, int n, const std::string& name,
+AtomicSnapshot::AtomicSnapshot(SimMemory& mem, int n, const std::string& name,
                                std::int64_t initial)
     : n_(n), initial_(initial) {
   SETLIB_EXPECTS(n >= 1 && n <= kMaxProcs);

@@ -17,7 +17,7 @@
 // is configurable.
 //
 // Threading model: this class holds no locks — its atomicity argument
-// is the protocol above, executed as register steps through IMemory.
+// is the protocol above, executed as register steps on the SimMemory.
 // Under the Simulator those steps are serialized on one thread; under
 // the threaded executor each wrapper instance is thread-owned and every
 // register step runs inside the pacer's gate, one at a time.
@@ -36,7 +36,7 @@ namespace setlib::shm {
 
 class AtomicSnapshot {
  public:
-  AtomicSnapshot(IMemory& mem, int n, const std::string& name,
+  AtomicSnapshot(SimMemory& mem, int n, const std::string& name,
                  std::int64_t initial = 0);
 
   /// One-shot scan task: deposits an atomic snapshot (n values) in

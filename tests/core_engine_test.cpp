@@ -70,11 +70,13 @@ void expect_same_report(const RunReport& a, const RunReport& b,
   EXPECT_EQ(a.detail, b.detail) << what;
 }
 
-// Arena memory is handed out without a zero fill, so every consumer
-// must write before it reads. The run takes nothing from the arena it
-// is handed (the simulator streams the witness bound), so a reserve
-// full of poison bytes must give the run a fresh arena gives, on the
-// default reserve and on a small one.
+// The arena overload of run_agreement reads no arena memory: the run
+// takes nothing from the arena it is handed (the simulator streams the
+// witness bound). So a reserve full of poison bytes must give the
+// report a fresh arena gives, on the default reserve and on a small
+// one. The arena's consumers, the pair scans, are checked on a
+// poisoned reserve by
+// SimdDifferentialTest.ArenaBackedScanMatchesHeapBackedScan.
 TEST(EngineTest, PoisonedArenaGivesTheFreshArenaReport) {
   RunConfig friendly;
   friendly.spec = {2, 2, 5};

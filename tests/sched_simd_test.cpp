@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/sched/analyzer.h"
@@ -133,28 +135,43 @@ TEST(SimdDifferentialTest, RankedScanAgreesAcrossTablesAndReference) {
   }
 }
 
+// Arena memory is handed out without a zero fill, so the pair scan
+// must write its scratch before it reads it. Each trial scans on an
+// arena that earlier trials' scans have used and on one whose reserve
+// was just filled with 0xA5 bytes; both must give the heap-backed
+// scan's answer.
 TEST(SimdDifferentialTest, ArenaBackedScanMatchesHeapBackedScan) {
   Rng rng(5150);
-  util::ArenaAllocator arena;
+  util::ArenaAllocator reused;
+  util::ArenaAllocator poisoned;
   for (int trial = 0; trial < 25; ++trial) {
     const int n = 4;
     const std::int64_t len =
         64 + static_cast<std::int64_t>(rng.next_in(0, 9999));
     UniformRandomGenerator gen(n, rng.next_u64());
     const Schedule s = generate(gen, len);
-    const util::FrameScope frame(arena);
     const PackedSchedule packed(s);
     const std::int64_t cap = 1 + static_cast<std::int64_t>(rng.next_in(0, 6));
-    const auto with_arena =
-        RankedPairScan(packed, 2, 3, &arena).count_members(cap);
     const auto on_heap = RankedPairScan(packed, 2, 3).count_members(cap);
-    EXPECT_EQ(with_arena.pairs, on_heap.pairs) << "trial " << trial;
-    EXPECT_EQ(with_arena.members, on_heap.members) << "trial " << trial;
-    EXPECT_EQ(with_arena.first.has_value(), on_heap.first.has_value());
-    if (with_arena.first && on_heap.first) {
-      EXPECT_EQ(with_arena.first->bound, on_heap.first->bound);
-      EXPECT_EQ(with_arena.first->timely_set.mask(),
-                on_heap.first->timely_set.mask());
+    std::memset(poisoned.allocate(poisoned.reserve_size()), 0xA5,
+                poisoned.reserve_size());
+    poisoned.reset();
+    for (util::ArenaAllocator* arena : {&reused, &poisoned}) {
+      const util::FrameScope frame(*arena);
+      const auto with_arena =
+          RankedPairScan(packed, 2, 3, arena).count_members(cap);
+      const std::string what = "trial " + std::to_string(trial) +
+                               (arena == &poisoned ? " poisoned" : " reused");
+      EXPECT_EQ(with_arena.pairs, on_heap.pairs) << what;
+      EXPECT_EQ(with_arena.members, on_heap.members) << what;
+      EXPECT_EQ(with_arena.first.has_value(), on_heap.first.has_value())
+          << what;
+      if (with_arena.first && on_heap.first) {
+        EXPECT_EQ(with_arena.first->bound, on_heap.first->bound) << what;
+        EXPECT_EQ(with_arena.first->timely_set.mask(),
+                  on_heap.first->timely_set.mask())
+            << what;
+      }
     }
   }
 }

@@ -1,8 +1,9 @@
 // Golden op traces: every register operation the protocol stacks
-// perform, in step order, hashed and pinned. A recording IMemory wraps
-// the SimMemory and folds each (register, kind, value) into a 64-bit
-// hash; the run's final decisions, detector views and executed
-// schedule are folded in after the last step. Any change to how
+// perform, in step order, hashed and pinned. A StepObserver attached to
+// the Simulator folds each step's (register, kind, value) into a 64-bit
+// hash, reading the value with SimMemory::peek right after the step;
+// the run's final decisions, detector views and executed schedule are
+// folded in after the last step. Any change to how
 // programs are driven (when a child starts, which multiplexed kid runs
 // next, where local computation lands between steps) moves at least
 // one of these hashes, so a refactor of the coroutine plumbing that
@@ -15,8 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "src/sched/generators.h"
 #include "src/sched/schedule.h"
 #include "src/shm/memory.h"
+#include "src/shm/observer.h"
 #include "src/shm/program.h"
 #include "src/shm/simulator.h"
 #include "src/shm/snapshot.h"
@@ -52,30 +52,19 @@ std::uint64_t mix_value(std::uint64_t h, const Value& v) {
   return h;
 }
 
-/// Forwards to a SimMemory and hashes every operation in order.
-class RecordingMemory final : public IMemory {
+/// Hashes every register operation in step order: the value a step
+/// read or wrote is still in its register when on_step runs.
+class TraceHash final : public StepObserver {
  public:
-  RegisterId alloc(std::string_view name) override {
-    return inner_.alloc(name);
+  explicit TraceHash(const SimMemory& mem) : mem_(mem) {}
+
+  void on_step(Pid /*p*/, StepOp op) override {
+    if (!op) return;
+    const std::uint64_t reg = static_cast<std::uint64_t>(op.reg);
+    const std::uint64_t kind = op.kind == StepOp::Kind::kRead ? 0 : 1;
+    hash_ = mix_value(mix(mix(hash_, reg), kind), mem_.peek(op.reg));
   }
-  RegisterId alloc_array(std::string_view name, std::int64_t count) override {
-    return inner_.alloc_array(name, count);
-  }
-  Value read(RegisterId reg) override {
-    Value v = inner_.read(reg);
-    hash_ = mix_value(mix(mix(hash_, static_cast<std::uint64_t>(reg)), 0), v);
-    return v;
-  }
-  void write(RegisterId reg, Value v) override {
-    hash_ = mix_value(mix(mix(hash_, static_cast<std::uint64_t>(reg)), 1), v);
-    inner_.write(reg, std::move(v));
-  }
-  std::int64_t register_count() const override {
-    return inner_.register_count();
-  }
-  std::string name(RegisterId reg) const override { return inner_.name(reg); }
-  std::int64_t read_count() const override { return inner_.read_count(); }
-  std::int64_t write_count() const override { return inner_.write_count(); }
+  void on_crash(Pid /*p*/) override {}
 
   std::uint64_t hash() const noexcept { return hash_; }
   void fold(std::uint64_t x) { hash_ = mix(hash_, x); }
@@ -93,7 +82,7 @@ class RecordingMemory final : public IMemory {
   }
 
  private:
-  SimMemory inner_;
+  const SimMemory& mem_;
   std::uint64_t hash_ = 0x5e7117b5eedULL;
 };
 
@@ -107,11 +96,13 @@ std::unique_ptr<sched::EnforcedGenerator> enforced(int n, int k, int t,
 
 std::uint64_t multishot_trace(int n, int k, int t, int slots,
                               std::uint64_t seed) {
-  RecordingMemory mem;
+  SimMemory mem;
+  TraceHash trace(mem);
   fd::KAntiOmega detector(mem, fd::KAntiOmega::Params{n, k, t, 1});
   agreement::MultiShotAgreement log(
       mem, agreement::MultiShotAgreement::Params{n, k, t, slots}, &detector);
   Simulator sim(mem, n);
+  sim.publish_observations(&trace);
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(detector.run(p), "fd");
     std::vector<std::int64_t> commands;
@@ -124,12 +115,12 @@ std::uint64_t multishot_trace(int n, int k, int t, int slots,
   EXPECT_TRUE(log.all_decided(everyone));
   for (Pid p = 0; p < n; ++p) {
     for (int s = 0; s < slots; ++s) {
-      mem.fold(static_cast<std::uint64_t>(log.log_at(p, s).value_or(-1)));
+      trace.fold(static_cast<std::uint64_t>(log.log_at(p, s).value_or(-1)));
     }
   }
-  mem.fold_detector(detector, n);
-  mem.fold_schedule(sim);
-  return mem.hash();
+  trace.fold_detector(detector, n);
+  trace.fold_schedule(sim);
+  return trace.hash();
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK1) {
@@ -146,11 +137,13 @@ TEST(ShmTraceGoldenTest, MultiShotK3) {
 
 TEST(ShmTraceGoldenTest, KSetAgreement) {
   const int n = 5, k = 2, t = 2;
-  RecordingMemory mem;
+  SimMemory mem;
+  TraceHash trace(mem);
   fd::KAntiOmega detector(mem, fd::KAntiOmega::Params{n, k, t, 1});
   agreement::KSetAgreement kset(mem, agreement::KSetAgreement::Params{n, k, t},
                                 &detector);
   Simulator sim(mem, n);
+  sim.publish_observations(&trace);
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(detector.run(p), "fd");
     kset.install(sim.process(p), p, 50 + p);
@@ -160,12 +153,12 @@ TEST(ShmTraceGoldenTest, KSetAgreement) {
   sim.run_until(*gen, 400'000, [&] { return kset.all_decided(everyone); });
   ASSERT_TRUE(kset.all_decided(everyone));
   for (Pid p = 0; p < n; ++p) {
-    mem.fold(static_cast<std::uint64_t>(kset.outcome(p).value));
-    mem.fold(static_cast<std::uint64_t>(kset.outcome(p).via_instance));
+    trace.fold(static_cast<std::uint64_t>(kset.outcome(p).value));
+    trace.fold(static_cast<std::uint64_t>(kset.outcome(p).via_instance));
   }
-  mem.fold_detector(detector, n);
-  mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0x04b229ca9a1e63e8ULL);
+  trace.fold_detector(detector, n);
+  trace.fold_schedule(sim);
+  EXPECT_EQ(trace.hash(), 0x04b229ca9a1e63e8ULL);
 }
 
 Prog snapshot_client(AtomicSnapshot* snap, Pid p, int rounds,
@@ -178,10 +171,12 @@ Prog snapshot_client(AtomicSnapshot* snap, Pid p, int rounds,
 
 TEST(ShmTraceGoldenTest, SnapshotScanAndUpdate) {
   const int n = 3;
-  RecordingMemory mem;
+  SimMemory mem;
+  TraceHash trace(mem);
   AtomicSnapshot snap(mem, n, "snap", -1);
   std::vector<std::vector<std::int64_t>> scans(n);
   Simulator sim(mem, n);
+  sim.publish_observations(&trace);
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(
         snapshot_client(&snap, p, 6, &scans[static_cast<std::size_t>(p)]),
@@ -191,18 +186,20 @@ TEST(ShmTraceGoldenTest, SnapshotScanAndUpdate) {
   sim.run(gen, 3'000);
   for (const auto& scan : scans) {
     ASSERT_EQ(scan.size(), static_cast<std::size_t>(n));
-    for (const std::int64_t v : scan) mem.fold(static_cast<std::uint64_t>(v));
+    for (const std::int64_t v : scan) trace.fold(static_cast<std::uint64_t>(v));
   }
-  mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0xbe047d7632446641ULL);
+  trace.fold_schedule(sim);
+  EXPECT_EQ(trace.hash(), 0xbe047d7632446641ULL);
 }
 
 TEST(ShmTraceGoldenTest, CommitAdopt) {
   const int n = 4;
-  RecordingMemory mem;
+  SimMemory mem;
+  TraceHash trace(mem);
   agreement::CommitAdopt ca(mem, n, "ca");
   std::vector<agreement::CommitAdopt::Outcome> outs(n);
   Simulator sim(mem, n);
+  sim.publish_observations(&trace);
   const std::int64_t proposals[] = {7, 9, 7, 8};
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(
@@ -212,33 +209,35 @@ TEST(ShmTraceGoldenTest, CommitAdopt) {
   sim.run(gen, 200);
   for (const auto& o : outs) {
     ASSERT_TRUE(o.done);
-    mem.fold(o.committed ? 1 : 0);
-    mem.fold(static_cast<std::uint64_t>(o.value));
+    trace.fold(o.committed ? 1 : 0);
+    trace.fold(static_cast<std::uint64_t>(o.value));
   }
-  mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0x767f8704a35ccc08ULL);
+  trace.fold_schedule(sim);
+  EXPECT_EQ(trace.hash(), 0x767f8704a35ccc08ULL);
 }
 
 TEST(ShmTraceGoldenTest, BGSimulation) {
   const int m = 3, threads = 4, horizon = 8;
-  RecordingMemory mem;
+  SimMemory mem;
+  TraceHash trace(mem);
   bg::BGSimulation bgsim(
       mem, bg::BGSimulation::Params{m, threads, horizon},
       [](int u) { return std::make_unique<bg::MinInputThread>(100 + u, 3); });
   Simulator sim(mem, m);
+  sim.publish_observations(&trace);
   for (Pid i = 0; i < m; ++i) sim.process(i).add_task(bgsim.run(i), "bg");
   sched::UniformRandomGenerator gen(m, 17);
   sim.run(gen, 20'000);
   for (int s = 0; s < m; ++s) {
     for (int u = 0; u < threads; ++u) {
-      mem.fold(static_cast<std::uint64_t>(bgsim.steps_of(s, u)));
-      mem.fold(static_cast<std::uint64_t>(
+      trace.fold(static_cast<std::uint64_t>(bgsim.steps_of(s, u)));
+      trace.fold(static_cast<std::uint64_t>(
           bgsim.thread_decision(s, u).value_or(-1)));
     }
   }
-  mem.fold(sched::schedule_hash(bgsim.simulated_schedule()));
-  mem.fold_schedule(sim);
-  EXPECT_EQ(mem.hash(), 0x79eaa4dccd456a18ULL);
+  trace.fold(sched::schedule_hash(bgsim.simulated_schedule()));
+  trace.fold_schedule(sim);
+  EXPECT_EQ(trace.hash(), 0x79eaa4dccd456a18ULL);
 }
 
 }  // namespace
