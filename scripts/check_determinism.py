@@ -53,18 +53,15 @@ import pathlib
 import re
 import sys
 
-# Files whose whole purpose is wall-clock measurement: the WallTimer
-# and the real-thread runtime's wall caps. Their measurements only
-# ever feed the "timing" subtree of a document (each section's
-# "timing" object and the top-level one), which core::strip_timing_keys
-# excludes from determinism diffs — see docs/STATIC_ANALYSIS.md for the
-# policy on growing this list. Every entry must suppress at least one
-# wall-clock/chrono finding (the stale-allowlist check).
+# Files whose whole purpose is wall-clock measurement: the WallTimer.
+# Its measurements only ever feed the "timing" subtree of a document
+# (each section's "timing" object and the top-level one), which
+# core::strip_timing_keys excludes from determinism diffs — see
+# docs/STATIC_ANALYSIS.md for the policy on growing this list. Every
+# entry must suppress at least one wall-clock/chrono finding (the
+# stale-allowlist check).
 TIMING_KEY_FILES = {
     "src/core/runner.h",        # WallTimer
-    "src/runtime/executor.h",   # max_wall caps
-    "src/runtime/executor.cpp",
-    "src/runtime/rt_harness.h",
 }
 
 # Rules whose scope the timing-key allowlist narrows; every other rule

@@ -20,9 +20,8 @@
 //
 // Threading model: no locks here — safety is the ballot protocol over
 // single-writer register blocks, executed as register steps on the
-// SimMemory. Each PaxosProcess instance is owned by one (simulated or
-// real) process; the steps are serialized by the Simulator or by the
-// threaded runtime's pacer gate.
+// SimMemory. Each PaxosProcess instance is owned by one simulated
+// process; the Simulator serializes the steps.
 #ifndef SETLIB_AGREEMENT_PAXOS_H
 #define SETLIB_AGREEMENT_PAXOS_H
 

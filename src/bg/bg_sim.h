@@ -23,7 +23,7 @@
 // Threading model: the simulation is a protocol expressed as register
 // steps; it owns no locks. All cross-simulator synchronization is the
 // safe-agreement objects' register protocol, executed on the SimMemory
-// (serialized by the Simulator, or by the threaded runtime's pacer).
+// (serialized by the Simulator).
 #ifndef SETLIB_BG_BG_SIM_H
 #define SETLIB_BG_BG_SIM_H
 

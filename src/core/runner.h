@@ -1,5 +1,5 @@
 // The unified experiment surface: one session-style object that owns
-// the executor, the cell space, and the result pipeline.
+// the worker pool, the cell space, and the result pipeline.
 //
 // ExperimentRunner holds a persistent runtime::WorkerPool that is
 // reused across every sweep section of a binary (worker threads spawn
@@ -28,7 +28,7 @@
 
 #include "src/core/report.h"
 #include "src/core/sweep.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/pool.h"
 #include "src/util/arena.h"
 
 namespace setlib::core {

@@ -28,7 +28,7 @@
 // Threading model: ServiceHarness owns no mutex. The admission plan is
 // computed single-threaded; batch execution parallelizes only through
 // ExperimentRunner::run_section(), whose pool synchronizes internally
-// (runtime/executor.h), and per-batch results are thread-owned until
+// (runtime/pool.h), and per-batch results are thread-owned until
 // the runner's ordered collection phase.
 #ifndef SETLIB_CORE_SERVICE_H
 #define SETLIB_CORE_SERVICE_H

@@ -57,6 +57,18 @@ bool consume_int_flag(const std::string& arg, const std::string& prefix,
   return true;
 }
 
+bool consume_threads_flag(const std::string& arg, int* out) {
+  const std::string prefix = "--threads=";
+  if (!consume_int_flag(arg, prefix, out)) return false;
+  if (*out < 0 || *out > runtime::WorkerPool::kMaxThreads) {
+    throw ContractViolation(prefix + ": value '" + arg.substr(prefix.size()) +
+                            "' is outside [0, " +
+                            std::to_string(runtime::WorkerPool::kMaxThreads) +
+                            "]");
+  }
+  return true;
+}
+
 namespace {
 
 bool consume_cells_flag(const std::string& arg, ShardSpec* out) {
@@ -84,10 +96,7 @@ RunnerOptions parse_runner_options(int argc, const char* const* argv,
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (consume_int_flag(arg, "--threads=", &options.threads)) {
-      SETLIB_EXPECTS(options.threads >= 0);
-      continue;
-    }
+    if (consume_threads_flag(arg, &options.threads)) continue;
     if (consume_int_flag(arg, "--repeat=", &options.repeat)) {
       SETLIB_EXPECTS(options.repeat >= 1);
       continue;

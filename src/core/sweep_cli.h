@@ -3,7 +3,8 @@
 // constructs the binary's ExperimentRunner.
 //
 // Every bench accepts:
-//   --threads=N    sweep parallelism (0 = hardware concurrency)
+//   --threads=N    sweep parallelism, 0..runtime::WorkerPool::kMaxThreads
+//                  (0 = hardware concurrency)
 //   --repeat=N     repeat factor for grid sweeps (seeds per cell point)
 //   --cells=LO..HI[/SPAN]
 //                  run the [LO, HI) slice of a SPAN-wide virtual cell
@@ -57,6 +58,10 @@ bool consume_long_flag(const std::string& arg, const std::string& prefix,
                        long* out);
 bool consume_int_flag(const std::string& arg, const std::string& prefix,
                       int* out);
+
+/// consume_int_flag for "--threads=", which also rejects a value
+/// outside [0, runtime::WorkerPool::kMaxThreads].
+bool consume_threads_flag(const std::string& arg, int* out);
 
 }  // namespace setlib::core
 

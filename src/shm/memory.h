@@ -1,8 +1,7 @@
 // Shared memory: the register set Xi.
 //
 // SimMemory is the one memory every algorithm runs on, under the
-// Simulator and under the threaded executor alike; its register
-// operations are direct calls. Registers are allocated by name during a
+// Simulator; its register operations are direct calls. Registers are allocated by name during a
 // setup phase (before any step executes); reads of never-written
 // registers return the bottom Value. Nothing wraps the memory to watch
 // a run: a shm::StepObserver (observer.h) sees each step's operation
@@ -10,9 +9,7 @@
 //
 // Threading model: SimMemory is single-threaded by construction — it
 // is only touched by one step at a time, inside the Simulator's step
-// loop or inside the threaded runtime's pacer gate, which runs every
-// process step under its one mutex. It therefore owns no locks and no
-// thread-safety annotations.
+// loop. It therefore owns no locks and no thread-safety annotations.
 #ifndef SETLIB_SHM_MEMORY_H
 #define SETLIB_SHM_MEMORY_H
 

@@ -2,9 +2,9 @@
 //
 // An algorithm's per-process code is a coroutine returning Prog. Each
 // `co_await shm::read(reg)` / `co_await shm::write(reg, v)` suspends
-// the coroutine with a pending register operation; an executor (the
-// deterministic Simulator or the threaded runtime, both through
-// ProcessRuntime) performs it against the SimMemory and resumes. One
+// the coroutine with a pending register operation; the Simulator,
+// through ProcessRuntime, performs it against the SimMemory and
+// resumes. One
 // scheduled step = exactly one register operation plus the local
 // computation up to the next one — matching the model, where a step is
 // a read or write plus a state transition, and local computation is

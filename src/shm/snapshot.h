@@ -17,10 +17,8 @@
 // is configurable.
 //
 // Threading model: this class holds no locks — its atomicity argument
-// is the protocol above, executed as register steps on the SimMemory.
-// Under the Simulator those steps are serialized on one thread; under
-// the threaded executor each wrapper instance is thread-owned and every
-// register step runs inside the pacer's gate, one at a time.
+// is the protocol above, executed as register steps on the SimMemory,
+// which the Simulator serializes on one thread.
 #ifndef SETLIB_SHM_SNAPSHOT_H
 #define SETLIB_SHM_SNAPSHOT_H
 

@@ -16,7 +16,7 @@
 //
 // Threading model: Value is a plain value type with no shared state;
 // concurrent use is governed entirely by the memory that stores it
-// (SimMemory: one step at a time, in the Simulator or the pacer's gate).
+// (SimMemory: one step at a time, in the Simulator).
 #ifndef SETLIB_SHM_VALUE_H
 #define SETLIB_SHM_VALUE_H
 

@@ -32,7 +32,6 @@ class SETLIB_CAPABILITY("mutex") Mutex {
 
   void lock() SETLIB_ACQUIRE() { mu_.lock(); }
   void unlock() SETLIB_RELEASE() { mu_.unlock(); }
-  bool try_lock() SETLIB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// The wrapped std::mutex, for interop (CondVar's adopted waits).
   std::mutex& native() { return mu_; }
@@ -70,7 +69,6 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
   /// Blocks until notified (or spuriously woken — loop on the

@@ -9,9 +9,10 @@
 // for every Clang build; GCC builds see empty macros and compile the
 // exact same code. See docs/STATIC_ANALYSIS.md for the conventions.
 //
-// The macro set mirrors the one from the Clang documentation
-// (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html), prefixed
-// SETLIB_ so nothing collides with third-party headers.
+// The macros are the subset of the Clang documentation's set
+// (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html) that the
+// code uses, prefixed SETLIB_ so nothing collides with third-party
+// headers.
 #ifndef SETLIB_UTIL_THREAD_ANNOTATIONS_H
 #define SETLIB_UTIL_THREAD_ANNOTATIONS_H
 
@@ -30,48 +31,16 @@
 /// Member data that may only be touched while holding `x`.
 #define SETLIB_GUARDED_BY(x) SETLIB_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointer member whose *pointee* is guarded by `x`.
-#define SETLIB_PT_GUARDED_BY(x) SETLIB_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function that must be called with the given capabilities held.
 #define SETLIB_REQUIRES(...) \
   SETLIB_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/// Function that must be called with the capabilities held shared.
-#define SETLIB_REQUIRES_SHARED(...) \
-  SETLIB_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function that acquires the capability and does not release it.
 #define SETLIB_ACQUIRE(...) \
   SETLIB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-#define SETLIB_ACQUIRE_SHARED(...) \
-  SETLIB_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
 /// Function that releases a held capability.
 #define SETLIB_RELEASE(...) \
   SETLIB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-#define SETLIB_RELEASE_SHARED(...) \
-  SETLIB_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-
-/// Function that acquires the capability iff it returns `r`.
-#define SETLIB_TRY_ACQUIRE(r, ...) \
-  SETLIB_THREAD_ANNOTATION(try_acquire_capability(r, __VA_ARGS__))
-
-/// Function that must NOT be called with the capability held
-/// (non-reentrant public entry points of a locked class).
-#define SETLIB_EXCLUDES(...) \
-  SETLIB_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Function returning a reference to the given capability.
-#define SETLIB_RETURN_CAPABILITY(x) \
-  SETLIB_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch: the function's locking is correct for a reason the
-/// intra-procedural analysis cannot see. Every use carries a comment
-/// saying why (policy in docs/STATIC_ANALYSIS.md).
-#define SETLIB_NO_THREAD_SAFETY_ANALYSIS \
-  SETLIB_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 #endif  // SETLIB_UTIL_THREAD_ANNOTATIONS_H

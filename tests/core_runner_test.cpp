@@ -13,7 +13,7 @@
 
 #include "src/core/report.h"
 #include "src/core/sweep.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/pool.h"
 #include "src/util/assert.h"
 #include "src/util/json.h"
 

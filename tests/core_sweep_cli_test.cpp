@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <climits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/runtime/pool.h"
 #include "src/util/assert.h"
 
 namespace setlib::core {
@@ -80,9 +80,23 @@ TEST(SweepCliTest, HugeIntFlagDoesNotWrap) {
   // Fits in long, not in int: must be an error, not a wrapped int.
   EXPECT_THROW(parse({"--threads=99999999999"}), ContractViolation);
   EXPECT_THROW(parse({"--repeat=2147483648"}), ContractViolation);
-  // INT_MAX itself still parses.
-  const RunnerOptions options = parse({"--threads=2147483647"});
-  EXPECT_EQ(options.threads, INT_MAX);
+  // INT_MAX fits in an int but not in the pool: rejected, not spawned.
+  EXPECT_THROW(parse({"--threads=2147483647"}), ContractViolation);
+}
+
+TEST(SweepCliTest, ThreadsAreCappedAtThePoolMaximum) {
+  const int max = runtime::WorkerPool::kMaxThreads;
+  EXPECT_EQ(parse({"--threads=" + std::to_string(max)}).threads, max);
+  try {
+    parse({"--threads=" + std::to_string(max + 1)});
+    FAIL() << "--threads=" << max + 1 << " was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("outside [0, " +
+                                         std::to_string(max) + "]"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse({"--threads=-1"}), ContractViolation);
 }
 
 TEST(SweepCliTest, TrailingGarbageAndEmptyValuesAreRejected) {
@@ -193,7 +207,7 @@ TEST(SweepCliDeathTest, BadFlagsAreAUsageErrorNotAnAbort) {
   EXPECT_EXIT(run({"--threads=x"}), ::testing::ExitedWithCode(2),
               "--threads=");
   EXPECT_EXIT(run({"--threads=-2"}), ::testing::ExitedWithCode(2),
-              "options.threads >= 0");
+              "--threads=: value '-2' is outside");
   // An own-flag handler's ContractViolation is a usage error too.
   std::vector<const char*> argv = {"prog", "--mine=x"};
   EXPECT_EXIT(parse_cli_or_exit(2, argv.data(), "cli_test",

@@ -15,7 +15,7 @@
 #include "src/core/report.h"
 #include "src/core/runner.h"
 #include "src/core/solvability.h"
-#include "src/runtime/executor.h"
+#include "src/runtime/pool.h"
 #include "src/util/assert.h"
 
 namespace setlib::core {
@@ -242,6 +242,14 @@ TEST(ExperimentRunnerTest, FailingCellPropagatesFromGridRun) {
 TEST(WorkerPoolTest, HardwareConcurrencyFallback) {
   runtime::WorkerPool pool(0);
   EXPECT_GE(pool.threads(), 1);
+  EXPECT_LE(pool.threads(), runtime::WorkerPool::kMaxThreads);
+}
+
+TEST(WorkerPoolTest, WidthAboveTheMaximumIsRefused) {
+  // Refused before a thread spawns or a slot is reserved.
+  EXPECT_THROW(runtime::WorkerPool(runtime::WorkerPool::kMaxThreads + 1),
+               ContractViolation);
+  EXPECT_THROW(runtime::WorkerPool(-1), ContractViolation);
 }
 
 TEST(WorkerPoolTest, MoreThreadsThanWork) {

@@ -12,9 +12,16 @@
 // redefining that hash moves every constant here without any trace
 // changing; the four-lane redefinition was re-pinned only after the
 // old constants still held under the old hash.
+//
+// An attached observer makes the simulator pull one pick at a time, so
+// every scenario also runs a second time with no observer, where
+// run_until pulls whole fill() blocks: that run must end in the same
+// state (steps, schedule hash, decisions, detector views, read and
+// write counts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -67,7 +74,14 @@ class TraceHash final : public StepObserver {
   void on_crash(Pid /*p*/) override {}
 
   std::uint64_t hash() const noexcept { return hash_; }
-  void fold(std::uint64_t x) { hash_ = mix(hash_, x); }
+  /// Everything folded after the run, in order: its end state.
+  const std::vector<std::uint64_t>& folded() const noexcept {
+    return folded_;
+  }
+  void fold(std::uint64_t x) {
+    hash_ = mix(hash_, x);
+    folded_.push_back(x);
+  }
   void fold_schedule(const Simulator& sim) {
     fold(static_cast<std::uint64_t>(sim.steps_taken()));
     fold(sched::schedule_hash(sim.executed()));
@@ -84,7 +98,31 @@ class TraceHash final : public StepObserver {
  private:
   const SimMemory& mem_;
   std::uint64_t hash_ = 0x5e7117b5eedULL;
+  std::vector<std::uint64_t> folded_;
 };
+
+struct GoldenRun {
+  std::uint64_t trace = 0;  // meaningful only when observed
+  std::vector<std::uint64_t> end_state;
+  std::int64_t reads = 0;
+  std::int64_t writes = 0;
+};
+
+GoldenRun finish(const TraceHash& trace, const SimMemory& mem) {
+  return {trace.hash(), trace.folded(), mem.read_count(), mem.write_count()};
+}
+
+/// Runs `scenario` observed and then unobserved (block pulls), checks
+/// that both end in the same state, and returns the observed trace.
+std::uint64_t trace_and_check_blocks(
+    const std::function<GoldenRun(bool observed)>& scenario) {
+  const GoldenRun observed = scenario(true);
+  const GoldenRun blocks = scenario(false);
+  EXPECT_EQ(blocks.end_state, observed.end_state);
+  EXPECT_EQ(blocks.reads, observed.reads);
+  EXPECT_EQ(blocks.writes, observed.writes);
+  return observed.trace;
+}
 
 std::unique_ptr<sched::EnforcedGenerator> enforced(int n, int k, int t,
                                                    std::uint64_t seed) {
@@ -94,15 +132,15 @@ std::unique_ptr<sched::EnforcedGenerator> enforced(int n, int k, int t,
                                   ProcSet::range(0, t + 1), 3));
 }
 
-std::uint64_t multishot_trace(int n, int k, int t, int slots,
-                              std::uint64_t seed) {
+GoldenRun multishot(bool observed, int n, int k, int t, int slots,
+                    std::uint64_t seed) {
   SimMemory mem;
   TraceHash trace(mem);
   fd::KAntiOmega detector(mem, fd::KAntiOmega::Params{n, k, t, 1});
   agreement::MultiShotAgreement log(
       mem, agreement::MultiShotAgreement::Params{n, k, t, slots}, &detector);
   Simulator sim(mem, n);
-  sim.publish_observations(&trace);
+  if (observed) sim.publish_observations(&trace);
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(detector.run(p), "fd");
     std::vector<std::int64_t> commands;
@@ -120,22 +158,31 @@ std::uint64_t multishot_trace(int n, int k, int t, int slots,
   }
   trace.fold_detector(detector, n);
   trace.fold_schedule(sim);
-  return trace.hash();
+  return finish(trace, mem);
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK1) {
-  EXPECT_EQ(multishot_trace(4, 1, 2, 5, 11), 0x0982d7bbe0b676abULL);
+  EXPECT_EQ(trace_and_check_blocks([](bool observed) {
+              return multishot(observed, 4, 1, 2, 5, 11);
+            }),
+            0x0982d7bbe0b676abULL);
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK2) {
-  EXPECT_EQ(multishot_trace(5, 2, 2, 4, 12), 0x99a9b18c813b25a1ULL);
+  EXPECT_EQ(trace_and_check_blocks([](bool observed) {
+              return multishot(observed, 5, 2, 2, 4, 12);
+            }),
+            0x99a9b18c813b25a1ULL);
 }
 
 TEST(ShmTraceGoldenTest, MultiShotK3) {
-  EXPECT_EQ(multishot_trace(5, 3, 3, 3, 13), 0x7f3ce6e660a32b63ULL);
+  EXPECT_EQ(trace_and_check_blocks([](bool observed) {
+              return multishot(observed, 5, 3, 3, 3, 13);
+            }),
+            0x7f3ce6e660a32b63ULL);
 }
 
-TEST(ShmTraceGoldenTest, KSetAgreement) {
+GoldenRun kset_agreement(bool observed) {
   const int n = 5, k = 2, t = 2;
   SimMemory mem;
   TraceHash trace(mem);
@@ -143,7 +190,7 @@ TEST(ShmTraceGoldenTest, KSetAgreement) {
   agreement::KSetAgreement kset(mem, agreement::KSetAgreement::Params{n, k, t},
                                 &detector);
   Simulator sim(mem, n);
-  sim.publish_observations(&trace);
+  if (observed) sim.publish_observations(&trace);
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(detector.run(p), "fd");
     kset.install(sim.process(p), p, 50 + p);
@@ -151,14 +198,18 @@ TEST(ShmTraceGoldenTest, KSetAgreement) {
   const ProcSet everyone = ProcSet::universe(n);
   auto gen = enforced(n, k, t, 14);
   sim.run_until(*gen, 400'000, [&] { return kset.all_decided(everyone); });
-  ASSERT_TRUE(kset.all_decided(everyone));
+  EXPECT_TRUE(kset.all_decided(everyone));
   for (Pid p = 0; p < n; ++p) {
     trace.fold(static_cast<std::uint64_t>(kset.outcome(p).value));
     trace.fold(static_cast<std::uint64_t>(kset.outcome(p).via_instance));
   }
   trace.fold_detector(detector, n);
   trace.fold_schedule(sim);
-  EXPECT_EQ(trace.hash(), 0x04b229ca9a1e63e8ULL);
+  return finish(trace, mem);
+}
+
+TEST(ShmTraceGoldenTest, KSetAgreement) {
+  EXPECT_EQ(trace_and_check_blocks(kset_agreement), 0x04b229ca9a1e63e8ULL);
 }
 
 Prog snapshot_client(AtomicSnapshot* snap, Pid p, int rounds,
@@ -169,14 +220,14 @@ Prog snapshot_client(AtomicSnapshot* snap, Pid p, int rounds,
   }
 }
 
-TEST(ShmTraceGoldenTest, SnapshotScanAndUpdate) {
+GoldenRun snapshot_scan_and_update(bool observed) {
   const int n = 3;
   SimMemory mem;
   TraceHash trace(mem);
   AtomicSnapshot snap(mem, n, "snap", -1);
   std::vector<std::vector<std::int64_t>> scans(n);
   Simulator sim(mem, n);
-  sim.publish_observations(&trace);
+  if (observed) sim.publish_observations(&trace);
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(
         snapshot_client(&snap, p, 6, &scans[static_cast<std::size_t>(p)]),
@@ -185,21 +236,26 @@ TEST(ShmTraceGoldenTest, SnapshotScanAndUpdate) {
   sched::UniformRandomGenerator gen(n, 15);
   sim.run(gen, 3'000);
   for (const auto& scan : scans) {
-    ASSERT_EQ(scan.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(scan.size(), static_cast<std::size_t>(n));
     for (const std::int64_t v : scan) trace.fold(static_cast<std::uint64_t>(v));
   }
   trace.fold_schedule(sim);
-  EXPECT_EQ(trace.hash(), 0xbe047d7632446641ULL);
+  return finish(trace, mem);
 }
 
-TEST(ShmTraceGoldenTest, CommitAdopt) {
+TEST(ShmTraceGoldenTest, SnapshotScanAndUpdate) {
+  EXPECT_EQ(trace_and_check_blocks(snapshot_scan_and_update),
+            0xbe047d7632446641ULL);
+}
+
+GoldenRun commit_adopt(bool observed) {
   const int n = 4;
   SimMemory mem;
   TraceHash trace(mem);
   agreement::CommitAdopt ca(mem, n, "ca");
   std::vector<agreement::CommitAdopt::Outcome> outs(n);
   Simulator sim(mem, n);
-  sim.publish_observations(&trace);
+  if (observed) sim.publish_observations(&trace);
   const std::int64_t proposals[] = {7, 9, 7, 8};
   for (Pid p = 0; p < n; ++p) {
     sim.process(p).add_task(
@@ -208,15 +264,19 @@ TEST(ShmTraceGoldenTest, CommitAdopt) {
   sched::UniformRandomGenerator gen(n, 16);
   sim.run(gen, 200);
   for (const auto& o : outs) {
-    ASSERT_TRUE(o.done);
+    EXPECT_TRUE(o.done);
     trace.fold(o.committed ? 1 : 0);
     trace.fold(static_cast<std::uint64_t>(o.value));
   }
   trace.fold_schedule(sim);
-  EXPECT_EQ(trace.hash(), 0x767f8704a35ccc08ULL);
+  return finish(trace, mem);
 }
 
-TEST(ShmTraceGoldenTest, BGSimulation) {
+TEST(ShmTraceGoldenTest, CommitAdopt) {
+  EXPECT_EQ(trace_and_check_blocks(commit_adopt), 0x767f8704a35ccc08ULL);
+}
+
+GoldenRun bg_simulation(bool observed) {
   const int m = 3, threads = 4, horizon = 8;
   SimMemory mem;
   TraceHash trace(mem);
@@ -224,7 +284,7 @@ TEST(ShmTraceGoldenTest, BGSimulation) {
       mem, bg::BGSimulation::Params{m, threads, horizon},
       [](int u) { return std::make_unique<bg::MinInputThread>(100 + u, 3); });
   Simulator sim(mem, m);
-  sim.publish_observations(&trace);
+  if (observed) sim.publish_observations(&trace);
   for (Pid i = 0; i < m; ++i) sim.process(i).add_task(bgsim.run(i), "bg");
   sched::UniformRandomGenerator gen(m, 17);
   sim.run(gen, 20'000);
@@ -237,7 +297,11 @@ TEST(ShmTraceGoldenTest, BGSimulation) {
   }
   trace.fold(sched::schedule_hash(bgsim.simulated_schedule()));
   trace.fold_schedule(sim);
-  EXPECT_EQ(trace.hash(), 0x79eaa4dccd456a18ULL);
+  return finish(trace, mem);
+}
+
+TEST(ShmTraceGoldenTest, BGSimulation) {
+  EXPECT_EQ(trace_and_check_blocks(bg_simulation), 0x79eaa4dccd456a18ULL);
 }
 
 }  // namespace

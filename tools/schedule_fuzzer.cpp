@@ -64,9 +64,7 @@ FuzzerCli parse_cli(int argc, char** argv) {
     if (setlib::core::consume_long_flag(arg, "--budget=", &budget)) continue;
     if (setlib::core::consume_int_flag(arg, "--n=", &cli.fuzz.n)) continue;
     if (setlib::core::consume_long_flag(arg, "--steps=", &steps)) continue;
-    if (setlib::core::consume_int_flag(arg, "--threads=", &cli.threads)) {
-      continue;
-    }
+    if (setlib::core::consume_threads_flag(arg, &cli.threads)) continue;
     if (arg.rfind("--corpus=", 0) == 0) {
       cli.corpus_dir = arg.substr(std::string("--corpus=").size());
       continue;
