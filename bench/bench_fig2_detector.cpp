@@ -200,9 +200,10 @@ void print_largen_membership(core::ExperimentRunner& runner,
   // n = 24 is infeasible for k > 2 (|Pi_n^k| registers), but system
   // membership — is the schedule in S^2_{n-1,n}, and how many (P, Q)
   // pairs certify it? — is exactly what the batched pair scan answers.
-  // n = 28 (C(28,2) x 28 = 10584 pairs per census) rides on the SIMD
-  // pair-scan kernels; each worker's scan scratch lives on its pool
-  // arena, so the census itself is allocation-free at steady state.
+  // n = 28 (C(28,2) x 28 = 10584 pairs per census) rides on the
+  // pair scan's one window walk, compiled for popcnt where the host has
+  // it; each worker's scan scratch lives on its pool arena, so the
+  // census itself is allocation-free at steady state.
   struct Row {
     int n;
     bool enforced;  // witness-enforced vs 2-subset starver

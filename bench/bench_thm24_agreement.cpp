@@ -76,8 +76,8 @@ void print_agreement_table(core::ExperimentRunner& runner,
                {{"successes", static_cast<double>(successes)}});
 }
 
-void print_bound_series(core::ExperimentRunner& runner,
-                        core::JsonSink& json) {
+void print_latency_vs_bound(core::ExperimentRunner& runner,
+                            core::JsonSink& json) {
   const std::int64_t bounds[] = {2, 3, 4, 8, 16, 32, 64};
   const std::size_t count = std::size(bounds);
   const std::size_t first = runner.shard_range(count).first;
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   core::ExperimentRunner runner(options);
   core::JsonSink json = runner.json_sink();
   print_agreement_table(runner, json);
-  print_bound_series(runner, json);
+  print_latency_vs_bound(runner, json);
   print_seed_sweep(runner, json);
   if (!json.write_if_requested()) return 1;
   return 0;

@@ -19,6 +19,18 @@
 
 namespace setlib::core {
 
+namespace {
+
+// run_detector_convergence: a stabilized winnerset must hold this many
+// detector iterations.
+constexpr std::int64_t kDetectorStabilizationWindow = 6;
+
+// thm27_matrix: every cell's seed and detector stabilization window.
+constexpr std::uint64_t kMatrixSeed = 1;
+constexpr std::int64_t kMatrixStabilizationWindow = 4;
+
+}  // namespace
+
 std::vector<Figure1Row> figure1_rows(std::int64_t max_phase,
                                      ExperimentRunner& runner) {
   SETLIB_EXPECTS(max_phase >= 1);
@@ -213,14 +225,14 @@ DetectorRunResult run_detector_convergence(const DetectorRunConfig& cfg) {
 
   const ProcSet correct = plan.faulty().complement(n);
   auto stop = [&] {
-    return detector.stabilized(correct, cfg.stabilization_window);
+    return detector.stabilized(correct, kDetectorStabilizationWindow);
   };
   const std::int64_t steps = sim.run_until(gen, cfg.max_steps, stop);
 
   DetectorRunResult out;
   out.steps = steps;
   const auto prop = fd::check_kantiomega(detector, correct,
-                                         cfg.stabilization_window);
+                                         kDetectorStabilizationWindow);
   out.stabilized = prop.stabilized;
   out.property_ok = prop.ok;
   out.winnerset = prop.winnerset;
@@ -246,9 +258,7 @@ std::vector<MatrixCell> thm27_matrix(
   RunConfig proto;
   proto.spec = cfg.spec;
   proto.max_steps = cfg.max_steps;
-  proto.rotisserie_growth = cfg.rotisserie_growth;
-  proto.timeliness_bound = cfg.friendly_bound;
-  proto.stabilization_window = cfg.stabilization_window;
+  proto.stabilization_window = kMatrixStabilizationWindow;
   proto.run_full_budget = true;
 
   SweepGrid grid;
@@ -259,7 +269,7 @@ std::vector<MatrixCell> thm27_matrix(
         // The matrix keeps one seed across cells (the classic EXP-T27
         // semantics); the adversarial family is a function of where
         // (i, j) sits relative to the Theorem 27 frontier.
-        cell.config.seed = cfg.seed;
+        cell.config.seed = kMatrixSeed;
         const int i = cell.config.system.i;
         const int j = cell.config.system.j;
         if (i > cfg.spec.k) {

@@ -97,7 +97,6 @@ struct DetectorRunConfig {
   std::uint64_t seed = 1;
   std::int64_t bound = 3;            // enforced (P, Q) bound
   std::int64_t max_steps = 400'000;
-  std::int64_t stabilization_window = 6;
   int crash_count = 0;               // crash the last `crash_count` pids
   std::int64_t crash_step = 0;
   /// Scheduling weight of the timely set's members relative to 1.0 for
@@ -138,13 +137,12 @@ struct MatrixCell {
   std::string detail;
 };
 
+/// Every cell runs with seed 1 and stabilization window 4 (constants
+/// in experiments.cpp), and RunConfig's default friendly bound (3) and
+/// rotisserie growth (512).
 struct MatrixConfig {
   AgreementSpec spec;
-  std::uint64_t seed = 1;
   std::int64_t max_steps = 1'200'000;
-  std::int64_t rotisserie_growth = 512;
-  std::int64_t friendly_bound = 3;
-  std::int64_t stabilization_window = 4;
 };
 
 /// Runs the (i, j) cells through the runner (its pool width and shard

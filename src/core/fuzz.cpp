@@ -17,6 +17,12 @@ namespace setlib::core {
 
 namespace {
 
+/// Seeds per registry family behind a cell's baseline bound.
+constexpr int kBaselineSeeds = 3;
+
+/// Packed-scan budget of the greedy minimizer, per finding.
+constexpr std::int64_t kMinimizeEvals = 400;
+
 /// The search's adversary axis: every registry family, then every
 /// reactive kind — a fixed order so trial -> adversary is index-pure.
 struct AdversarySpec {
@@ -120,20 +126,19 @@ std::int64_t packed_best_bound(const sched::Schedule& s, int i, int j) {
   return packed_best_bound(scratch, s, i, j);
 }
 
-/// Greedy minimization: the smallest schedule this eval budget finds
-/// whose (i, j) best-pair bound still reaches `target`. Phase 1 binary
-/// searches the shortest prefix (the bound is nondecreasing in prefix
-/// length: longer prefixes only add windows). Phase 2 deletes blocks,
-/// halving the block size; every candidate is re-verified with the
-/// packed scan before it is accepted.
+/// Greedy minimization: the smallest schedule kMinimizeEvals packed
+/// scans find whose (i, j) best-pair bound still reaches `target`.
+/// Phase 1 binary searches the shortest prefix (the bound is
+/// nondecreasing in prefix length: longer prefixes only add windows).
+/// Phase 2 deletes blocks, halving the block size; every candidate is
+/// re-verified with the packed scan before it is accepted.
 sched::Schedule minimize_schedule(sched::PackedSchedule& scratch,
                                   const sched::Schedule& s, int i, int j,
-                                  std::int64_t target,
-                                  std::int64_t max_evals) {
+                                  std::int64_t target) {
   std::int64_t evals = 0;
   std::int64_t lo = 1;
   std::int64_t hi = s.size();
-  while (lo < hi && evals < max_evals) {
+  while (lo < hi && evals < kMinimizeEvals) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     ++evals;
     if (packed_best_bound(scratch, s.slice(0, mid), i, j) >= target) {
@@ -143,10 +148,10 @@ sched::Schedule minimize_schedule(sched::PackedSchedule& scratch,
     }
   }
   sched::Schedule best = s.slice(0, hi);
-  for (std::int64_t block = best.size() / 2; block >= 1 && evals < max_evals;
-       block /= 2) {
+  for (std::int64_t block = best.size() / 2;
+       block >= 1 && evals < kMinimizeEvals; block /= 2) {
     std::int64_t pos = 0;
-    while (pos < best.size() && evals < max_evals) {
+    while (pos < best.size() && evals < kMinimizeEvals) {
       const std::int64_t cut = std::min(pos + block, best.size());
       if (cut <= pos || best.size() - (cut - pos) < 1) break;
       const sched::Schedule cand =
@@ -222,7 +227,6 @@ FuzzResult fuzz_schedules(ExperimentRunner& runner,
   SETLIB_EXPECTS(options.n >= 2 && options.n <= kMaxFuzzN);
   SETLIB_EXPECTS(options.budget >= 0);
   SETLIB_EXPECTS(options.schedule_len >= 1);
-  SETLIB_EXPECTS(options.baseline_seeds >= 1);
   const int n = options.n;
   const std::int64_t len = options.schedule_len;
   const auto cells = cell_space(n);
@@ -230,12 +234,12 @@ FuzzResult fuzz_schedules(ExperimentRunner& runner,
   const std::size_t family_count = sched::schedule_families().size();
 
   // Phase 1 — registry baselines: every oblivious family at registry
-  // parameters, `baseline_seeds` seeds each; a cell's best-known bound
+  // parameters, kBaselineSeeds seeds each; a cell's best-known bound
   // starts at the max over them (the strongest schedule any registered
   // family is known to produce), raised further by known corpus
   // entries for this (n, len)-independent cell space.
   const std::size_t baseline_tasks =
-      family_count * static_cast<std::size_t>(options.baseline_seeds);
+      family_count * static_cast<std::size_t>(kBaselineSeeds);
   const auto baseline_scores = runner.map<std::vector<sched::TimelyPair>>(
       baseline_tasks, [&](std::size_t task) {
         const auto& info = sched::schedule_families()[task % family_count];
@@ -299,7 +303,7 @@ FuzzResult fuzz_schedules(ExperimentRunner& runner,
       const sched::Schedule full = generate_trial(adv, n, len, trial_seed);
       const auto [i, j] = cells[c];
       sched::Schedule minimized = minimize_schedule(
-          scratch, full, i, j, scored.bound, options.minimize_evals);
+          scratch, full, i, j, scored.bound);
       scratch.repack(minimized);
       const sched::TimelyPair final_pair =
           sched::RankedPairScan(scratch, i, j).best_pair();

@@ -48,10 +48,6 @@ struct FuzzOptions {
   int budget = 128;  // seeded trials
   int n = 5;         // system size, 2..kMaxFuzzN
   std::int64_t schedule_len = 20'000;
-  /// Seeds per family used to establish the registry baseline.
-  int baseline_seeds = 3;
-  /// Packed-scan budget of the greedy minimizer, per finding.
-  std::int64_t minimize_evals = 400;
 };
 
 /// One corpus record: a minimized, hash-pinned, bound-regressing

@@ -81,14 +81,6 @@ SweepGrid& SweepGrid::add_bound(std::int64_t timeliness_bound) {
   return *this;
 }
 
-SweepGrid& SweepGrid::add_system(const SystemSpec& system) {
-  system.validate();
-  axis_ = SystemAxis::kExplicit;
-  systems_.push_back(system);
-  points_valid_ = false;
-  return *this;
-}
-
 SweepGrid& SweepGrid::system_axis(SystemAxis axis) {
   axis_ = axis;
   points_valid_ = false;
@@ -133,11 +125,6 @@ const std::vector<SweepGrid::Point>& SweepGrid::points() const {
             }
           }
           break;
-        case SystemAxis::kExplicit:
-          for (const SystemSpec& system : systems_) {
-            points_cache_.push_back({spec, system});
-          }
-          break;
       }
     }
     points_valid_ = true;
@@ -179,14 +166,6 @@ SweepCell SweepGrid::cell(std::size_t index) const {
   cell.config.seed = derive_cell_seed(base_seed_, index);
   if (per_cell_) per_cell_(cell);
   return cell;
-}
-
-std::vector<SweepCell> SweepGrid::cells() const {
-  const std::size_t n = size();
-  std::vector<SweepCell> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(cell(i));
-  return out;
 }
 
 }  // namespace setlib::core

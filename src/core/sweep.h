@@ -50,8 +50,6 @@ enum class SystemAxis {
   kMatching,
   /// Every 1 <= i <= j <= n — the Theorem 27 matrix sweep.
   kFullMatrix,
-  /// The systems(...) list, crossed with every spec.
-  kExplicit,
 };
 
 /// One materialized grid cell: a ready-to-run RunConfig plus its
@@ -76,8 +74,6 @@ class SweepGrid {
   SweepGrid& add_spec(const AgreementSpec& spec);
   SweepGrid& add_family(ScheduleFamily family);
   SweepGrid& add_bound(std::int64_t timeliness_bound);
-  /// Adds an explicit system and switches the axis to kExplicit.
-  SweepGrid& add_system(const SystemSpec& system);
   SweepGrid& system_axis(SystemAxis axis);
   /// Number of seeds per point; cell seeds stay index-derived.
   SweepGrid& repeats(int repeats);
@@ -97,7 +93,6 @@ class SweepGrid {
   /// Materializes the cell at `index` (grid order: spec/system point,
   /// then family, then bound, then repeat innermost).
   SweepCell cell(std::size_t index) const;
-  std::vector<SweepCell> cells() const;
 
  private:
   struct Point {
@@ -107,7 +102,6 @@ class SweepGrid {
   const std::vector<Point>& points() const;  // memoized
 
   std::vector<AgreementSpec> specs_;
-  std::vector<SystemSpec> systems_;
   std::vector<ScheduleFamily> families_;
   std::vector<std::int64_t> bounds_;
   SystemAxis axis_ = SystemAxis::kMatching;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <span>
 
@@ -162,38 +161,6 @@ std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
 std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
                                             ProcSet q) {
   return min_timeliness_bound_reference(s, p, q, 0, s.size());
-}
-
-std::vector<std::int64_t> bound_series(const Schedule& s, ProcSet p, ProcSet q,
-                                       const std::vector<std::int64_t>& cuts) {
-  for (std::int64_t cut : cuts) {
-    SETLIB_EXPECTS(cut >= 0 && cut <= s.size());
-  }
-  std::vector<std::int64_t> out(cuts.size());
-  if (std::is_sorted(cuts.begin(), cuts.end())) {
-    BoundTracker tracker(p, q);
-    for (std::size_t c = 0; c < cuts.size(); ++c) {
-      tracker.extend(s, cuts[c]);
-      out[c] = tracker.bound();
-    }
-    return out;
-  }
-  // Out-of-order cuts: sort an index map once and serve every cut from
-  // the same single incremental pass (a per-cut full rescan would be
-  // O(len) each, O(len * cuts) total), scattering each bound back to
-  // its request slot.
-  std::vector<std::size_t> order(cuts.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&cuts](std::size_t a, std::size_t b) {
-                     return cuts[a] < cuts[b];
-                   });
-  BoundTracker tracker(p, q);
-  for (const std::size_t c : order) {
-    tracker.extend(s, cuts[c]);
-    out[c] = tracker.bound();
-  }
-  return out;
 }
 
 void BoundTracker::extend(const Schedule& s, std::int64_t upto) {
@@ -388,10 +355,9 @@ RankedPairScan::ScanOutcome RankedPairScan::scan(
   return out;
 }
 
-TimelyPair RankedPairScan::best_pair(std::int64_t p_begin,
-                                     std::int64_t p_end) const {
+TimelyPair RankedPairScan::best_pair() const {
   SETLIB_EXPECTS(horizon_ == kNoHorizon);
-  const ScanOutcome out = scan(p_begin, p_end, 0, Mode::kBest, nullptr);
+  const ScanOutcome out = scan(0, p_count(), 0, Mode::kBest, nullptr);
   if (out.best) return *out.best;
   return TimelyPair{ProcSet(), ProcSet(),
                     std::numeric_limits<std::int64_t>::max()};

@@ -6,7 +6,7 @@
 // Q-steps in any P-free window of S. On an infinite schedule, "P timely
 // w.r.t. Q" (Definition 1) means these per-prefix bounds stay bounded as
 // the prefix grows; experiments therefore either
-//   (a) track the bound across growing prefixes (Figure 1 harness), or
+//   (a) track the bound across growing prefixes (BoundTracker), or
 //   (b) check the bound over a suffix, after stabilization.
 //
 // The analysis core is word-packed: PackedSchedule encodes each step's
@@ -18,7 +18,7 @@
 // where the host has it), and keeps its scratch on a caller-supplied
 // arena (src/util/arena.h) so steady-state scans allocate nothing.
 // Three surfaces build on it:
-//   - min_timeliness_bound / bound_series: one-shot and per-prefix
+//   - min_timeliness_bound / BoundTracker: one-shot and per-prefix
 //     bounds on an unpacked Schedule, both loops over BoundTracker::step
 //     (the one streaming rule, which the simulator also runs per
 //     executed step). BoundTracker extends a bound incrementally by ΔS
@@ -86,15 +86,6 @@ std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
                                             std::int64_t to);
 std::int64_t min_timeliness_bound_reference(const Schedule& s, ProcSet p,
                                             ProcSet q);
-
-/// Per-phase bound series: bounds of growing prefixes cut at the given
-/// offsets. Used by the Figure 1 harness to show divergence vs.
-/// boundedness. Every cut order costs one incremental BoundTracker
-/// pass — O(len + cuts log cuts) total: out-of-order cuts are sorted
-/// with an index map once and served from the same single pass, then
-/// scattered back to request order.
-std::vector<std::int64_t> bound_series(const Schedule& s, ProcSet p, ProcSet q,
-                                       const std::vector<std::int64_t>& cuts);
 
 /// Incremental Definition 1 state for one (P, Q) pair: feed schedule
 /// steps as they are produced and read the minimal bound of the prefix
@@ -255,10 +246,10 @@ struct TimelyPair {
 /// chunk (1, 2, 4, ... up to 64 words; for 2j > n, the inverted OR of
 /// the n - j columns outside Q), and abort as soon as one P-free
 /// window reaches the bound cap, so a pruned pair costs the words up
-/// to its prune point on both sides. The [p_begin, p_end)
-/// rank ranges let callers shard the
-/// P-space (e.g. across an ExperimentRunner pool): results over a
-/// partition of [0, p_count()) compose to the full-range result.
+/// to its prune point on both sides. count_members' [p_begin, p_end)
+/// rank ranges let callers shard the P-space (e.g. across an
+/// ExperimentRunner pool): counts over a partition of [0, p_count())
+/// compose to the full-range count; best_pair scans the whole range.
 ///
 /// Count mode can stop at a horizon, so a census can scan the words
 /// already packed while the rest is still being packed: every pair is
@@ -291,11 +282,10 @@ class RankedPairScan {
   /// C(n, j) observer sets per P.
   std::int64_t q_count() const noexcept;
 
-  /// The pair with the smallest bound among P-ranks [p_begin, p_end)
-  /// (ties: first in enumeration order) — exhaustive, with the running
-  /// best bound as the prune cap. Requires a scan without a horizon.
-  TimelyPair best_pair(std::int64_t p_begin, std::int64_t p_end) const;
-  TimelyPair best_pair() const { return best_pair(0, p_count()); }
+  /// The pair with the smallest bound (ties: first in enumeration
+  /// order) — exhaustive, with the running best bound as the prune cap.
+  /// Requires a scan without a horizon.
+  TimelyPair best_pair() const;
 
   struct MemberCount {
     std::int64_t pairs = 0;    // pairs scanned

@@ -13,10 +13,6 @@ namespace {
 // an alive process and emits the smallest alive pid instead.
 constexpr std::int64_t kMaxPulls = 1'000'000;
 
-// Substitution rounds per step: a substitution restarts the constraint
-// scan, at most this many times.
-constexpr int kMaxRounds = 8;
-
 }  // namespace
 
 EnforcedGenerator::EnforcedGenerator(
@@ -25,18 +21,16 @@ EnforcedGenerator::EnforcedGenerator(
     : base_(std::move(base)), plan_(std::move(plan)) {
   SETLIB_EXPECTS(base_ != nullptr);
   SETLIB_EXPECTS(plan_.n() == base_->n());
+  SETLIB_EXPECTS(constraints.size() == 1);
+  const TimelinessConstraint& c = constraints.front();
   const ProcSet universe = ProcSet::universe(base_->n());
-  for (const auto& c : constraints) {
-    SETLIB_EXPECTS(c.bound >= 1);
-    SETLIB_EXPECTS(!c.timely_set.empty());
-    SETLIB_EXPECTS(c.timely_set.subset_of(universe));
-    SETLIB_EXPECTS(c.observed_set.subset_of(universe));
-    State st;
-    st.timely = c.timely_set.mask();
-    st.q_only = (c.observed_set - c.timely_set).mask();
-    st.trigger = c.bound - 1;
-    states_.push_back(st);
-  }
+  SETLIB_EXPECTS(c.bound >= 1);
+  SETLIB_EXPECTS(!c.timely_set.empty());
+  SETLIB_EXPECTS(c.timely_set.subset_of(universe));
+  SETLIB_EXPECTS(c.observed_set.subset_of(universe));
+  state_.timely = c.timely_set.mask();
+  state_.q_only = (c.observed_set - c.timely_set).mask();
+  state_.trigger = c.bound - 1;
 }
 
 std::unique_ptr<EnforcedGenerator> EnforcedGenerator::single(
@@ -52,67 +46,52 @@ void EnforcedGenerator::recompute_alive() {
   alive_ = plan_.alive_at(emitted_);
   alive_until_ = plan_.next_crash_after(emitted_);
   SETLIB_ASSERT(!alive_.empty());
-  for (State& st : states_) {
-    const std::uint64_t avail = st.timely & alive_.mask();
-    st.ring_size = 0;
-    for_each_set_bit(avail, [&st](Pid x) {
-      st.ring[static_cast<std::size_t>(st.ring_size++)] =
-          static_cast<std::uint8_t>(x);
-    });
-    const std::uint64_t counted = st.q_only & alive_.mask();
-    const std::uint64_t replaceable = st.ring_size != 0 ? counted : 0;
-    for (Pid x = 0; x < kMaxProcs; ++x) {
-      const auto bit = [x](std::uint64_t set) {
-        return static_cast<std::int8_t>(-static_cast<int>(set >> x & 1));
-      };
-      PickMasks& m = st.masks[static_cast<std::size_t>(x)];
-      m.live = bit(alive_.mask());
-      m.counts = bit(counted);
-      m.keeps_window = static_cast<std::int8_t>(~bit(avail));
-      m.stays = static_cast<std::int8_t>(~bit(replaceable));
-    }
-    if (st.ring_size == 0) continue;
+  State& st = state_;
+  const std::uint64_t avail = st.timely & alive_.mask();
+  st.ring_size = 0;
+  for_each_set_bit(avail, [&st](Pid x) {
+    st.ring[static_cast<std::size_t>(st.ring_size++)] =
+        static_cast<std::uint8_t>(x);
+  });
+  const std::uint64_t counted = st.q_only & alive_.mask();
+  const std::uint64_t replaceable = st.ring_size != 0 ? counted : 0;
+  for (Pid x = 0; x < kMaxProcs; ++x) {
+    const auto bit = [x](std::uint64_t set) {
+      return static_cast<std::int8_t>(-static_cast<int>(set >> x & 1));
+    };
+    PickMasks& m = st.masks[static_cast<std::size_t>(x)];
+    m.live = bit(alive_.mask());
+    m.counts = bit(counted);
+    m.keeps_window = static_cast<std::int8_t>(~bit(avail));
+    m.stays = static_cast<std::int8_t>(~bit(replaceable));
+  }
+  if (st.ring_size != 0) {
     st.cursor = static_cast<int>(st.rotate % st.ring_size);
   }
 }
 
-// Inline: the shared rule is most of the cost of next() and fill().
+// Inline: the rule is most of the cost of next().
 inline Pid EnforcedGenerator::enforce(Pid candidate) {
-  // Apply constraints in order: the first one the candidate would break
-  // substitutes, and the scan restarts so the final choice is
-  // re-checked against every constraint. A lone constraint skips the
-  // re-check: its substitutes are in P, which its window never counts.
-  for (int round = 0; round < kMaxRounds; ++round) {
-    State* hit = nullptr;
-    for (State& st : states_) {
-      if ((st.q_only >> candidate & 1) == 0 ||
-          st.q_steps_since_p < st.trigger) {
-        continue;
-      }
-      if (st.ring_size == 0) {
-        ++dropped_;
-        continue;  // constraint no longer enforceable
-      }
-      hit = &st;
-      break;
+  State& st = state_;
+  // A (Q \ P)-step that would fill the window is replaced by member
+  // rotate % |P ∩ alive|, and the cursor advances to the next member,
+  // wrapping to the first; with P fully crashed it is counted as a
+  // drop and runs.
+  if ((st.q_only >> candidate & 1) != 0 && st.q_steps_since_p >= st.trigger) {
+    if (st.ring_size == 0) {
+      ++dropped_;
+    } else {
+      candidate = st.ring[static_cast<std::size_t>(st.cursor)];
+      ++st.rotate;
+      st.cursor = st.cursor + 1 == st.ring_size ? 0 : st.cursor + 1;
+      ++substitutions_;
     }
-    if (hit == nullptr) break;
-    // Substitute member rotate % |P ∩ alive|, then advance the cursor
-    // to the next member, wrapping to the first.
-    candidate = hit->ring[static_cast<std::size_t>(hit->cursor)];
-    ++hit->rotate;
-    hit->cursor = hit->cursor + 1 == hit->ring_size ? 0 : hit->cursor + 1;
-    ++substitutions_;
-    if (states_.size() == 1) break;
   }
-
-  // Window counters, branch-free: a P-step resets, a (Q \ P)-step
+  // Window counter, branch-free: a P-step resets, a (Q \ P)-step
   // counts.
-  for (State& st : states_) {
-    const auto in_p = static_cast<std::int64_t>(st.timely >> candidate & 1);
-    const auto in_q = static_cast<std::int64_t>(st.q_only >> candidate & 1);
-    st.q_steps_since_p = (st.q_steps_since_p + in_q) & (in_p - 1);
-  }
+  const auto in_p = static_cast<std::int64_t>(st.timely >> candidate & 1);
+  const auto in_q = static_cast<std::int64_t>(st.q_only >> candidate & 1);
+  st.q_steps_since_p = (st.q_steps_since_p + in_q) & (in_p - 1);
   ++emitted_;
   return candidate;
 }
@@ -127,47 +106,24 @@ Pid EnforcedGenerator::next() {
   return enforce(alive_.min());
 }
 
-void EnforcedGenerator::fill(std::span<Pid> out) {
-  if (states_.size() == 1) {
-    fill_lone(out);
-    return;
-  }
-  std::size_t done = 0;
-  std::int64_t rejected = 0;  // crashed base picks for step out[done]
-  while (done < out.size()) {
-    // Each pull yields at most one step, so the owed tail of `out` is
-    // the pull buffer: steps are written behind the read position.
-    const std::span<Pid> pulled = out.subspan(done);
-    base_->fill(pulled);
-    for (const Pid p : pulled) {
-      refresh_alive();
-      if (alive_.contains(p)) {
-        out[done++] = enforce(p);
-        rejected = 0;
-      } else if (++rejected == kMaxPulls) {
-        out[done++] = enforce(alive_.min());
-        rejected = 0;
-      }
-    }
-  }
-}
-
-// enforce() for one constraint, with its state in locals from one crash
-// point to the next. A lone constraint substitutes at most once a step
-// and never re-checks (its substitutes are in P), so a step is mask
-// arithmetic: the pick's tests are State::masks lookups, the substitute
-// is ring[at], and `at` moves one member on per substitution, wrapping
-// to 0. Masks, not ternaries: written as `sub != 0 ? cursor : p`, the
+// enforce() with the constraint's state in locals from one crash point
+// to the next. The constraint substitutes at most once a step and never
+// re-checks (its substitutes are in P), so a step is mask arithmetic:
+// the pick's tests are State::masks lookups, the substitute is
+// ring[at], and `at` moves one member on per substitution, wrapping to
+// 0. Masks, not ternaries: written as `sub != 0 ? cursor : p`, the
 // substitution was compiled by GCC into a test-and-jump, which
 // mispredicts on the substituted steps (about a quarter of an enforced
 // census). The loop carries two chains, the window counter and the ring
 // index, of four operations a step each; everything else a step needs
 // comes from the pick.
-void EnforcedGenerator::fill_lone(std::span<Pid> out) {
-  State& st = states_.front();
+void EnforcedGenerator::fill(std::span<Pid> out) {
+  State& st = state_;
   std::size_t done = 0;
   std::int64_t rejected = 0;  // crashed base picks for step out[done]
   while (done < out.size()) {
+    // Each pull yields at most one step, so the owed tail of `out` is
+    // the pull buffer: steps are written behind the read position.
     const std::span<Pid> pulled = out.subspan(done);
     base_->fill(pulled);
     std::size_t read = 0;

@@ -7,21 +7,15 @@
 // alive members) whenever emitting the base's choice would complete a
 // P-free window with b steps of Q.
 //
-// One private rule, enforce(), serves next() and fill(): each
-// constraint keeps its word masks and, cached between the crash plan's
-// crash steps, its alive timely members and round-robin cursor, so a
-// step costs a few mask tests and a branch-free counter update per
-// constraint. fill() with a lone constraint (every serving batch and
-// enforced census) runs the same rule without a branch on the picks:
-// between two crash points the window counter, the substitute's place
-// in an ascending array of P ∩ alive and the substitution counts live
-// in locals, and every choice (skip a crashed pick, substitute, reset
-// or count the window) is mask arithmetic.
-//
-// With several overlapping constraints the enforcer is best-effort
-// (constraints are applied in order, and a substitution for one may feed
-// another); experiments therefore always cross-check the *executed*
-// schedule with the analyzer, which is the ground truth.
+// A system S^i_{j,n} is fixed by one (P, Q, b), so the enforcer keeps
+// exactly one constraint. Its word masks and, cached between the crash
+// plan's crash steps, its alive timely members and round-robin cursor
+// make next() a few mask tests and a branch-free counter update. fill()
+// runs the same rule without a branch on the picks: between two crash
+// points the window counter, the substitute's place in an ascending
+// array of P ∩ alive and the substitution counts live in locals, and
+// every choice (skip a crashed pick, substitute, reset or count the
+// window) is mask arithmetic.
 #ifndef SETLIB_SCHED_ENFORCER_H
 #define SETLIB_SCHED_ENFORCER_H
 
@@ -48,38 +42,40 @@ struct TimelinessConstraint {
 
 class EnforcedGenerator final : public ScheduleGenerator {
  public:
-  /// `plan` marks which processes crash when; a constraint whose timely
-  /// set has fully crashed is dropped from that point on (and counted in
-  /// dropped_constraints()).
+  /// `constraints` holds exactly one constraint. `plan` marks which
+  /// processes crash when; once the constraint's timely set has fully
+  /// crashed, each step it can no longer hold is counted in
+  /// dropped_constraints() instead of substituted.
   EnforcedGenerator(std::unique_ptr<ScheduleGenerator> base,
                     std::vector<TimelinessConstraint> constraints,
                     CrashPlan plan);
 
-  /// Convenience factory: single constraint, no crashes.
+  /// Convenience factory: one constraint, no crashes.
   static std::unique_ptr<EnforcedGenerator> single(
       std::unique_ptr<ScheduleGenerator> base,
       TimelinessConstraint constraint);
 
   int n() const override { return base_->n(); }
   Pid next() override;
-  /// Pulls from the base in blocks of exactly the steps still owed, so
-  /// the base is consumed in the same order as by next() calls. The
-  /// pull cap counts a step's crashed picks across those blocks.
+  /// next()'s rule as mask arithmetic. Pulls from the base in blocks of
+  /// exactly the steps still owed, so the base is consumed in the same
+  /// order as by next() calls. The pull cap counts a step's crashed
+  /// picks across those blocks.
   void fill(std::span<Pid> out) override;
 
   /// Number of substituted steps so far (how often the enforcer had to
   /// override the base generator).
   std::int64_t substitutions() const noexcept { return substitutions_; }
 
-  /// How many times a constraint could not be maintained because its
+  /// How many times the constraint could not be maintained because its
   /// timely set had fully crashed.
   std::int64_t dropped_constraints() const noexcept { return dropped_; }
 
   const CrashPlan& plan() const noexcept { return plan_; }
 
  private:
-  // Per pid, 0 / -1 masks that fill_lone reads per pick in place of
-  // bit tests.
+  // Per pid, 0 / -1 masks that fill() reads per pick in place of bit
+  // tests.
   struct PickMasks {
     std::int8_t live = 0;          // alive
     std::int8_t counts = 0;        // alive, in Q \ P: a window counts it
@@ -107,7 +103,7 @@ class EnforcedGenerator final : public ScheduleGenerator {
     std::array<PickMasks, kMaxProcs> masks{};
   };
 
-  /// Refreshes alive_ (and every constraint's cache) when emitted_ has
+  /// Refreshes alive_ (and the constraint's cache) when emitted_ has
   /// reached the plan's next crash step.
   void refresh_alive() {
     if (emitted_ >= alive_until_) recompute_alive();
@@ -115,13 +111,11 @@ class EnforcedGenerator final : public ScheduleGenerator {
   void recompute_alive();
 
   /// The rule: emits `candidate` (an alive base pick) or a substitute,
-  /// and advances the window counters.
+  /// and advances the window counter.
   Pid enforce(Pid candidate);
-  /// fill() for a lone constraint: the rule as mask arithmetic.
-  void fill_lone(std::span<Pid> out);
 
   std::unique_ptr<ScheduleGenerator> base_;
-  std::vector<State> states_;
+  State state_;
   CrashPlan plan_;
   // plan_.alive_at(emitted_), valid while emitted_ < alive_until_ (the
   // plan's next crash step).

@@ -10,30 +10,10 @@ ObservationFeed::ObservationFeed(int n) : n_(n) {
   progress_.fill(-1);
 }
 
-std::int64_t ObservationFeed::last_step_of(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  return last_[static_cast<std::size_t>(p)];
-}
-
-std::int64_t ObservationFeed::silence_of(Pid p) const {
-  SETLIB_EXPECTS(p >= 0 && p < n_);
-  const std::int64_t last = last_[static_cast<std::size_t>(p)];
-  return last < 0 ? total_ : total_ - 1 - last;
-}
-
-std::int64_t ObservationFeed::window_age(ProcSet s) const {
-  std::int64_t age = total_;
-  (s & ProcSet::universe(n_)).for_each([&](Pid p) {
-    const std::int64_t silent = silence_of(p);
-    if (silent < age) age = silent;
-  });
-  return age;
-}
-
 std::int64_t ObservationFeed::max_silence() const {
-  // silence_of(p) is total_ - 1 - last_[p] in both of its cases (a
-  // never-stepped p has last_ -1), so the longest silence belongs to
-  // the least recent last step.
+  // p's silence is total_ - 1 - last_[p] (a never-stepped p has
+  // last_ -1, so its silence is total_), and the longest silence
+  // belongs to the least recent last step.
   return total_ - 1 - *std::min_element(last_.begin(), last_.begin() + n_);
 }
 

@@ -4,8 +4,8 @@
 // permits, so the strongest adversaries are not oblivious: they watch
 // the run and react. This header is the narrow, read-only window the
 // Simulator and engine publish into each step — per-process step
-// counts, window ages for candidate P-sets, crash/decision status and
-// decision proximity — and that ReactiveGenerators (reactive.h)
+// counts, the longest silence, crash/decision status and decision
+// proximity — and that ReactiveGenerators (reactive.h)
 // consume. The feed is a shm::StepObserver: the Simulator reports
 // steps and crashes to it through that seam (on_step forwards to
 // record_step, on_crash to record_crash), and the engine publishes
@@ -48,21 +48,11 @@ class ObservationFeed final : public shm::StepObserver {
     return steps_[static_cast<std::size_t>(p)];
   }
 
-  /// Index (0-based, in the executed stream) of p's last step; -1 if p
-  /// has not stepped yet.
-  std::int64_t last_step_of(Pid p) const;
-
-  /// Steps executed since p last stepped (total_steps() if never).
-  std::int64_t silence_of(Pid p) const;
-
-  /// Age of the current s-free window: steps executed since any member
-  /// of s stepped. This is the quantity Definition 1 bounds — an
-  /// adversary stretching it for every candidate P-set is pushing the
-  /// timeliness bound up. Empty sets age forever (total_steps()).
-  std::int64_t window_age(ProcSet s) const;
-
-  /// Largest single-process silence right now (the oldest {p}-free
-  /// window). Upper-bounds window_age over every non-empty set.
+  /// Largest single-process silence right now: the steps executed
+  /// since the least recent last step (total_steps() if some process
+  /// never stepped). This is the age of the oldest {p}-free window, the
+  /// quantity Definition 1 bounds, so it upper-bounds the age of every
+  /// P-free window with P non-empty.
   std::int64_t max_silence() const;
 
   /// Processes the executor has crashed (or the adversary has spent

@@ -28,25 +28,6 @@ std::int64_t Schedule::count(Pid p, std::int64_t from, std::int64_t to) const {
   return c;
 }
 
-std::int64_t Schedule::count_set(ProcSet s, std::int64_t from,
-                                 std::int64_t to) const {
-  SETLIB_EXPECTS(0 <= from && from <= to && to <= size());
-  std::int64_t c = 0;
-  for (std::int64_t i = from; i < to; ++i) {
-    if (s.contains(steps_[static_cast<std::size_t>(i)])) ++c;
-  }
-  return c;
-}
-
-ProcSet Schedule::appearing_from(std::int64_t from) const {
-  SETLIB_EXPECTS(from >= 0 && from <= size());
-  ProcSet s;
-  for (std::int64_t i = from; i < size(); ++i) {
-    s = s.with(steps_[static_cast<std::size_t>(i)]);
-  }
-  return s;
-}
-
 Schedule Schedule::concat(const Schedule& other) const {
   SETLIB_EXPECTS(other.n_ == n_);
   std::vector<Pid> steps = steps_;

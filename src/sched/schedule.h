@@ -50,17 +50,6 @@ class Schedule {
   std::int64_t count(Pid p, std::int64_t from, std::int64_t to) const;
   std::int64_t count(Pid p) const { return count(p, 0, size()); }
 
-  /// Number of steps by members of s in [from, to).
-  std::int64_t count_set(ProcSet s, std::int64_t from, std::int64_t to) const;
-  std::int64_t count_set(ProcSet s) const { return count_set(s, 0, size()); }
-
-  /// Set of processes taking at least one step in [from, size()).
-  /// With from = 0 this is the complement of the processes that never
-  /// step; a process "correct in S" (infinitely many steps) corresponds,
-  /// on a finite prefix, to appearing in the chosen suffix.
-  ProcSet appearing_from(std::int64_t from) const;
-  ProcSet appearing() const { return appearing_from(0); }
-
   /// Concatenation (paper's S . S').
   Schedule concat(const Schedule& other) const;
 

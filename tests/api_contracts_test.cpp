@@ -68,6 +68,14 @@ TEST(ApiContracts, EnforcerLayer) {
                    nullptr, sched::TimelinessConstraint(
                                 ProcSet::of(0), ProcSet::of(1), 2)),
                ContractViolation);
+  // not exactly one constraint
+  const sched::TimelinessConstraint c(ProcSet::of(0), ProcSet::of(1), 2);
+  EXPECT_THROW(sched::EnforcedGenerator(mk_base(), {},
+                                        sched::CrashPlan::none(3)),
+               ContractViolation);
+  EXPECT_THROW(sched::EnforcedGenerator(mk_base(), {c, c},
+                                        sched::CrashPlan::none(3)),
+               ContractViolation);
 }
 
 TEST(ApiContracts, ShmLayer) {

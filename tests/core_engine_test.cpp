@@ -500,7 +500,6 @@ TEST_P(MatrixSweep, FrontierMatchesEverywhere) {
   MatrixConfig cfg;
   cfg.spec = {t, k, n};
   cfg.max_steps = 700'000;
-  cfg.rotisserie_growth = 512;
   const auto cells = thm27_matrix(cfg);
   EXPECT_EQ(cells.size(),
             static_cast<std::size_t>(n * (n + 1) / 2));

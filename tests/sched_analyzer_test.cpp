@@ -59,25 +59,6 @@ TEST(IsTimelyTest, ThresholdSemantics) {
   EXPECT_THROW(scan.count_members(0), ContractViolation);
 }
 
-TEST(BoundSeriesTest, MatchesPerPrefixBounds) {
-  Figure1Generator gen(3, 0, 1, 2);
-  const Schedule s = generate(gen, Figure1Generator::steps_through_phase(6));
-  std::vector<std::int64_t> cuts;
-  for (std::int64_t i = 1; i <= 6; ++i) {
-    cuts.push_back(Figure1Generator::steps_through_phase(i));
-  }
-  const auto series = bound_series(s, ProcSet::of(0), ProcSet::of(2), cuts);
-  ASSERT_EQ(series.size(), 6u);
-  for (std::size_t idx = 0; idx < series.size(); ++idx) {
-    EXPECT_EQ(series[idx],
-              min_timeliness_bound(s, ProcSet::of(0), ProcSet::of(2), 0,
-                                   cuts[idx]));
-  }
-  // Divergence: the bound grows with the phase (p1 starved during the
-  // growing (p2 q)^i half-phases).
-  EXPECT_LT(series[0], series[5]);
-}
-
 TEST(Figure1ClaimTest, PaperExampleBounds) {
   // The paper's Figure 1 claims, on S = [(p1 q)^i (p2 q)^i]:
   //  - {p1} and {p2} are not timely w.r.t. {q} (bounds diverge), and
@@ -190,18 +171,6 @@ TEST(EnforcerTest, DropsConstraintWhenTimelySetCrashes) {
   EXPECT_GT(gen.dropped_constraints(), 0);
   // After the crash no pid-0 steps appear.
   EXPECT_EQ(s.count(0, 200, s.size()), 0);
-}
-
-TEST(EnforcerTest, MultipleConstraintsBestEffort) {
-  auto base = std::make_unique<UniformRandomGenerator>(6, 31);
-  std::vector<TimelinessConstraint> constraints{
-      TimelinessConstraint(ProcSet::of(0), ProcSet::of({2, 3}), 4),
-      TimelinessConstraint(ProcSet::of(1), ProcSet::of({4, 5}), 4)};
-  EnforcedGenerator gen(std::move(base), std::move(constraints),
-                        CrashPlan::none(6));
-  const Schedule s = generate(gen, 30'000);
-  EXPECT_LE(min_timeliness_bound(s, ProcSet::of(0), ProcSet::of({2, 3})), 4);
-  EXPECT_LE(min_timeliness_bound(s, ProcSet::of(1), ProcSet::of({4, 5})), 4);
 }
 
 }  // namespace

@@ -213,29 +213,33 @@ TEST(CrashPlanTest, AtFactory) {
   EXPECT_EQ(plan.crash_step(0), CrashPlan::kNever);
 }
 
+// A constraint over n = 5 whose timely set {1, 3} crashes mid-run:
+// pid 1 at step 100 and pid 3 at step 250, after which the constraint
+// is dropped.
+TimelinessConstraint crashing_timely_constraint() {
+  return {ProcSet::of({1, 3}), ProcSet::universe(5), 3};
+}
+CrashPlan crashing_timely_plan() {
+  CrashPlan plan(5);
+  plan.set_crash(1, 100);
+  plan.set_crash(3, 250);
+  return plan;
+}
+
 // EnforcedGenerator caches the alive set between the plan's crash
 // steps; its stream must equal an enforcer that recomputes alive_at on
 // every pull (the same algorithm, written out here).
 TEST(EnforcedGeneratorTest, CachedAliveSetMatchesPerPullRecompute) {
   constexpr int kN = 5;
   constexpr std::uint64_t kSeed = 77;
-  CrashPlan plan(kN);
-  plan.set_crash(1, 100);
-  plan.set_crash(3, 250);
-  const std::vector<TimelinessConstraint> constraints = {
-      {ProcSet::of({1, 2}), ProcSet::universe(kN), 3},
-      {ProcSet::of({3}), ProcSet::of({0, 4}), 2}};
+  const TimelinessConstraint c = crashing_timely_constraint();
+  const CrashPlan plan = crashing_timely_plan();
   EnforcedGenerator gen(std::make_unique<UniformRandomGenerator>(kN, kSeed),
-                        constraints, plan);
+                        {c}, plan);
 
-  struct RefState {
-    TimelinessConstraint c;
-    std::int64_t q_steps_since_p = 0;
-    std::int64_t rotate = 0;
-  };
-  std::vector<RefState> states;
-  for (const auto& c : constraints) states.push_back(RefState{c});
   UniformRandomGenerator base(kN, kSeed);
+  std::int64_t q_steps_since_p = 0;
+  std::int64_t rotate = 0;
   std::int64_t substitutions = 0;
   std::int64_t dropped = 0;
   for (std::int64_t emitted = 0; emitted < 1000; ++emitted) {
@@ -247,39 +251,29 @@ TEST(EnforcedGeneratorTest, CachedAliveSetMatchesPerPullRecompute) {
       if (alive.contains(p)) candidate = p;
     }
     if (candidate < 0) candidate = alive.min();
-    bool changed = true;
-    for (int rounds = 0; changed && rounds < 8; ++rounds) {
-      changed = false;
-      for (auto& st : states) {
-        if (st.c.observed_set.contains(candidate) &&
-            !st.c.timely_set.contains(candidate) &&
-            st.q_steps_since_p >= st.c.bound - 1) {
-          const ProcSet avail = st.c.timely_set & alive;
-          if (avail.empty()) {
-            ++dropped;
-            continue;
-          }
-          candidate = avail.nth(static_cast<int>(st.rotate % avail.size()));
-          ++st.rotate;
-          ++substitutions;
-          changed = true;
-          break;
-        }
+    if (c.observed_set.contains(candidate) &&
+        !c.timely_set.contains(candidate) &&
+        q_steps_since_p >= c.bound - 1) {
+      const ProcSet avail = c.timely_set & alive;
+      if (avail.empty()) {
+        ++dropped;
+      } else {
+        candidate = avail.nth(static_cast<int>(rotate % avail.size()));
+        ++rotate;
+        ++substitutions;
       }
     }
-    for (auto& st : states) {
-      if (st.c.timely_set.contains(candidate)) {
-        st.q_steps_since_p = 0;
-      } else if (st.c.observed_set.contains(candidate)) {
-        ++st.q_steps_since_p;
-      }
+    if (c.timely_set.contains(candidate)) {
+      q_steps_since_p = 0;
+    } else if (c.observed_set.contains(candidate)) {
+      ++q_steps_since_p;
     }
     ASSERT_EQ(gen.next(), candidate) << "at pull " << emitted;
   }
   EXPECT_EQ(gen.substitutions(), substitutions);
   EXPECT_EQ(gen.dropped_constraints(), dropped);
   EXPECT_GT(substitutions, 0);
-  EXPECT_GT(dropped, 0);  // {3} is gone after step 250
+  EXPECT_GT(dropped, 0);  // {1, 3} is gone after step 250
 }
 
 TEST(CrashPlanTest, NextCrashAfter) {
@@ -353,36 +347,27 @@ std::unique_ptr<EnforcedGenerator> census_enforced(std::uint64_t seed) {
       TimelinessConstraint(ProcSet::range(0, 2), ProcSet::range(0, 23), 3));
 }
 
-// Three overlapping constraints over n = 6; by step 900 the timely set
-// {4, 5} has fully crashed, so the third constraint is dropped from
-// then on, and 2's crash empties the second one's timely set at 300.
-std::unique_ptr<EnforcedGenerator> crashing_enforced(
-    std::uint64_t seed, std::size_t constraints) {
+// One constraint over n = 6 whose timely set {0, 1} outlives the
+// crashes of 2 (step 300), 5 (step 700) and 4 (step 900): the alive
+// set shrinks under it three times.
+std::unique_ptr<EnforcedGenerator> crashing_enforced(std::uint64_t seed) {
   CrashPlan plan(6);
   plan.set_crash(2, 300);
   plan.set_crash(5, 700);
   plan.set_crash(4, 900);
-  std::vector<TimelinessConstraint> all = {
-      {ProcSet::of({0, 1}), ProcSet::universe(6), 3},
-      {ProcSet::of({2}), ProcSet::of({3, 4, 5}), 2},
-      {ProcSet::of({4, 5}), ProcSet::of({0, 2, 3}), 4}};
-  all.erase(all.begin() + static_cast<std::ptrdiff_t>(constraints),
-            all.end());
   return std::make_unique<EnforcedGenerator>(
-      std::make_unique<UniformRandomGenerator>(6, seed), std::move(all),
+      std::make_unique<UniformRandomGenerator>(6, seed),
+      std::vector<TimelinessConstraint>{
+          {ProcSet::of({0, 1}), ProcSet::universe(6), 3}},
       plan);
 }
 
-// Two constraints that feed each other: the second one's substitute 1
-// breaks the first, whose substitute 0 breaks the second again, so
-// steps run through the restart rounds up to their cap of 8.
-std::unique_ptr<EnforcedGenerator> chained_enforced(std::uint64_t seed = 9) {
+// The constraint dropped once its timely set has crashed.
+std::unique_ptr<EnforcedGenerator> dropping_enforced(std::uint64_t seed) {
   return std::make_unique<EnforcedGenerator>(
-      std::make_unique<UniformRandomGenerator>(4, seed),
-      std::vector<TimelinessConstraint>{
-          {ProcSet::of({0}), ProcSet::of({1, 3}), 1},
-          {ProcSet::of({1}), ProcSet::of({0, 2}), 2}},
-      CrashPlan::none(4));
+      std::make_unique<UniformRandomGenerator>(5, seed),
+      std::vector<TimelinessConstraint>{crashing_timely_constraint()},
+      crashing_timely_plan());
 }
 
 std::vector<NamedFactory> every_generator(std::uint64_t seed) {
@@ -435,10 +420,8 @@ std::vector<NamedFactory> every_generator(std::uint64_t seed) {
       {"starvation",
        [seed] { return std::make_unique<StarvationGenerator>(6, 20, seed); }},
       {"enforced-census", [seed] { return census_enforced(seed); }},
-      {"enforced-1-crash", [seed] { return crashing_enforced(seed, 1); }},
-      {"enforced-2-crash", [seed] { return crashing_enforced(seed, 2); }},
-      {"enforced-3-crash", [seed] { return crashing_enforced(seed, 3); }},
-      {"enforced-chained", [seed] { return chained_enforced(seed); }},
+      {"enforced-crash", [seed] { return crashing_enforced(seed); }},
+      {"enforced-drop", [seed] { return dropping_enforced(seed); }},
   };
   for (const FamilyInfo& info : schedule_families()) {
     out.push_back({std::string("family-") + info.name, [info, params, seed] {
@@ -465,17 +448,15 @@ TEST(GeneratorFillTest, FillInterleavedWithNextMatchesNextStream) {
 
 TEST(GeneratorFillTest, EnforcedFillKeepsSubstitutionAndDropCounts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    for (std::size_t constraints = 1; constraints <= 3; ++constraints) {
-      auto by_next = crashing_enforced(seed, constraints);
-      auto mixed = crashing_enforced(seed, constraints);
+    for (const bool drops : {false, true}) {
+      auto by_next = drops ? dropping_enforced(seed) : crashing_enforced(seed);
+      auto mixed = drops ? dropping_enforced(seed) : crashing_enforced(seed);
       ASSERT_EQ(pull_mixed(*mixed, 4'000, seed), pull_by_next(*by_next, 4'000))
-          << constraints << " constraints, seed " << seed;
+          << (drops ? "dropping" : "crashing") << ", seed " << seed;
       EXPECT_EQ(mixed->substitutions(), by_next->substitutions());
       EXPECT_EQ(mixed->dropped_constraints(), by_next->dropped_constraints());
       EXPECT_GT(mixed->substitutions(), 0);
-      if (constraints >= 2) {
-        EXPECT_GT(mixed->dropped_constraints(), 0);
-      }
+      EXPECT_EQ(mixed->dropped_constraints() > 0, drops);
     }
   }
 }
@@ -597,10 +578,8 @@ TEST(GeneratorFillTest, PinnedScheduleHashes) {
              24, ProcSet::universe(24), 2, 64);
        },
        40'000, "54a70de57a145dc5"},
-      {"3 constraints + crashes", [] { return crashing_enforced(2024, 3); },
-       5'000, "01e1d87a50f51a17"},
-      {"chained constraints", [] { return chained_enforced(); }, 3'000,
-       "8857937ce35b2f1f"},
+      {"lone constraint + crashes", [] { return crashing_enforced(2024); },
+       5'000, "595df610bef01a8b"},
   };
   for (const Pin& pin : pins) {
     auto filled = pin.make();
@@ -614,13 +593,10 @@ TEST(GeneratorFillTest, PinnedScheduleHashes) {
   auto census = census_enforced(11);
   generate(*census, 40'000);
   EXPECT_EQ(census->substitutions(), 10'578);
-  auto crashing = crashing_enforced(2024, 3);
+  auto crashing = crashing_enforced(2024);
   generate(*crashing, 5'000);
-  EXPECT_EQ(crashing->substitutions(), 425);
-  EXPECT_EQ(crashing->dropped_constraints(), 4'283);
-  auto chained = chained_enforced();
-  generate(*chained, 3'000);
-  EXPECT_EQ(chained->substitutions(), 16'491);
+  EXPECT_EQ(crashing->substitutions(), 218);
+  EXPECT_EQ(crashing->dropped_constraints(), 0);
 }
 
 }  // namespace

@@ -291,28 +291,6 @@ TEST(BoundTrackerTest, ChunkingIsIrrelevant) {
   EXPECT_EQ(word_fed.bound(), min_timeliness_bound_reference(s, p, q));
 }
 
-TEST(BoundTrackerTest, BoundSeriesUsesOnePass) {
-  Rng rng(17);
-  const Schedule s = random_schedule(rng, 4, 800);
-  const ProcSet p = ProcSet::of(0);
-  const ProcSet q = ProcSet::of({1, 2, 3});
-  std::vector<std::int64_t> cuts;
-  for (std::int64_t c = 0; c <= 800; c += 37) cuts.push_back(c);
-  const auto series = bound_series(s, p, q, cuts);
-  ASSERT_EQ(series.size(), cuts.size());
-  for (std::size_t idx = 0; idx < cuts.size(); ++idx) {
-    EXPECT_EQ(series[idx],
-              min_timeliness_bound_reference(s, p, q, 0, cuts[idx]));
-  }
-  // Out-of-order cuts take the per-cut fallback; results must agree.
-  std::vector<std::int64_t> shuffled = cuts;
-  std::reverse(shuffled.begin(), shuffled.end());
-  const auto reversed = bound_series(s, p, q, shuffled);
-  for (std::size_t idx = 0; idx < cuts.size(); ++idx) {
-    EXPECT_EQ(reversed[idx], series[cuts.size() - 1 - idx]);
-  }
-}
-
 // The pre-RankedPairScan exhaustive nested loops, kept here as the
 // oracle for enumeration order and tie-breaks.
 TimelyPair best_pair_oracle(const Schedule& s, int i, int j) {

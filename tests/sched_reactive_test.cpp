@@ -271,20 +271,17 @@ TEST(ReactivePinnedTest, StreamsMatchTheirPinnedHashes) {
 TEST(ObservationFeedTest, TracksSilencesWindowsAndCrashes) {
   ObservationFeed feed(3);
   EXPECT_EQ(feed.total_steps(), 0);
-  EXPECT_EQ(feed.silence_of(0), 0);
+  EXPECT_EQ(feed.max_silence(), 0);
   feed.record_step(0);
   feed.record_step(0);
   feed.record_step(1);
   EXPECT_EQ(feed.total_steps(), 3);
   EXPECT_EQ(feed.steps_of(0), 2);
-  EXPECT_EQ(feed.silence_of(0), 1);  // one step since pid 0's last
-  EXPECT_EQ(feed.silence_of(1), 0);
-  EXPECT_EQ(feed.silence_of(2), 3);  // never stepped
-  // window_age of a set = the youngest member silence (a P-free window
-  // is open only while every member is silent).
-  EXPECT_EQ(feed.window_age(ProcSet::of({0, 2})), 1);
-  EXPECT_EQ(feed.window_age(ProcSet::of({2})), 3);
-  EXPECT_EQ(feed.max_silence(), 3);
+  EXPECT_EQ(feed.max_silence(), 3);  // pid 2 never stepped
+  feed.record_step(2);
+  // The least recent last step is pid 0's, two steps before pid 1's
+  // and pid 2's.
+  EXPECT_EQ(feed.max_silence(), 2);
   feed.record_crash(2);
   feed.record_crash(2);  // idempotent
   EXPECT_EQ(feed.crashed(), ProcSet::of({2}));

@@ -37,15 +37,6 @@ TEST(ScheduleTest, CountsPerProcessAndSet) {
   EXPECT_EQ(s.count(1), 2);
   EXPECT_EQ(s.count(2), 1);
   EXPECT_EQ(s.count(0, 1, 4), 1);  // window [1,4) = 1,0,2
-  EXPECT_EQ(s.count_set(ProcSet::of({0, 2})), 4);
-  EXPECT_EQ(s.count_set(ProcSet::of({1, 2}), 0, 3), 1);
-}
-
-TEST(ScheduleTest, AppearingFrom) {
-  const Schedule s(4, {0, 1, 2, 1, 1});
-  EXPECT_EQ(s.appearing(), ProcSet::of({0, 1, 2}));
-  EXPECT_EQ(s.appearing_from(3), ProcSet::of({1}));
-  EXPECT_EQ(s.appearing_from(5), ProcSet());
 }
 
 TEST(ScheduleTest, ConcatPreservesOrder) {

@@ -56,12 +56,18 @@ struct FuzzerCli {
 FuzzerCli parse_cli(int argc, char** argv) {
   FuzzerCli cli;
   long seed = 1;
-  long budget = 128;
   long steps = 20'000;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
     if (setlib::core::consume_long_flag(arg, "--seed=", &seed)) continue;
-    if (setlib::core::consume_long_flag(arg, "--budget=", &budget)) continue;
+    if (setlib::core::consume_int_flag(arg, "--budget=", &cli.fuzz.budget)) {
+      if (cli.fuzz.budget < 0) {
+        throw std::runtime_error("--budget=: value '" +
+                                 std::to_string(cli.fuzz.budget) +
+                                 "' is negative");
+      }
+      continue;
+    }
     if (setlib::core::consume_int_flag(arg, "--n=", &cli.fuzz.n)) continue;
     if (setlib::core::consume_long_flag(arg, "--steps=", &steps)) continue;
     if (setlib::core::consume_threads_flag(arg, &cli.threads)) continue;
@@ -80,7 +86,6 @@ FuzzerCli parse_cli(int argc, char** argv) {
     throw std::runtime_error("unknown flag: " + arg);
   }
   cli.fuzz.seed = static_cast<std::uint64_t>(seed);
-  cli.fuzz.budget = static_cast<int>(budget);
   cli.fuzz.schedule_len = steps;
   return cli;
 }
